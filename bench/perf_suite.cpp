@@ -35,6 +35,7 @@
 #include "mapping/perf.hpp"
 #include "mapping/router.hpp"
 #include "mapping/tracker.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/str.hpp"
 #include "support/timer.hpp"
@@ -96,29 +97,13 @@ std::string PerfJson(const PerfCounters& p, double seconds) {
                        : 0.0;
   const double qps =
       seconds > 0 ? static_cast<double>(p.router_queries) / seconds : 0.0;
-  return StrFormat(
-      "{\"router_queries\":%llu,\"router_routed\":%llu,"
-      "\"router_queries_per_sec\":%.1f,"
-      "\"fanout_batches\":%llu,\"fanout_batched_routes\":%llu,"
-      "\"router_pushes\":%llu,\"router_pops\":%llu,"
-      "\"router_expansions\":%llu,"
-      "\"arena_reuses\":%llu,\"arena_grows\":%llu,"
-      "\"tracker_checks\":%llu,\"tracker_check_hits\":%llu,"
-      "\"tracker_hit_rate\":%.4f,"
-      "\"tracker_occupies\":%llu,\"tracker_releases\":%llu}",
-      static_cast<unsigned long long>(p.router_queries),
-      static_cast<unsigned long long>(p.router_routed), qps,
-      static_cast<unsigned long long>(p.fanout_batches),
-      static_cast<unsigned long long>(p.fanout_batched_routes),
-      static_cast<unsigned long long>(p.router_pushes),
-      static_cast<unsigned long long>(p.router_pops),
-      static_cast<unsigned long long>(p.router_expansions),
-      static_cast<unsigned long long>(p.arena_reuses),
-      static_cast<unsigned long long>(p.arena_grows),
-      static_cast<unsigned long long>(p.tracker_checks),
-      static_cast<unsigned long long>(p.tracker_check_hits), hit_rate,
-      static_cast<unsigned long long>(p.tracker_occupies),
-      static_cast<unsigned long long>(p.tracker_releases));
+  JsonWriter w;
+  w.BeginObject();
+  WritePerfCounters(w, p);
+  w.Key("router_queries_per_sec").Double(qps);
+  w.Key("tracker_hit_rate").Double(hit_rate);
+  w.EndObject();
+  return w.Take();
 }
 
 // ---- router microbenchmark --------------------------------------------------

@@ -58,6 +58,39 @@ for ref in $refs; do
   esac
 done
 
+# 2b. A line anchor must land on what its doc line names. When the line
+#     names backticked symbols (`Foo`, `Foo::bar`, `Foo::Bar()`), one of
+#     their identifiers must occur within 3 lines of every `path:line`
+#     anchor on that line — so an anchor left behind by moved code, or a
+#     row naming a symbol that does not exist, fails.
+anchor_re='`(src|bench|scripts|tests)/[A-Za-z0-9_./-]+:[0-9]+`'
+symbol_re='`[A-Za-z_][A-Za-z0-9_]*((::|\.)[A-Za-z_][A-Za-z0-9_]*)*(\(\))?`'
+while IFS= read -r hit; do
+  doc=${hit%%:*}
+  rest=${hit#*:}
+  doc_line=${rest%%:*}
+  text=${rest#*:}
+  names=$(printf '%s\n' "$text" | grep -oE "$symbol_re" | tr -d '`()' |
+            tr ':.' '\n\n' | grep -v '^$' | sort -u)
+  [ -n "$names" ] || continue
+  for ref in $(printf '%s\n' "$text" | grep -oE "$anchor_re" | tr -d '`'); do
+    path=${ref%%:*}
+    line=${ref##*:}
+    [ -f "$path" ] || continue  # already reported above
+    lo=$((line > 3 ? line - 3 : 1))
+    window=$(sed -n "${lo},$((line + 3))p" "$path")
+    found=0
+    for name in $names; do
+      if printf '%s\n' "$window" | grep -qw -- "$name"; then
+        found=1
+        break
+      fi
+    done
+    [ "$found" -eq 1 ] ||
+      err "$doc:$doc_line: $ref is not near any of: $(echo $names)"
+  done
+done < <(grep -nE "$anchor_re" docs/*.md)
+
 # 3. Relative markdown links inside docs/ resolve.
 links=$(grep -hoE '\]\(([A-Za-z0-9_./-]+\.md)\)' docs/*.md | \
           sed -E 's/^\]\((.*)\)$/\1/' | sort -u)

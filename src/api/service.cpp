@@ -300,7 +300,6 @@ HttpResponse MappingService::HandleMap(const HttpRequest& http) {
   eo.max_ii = request.max_ii;
   eo.extra_slack = request.extra_slack;
   eo.cache = options_.cache;
-  eo.mrrg_cache = options_.mrrg_cache;
   eo.stop = options_.stop;
   eo.isolation = options_.isolation;
   eo.sandbox_limits = options_.sandbox_limits;

@@ -12,9 +12,11 @@
 //   * per-request deadline — the client's deadline_seconds, clamped to
 //     max_deadline_seconds, becomes EngineOptions::deadline; a client
 //     cannot pin a worker for longer than the operator allows.
-//   * a shared warm MappingCache + MrrgCache across every request —
-//     the whole point of serving from a daemon instead of forking a
-//     batch compile per request.
+//   * a shared warm MappingCache across every request — the whole
+//     point of serving from a daemon instead of forking a batch compile
+//     per request. MRRGs are not shared: MrrgCache keys on the
+//     Architecture's address, and each request builds its fabric on
+//     the stack, so every engine run builds its own.
 //   * request-scoped telemetry: every mapping request runs under a
 //     "serve.request" span with a fresh correlation id that is echoed
 //     in the response body ("corr") and the X-Correlation-Id header.
@@ -37,7 +39,6 @@
 #include "api/request.hpp"
 #include "api/response.hpp"
 #include "api/stats_window.hpp"
-#include "arch/mrrg_cache.hpp"
 #include "cache/mapping_cache.hpp"
 #include "engine/engine.hpp"
 #include "support/http.hpp"
@@ -62,9 +63,8 @@ struct ServiceOptions {
   /// workers, and determinism keeps warm-cache digests bit-identical).
   bool engine_race = false;
 
-  /// Shared caches; may be nullptr (no memoisation).
+  /// Shared mapping cache; may be nullptr (no memoisation).
   MappingCache* cache = nullptr;
-  MrrgCache* mrrg_cache = nullptr;
 
   /// Process-level crash isolation for every request's engine run
   /// (--isolation). kAll is the safe setting for untrusted portfolios:

@@ -100,39 +100,6 @@ void EmitMapperDone(MapObserver* obs, const Mapper& mapper,
   NotifyObserver(obs, e);
 }
 
-/// A sandboxed child maps with a nulled observer, so its per-II
-/// attempt events die with it. The parent synthesises one summary
-/// kAttemptDone carrying the isolation classification instead — the
-/// row the chaos gate greps MapTrace JSON for.
-void EmitSandboxAttempt(MapObserver* obs, const Mapper& mapper,
-                        const Result<Mapping>& result, double seconds,
-                        const std::string& sandbox,
-                        const std::string& search_json = {}) {
-  MapEvent e;
-  e.kind = MapEvent::Kind::kAttemptDone;
-  e.mapper = mapper.name();
-  e.ok = result.ok();
-  e.seconds = seconds;
-  e.sandbox = sandbox;
-  if (result.ok()) {
-    e.ii = result->ii;
-  } else {
-    e.error_code = result.error().code;
-    e.message = result.error().message;
-  }
-  // Search introspection shipped home over the wire frame; an
-  // undecodable payload from a possibly-crashed child is dropped, not
-  // an error — the mapping result alone decides the attempt's fate.
-  if (!search_json.empty()) {
-    auto log = std::make_shared<telemetry::SearchLog>();
-    std::string error;
-    if (telemetry::SearchLog::FromJson(search_json, log.get(), &error)) {
-      e.search = std::move(log);
-    }
-  }
-  NotifyObserver(obs, e);
-}
-
 /// What one portfolio entry produced, however it ran.
 struct EntryOutcome {
   Result<Mapping> result;
@@ -141,6 +108,30 @@ struct EntryOutcome {
 
   EntryOutcome() : result(Error::Internal("entry did not run")) {}
 };
+
+/// A sandboxed child maps with a nulled observer, so its per-II
+/// attempt events die with it. The parent synthesises one summary
+/// kAttemptDone from the child's shipped whole-Map `record` (empty for
+/// a crashed or quarantined entry), stamped with the entry's wall time
+/// and isolation classification — the row the chaos gate greps
+/// MapTrace JSON for.
+void EmitSandboxAttempt(MapObserver* obs, const Mapper& mapper,
+                        const EntryOutcome& out, AttemptRecord record = {}) {
+  MapEvent e;
+  static_cast<AttemptRecord&>(e) = std::move(record);
+  e.seconds = out.seconds;
+  e.sandbox = out.sandbox;
+  e.kind = MapEvent::Kind::kAttemptDone;
+  e.mapper = mapper.name();
+  e.ok = out.result.ok();
+  if (out.result.ok()) {
+    e.ii = out.result->ii;
+  } else {
+    e.error_code = out.result.error().code;
+    e.message = out.result.error().message;
+  }
+  NotifyObserver(obs, e);
+}
 
 /// Runs one portfolio entry under the engine's isolation policy:
 /// quarantine check, sandbox-or-in-process dispatch, crash accounting,
@@ -174,8 +165,7 @@ EntryOutcome ExecuteEntry(const EngineOptions& eo, const Mapper& mapper,
                   "(%.1fs until probation)",
                   mapper.name().c_str(), bench_left));
     out.seconds = timer.Seconds();
-    EmitSandboxAttempt(eo.observer, mapper, out.result, out.seconds,
-                       out.sandbox);
+    EmitSandboxAttempt(eo.observer, mapper, out);
     EmitMapperDone(eo.observer, mapper, out.result, out.seconds, out.sandbox);
     return out;
   }
@@ -248,8 +238,7 @@ EntryOutcome ExecuteEntry(const EngineOptions& eo, const Mapper& mapper,
     } else if (out.result.ok() && quarantine) {
       quarantine->RecordSuccess(mapper.name());
     }
-    EmitSandboxAttempt(eo.observer, mapper, out.result, out.seconds,
-                       out.sandbox, sr.search_json);
+    EmitSandboxAttempt(eo.observer, mapper, out, std::move(sr.record));
     EmitMapperDone(eo.observer, mapper, out.result, out.seconds, out.sandbox);
     return out;
   }
@@ -504,14 +493,6 @@ Result<RepairResult> MappingEngine::RunWithRepair(
     auto arch_r = std::make_shared<Architecture>(arch.WithFaults(fm));
 
     RoundStamper stamper(options_.observer, round, digest);
-    {
-      MapEvent note;
-      note.kind = MapEvent::Kind::kNote;
-      note.message = StrFormat("repair round %d/%d on fabric [%s]: %s", round,
-                               repair.max_rounds, digest.c_str(),
-                               fm.ToString().c_str());
-      stamper.OnEvent(note);
-    }
 
     EngineOptions eo = options_;
     eo.observer = &stamper;

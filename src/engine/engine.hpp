@@ -264,10 +264,9 @@ class MappingEngine {
   /// `repair.verifier`. A verifier miscompare that diagnoses new
   /// faults triggers the next round; crashed mappers are dropped from
   /// later rounds. Every event of round k reaches the observer with
-  /// repair_round = k and the round's fault digest, and each round is
-  /// additionally announced with a kNote. Fails with the last round's
-  /// error code once max_rounds, the deadline, or an undiagnosable
-  /// miscompare exhausts the loop.
+  /// repair_round = k and the round's fault digest. Fails with the last
+  /// round's error code once max_rounds, the deadline, or an
+  /// undiagnosable miscompare exhausts the loop.
   Result<RepairResult> RunWithRepair(
       const Dfg& dfg, const Architecture& arch, const FaultModel& known_faults,
       const std::vector<const Mapper*>& portfolio,

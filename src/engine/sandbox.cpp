@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "support/bytes.hpp"
 #include "support/str.hpp"
 #include "telemetry/search_log.hpp"
 
@@ -12,7 +13,7 @@ namespace {
 
 constexpr char kFrameMapping = 'M';
 constexpr char kFrameError = 'E';
-constexpr char kFrameSearch = 'S';  // length-prefixed SearchLog JSON
+constexpr char kFrameRecord = 'S';  // length-prefixed AttemptRecord
 
 Error::Code CodeFromByte(unsigned char b, bool* valid) {
   *valid = true;
@@ -37,61 +38,78 @@ unsigned char ByteFromCode(Error::Code c) {
   return 3;
 }
 
+/// The child's whole-Map record in the frame-prefix layout
+/// (sandbox.hpp): every counter, then the search log's JSON.
+std::string EncodeRecord(const PerfCounters& perf,
+                         const telemetry::SearchLog& search) {
+  ByteWriter w;
+  for (const PerfCounterField& f : kPerfCounterFields) w.U64(perf.*f.member);
+  w.Str(search.Any() ? search.ToJson() : std::string());
+  return w.Take();
+}
+
+/// Inverse of EncodeRecord. A payload that does not decode leaves the
+/// record (or just its search log) empty rather than failing the
+/// attempt: the mapping result alone decides the attempt's fate.
+void DecodeRecord(std::string_view bytes, AttemptRecord* record) {
+  ByteReader r(bytes);
+  PerfCounters perf;
+  for (const PerfCounterField& f : kPerfCounterFields) {
+    if (!r.U64(perf.*f.member)) return;
+  }
+  record->perf = perf;
+  std::string search_json;
+  if (!r.Str(search_json) || search_json.empty()) return;
+  auto log = std::make_shared<telemetry::SearchLog>();
+  std::string error;
+  if (telemetry::SearchLog::FromJson(search_json, log.get(), &error)) {
+    record->search = std::move(log);
+  }
+}
+
 }  // namespace
 
 std::string EncodeSandboxFrame(const Result<Mapping>& result,
-                               std::string_view search_json) {
-  std::string out;
-  if (!search_json.empty()) {
-    out.push_back(kFrameSearch);
-    const std::uint32_t len = static_cast<std::uint32_t>(search_json.size());
-    for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
-    }
-    out += search_json;
+                               std::string_view record) {
+  ByteWriter out;
+  if (!record.empty()) {
+    out.U8(kFrameRecord);
+    out.Str(record);
   }
+  std::string frame = out.Take();
   if (result.ok()) {
-    out.push_back(kFrameMapping);
-    out += SerializeMapping(*result);
+    frame.push_back(kFrameMapping);
+    frame += SerializeMapping(*result);
   } else {
-    out.push_back(kFrameError);
-    out.push_back(static_cast<char>(ByteFromCode(result.error().code)));
-    out += result.error().message;
+    frame.push_back(kFrameError);
+    frame.push_back(static_cast<char>(ByteFromCode(result.error().code)));
+    frame += result.error().message;
   }
-  return out;
+  return frame;
 }
 
 Result<Mapping> DecodeSandboxFrame(std::string_view bytes,
                                    bool* wire_corrupt,
-                                   std::string* search_json) {
+                                   std::string* record) {
   *wire_corrupt = false;
-  if (search_json != nullptr) search_json->clear();
+  if (record != nullptr) record->clear();
   if (bytes.empty()) {
     *wire_corrupt = true;
     return Error::Internal("sandbox: empty result frame");
   }
-  if (bytes[0] == kFrameSearch) {
-    bytes.remove_prefix(1);
-    if (bytes.size() < 4) {
+  if (bytes[0] == kFrameRecord) {
+    ByteReader r(bytes.substr(1));
+    std::string payload;
+    if (!r.Str(payload)) {
       *wire_corrupt = true;
-      return Error::Internal("sandbox: truncated search-log prefix");
+      return Error::Internal("sandbox: truncated record prefix");
     }
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[i]))
-             << (8 * i);
-    }
-    bytes.remove_prefix(4);
-    if (bytes.size() < len) {
-      *wire_corrupt = true;
-      return Error::Internal("sandbox: search-log prefix length overruns frame");
-    }
-    if (search_json != nullptr) search_json->assign(bytes.substr(0, len));
-    bytes.remove_prefix(len);
+    bytes.remove_prefix(1 + r.pos());
     if (bytes.empty()) {
       *wire_corrupt = true;
-      return Error::Internal("sandbox: search-log prefix without a result frame");
+      return Error::Internal("sandbox: record prefix without a result frame");
     }
+    if (record != nullptr) *record = std::move(payload);
   }
   const char tag = bytes[0];
   bytes.remove_prefix(1);
@@ -150,11 +168,13 @@ SandboxedMapResult SandboxedMap(const Mapper& mapper, const Dfg& dfg,
   SandboxedMapResult out;
   out.outcome = RunInSandbox(
       [&]() {
-        // The child's per-attempt collectors never install (they
-        // require an observer, nulled above); one whole-Map collector
-        // here covers every II the child tries, shipped home as the
-        // frame's search prefix.
+        // The child's per-attempt records die with its nulled observer,
+        // so it ships one whole-Map record instead: the counter delta
+        // across Map(), and one whole-Map collector covering every II
+        // (the per-attempt collectors require an observer and never
+        // install).
         telemetry::SearchLog child_log;
+        const PerfCounters before = ThreadPerfCounters();
         Result<Mapping> r = [&] {
           telemetry::ScopedSearchLog scoped(
               child_options.search_log &&
@@ -164,20 +184,22 @@ SandboxedMapResult SandboxedMap(const Mapper& mapper, const Dfg& dfg,
                   : nullptr);
           return SafeMap(mapper, dfg, arch, child_options);
         }();
-        const std::string search_json =
-            child_log.Any() ? child_log.ToJson() : std::string();
-        return EncodeSandboxFrame(r, search_json);
+        return EncodeSandboxFrame(
+            r, EncodeRecord(ThreadPerfCounters() - before, child_log));
       },
       limits, options.deadline, options.stop);
 
   switch (out.outcome.crash) {
     case SandboxCrash::kNone: {
       bool wire_corrupt = false;
-      out.result = DecodeSandboxFrame(out.outcome.payload, &wire_corrupt,
-                                      &out.search_json);
+      std::string record;
+      out.result =
+          DecodeSandboxFrame(out.outcome.payload, &wire_corrupt, &record);
       if (wire_corrupt) {
         out.outcome.crash = SandboxCrash::kWireCorrupt;
         out.outcome.detail = out.result.error().message;
+      } else {
+        DecodeRecord(record, &out.record);
       }
       break;
     }

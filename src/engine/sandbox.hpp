@@ -10,15 +10,20 @@
 //   'M' + SerializeMapping(mapping)          mapper succeeded
 //   'E' + <code byte> + <utf-8 message>      mapper failed normally
 //
-// When the child collected search introspection (MapperOptions::
-// search_log; telemetry/search_log.hpp), the frame is prefixed with
+// The child prefixes that frame with its whole-Map AttemptRecord
+// (mapping/observer.hpp):
 //
-//   'S' + <u32 LE length> + <SearchLog JSON>
+//   'S' + <u32 LE length> + <record>
+//   record = <u64 LE per counter, in kPerfCounterFields order>
+//            + <u32 LE length> + <SearchLog JSON, empty when not collected>
 //
-// followed by the ordinary 'M'/'E' frame. Frames without the prefix
-// decode exactly as before, so the wire format stays backward
-// compatible; a truncated or bad-length prefix classifies as
-// kWireCorrupt like any other framing damage.
+// so a sandboxed attempt row carries the same router, tracker and
+// solver counters as the in-process run would, and the search log when
+// MapperOptions::search_log collection was on. Frames without the
+// prefix still decode; a truncated or bad-length prefix classifies as
+// kWireCorrupt like any other framing damage. Parent and child are the
+// same binary image (fork without exec), so they agree on the counter
+// table.
 //
 // Reusing the versioned+checksummed SerializeMapping wire format means
 // a child that scribbles on its own heap before exiting produces a
@@ -48,10 +53,11 @@ struct SandboxedMapResult {
   /// wire corruption, ...). outcome.crash == kNone on a clean run.
   SandboxOutcome outcome;
 
-  /// Serialised SearchLog collected inside the child (whole-Map scope —
-  /// the child's per-attempt events die with its nulled observer).
-  /// Empty when collection was off or nothing was recorded.
-  std::string search_json;
+  /// The child's whole-Map record, decoded from the frame prefix: its
+  /// counter delta across Map() and, when collection was on, its search
+  /// log (the child's per-attempt events die with its nulled observer).
+  /// The engine stamps seconds and sandbox; empty after a crash.
+  AttemptRecord record;
 
   /// True for outcomes that indicate a broken mapper and should count
   /// toward quarantine: signal, OOM, wire corruption, unexplained
@@ -85,23 +91,23 @@ std::string SandboxLabel(const SandboxOutcome& outcome);
 /// The child nulls out options.observer and options.mrrg_cache before
 /// mapping: both are shared with other parent threads whose locks may
 /// be mid-flight at the fork instant (per-attempt events from inside
-/// the child are therefore absent; the engine synthesises a summary
-/// attempt event in the parent instead).
+/// the child are therefore absent; the engine synthesises one summary
+/// attempt event from the shipped record in the parent instead).
 SandboxedMapResult SandboxedMap(const Mapper& mapper, const Dfg& dfg,
                                 const Architecture& arch,
                                 const MapperOptions& options,
                                 const SandboxLimits& limits);
 
-/// Wire-frame helpers, exposed for tests. A non-empty `search_json`
-/// adds the 'S' prefix described above.
+/// Wire-frame helpers, exposed for tests. A non-empty `record` adds
+/// the 'S' prefix described above; the framing treats it as opaque.
 std::string EncodeSandboxFrame(const Result<Mapping>& result,
-                               std::string_view search_json = {});
+                               std::string_view record = {});
 /// Decode failure (bad tag, bad code byte, checksum mismatch, empty,
-/// truncated search prefix) returns kInternal and sets *wire_corrupt.
-/// When `search_json` is non-null it receives the 'S' prefix payload
-/// (cleared first, so it is empty for unprefixed frames).
+/// truncated prefix) returns kInternal and sets *wire_corrupt. When
+/// `record` is non-null it receives the 'S' prefix payload (cleared
+/// first, so it is empty for unprefixed frames).
 Result<Mapping> DecodeSandboxFrame(std::string_view bytes,
                                    bool* wire_corrupt,
-                                   std::string* search_json = nullptr);
+                                   std::string* record = nullptr);
 
 }  // namespace cgra

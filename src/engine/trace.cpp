@@ -7,6 +7,12 @@
 
 namespace cgra {
 
+void WritePerfCounters(JsonWriter& w, const PerfCounters& perf) {
+  for (const PerfCounterField& f : kHotPathCounterFields) {
+    w.Key(f.name).Uint(perf.*f.member);
+  }
+}
+
 void MapTrace::OnEvent(const MapEvent& event) {
   std::lock_guard<std::mutex> lock(mu_);
   events_.push_back(event);
@@ -29,38 +35,21 @@ int MapTrace::attempt_count() const {
 std::vector<MapTrace::Attempt> MapTrace::Attempts() const {
   const std::vector<MapEvent> snapshot = events();
   std::vector<Attempt> out;
-  // Solver-effort notes arrive between an attempt's start and done
-  // events, i.e. before the Attempt row exists; buffer them and fold
-  // into the finished rows afterwards, keyed on (mapper, ii).
-  std::vector<const MapEvent*> notes;
   for (const MapEvent& e : snapshot) {
-    if (e.kind == MapEvent::Kind::kAttemptDone) {
-      Attempt a;
-      a.mapper = e.mapper;
-      a.ii = e.ii;
-      a.ok = e.ok;
-      if (!e.ok && e.error_code) a.error_code = Error::CodeName(*e.error_code);
-      a.message = e.message;
-      a.seconds = e.seconds;
-      a.round = e.repair_round;
-      a.fault_digest = e.fault_digest;
-      a.perf = e.perf;
-      a.correlation = e.correlation;
-      a.sandbox = e.sandbox;
-      a.search = e.search;
-      out.push_back(std::move(a));
-    } else if (e.kind == MapEvent::Kind::kNote && e.solver_steps >= 0) {
-      notes.push_back(&e);
+    if (e.kind != MapEvent::Kind::kAttemptDone) continue;
+    Attempt a;
+    static_cast<AttemptRecord&>(a) = e;
+    a.mapper = e.mapper;
+    a.ii = e.ii;
+    a.ok = e.ok;
+    if (!e.ok && e.error_code) a.error_code = Error::CodeName(*e.error_code);
+    a.message = e.message;
+    a.round = e.repair_round;
+    a.fault_digest = e.fault_digest;
+    if (e.perf.solver_runs > 0) {
+      a.solver_steps = static_cast<std::int64_t>(e.perf.solver_steps);
     }
-  }
-  for (const MapEvent* e : notes) {
-    for (auto& a : out) {
-      if (a.mapper == e->mapper && a.ii == e->ii) {
-        a.solver_steps =
-            (a.solver_steps < 0 ? 0 : a.solver_steps) + e->solver_steps;
-        break;
-      }
-    }
+    out.push_back(std::move(a));
   }
   return out;
 }
@@ -99,19 +88,7 @@ std::string MapTrace::ToJson() const {
     if (!a.sandbox.empty()) w.Key("sandbox").String(a.sandbox);
     if (a.perf.Any()) {
       w.Key("perf").BeginObject();
-      w.Key("router_queries").Uint(a.perf.router_queries);
-      w.Key("router_routed").Uint(a.perf.router_routed);
-      w.Key("fanout_batches").Uint(a.perf.fanout_batches);
-      w.Key("fanout_batched_routes").Uint(a.perf.fanout_batched_routes);
-      w.Key("router_pushes").Uint(a.perf.router_pushes);
-      w.Key("router_pops").Uint(a.perf.router_pops);
-      w.Key("router_expansions").Uint(a.perf.router_expansions);
-      w.Key("arena_reuses").Uint(a.perf.arena_reuses);
-      w.Key("arena_grows").Uint(a.perf.arena_grows);
-      w.Key("tracker_checks").Uint(a.perf.tracker_checks);
-      w.Key("tracker_check_hits").Uint(a.perf.tracker_check_hits);
-      w.Key("tracker_occupies").Uint(a.perf.tracker_occupies);
-      w.Key("tracker_releases").Uint(a.perf.tracker_releases);
+      WritePerfCounters(w, a.perf);
       w.EndObject();
     }
     if (a.search != nullptr && a.search->Any()) {

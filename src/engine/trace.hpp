@@ -2,11 +2,12 @@
 // observability story.
 //
 // Collects every MapEvent emitted by racing mappers — attempt starts
-// and ends, failure codes, wall times, solver effort notes, and the
-// engine's own mapper start/done brackets — and serialises them to
-// JSON so benches can report *why* a Table-I cell timed out (which II
-// attempts ran, what each died of, how many solver conflicts it
-// burned) rather than just that it did.
+// and ends with their AttemptRecords (wall time, router/tracker/solver
+// counters, search log), failure codes, and the engine's own mapper
+// start/done brackets — and serialises them to JSON so benches can
+// report *why* a Table-I cell timed out (which II attempts ran, what
+// each died of, how many solver conflicts it burned) rather than just
+// that it did.
 //
 // Thread-safe: OnEvent locks, so one trace can be shared by the whole
 // portfolio. Events keep arrival order, which interleaves mappers
@@ -22,6 +23,13 @@
 
 namespace cgra {
 
+class JsonWriter;  // support/json.hpp
+
+/// Writes the router/tracker counters of `perf` as keys of the open
+/// JSON object: the "perf" object of MapTrace rows and the counter
+/// columns of BENCH_perf.json both come from here.
+void WritePerfCounters(JsonWriter& w, const PerfCounters& perf);
+
 class MapTrace final : public MapObserver {
  public:
   void OnEvent(const MapEvent& event) override;
@@ -32,27 +40,24 @@ class MapTrace final : public MapObserver {
   /// Number of finished II attempts (kAttemptDone events).
   int attempt_count() const;
 
-  /// One aggregated row per finished (mapper, II) attempt, in arrival
-  /// order; solver-effort notes for the same (mapper, II) are folded in.
-  struct Attempt {
+  /// One row per finished attempt (kAttemptDone), in arrival order:
+  /// the attempt's record plus who ran it and how it ended.
+  struct Attempt : AttemptRecord {
     std::string mapper;
     int ii = -1;
     bool ok = false;
-    std::string error_code;         ///< Error::CodeName, empty when ok
+    std::string error_code;    ///< Error::CodeName, empty when ok
     std::string message;
-    double seconds = 0.0;
-    std::int64_t solver_steps = -1; ///< summed kNote steps, -1 if none
-    int round = 0;                  ///< RunWithRepair round (0 = first try)
-    std::string fault_digest;       ///< fabric FaultModel digest at that round
-    PerfCounters perf;              ///< router/tracker effort of the attempt
-    std::uint64_t correlation = 0;  ///< telemetry span id; 0 = no tracing
-    std::string sandbox;            ///< isolation outcome; "" = in-process
-    /// Search introspection (null when collection was off for the run).
-    std::shared_ptr<const telemetry::SearchLog> search;
+    int round = 0;             ///< RunWithRepair round (0 = first try)
+    std::string fault_digest;  ///< fabric FaultModel digest at that round
+    /// perf.solver_steps, or -1 when no solver run finished during the
+    /// attempt (heuristics, and exact attempts that stopped before or
+    /// inside their solve).
+    std::int64_t solver_steps = -1;
   };
   std::vector<Attempt> Attempts() const;
 
-  /// Sum of the router/tracker counters over every finished attempt.
+  /// Sum of the counters over every finished attempt.
   PerfCounters TotalPerf() const;
 
   /// The whole trace as a JSON object:

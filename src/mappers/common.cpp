@@ -425,7 +425,6 @@ Result<Mapping> EscalateIi(const Mapper& self, const Dfg& dfg,
   const int hi = std::min(options.max_ii, arch.MaxIi());
   const MiiBounds bounds = ComputeMii(dfg, arch, hi);
   const int lo = std::min(std::max(options.min_ii, bounds.mii()), hi);
-  const std::string name = self.name();
   Error last = Error::Unmappable("no II attempted");
   for (int ii = lo; ii <= hi; ++ii) {
     if (options.stop.StopRequested()) {
@@ -434,52 +433,8 @@ Result<Mapping> EscalateIi(const Mapper& self, const Dfg& dfg,
     if (options.deadline.Expired()) {
       return Error::ResourceLimit("mapper deadline expired during II escalation");
     }
-    MapEvent start;
-    start.kind = MapEvent::Kind::kAttemptStart;
-    start.mapper = name;
-    start.ii = ii;
-    NotifyObserver(options.observer, start);
-
-    const PerfCounters perf_before = ThreadPerfCounters();
-    WallTimer timer;
-    // The span and the kAttemptDone event share one correlation id,
-    // joining the MapTrace row to its trace spans.
-    const std::uint64_t correlation =
-        telemetry::Enabled() ? telemetry::NewCorrelation() : 0;
-    // Search introspection: one collector per attempt, installed in the
-    // thread-local slot for the attempt's extent only. Gated on an
-    // observer being present — without one the log would have nowhere
-    // to go.
-    std::shared_ptr<telemetry::SearchLog> search;
-    if (options.search_log && options.observer != nullptr &&
-        telemetry::GetSearchDetail() != telemetry::SearchDetail::kOff) {
-      search = std::make_shared<telemetry::SearchLog>();
-    }
-    Result<Mapping> r = [&] {
-      telemetry::Span span(
-          "attempt",
-          telemetry::Enabled() ? StrFormat("%s ii=%d", name.c_str(), ii) : "",
-          correlation);
-      telemetry::ScopedSearchLog scoped(search.get());
-      return attempt(ii);
-    }();
-
-    MapEvent done;
-    done.kind = MapEvent::Kind::kAttemptDone;
-    done.mapper = name;
-    done.ii = ii;
-    done.ok = r.ok();
-    done.seconds = timer.Seconds();
-    done.perf = ThreadPerfCounters() - perf_before;
-    done.correlation = correlation;
-    if (!r.ok()) {
-      done.error_code = r.error().code;
-      done.message = r.error().message;
-    }
-    if (search != nullptr && search->Any()) done.search = std::move(search);
-    NotifyObserver(options.observer, done);
-    ObserveAttemptMetrics(done.ok, ii, done.seconds, done.perf);
-
+    Result<Mapping> r =
+        ObservedAttempt(self, options, ii, [&] { return attempt(ii); });
     if (r.ok()) return r;
     last = r.error();
   }
@@ -495,16 +450,21 @@ Result<Mapping> ObservedAttempt(const Mapper& self,
   if (options.deadline.Expired()) {
     return Error::ResourceLimit("mapper deadline expired before its attempt");
   }
-  MapEvent start;
-  start.kind = MapEvent::Kind::kAttemptStart;
-  start.mapper = self.name();
-  start.ii = ii;
-  NotifyObserver(options.observer, start);
+  MapEvent event;
+  event.kind = MapEvent::Kind::kAttemptStart;
+  event.mapper = self.name();
+  event.ii = ii;
+  NotifyObserver(options.observer, event);
 
   const PerfCounters perf_before = ThreadPerfCounters();
   WallTimer timer;
-  const std::uint64_t correlation =
-      telemetry::Enabled() ? telemetry::NewCorrelation() : 0;
+  // The span and the kAttemptDone event share one correlation id,
+  // joining the MapTrace row to its trace spans.
+  event.correlation = telemetry::Enabled() ? telemetry::NewCorrelation() : 0;
+  // Search introspection: one collector per attempt, installed in the
+  // thread-local slot for the attempt's extent only. Gated on an
+  // observer being present — without one the log would have nowhere
+  // to go.
   std::shared_ptr<telemetry::SearchLog> search;
   if (options.search_log && options.observer != nullptr &&
       telemetry::GetSearchDetail() != telemetry::SearchDetail::kOff) {
@@ -514,41 +474,25 @@ Result<Mapping> ObservedAttempt(const Mapper& self,
     telemetry::Span span(
         "attempt",
         telemetry::Enabled()
-            ? StrFormat("%s ii=%d", self.name().c_str(), ii)
+            ? StrFormat("%s ii=%d", event.mapper.c_str(), ii)
             : "",
-        correlation);
+        event.correlation);
     telemetry::ScopedSearchLog scoped(search.get());
     return attempt();
   }();
 
-  MapEvent done;
-  done.kind = MapEvent::Kind::kAttemptDone;
-  done.mapper = self.name();
-  done.ii = ii;
-  done.ok = r.ok();
-  done.seconds = timer.Seconds();
-  done.perf = ThreadPerfCounters() - perf_before;
-  done.correlation = correlation;
+  event.kind = MapEvent::Kind::kAttemptDone;
+  event.ok = r.ok();
+  event.seconds = timer.Seconds();
+  event.perf = ThreadPerfCounters() - perf_before;
   if (!r.ok()) {
-    done.error_code = r.error().code;
-    done.message = r.error().message;
+    event.error_code = r.error().code;
+    event.message = r.error().message;
   }
-  if (search != nullptr && search->Any()) done.search = std::move(search);
-  NotifyObserver(options.observer, done);
-  ObserveAttemptMetrics(done.ok, ii, done.seconds, done.perf);
+  if (search != nullptr && search->Any()) event.search = std::move(search);
+  NotifyObserver(options.observer, event);
+  ObserveAttemptMetrics(event.ok, ii, event.seconds, event.perf);
   return r;
-}
-
-void NoteSolverSteps(const Mapper& self, const MapperOptions& options, int ii,
-                     std::string_view what, std::int64_t steps) {
-  if (!options.observer) return;
-  MapEvent note;
-  note.kind = MapEvent::Kind::kNote;
-  note.mapper = self.name();
-  note.ii = ii;
-  note.message = std::string(what);
-  note.solver_steps = steps;
-  NotifyObserver(options.observer, note);
 }
 
 }  // namespace cgra

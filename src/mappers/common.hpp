@@ -84,29 +84,26 @@ Result<Mapping> BindAtFixedTimes(const Dfg& dfg, const Architecture& arch,
                                  int node_budget = 20000,
                                  const StopToken& stop = {});
 
-/// Runs `attempt(ii)` for ii from max(mii, 1) to min(max_ii, arch max),
-/// returning the first success. Checks options.stop / options.deadline
-/// before every attempt (this is how every escalating mapper meets the
-/// MapperOptions cancellation contract) and reports each attempt to
-/// options.observer as kAttemptStart / kAttemptDone events under
-/// `self`'s name.
+/// Runs ObservedAttempt(ii) for ii from max(mii, 1) to min(max_ii,
+/// arch max), returning the first success. Checks options.stop /
+/// options.deadline before every attempt (this is how every escalating
+/// mapper meets the MapperOptions cancellation contract).
 Result<Mapping> EscalateIi(const Mapper& self, const Dfg& dfg,
                            const Architecture& arch,
                            const MapperOptions& options,
                            const std::function<Result<Mapping>(int)>& attempt);
 
-/// Single-shot analogue of EscalateIi for mappers that try exactly one
-/// II (the spatial mappers, pinned to II = 1): checks stop/deadline,
-/// then runs `attempt()` bracketed by kAttemptStart / kAttemptDone
-/// events so single-attempt mappers appear in traces too.
+/// The attempt bracket: every II attempt of every mapper runs inside
+/// one. Checks stop/deadline, then runs `attempt()` under an `attempt`
+/// span and the gated per-attempt SearchLog collector, and reports it
+/// to options.observer as a kAttemptStart / kAttemptDone pair under
+/// `self`'s name; the done event carries the attempt's AttemptRecord
+/// (mapping/observer.hpp). Mappers that try exactly one II (the
+/// spatial ones, pinned to II = 1) call it directly; EscalateIi and
+/// the SMT mapper's schedule-length loop call it once per step.
 Result<Mapping> ObservedAttempt(const Mapper& self,
                                 const MapperOptions& options, int ii,
                                 const std::function<Result<Mapping>()>& attempt);
-
-/// Reports solver effort (conflicts / nodes / generations) for the
-/// attempt at `ii` to options.observer as a kNote event.
-void NoteSolverSteps(const Mapper& self, const MapperOptions& options, int ii,
-                     std::string_view what, std::int64_t steps);
 
 /// True when every op of the DFG has at least one compatible cell (a
 /// cheap pre-check that gives exact mappers their "prove infeasible"

@@ -122,7 +122,7 @@ class CpTemporalMapper final : public Mapper {
 
       CpModel::SolveStats stats;
       auto sol = model.Solve(options.deadline, &stats, options.stop);
-      NoteSolverSteps(*this, options, ii, "cp search nodes", stats.nodes);
+      CountSolverRun(stats.nodes);
       if (!sol.ok()) return sol.error();
 
       std::vector<Placement> pins(static_cast<size_t>(dfg.num_ops()));
@@ -222,7 +222,7 @@ class SatTemporalMapper final : public Mapper {
       }
 
       const SatResult r = solver.Solve(options.deadline, options.stop);
-      NoteSolverSteps(*this, options, ii, "sat conflicts", solver.conflicts());
+      CountSolverRun(solver.conflicts());
       if (r == SatResult::kUnknown) {
         return Error::ResourceLimit("SAT mapper hit the deadline");
       }
@@ -280,25 +280,10 @@ class SmtTemporalMapper final : public Mapper {
             "SMT mapper stopped (deadline or cancellation)");
       }
       // The SMT mapper escalates schedule length rather than II, so it
-      // reports its attempts itself (EscalateIi does this for the rest).
-      MapEvent start;
-      start.kind = MapEvent::Kind::kAttemptStart;
-      start.mapper = name();
-      start.ii = len;
-      NotifyObserver(options.observer, start);
-      WallTimer attempt_timer;
-      Result<Mapping> r = TryLength(dfg, arch, mrrg, len, options);
-      MapEvent done;
-      done.kind = MapEvent::Kind::kAttemptDone;
-      done.mapper = name();
-      done.ii = len;
-      done.ok = r.ok();
-      done.seconds = attempt_timer.Seconds();
-      if (!r.ok()) {
-        done.error_code = r.error().code;
-        done.message = r.error().message;
-      }
-      NotifyObserver(options.observer, done);
+      // brackets each length itself (EscalateIi does this for the rest).
+      Result<Mapping> r = ObservedAttempt(*this, options, len, [&] {
+        return TryLength(dfg, arch, mrrg, len, options);
+      });
       if (r.ok()) return r;
       last = r.error();
     }
@@ -377,8 +362,7 @@ class SmtTemporalMapper final : public Mapper {
     }
 
     const SmtSolver::Outcome r = smt.Solve(options.deadline, options.stop);
-    NoteSolverSteps(*this, options, len, "smt sat conflicts",
-                    smt.sat().conflicts());
+    CountSolverRun(smt.sat().conflicts());
     if (r == SmtSolver::Outcome::kUnknown) {
       return Error::ResourceLimit("SMT mapper hit the deadline");
     }

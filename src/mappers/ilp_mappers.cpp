@@ -147,11 +147,8 @@ class IlpSpatialMapper final : public Mapper {
     so.deadline = options.deadline;
     so.stop = options.stop;
     auto sol = model.Solve(so);
-    if (sol.ok()) {
-      NoteSolverSteps(*this, options, ii, "ilp b&b nodes",
-                      sol->nodes_explored);
-    }
     if (!sol.ok()) return sol.error();
+    CountSolverRun(sol->nodes_explored);
 
     std::vector<int> cell_of(static_cast<size_t>(dfg.num_ops()), -1);
     for (size_t i = 0; i < ops.size(); ++i) {
@@ -318,11 +315,8 @@ class IlpTemporalMapper final : public Mapper {
       so.deadline = options.deadline;
       so.stop = options.stop;
       auto sol = model.Solve(so);
-      if (sol.ok()) {
-        NoteSolverSteps(*this, options, ii, "ilp b&b nodes",
-                        sol->nodes_explored);
-      }
       if (!sol.ok()) return sol.error();
+      CountSolverRun(sol->nodes_explored);
 
       std::vector<Placement> pins(static_cast<size_t>(dfg.num_ops()));
       for (size_t i = 0; i < ops.size(); ++i) {
@@ -423,11 +417,8 @@ class IlpBinder final : public Mapper {
       so.deadline = options.deadline;
       so.stop = options.stop;
       auto sol = model.Solve(so);
-      if (sol.ok()) {
-        NoteSolverSteps(*this, options, ii, "ilp b&b nodes",
-                        sol->nodes_explored);
-      }
       if (!sol.ok()) return sol.error();
+      CountSolverRun(sol->nodes_explored);
 
       std::vector<Placement> pins(static_cast<size_t>(dfg.num_ops()));
       for (size_t i = 0; i < ops.size(); ++i) {
@@ -540,11 +531,8 @@ class IlpScheduler final : public Mapper {
       so.deadline = options.deadline;
       so.stop = options.stop;
       auto sol = model.Solve(so);
-      if (sol.ok()) {
-        NoteSolverSteps(*this, options, ii, "ilp b&b nodes",
-                        sol->nodes_explored);
-      }
       if (!sol.ok()) return sol.error();
+      CountSolverRun(sol->nodes_explored);
 
       // Bind greedily at the solved times.
       std::vector<int> solved_times(static_cast<size_t>(dfg.num_ops()), 0);

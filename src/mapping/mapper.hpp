@@ -52,7 +52,6 @@ struct MapperOptions {
   int extra_slack = 8;        ///< schedule-length slack beyond critical path
   Deadline deadline;          ///< overall time budget
   std::uint64_t seed = 1;     ///< stochastic mappers are deterministic per seed
-  bool verbose = false;
 
   /// Cooperative cancellation. CONTRACT: Map() implementations must
   /// check `stop` at least once per II attempt (EscalateIi does this
@@ -85,20 +84,14 @@ struct MapperOptions {
   /// Canonical byte encoding of the SEMANTIC fields only — min_ii,
   /// max_ii, extra_slack, seed. The deadline, stop token, observer and
   /// caches steer *how long* a mapper searches, not *which problem* it
-  /// solves, and verbose only changes logging; none of them belong in
-  /// a content-addressed cache key (docs/CACHE.md spells out the
-  /// resulting staleness contract). Layout carries a version tag.
+  /// solves; none of them belong in a content-addressed cache key
+  /// (docs/CACHE.md spells out the resulting staleness contract).
+  /// Layout carries a version tag.
   void AppendCanonicalBytes(ByteWriter& w) const;
 
   /// Stable 16-hex-digit digest of the canonical encoding; the options
   /// component of the mapping-cache key (src/cache).
   std::string Digest() const;
-};
-
-struct MapOutcome {
-  Mapping mapping;
-  int attempts = 0;       ///< II values / restarts tried
-  double seconds = 0.0;   ///< wall time spent
 };
 
 class Mapper {
@@ -117,11 +110,5 @@ class Mapper {
   virtual Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                               const MapperOptions& options) const = 0;
 };
-
-/// Compatibility wrapper: freshly constructed instances of every
-/// shipped mapper, in the registry's stable order. New code should use
-/// MapperRegistry (mappers/registry.hpp), which adds name / technique /
-/// kind lookup on shared instances.
-std::vector<std::unique_ptr<Mapper>> MakeAllMappers();
 
 }  // namespace cgra

@@ -2,13 +2,15 @@
 //
 // The router and the resource tracker are the PathFinder-style inner
 // loop every mapper funnels through (§II-B routing; DRESC [22] and EMS
-// [37] spend their time here). These counters make that loop
-// observable at near-zero cost: each worker thread accumulates into
-// its own thread-local PerfCounters, and the attempt brackets in
-// mappers/common snapshot the delta so every kAttemptDone MapEvent —
-// and therefore every MapTrace JSON — carries the router/tracker
-// effort behind it. bench/perf_suite turns the same counters into
-// queries/sec and hit-rate columns of BENCH_perf.json.
+// [37] spend their time here), and the exact mappers add the effort of
+// their backing solver. These counters make that work observable at
+// near-zero cost: each worker thread accumulates into its own
+// thread-local PerfCounters, and the attempt bracket in mappers/common
+// (ObservedAttempt) snapshots the delta into the attempt's record, so
+// every kAttemptDone MapEvent — and therefore every MapTrace JSON —
+// carries the router/tracker/solver effort behind it. bench/perf_suite
+// turns the same counters into queries/sec and hit-rate columns of
+// BENCH_perf.json.
 //
 // Thread model: counters are strictly per-thread (no atomics, no
 // sharing). A mapper attempt runs on one thread, so the delta around
@@ -17,6 +19,8 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
+#include <span>
 
 namespace cgra {
 
@@ -46,47 +50,21 @@ struct PerfCounters {
   std::uint64_t tracker_check_hits = 0; ///< ... that said yes
   std::uint64_t tracker_occupies = 0;   ///< Occupy calls
   std::uint64_t tracker_releases = 0;   ///< Release calls
+  // Backing solver of the exact mappers (CountSolverRun).
+  std::uint64_t solver_runs = 0;        ///< finished solver runs
+  std::uint64_t solver_steps = 0;       ///< their conflicts / search nodes / B&B nodes
 
   /// Aggregation saturates instead of wrapping (see SatAdd). The
   /// per-thread accumulators this diffs over are nowhere near 2^64, so
   /// only cross-attempt aggregation needed the guard.
-  PerfCounters& operator+=(const PerfCounters& o) {
-    router_queries = SatAdd(router_queries, o.router_queries);
-    router_routed = SatAdd(router_routed, o.router_routed);
-    fanout_batches = SatAdd(fanout_batches, o.fanout_batches);
-    fanout_batched_routes = SatAdd(fanout_batched_routes, o.fanout_batched_routes);
-    router_pushes = SatAdd(router_pushes, o.router_pushes);
-    router_pops = SatAdd(router_pops, o.router_pops);
-    router_expansions = SatAdd(router_expansions, o.router_expansions);
-    arena_reuses = SatAdd(arena_reuses, o.arena_reuses);
-    arena_grows = SatAdd(arena_grows, o.arena_grows);
-    tracker_checks = SatAdd(tracker_checks, o.tracker_checks);
-    tracker_check_hits = SatAdd(tracker_check_hits, o.tracker_check_hits);
-    tracker_occupies = SatAdd(tracker_occupies, o.tracker_occupies);
-    tracker_releases = SatAdd(tracker_releases, o.tracker_releases);
-    return *this;
-  }
+  PerfCounters& operator+=(const PerfCounters& o);
 
   /// Counter-wise difference (for before/after snapshots around an
   /// attempt). Counters are monotonic per thread, so `after - before`
   /// never underflows when taken on the same thread.
-  PerfCounters operator-(const PerfCounters& o) const {
-    PerfCounters d;
-    d.router_queries = router_queries - o.router_queries;
-    d.router_routed = router_routed - o.router_routed;
-    d.fanout_batches = fanout_batches - o.fanout_batches;
-    d.fanout_batched_routes = fanout_batched_routes - o.fanout_batched_routes;
-    d.router_pushes = router_pushes - o.router_pushes;
-    d.router_pops = router_pops - o.router_pops;
-    d.router_expansions = router_expansions - o.router_expansions;
-    d.arena_reuses = arena_reuses - o.arena_reuses;
-    d.arena_grows = arena_grows - o.arena_grows;
-    d.tracker_checks = tracker_checks - o.tracker_checks;
-    d.tracker_check_hits = tracker_check_hits - o.tracker_check_hits;
-    d.tracker_occupies = tracker_occupies - o.tracker_occupies;
-    d.tracker_releases = tracker_releases - o.tracker_releases;
-    return d;
-  }
+  PerfCounters operator-(const PerfCounters& o) const;
+
+  bool operator==(const PerfCounters&) const = default;
 
   bool Any() const {
     return router_queries | router_pushes | router_pops | tracker_checks |
@@ -94,11 +72,67 @@ struct PerfCounters {
   }
 };
 
+/// Every counter under its JSON key. The arithmetic, the JSON writer
+/// (engine/trace.hpp WritePerfCounters) and the sandbox wire frame
+/// (engine/sandbox.cpp) iterate this table; nothing else spells the
+/// fields out.
+struct PerfCounterField {
+  const char* name;
+  std::uint64_t PerfCounters::*member;
+};
+
+inline constexpr PerfCounterField kPerfCounterFields[] = {
+    {"router_queries", &PerfCounters::router_queries},
+    {"router_routed", &PerfCounters::router_routed},
+    {"fanout_batches", &PerfCounters::fanout_batches},
+    {"fanout_batched_routes", &PerfCounters::fanout_batched_routes},
+    {"router_pushes", &PerfCounters::router_pushes},
+    {"router_pops", &PerfCounters::router_pops},
+    {"router_expansions", &PerfCounters::router_expansions},
+    {"arena_reuses", &PerfCounters::arena_reuses},
+    {"arena_grows", &PerfCounters::arena_grows},
+    {"tracker_checks", &PerfCounters::tracker_checks},
+    {"tracker_check_hits", &PerfCounters::tracker_check_hits},
+    {"tracker_occupies", &PerfCounters::tracker_occupies},
+    {"tracker_releases", &PerfCounters::tracker_releases},
+    {"solver_runs", &PerfCounters::solver_runs},
+    {"solver_steps", &PerfCounters::solver_steps},
+};
+
+/// The router and tracker counters: the keys of a "perf" JSON object.
+/// The two solver counters trail the table; MapTrace reports their
+/// effort beside the object as the "solver_steps" row key.
+inline constexpr std::span<const PerfCounterField> kHotPathCounterFields(
+    kPerfCounterFields, std::size(kPerfCounterFields) - 2);
+
+inline PerfCounters& PerfCounters::operator+=(const PerfCounters& o) {
+  for (const PerfCounterField& f : kPerfCounterFields) {
+    this->*f.member = SatAdd(this->*f.member, o.*f.member);
+  }
+  return *this;
+}
+
+inline PerfCounters PerfCounters::operator-(const PerfCounters& o) const {
+  PerfCounters d;
+  for (const PerfCounterField& f : kPerfCounterFields) {
+    d.*f.member = this->*f.member - o.*f.member;
+  }
+  return d;
+}
+
 /// This thread's accumulator. Router and tracker bump it directly;
 /// consumers snapshot before/after a unit of work and diff.
 inline PerfCounters& ThreadPerfCounters() {
   static thread_local PerfCounters counters;
   return counters;
+}
+
+/// Charges one finished solver run of `steps` (SAT/SMT conflicts, CP
+/// search nodes or ILP branch-and-bound nodes) to this thread.
+inline void CountSolverRun(std::int64_t steps) {
+  PerfCounters& c = ThreadPerfCounters();
+  ++c.solver_runs;
+  c.solver_steps += static_cast<std::uint64_t>(steps);
 }
 
 }  // namespace cgra

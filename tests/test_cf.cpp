@@ -2,6 +2,7 @@
 // methods and hardware-loop lowering — every method must reproduce the
 // reference semantics end-to-end on the simulator.
 #include <algorithm>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -36,21 +37,37 @@ std::vector<std::vector<std::int64_t>> BaseOutputs(const IteKernel& k) {
 
 using Transform = Result<Dfg> (*)(const IteKernel&);
 
-class IteTransformTest
-    : public ::testing::TestWithParam<std::pair<const char*, Transform>> {};
+struct IteMethod {
+  const char* name;
+  Transform apply;
+};
+
+constexpr IteMethod kIteMethods[] = {
+    {"full_predication", &ApplyFullPredication},
+    {"partial_predication", &ApplyPartialPredication},
+    {"dual_issue", &ApplyDualIssue},
+};
+
+// The parameter is an index into kIteMethods, not the entry itself:
+// gtest lists a parameter's printed value after each test name, and an
+// entry prints as addresses that change from build to build.
+class IteTransformTest : public ::testing::TestWithParam<int> {
+ protected:
+  static const IteMethod& Method() { return kIteMethods[GetParam()]; }
+};
 
 TEST_P(IteTransformTest, PreservesSemanticsInReference) {
   for (std::uint64_t seed : {7ull, 8ull, 9ull}) {
     for (const IteKernel& k :
          {MakeThresholdIte(24, seed), MakeClampIte(24, seed)}) {
       const auto base = BaseOutputs(k);
-      auto transformed = GetParam().second(k);
-      ASSERT_TRUE(transformed.ok()) << GetParam().first << ": "
+      auto transformed = Method().apply(k);
+      ASSERT_TRUE(transformed.ok()) << Method().name << ": "
                                     << transformed.error().message;
       ExecInput input = k.input;
       const auto r = RunReference(*transformed, input);
       ASSERT_TRUE(r.ok()) << r.error().message;
-      EXPECT_EQ(r->outputs, base) << GetParam().first << " kernel " << k.name;
+      EXPECT_EQ(r->outputs, base) << Method().name << " kernel " << k.name;
     }
   }
 }
@@ -59,10 +76,10 @@ TEST_P(IteTransformTest, MapsAndSimulatesBitExactly) {
   const Architecture arch = Rotating4x4();
   auto mapper = MakeIterativeModuloScheduler();
   for (const IteKernel& k : {MakeThresholdIte(16, 3ull), MakeClampIte(16, 4ull)}) {
-    auto transformed = GetParam().second(k);
+    auto transformed = Method().apply(k);
     ASSERT_TRUE(transformed.ok());
     Kernel wrapped;
-    wrapped.name = std::string(GetParam().first) + "_" + k.name;
+    wrapped.name = std::string(Method().name) + "_" + k.name;
     wrapped.dfg = *transformed;
     wrapped.input = k.input;
     MapperOptions opts;
@@ -74,11 +91,10 @@ TEST_P(IteTransformTest, MapsAndSimulatesBitExactly) {
 
 INSTANTIATE_TEST_SUITE_P(
     Methods, IteTransformTest,
-    ::testing::Values(std::make_pair("full_predication", &ApplyFullPredication),
-                      std::make_pair("partial_predication",
-                                     &ApplyPartialPredication),
-                      std::make_pair("dual_issue", &ApplyDualIssue)),
-    [](const auto& info) { return std::string(info.param.first); });
+    ::testing::Range(0, static_cast<int>(std::size(kIteMethods))),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return std::string(kIteMethods[info.param].name);
+    });
 
 TEST(DualIssue, UsesFewerSlotsThanPredication) {
   const IteKernel k = MakeClampIte(8, 1);

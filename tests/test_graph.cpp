@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "graph/algos.hpp"
-#include "graph/clique.hpp"
 #include "graph/digraph.hpp"
 #include "graph/layout.hpp"
 #include "graph/matching.hpp"
@@ -191,44 +190,6 @@ TEST(Hungarian, RectangularMoreRights) {
   const auto a = HungarianAssign(cost);
   ASSERT_EQ(a.size(), 1u);
   EXPECT_EQ(a[0], 1);
-}
-
-TEST(Clique, TriangleInSquarePlusDiagonal) {
-  UGraph g(4);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.AddEdge(2, 3);
-  g.AddEdge(3, 0);
-  g.AddEdge(0, 2);
-  const auto clique = MaxClique(g);
-  EXPECT_EQ(clique.size(), 3u);
-}
-
-TEST(Clique, GreedyIsAClique) {
-  Rng rng(42);
-  UGraph g(20);
-  for (int i = 0; i < 20; ++i) {
-    for (int j = i + 1; j < 20; ++j) {
-      if (rng.NextBool(0.4)) g.AddEdge(i, j);
-    }
-  }
-  const auto clique = GreedyClique(g);
-  for (size_t i = 0; i < clique.size(); ++i) {
-    for (size_t j = i + 1; j < clique.size(); ++j) {
-      EXPECT_TRUE(g.HasEdge(clique[i], clique[j]));
-    }
-  }
-}
-
-TEST(Clique, ExactAtLeastGreedy) {
-  Rng rng(7);
-  UGraph g(16);
-  for (int i = 0; i < 16; ++i) {
-    for (int j = i + 1; j < 16; ++j) {
-      if (rng.NextBool(0.5)) g.AddEdge(i, j);
-    }
-  }
-  EXPECT_GE(MaxClique(g).size(), GreedyClique(g).size());
 }
 
 TEST(Mcs, EmbedsChainInGrid) {

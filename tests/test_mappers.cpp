@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/trace.hpp"
 #include "ir/kernels.hpp"
 #include "mappers/common.hpp"
 #include "mappers/mappers.hpp"
@@ -45,9 +46,11 @@ bool IsExact(const Mapper& m) {
 // ---- common helpers ---------------------------------------------------------
 
 void ExpectEndToEnd(const Mapper& mapper, const Kernel& kernel,
-                    const Architecture& arch, double budget_seconds = 20.0) {
+                    const Architecture& arch, double budget_seconds = 20.0,
+                    MapObserver* observer = nullptr) {
   MapperOptions opts;
   opts.deadline = Deadline::AfterSeconds(budget_seconds);
+  opts.observer = observer;
   const auto r = RunEndToEnd(mapper, kernel, arch, opts);
   if (!r.ok() && r.error().code == Error::Code::kResourceLimit) {
     GTEST_SKIP() << mapper.name() << " timed out on " << kernel.name
@@ -85,7 +88,16 @@ TEST_P(EveryMapperTest, TinySuiteEndToEnd) {
       }
       if (mappable > arch.num_cells()) continue;
     }
-    ExpectEndToEnd(mapper, k, arch, exact ? 30.0 : 10.0);
+    MapTrace trace;
+    ExpectEndToEnd(mapper, k, arch, exact ? 30.0 : 10.0, &trace);
+    // Every successful attempt row records the tracker work that
+    // realised its mapping, whichever path bracketed it.
+    for (const MapTrace::Attempt& a : trace.Attempts()) {
+      if (a.ok) {
+        EXPECT_GT(a.perf.tracker_checks, 0u)
+            << mapper.name() << " on " << k.name << " at II=" << a.ii;
+      }
+    }
   }
 }
 
@@ -260,15 +272,6 @@ TEST(MapperRegistryTest, ByTechniqueAndByKindPartitionTheCatalogue) {
     }
   }
   EXPECT_EQ(by_kind, registry.size());
-}
-
-TEST(MapperRegistryTest, CompatWrapperMatchesRegistryOrder) {
-  const auto& registry = MapperRegistry::Global();
-  const auto fresh = MakeAllMappers();
-  ASSERT_EQ(fresh.size(), registry.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    EXPECT_EQ(fresh[i]->name(), registry.at(i).name()) << "index " << i;
-  }
 }
 
 // ---- MII bounds ---------------------------------------------------------------

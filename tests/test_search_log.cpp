@@ -300,6 +300,18 @@ TEST(SearchSandboxWire, SandboxedAttemptCarriesSearchLogEndToEnd) {
     EXPECT_EQ(a.search->cols, 4);
   }
   EXPECT_TRUE(found) << trace.ToJson();
+
+  // The frame carries the child's counters too: the sandboxed row
+  // reports the same router and tracker work as the in-process run.
+  MapTrace in_process;
+  eo.observer = &in_process;
+  eo.isolation = IsolationMode::kNone;
+  ASSERT_TRUE(MappingEngine(eo)
+                  .Run(k.dfg, arch, std::vector<std::string>{"ims"})
+                  .ok());
+  EXPECT_GT(in_process.TotalPerf().router_queries, 0u);
+  EXPECT_TRUE(trace.TotalPerf() == in_process.TotalPerf())
+      << trace.ToJson() << "\nin-process: " << in_process.ToJson();
 }
 
 TEST(SearchSandboxWire, TruncatedSearchPrefixIsWireCorrupt) {

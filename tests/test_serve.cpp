@@ -1,7 +1,8 @@
 // Tests for the mapping service daemon: MappingService routing and
 // admission control driven in-process over a loopback HttpServer, plus
-// one end-to-end SIGTERM drain test against the real cgra_serve binary
-// (CGRA_SERVE_BIN, injected by tests/CMakeLists.txt).
+// end-to-end tests against the real cgra_serve binary (CGRA_SERVE_BIN,
+// injected by tests/CMakeLists.txt): SIGTERM drain, and digests across
+// fabrics.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -22,8 +23,8 @@
 #include "api/request.hpp"
 #include "api/response.hpp"
 #include "api/service.hpp"
-#include "arch/mrrg_cache.hpp"
 #include "cache/mapping_cache.hpp"
+#include "engine/engine.hpp"
 #include "support/http.hpp"
 #include "support/json.hpp"
 #include "support/stop_token.hpp"
@@ -34,10 +35,11 @@ namespace cgra {
 namespace {
 
 std::string MapBody(const std::string& kernel = "dot_product", int priority = 0,
-                    std::uint64_t seed = 42) {
+                    std::uint64_t seed = 42,
+                    const std::string& fabric = "adres4x4") {
   api::MapRequest r;
   r.name = "t";
-  r.fabric = "adres4x4";
+  r.fabric = fabric;
   r.kernel = kernel;
   r.mappers = {"ims"};
   r.priority = priority;
@@ -100,10 +102,8 @@ TEST(Serve, MapHappyPath) {
 
 TEST(Serve, SharedCacheAnswersRepeatRequests) {
   MappingCache cache(MappingCacheOptions{});
-  MrrgCache mrrg;
   api::ServiceOptions so;
   so.cache = &cache;
-  so.mrrg_cache = &mrrg;
   TestDaemon d(std::move(so));
   ASSERT_TRUE(d.start_status.ok());
 
@@ -462,31 +462,47 @@ TEST(Serve, SoftDrainingTokenAnnouncesWithoutCancelling) {
   EXPECT_EQ(map->status, 503);
 }
 
-// ---- end-to-end SIGTERM drain against the real binary ---------------------
+// ---- end-to-end tests against the real binary ----------------------------
 
-TEST(Serve, SigtermDrainCompletesInflightAndExitsZero) {
+/// A cgra_serve child process listening on an ephemeral port.
+struct ForkedDaemon {
+  pid_t pid = -1;
+  int port = 0;  ///< 0 when the daemon never published its port
+};
+
+ForkedDaemon SpawnDaemon(std::vector<std::string> flags) {
   const std::string port_file =
       StrFormat("/tmp/cgra_serve_test_%d.port", static_cast<int>(getpid()));
   std::remove(port_file.c_str());
+  flags.insert(flags.begin(),
+               {CGRA_SERVE_BIN, "--port", "0", "--port-file", port_file,
+                "--quiet"});
+  std::vector<char*> argv;
+  for (std::string& f : flags) argv.push_back(f.data());
+  argv.push_back(nullptr);
 
-  const pid_t child = fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) {
-    execl(CGRA_SERVE_BIN, CGRA_SERVE_BIN, "--port", "0", "--port-file",
-          port_file.c_str(), "--quiet", static_cast<char*>(nullptr));
+  ForkedDaemon d;
+  d.pid = fork();
+  if (d.pid == 0) {
+    execv(CGRA_SERVE_BIN, argv.data());
     _exit(127);  // exec failed
   }
-
   // Wait for the daemon to publish its port.
-  int port = 0;
-  for (int i = 0; i < 500 && port == 0; ++i) {
+  for (int i = 0; d.pid > 0 && i < 500 && d.port == 0; ++i) {
     if (std::FILE* f = std::fopen(port_file.c_str(), "r")) {
-      if (std::fscanf(f, "%d", &port) != 1) port = 0;
+      if (std::fscanf(f, "%d", &d.port) != 1) d.port = 0;
       std::fclose(f);
     }
-    if (port == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (d.port == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  ASSERT_GT(port, 0) << "daemon never wrote " << port_file;
+  std::remove(port_file.c_str());
+  return d;
+}
+
+TEST(Serve, SigtermDrainCompletesInflightAndExitsZero) {
+  const ForkedDaemon d = SpawnDaemon({});
+  ASSERT_GE(d.pid, 0);
+  ASSERT_GT(d.port, 0) << "daemon never published its port";
 
   // Put requests in flight, then SIGTERM while they (likely) still
   // run. Drain must answer every accepted request — a drop would show
@@ -496,12 +512,12 @@ TEST(Serve, SigtermDrainCompletesInflightAndExitsZero) {
       4, Result<HttpResponse>(Error::Internal("not run")));
   for (int i = 0; i < 4; ++i) {
     clients.emplace_back([&, i] {
-      responses[i] = HttpFetch("127.0.0.1", port, "POST", "/v1/map",
+      responses[i] = HttpFetch("127.0.0.1", d.port, "POST", "/v1/map",
                                MapBody("wide_dot_8", 0, 100 + i), 30.0);
     });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  ASSERT_EQ(kill(child, SIGTERM), 0);
+  ASSERT_EQ(kill(d.pid, SIGTERM), 0);
   for (std::thread& t : clients) t.join();
 
   for (const Result<HttpResponse>& r : responses) {
@@ -512,10 +528,55 @@ TEST(Serve, SigtermDrainCompletesInflightAndExitsZero) {
   }
 
   int wstatus = 0;
-  ASSERT_EQ(waitpid(child, &wstatus, 0), child);
+  ASSERT_EQ(waitpid(d.pid, &wstatus, 0), d.pid);
   ASSERT_TRUE(WIFEXITED(wstatus)) << wstatus;
   EXPECT_EQ(WEXITSTATUS(wstatus), 0);
-  std::remove(port_file.c_str());
+}
+
+/// The digest an in-process engine run gives `body`, configured as the
+/// service configures its engines.
+std::string InProcessDigest(const std::string& body) {
+  const Result<api::MapRequest> req = api::ParseMapRequestText(body);
+  if (!req.ok()) return "unparseable request";
+  const std::optional<Architecture> arch = api::FabricByName(req->fabric);
+  const std::optional<Kernel> kernel =
+      api::KernelByName(req->kernel, req->iterations, req->seed);
+  if (!arch || !kernel) return "unknown fabric or kernel";
+  EngineOptions eo;
+  eo.race = false;
+  eo.seed = req->seed;
+  eo.min_ii = req->min_ii;
+  eo.max_ii = req->max_ii;
+  eo.extra_slack = req->extra_slack;
+  const Result<EngineResult> r =
+      MappingEngine(eo).Run(kernel->dfg, *arch, req->mappers);
+  return r.ok() ? MappingDigestHex(r->mapping) : r.error().message;
+}
+
+TEST(Serve, DaemonMapsEachFabricOnItsOwnResourceGraph) {
+  // Every request builds its fabric at the same stack address, so a
+  // daemon-wide MRRG memo keyed on that address would hand one
+  // request's resource graph to the next: big8x8 after adres4x4 would
+  // crash the daemon, adres4x4 after big8x8 would map on the wrong
+  // graph. Both orders must answer what an in-process run answers.
+  const ForkedDaemon d = SpawnDaemon({"--workers", "1", "--no-cache"});
+  ASSERT_GE(d.pid, 0);
+  ASSERT_GT(d.port, 0) << "daemon never published its port";
+  const std::string small = MapBody("dot_product");
+  const std::string big = MapBody("wide_dot_8", 0, 42, "big8x8");
+  for (const std::string* body : {&small, &big, &small}) {
+    const Result<HttpResponse> r =
+        HttpFetch("127.0.0.1", d.port, "POST", "/v1/map", *body, 30.0);
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    const Result<api::MapResponse> resp = api::ParseMapResponseText(r->body);
+    ASSERT_TRUE(resp.ok()) << r->body;
+    EXPECT_TRUE(resp->ok) << r->body;
+    EXPECT_EQ(resp->mapping_digest, InProcessDigest(*body)) << *body;
+  }
+  ASSERT_EQ(kill(d.pid, SIGTERM), 0);
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(d.pid, &wstatus, 0), d.pid);
+  EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0) << wstatus;
 }
 
 }  // namespace

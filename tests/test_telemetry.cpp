@@ -2,7 +2,8 @@
 // metrics registry (metrics.hpp), and the Chrome trace-event export
 // (chrome_trace.hpp). The tracer's global state (enabled flag, the
 // process-wide TraceSink) is shared across tests, so every test that
-// enables tracing clears the sink first and disables it on exit.
+// enables tracing clears the sink first and disables it on exit. Under
+// -DCGRA_TELEMETRY=0 only the inert compiled-out surface is tested.
 #include <algorithm>
 #include <cstring>
 #include <map>
@@ -19,6 +20,8 @@
 
 namespace cgra {
 namespace {
+
+#if CGRA_TELEMETRY
 
 using telemetry::SpanRecord;
 using telemetry::TraceSink;
@@ -360,6 +363,24 @@ TEST_F(TracingTest, ChromeTraceNestsInnerInsideOuter) {
   EXPECT_EQ(order[2], "E:unit.inner");
   EXPECT_EQ(order[3], "E:unit.outer");
 }
+
+#else  // !CGRA_TELEMETRY
+
+TEST(TelemetryCompiledOut, SurfaceIsInertNoOps) {
+  telemetry::SetEnabled(true);
+  EXPECT_FALSE(telemetry::Enabled());
+  {
+    telemetry::Span span("unit.ghost", "d", telemetry::NewCorrelation());
+    EXPECT_EQ(span.correlation(), 0u);
+  }
+  EXPECT_EQ(telemetry::CurrentCorrelation(), 0u);
+  telemetry::MetricsRegistry reg;
+  reg.GetCounter("unit_total").Add(9);
+  EXPECT_EQ(reg.GetCounter("unit_total").Value(), 0u);
+  EXPECT_EQ(reg.ToPrometheus(), "");
+}
+
+#endif  // CGRA_TELEMETRY
 
 }  // namespace
 }  // namespace cgra

@@ -3,7 +3,7 @@
 // The long-running front-end of the mapping system: an HTTP/1.1
 // daemon (src/support/http — dependency-free sockets) that accepts
 // MapRequest bodies on POST /v1/map, runs them on the portfolio
-// engine through a shared warm MappingCache + MrrgCache, and exposes
+// engine through a shared warm MappingCache, and exposes
 // GET /metrics (Prometheus text straight off the metrics registry)
 // and GET /healthz. The request/response wire format is the versioned
 // src/api layer shared with tools/cgra_batch — docs/API.md is the
@@ -51,7 +51,6 @@
 #include <thread>
 
 #include "api/service.hpp"
-#include "arch/mrrg_cache.hpp"
 #include "cache/mapping_cache.hpp"
 #include "support/http.hpp"
 #include "support/stop_token.hpp"
@@ -164,7 +163,6 @@ int main(int argc, char** argv) {
     co.disk_dir = cache_dir;
     cache.emplace(co);
   }
-  MrrgCache mrrg_cache;
   StopSource drain_source;       // hard cancel: stragglers past the grace
   StopSource draining_source;    // soft announcement: healthz 503, no new maps
 
@@ -174,7 +172,6 @@ int main(int argc, char** argv) {
   so.max_deadline_seconds = max_deadline_seconds;
   so.engine_race = race;
   so.cache = cache ? &*cache : nullptr;
-  so.mrrg_cache = &mrrg_cache;
   so.stop = drain_source.token();
   so.draining = draining_source.token();
   so.isolation = isolation;
