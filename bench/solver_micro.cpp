@@ -35,6 +35,42 @@ void BM_SimplexDense(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexDense)->Arg(8)->Arg(16)->Arg(32);
 
+// LP: one branch-and-bound node of a placement-shaped ILP, built the way
+// IlpModel does: ops x cells binaries, an exactly-one row per op, a
+// capacity row per cell, then one `x <= hi` row per variable and a
+// `x >= 1` row per variable fixed to one by branching. Pivot rows are
+// mostly zero, which is what the sparse elimination exploits.
+void BM_IlpBinaryBounds(benchmark::State& state) {
+  const int ops = static_cast<int>(state.range(0));
+  const int cells = ops + ops / 2;
+  Rng rng(13);
+  LpProblem p;
+  p.num_vars = ops * cells;
+  for (int v = 0; v < p.num_vars; ++v) p.objective.push_back(-rng.NextInt(1, 9));
+  auto x = [cells](int op, int cell) { return op * cells + cell; };
+  for (int o = 0; o < ops; ++o) {
+    LinearConstraint one{{}, Rel::kEq, 1};
+    for (int c = 0; c < cells; ++c) one.terms.push_back({x(o, c), 1.0});
+    p.constraints.push_back(std::move(one));
+  }
+  for (int c = 0; c < cells; ++c) {
+    LinearConstraint cap{{}, Rel::kLe, 1};
+    for (int o = 0; o < ops; ++o) cap.terms.push_back({x(o, c), 1.0});
+    p.constraints.push_back(std::move(cap));
+  }
+  for (int v = 0; v < p.num_vars; ++v) {
+    // Branching fixed a few variables to zero (hi = 0) or one (lo = 1).
+    const int branch = rng.NextInt(0, 19);
+    p.constraints.push_back({{{v, 1.0}}, Rel::kLe, branch == 0 ? 0.0 : 1.0});
+    if (branch == 1) p.constraints.push_back({{{v, 1.0}}, Rel::kGe, 1.0});
+  }
+  for (auto _ : state) {
+    auto s = SolveLp(p);
+    benchmark::DoNotOptimize(s.objective);
+  }
+}
+BENCHMARK(BM_IlpBinaryBounds)->Arg(8)->Arg(16)->Arg(24);
+
 // ILP: placement-shaped assignment (ops x cells binaries).
 void BM_IlpAssignment(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -86,6 +122,27 @@ void BM_SatPlacementSkeleton(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SatPlacementSkeleton)->Arg(8)->Arg(12)->Arg(16);
+
+// SAT: many variables, few conflicts (random 3-SAT far below the
+// threshold), so picking the branching variable dominates the solve.
+void BM_SatManyVars(benchmark::State& state) {
+  const int vars = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    Rng rng(17);
+    SatSolver s;
+    const int base = s.NewVars(vars);
+    for (int c = 0; c < 2 * vars; ++c) {
+      std::vector<Lit> lits;
+      for (int k = 0; k < 3; ++k) {
+        const int v = base + rng.NextInt(0, vars - 1);
+        lits.push_back(rng.NextBool(0.5) ? PosLit(v) : NegLit(v));
+      }
+      s.AddClause(std::move(lits));
+    }
+    benchmark::DoNotOptimize(s.Solve());
+  }
+}
+BENCHMARK(BM_SatManyVars)->Arg(2000)->Arg(8000);
 
 // CP: n-queens as the canonical all-different + binary-constraints mix.
 void BM_CpQueens(benchmark::State& state) {

@@ -34,18 +34,39 @@ Result<int> CheckSchemaVersion(const Json& doc) {
   return version;
 }
 
+// The fabric catalog: one entry per preset, in KnownFabricNames order.
+struct FabricPreset {
+  const char* name;
+  Architecture (*make)();
+};
+constexpr FabricPreset kFabricPresets[] = {
+    {"small2x2", &Architecture::Small2x2},
+    {"adres4x4", &Architecture::Adres4x4},
+    {"hetero4x4", &Architecture::Hetero4x4},
+    {"spatial4x4", &Architecture::Spatial4x4},
+    {"torus4x4", &Architecture::Torus4x4},
+    {"big8x8", &Architecture::Big8x8},
+    {"mega16x16", &Architecture::Mega16x16},
+    {"vliw4", &Architecture::VliwLike4},
+};
+
+const FabricPreset* FindFabricPreset(const std::string& name) {
+  for (const FabricPreset& preset : kFabricPresets) {
+    if (name == preset.name) return &preset;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 std::optional<Architecture> FabricByName(const std::string& name) {
-  if (name == "small2x2") return Architecture::Small2x2();
-  if (name == "adres4x4") return Architecture::Adres4x4();
-  if (name == "hetero4x4") return Architecture::Hetero4x4();
-  if (name == "spatial4x4") return Architecture::Spatial4x4();
-  if (name == "torus4x4") return Architecture::Torus4x4();
-  if (name == "big8x8") return Architecture::Big8x8();
-  if (name == "mega16x16") return Architecture::Mega16x16();
-  if (name == "vliw4") return Architecture::VliwLike4();
-  return std::nullopt;
+  const FabricPreset* preset = FindFabricPreset(name);
+  if (preset == nullptr) return std::nullopt;
+  return preset->make();
+}
+
+bool IsKnownFabric(const std::string& name) {
+  return FindFabricPreset(name) != nullptr;
 }
 
 std::optional<Kernel> KernelByName(const std::string& name, int iterations,
@@ -84,9 +105,11 @@ bool IsKnownKernel(const std::string& name) {
 }
 
 const std::vector<std::string>& KnownFabricNames() {
-  static const std::vector<std::string> names = {
-      "small2x2", "adres4x4",  "hetero4x4", "spatial4x4",
-      "torus4x4", "big8x8",    "mega16x16", "vliw4"};
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const FabricPreset& preset : kFabricPresets) out.push_back(preset.name);
+    return out;
+  }();
   return names;
 }
 
@@ -190,7 +213,7 @@ Status ValidateMapRequest(const MapRequest& r) {
                                 r.schema_version, kSchemaVersion));
   }
   if (r.fabric.empty()) return FieldError("fabric", "is required");
-  if (!FabricByName(r.fabric).has_value()) {
+  if (!IsKnownFabric(r.fabric)) {
     return FieldError("fabric", "unknown fabric preset \"" + r.fabric +
                                     "\" (known: " +
                                     Join(KnownFabricNames(), ", ") + ")");

@@ -76,7 +76,9 @@ std::optional<Architecture> FabricByName(const std::string& name);
 std::optional<Kernel> KernelByName(const std::string& name, int iterations,
                                    std::uint64_t seed);
 
-/// True when `name` is a known kernel name (without building it).
+/// True when `name` is a known fabric / kernel name (without building
+/// it).
+bool IsKnownFabric(const std::string& name);
 bool IsKnownKernel(const std::string& name);
 
 /// Every fixed fabric / kernel name, for error messages and docs.

@@ -71,7 +71,7 @@ Result<IlpModel::Solution> IlpModel::Solve(const SolveOptions& options) const {
             LinearConstraint{{{j, 1.0}}, Rel::kGe, lo[static_cast<size_t>(j)]});
       }
     }
-    return SolveLp(p);
+    return SolveLp(p, options.deadline, options.stop);
   };
 
   Solution best;
@@ -97,6 +97,10 @@ Result<IlpModel::Solution> IlpModel::Solve(const SolveOptions& options) const {
     ++nodes;
 
     const LpSolution relax = solve_relaxation(item.lo, item.hi);
+    if (relax.status == LpStatus::kStopped) {
+      exhausted = false;
+      break;
+    }
     if (relax.status == LpStatus::kInfeasible) continue;
     if (relax.status == LpStatus::kIterLimit) {
       exhausted = false;

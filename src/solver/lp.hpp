@@ -1,15 +1,21 @@
-// Dense-tableau simplex solver.
+// Tableau simplex solver.
 //
 // The LP relaxation engine under the ILP branch-and-bound (solver/ilp).
 // The survey's exact mappers ([23], [34], [35], [41], [15], [53]) all
 // lean on commercial MILP solvers; this is our self-contained
 // replacement, adequate for the small-but-NP-hard instances CGRA
 // mapping produces. Big-M handles >=/= rows; Bland's rule kicks in
-// after a degeneracy streak to guarantee termination.
+// after a degeneracy streak to guarantee termination. The tableau is
+// stored dense, one vector per row, but each pivot eliminates over the
+// nonzero columns of the pivot row only (mapping models leave most of
+// each row zero), which yields the same pivots as full-row elimination.
 #pragma once
 
 #include <cstddef>
 #include <vector>
+
+#include "support/stop_token.hpp"
+#include "support/timer.hpp"
 
 namespace cgra {
 
@@ -34,7 +40,8 @@ struct LpProblem {
   std::vector<LinearConstraint> constraints;
 };
 
-enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kIterLimit };
+/// kStopped: the deadline expired or `stop` was requested mid-solve.
+enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kIterLimit, kStopped };
 
 struct LpSolution {
   LpStatus status = LpStatus::kInfeasible;
@@ -42,6 +49,9 @@ struct LpSolution {
   std::vector<double> x;
 };
 
-LpSolution SolveLp(const LpProblem& problem, int max_iterations = 200000);
+/// Checks `deadline` and `stop` every 64 pivots (kStopped) and gives up
+/// after 200000 pivots (kIterLimit).
+LpSolution SolveLp(const LpProblem& problem, const Deadline& deadline = {},
+                   const StopToken& stop = {});
 
 }  // namespace cgra

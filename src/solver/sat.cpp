@@ -32,7 +32,10 @@ int SatSolver::NewVars(int n) {
   level_.insert(level_.end(), static_cast<size_t>(n), -1);
   reason_.insert(reason_.end(), static_cast<size_t>(n), -1);
   activity_.insert(activity_.end(), static_cast<size_t>(n), 0.0);
+  heap_pos_.insert(heap_pos_.end(), static_cast<size_t>(n), -1);
+  seen_.insert(seen_.end(), static_cast<size_t>(n), 0);
   watches_.resize(2 * static_cast<size_t>(num_vars()));
+  for (int v = first; v < num_vars(); ++v) HeapInsert(v);
   return first;
 }
 
@@ -149,6 +152,11 @@ void SatSolver::BumpVar(int var) {
   if (activity_[static_cast<size_t>(var)] > 1e100) {
     for (double& a : activity_) a *= 1e-100;
     var_inc_ *= 1e-100;
+    // Rescaling can round distinct activities to equal ones, whose order
+    // then falls to the index tie-break.
+    HeapRebuild();
+  } else if (heap_pos_[static_cast<size_t>(var)] >= 0) {
+    HeapSiftUp(static_cast<size_t>(heap_pos_[static_cast<size_t>(var)]));
   }
 }
 
@@ -158,7 +166,6 @@ void SatSolver::Analyze(int conflict, std::vector<Lit>* learned,
                         int* backjump_level) {
   learned->clear();
   learned->push_back(0);  // slot for the asserting literal
-  std::vector<bool> seen(static_cast<size_t>(num_vars()), false);
   int counter = 0;
   Lit p = -1;
   size_t trail_index = trail_.size();
@@ -170,8 +177,8 @@ void SatSolver::Analyze(int conflict, std::vector<Lit>* learned,
     for (size_t i = (p == -1 ? 0 : 1); i < c.lits.size(); ++i) {
       const Lit q = c.lits[i];
       const int v = VarOf(q);
-      if (!seen[static_cast<size_t>(v)] && level_[static_cast<size_t>(v)] > 0) {
-        seen[static_cast<size_t>(v)] = true;
+      if (!seen_[static_cast<size_t>(v)] && level_[static_cast<size_t>(v)] > 0) {
+        seen_[static_cast<size_t>(v)] = 1;
         BumpVar(v);
         if (level_[static_cast<size_t>(v)] >= current_level) {
           ++counter;
@@ -184,12 +191,16 @@ void SatSolver::Analyze(int conflict, std::vector<Lit>* learned,
     do {
       --trail_index;
       p = trail_[trail_index];
-    } while (!seen[static_cast<size_t>(VarOf(p))]);
-    seen[static_cast<size_t>(VarOf(p))] = false;
+    } while (!seen_[static_cast<size_t>(VarOf(p))]);
+    seen_[static_cast<size_t>(VarOf(p))] = 0;
     ci = reason_[static_cast<size_t>(VarOf(p))];
     --counter;
   } while (counter > 0);
   (*learned)[0] = Negate(p);
+  // The walk cleared every current-level mark; clear the rest.
+  for (size_t i = 1; i < learned->size(); ++i) {
+    seen_[static_cast<size_t>(VarOf((*learned)[i]))] = 0;
+  }
 
   // Backjump to the second-highest level in the learned clause.
   *backjump_level = 0;
@@ -222,21 +233,64 @@ void SatSolver::Backtrack(int target_level) {
       assign_[static_cast<size_t>(v)] = -1;
       reason_[static_cast<size_t>(v)] = -1;
       level_[static_cast<size_t>(v)] = -1;
+      HeapInsert(v);
     }
   }
   qhead_ = trail_.size();
 }
 
-int SatSolver::PickBranchVar() {
-  int best = -1;
-  double best_act = -1;
-  for (int v = 0; v < num_vars(); ++v) {
-    if (Unassigned(v) && activity_[static_cast<size_t>(v)] > best_act) {
-      best_act = activity_[static_cast<size_t>(v)];
-      best = v;
-    }
+bool SatSolver::HeapBefore(int a, int b) const {
+  const double act_a = activity_[static_cast<size_t>(a)];
+  const double act_b = activity_[static_cast<size_t>(b)];
+  return act_a > act_b || (act_a == act_b && a < b);
+}
+
+void SatSolver::HeapSiftUp(size_t pos) {
+  const int v = heap_[pos];
+  while (pos > 0) {
+    const size_t parent = (pos - 1) / 2;
+    if (!HeapBefore(v, heap_[parent])) break;
+    heap_[pos] = heap_[parent];
+    heap_pos_[static_cast<size_t>(heap_[pos])] = static_cast<int>(pos);
+    pos = parent;
   }
-  return best;
+  heap_[pos] = v;
+  heap_pos_[static_cast<size_t>(v)] = static_cast<int>(pos);
+}
+
+void SatSolver::HeapSiftDown(size_t pos) {
+  const int v = heap_[pos];
+  for (;;) {
+    size_t child = 2 * pos + 1;
+    if (child >= heap_.size()) break;
+    if (child + 1 < heap_.size() && HeapBefore(heap_[child + 1], heap_[child])) ++child;
+    if (!HeapBefore(heap_[child], v)) break;
+    heap_[pos] = heap_[child];
+    heap_pos_[static_cast<size_t>(heap_[pos])] = static_cast<int>(pos);
+    pos = child;
+  }
+  heap_[pos] = v;
+  heap_pos_[static_cast<size_t>(v)] = static_cast<int>(pos);
+}
+
+void SatSolver::HeapInsert(int var) {
+  if (heap_pos_[static_cast<size_t>(var)] >= 0) return;
+  heap_.push_back(var);
+  HeapSiftUp(heap_.size() - 1);
+}
+
+void SatSolver::HeapRebuild() {
+  for (size_t i = heap_.size() / 2; i-- > 0;) HeapSiftDown(i);
+}
+
+int SatSolver::PickBranchVar() {
+  while (!heap_.empty() && !Unassigned(heap_[0])) {
+    heap_pos_[static_cast<size_t>(heap_[0])] = -1;
+    heap_[0] = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) HeapSiftDown(0);
+  }
+  return heap_.empty() ? -1 : heap_[0];
 }
 
 void SatSolver::ReduceLearnedDb() {

@@ -4,7 +4,8 @@
 // SMT layer (Donovick et al. [44] style). A conventional conflict-
 // driven design: two-watched-literal propagation, 1-UIP conflict
 // analysis with clause learning and non-chronological backjumping,
-// VSIDS-style decaying activities, phase saving, Luby restarts.
+// VSIDS-style decaying activities kept in an indexed binary heap,
+// phase saving, Luby restarts.
 #pragma once
 
 #include <cstddef>
@@ -85,6 +86,17 @@ class SatSolver {
   void AttachWatches(int clause_index);
   void ReduceLearnedDb();
 
+  // Branching order: a binary heap of variables by activity descending,
+  // then index ascending, so its top is the variable a linear scan for
+  // the first highest-activity one would pick. Every unassigned
+  // variable is in the heap; assigned ones leave it lazily when they
+  // reach the top in PickBranchVar.
+  bool HeapBefore(int a, int b) const;
+  void HeapSiftUp(size_t pos);
+  void HeapSiftDown(size_t pos);
+  void HeapInsert(int var);
+  void HeapRebuild();
+
   std::vector<Clause> clauses_;
   std::vector<Lit> units_;                 // level-0 unit clauses
   std::vector<std::vector<int>> watches_;  // per literal: clause indices
@@ -96,6 +108,9 @@ class SatSolver {
   std::vector<int> trail_lim_;
   size_t qhead_ = 0;
   std::vector<double> activity_;
+  std::vector<int> heap_;      // variables in heap order
+  std::vector<int> heap_pos_;  // per variable: index in heap_, or -1
+  std::vector<char> seen_;     // Analyze marks, all zero between calls
   double var_inc_ = 1.0;
   bool unsat_ = false;
   std::int64_t conflicts_ = 0, decisions_ = 0, propagations_ = 0;

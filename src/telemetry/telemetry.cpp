@@ -27,7 +27,9 @@ std::chrono::steady_clock::time_point SteadyAnchor() {
 
 void CopyTruncated(char* dst, std::size_t cap, std::string_view src) {
   const std::size_t n = src.size() < cap - 1 ? src.size() : cap - 1;
-  std::memcpy(dst, src.data(), n);
+  // An empty view may carry a null data(), which memcpy must not see
+  // even for a zero-length copy.
+  if (n > 0) std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
 }
 

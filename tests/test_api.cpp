@@ -159,6 +159,44 @@ TEST(ApiCatalog, EveryListedFabricResolves) {
   EXPECT_FALSE(api::FabricByName("unlisted").has_value());
 }
 
+TEST(ApiCatalog, FabricNameListAndPresetsAgree) {
+  // Validation checks the name against the list; FabricByName builds the
+  // preset. Listed => builds a fabric of that name, and every preset
+  // builds under its own name, which is listed.
+  for (const std::string& name : api::KnownFabricNames()) {
+    EXPECT_TRUE(api::IsKnownFabric(name)) << name;
+    const std::optional<Architecture> arch = api::FabricByName(name);
+    ASSERT_TRUE(arch.has_value()) << name;
+    EXPECT_EQ(arch->params().name, name);
+  }
+  const Architecture presets[] = {
+      Architecture::Small2x2(),   Architecture::Adres4x4(),
+      Architecture::Hetero4x4(),  Architecture::Spatial4x4(),
+      Architecture::Torus4x4(),   Architecture::Big8x8(),
+      Architecture::Mega16x16(),  Architecture::VliwLike4()};
+  for (const Architecture& preset : presets) {
+    const std::string& name = preset.params().name;
+    EXPECT_TRUE(api::IsKnownFabric(name)) << name;
+    EXPECT_TRUE(api::FabricByName(name).has_value()) << name;
+  }
+  EXPECT_EQ(api::KnownFabricNames().size(), std::size(presets));
+  for (const char* name : {"unlisted", "", "ADRES4X4", "adres4x4 ", "adres"}) {
+    EXPECT_FALSE(api::IsKnownFabric(name)) << name;
+    EXPECT_FALSE(api::FabricByName(name).has_value()) << name;
+  }
+}
+
+TEST(ApiValidate, UnknownFabricErrorText) {
+  api::MapRequest r = ValidRequest();
+  r.fabric = "nope9x9";
+  const Status s = api::ValidateMapRequest(r);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().message,
+            "field \"fabric\": unknown fabric preset \"nope9x9\" (known: "
+            "small2x2, adres4x4, hetero4x4, spatial4x4, torus4x4, big8x8, "
+            "mega16x16, vliw4)");
+}
+
 // ---- manifest parsing -----------------------------------------------------
 
 TEST(ApiManifest, DefaultsLayerUnderJobs) {

@@ -16,12 +16,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/request.hpp"
 #include "arch/arch.hpp"
 #include "arch/fault.hpp"
 #include "arch/mrrg.hpp"
@@ -235,6 +237,53 @@ TEST(RouterGolden, DeterministicMappersHetero4x4) {
           {"dresc-sa", "butterfly", 0x8d7ebfda42e5c74dull},
           {"crimson", "saxpy", 0xadbfc8b8bbadd24bull},
       });
+}
+
+// ---- golden exact-mapper digests --------------------------------------------
+// The ILP, SAT, SMT and CP mappers on small (kernel, fabric) pairs where
+// each search finishes in milliseconds without a deadline, so the
+// digests depend only on the solvers' pivot and branching order. Captured
+// from the dense-elimination simplex and linear-scan SAT branching.
+
+struct ExactGolden {
+  const char* mapper;
+  const char* kernel;
+  const char* fabric;
+  std::uint64_t digest;
+};
+
+TEST(RouterGolden, DeterministicExactMappers) {
+  const ExactGolden goldens[] = {
+      {"ilp-spatial", "dot_product", "adres4x4", 0xc258bcd9456e3bbeull},
+      {"ilp-spatial", "vecadd", "adres4x4", 0x4d74dfdec2fbda73ull},
+      {"ilp-bind", "dot_product", "adres4x4", 0x347e10141405dc47ull},
+      {"ilp-bind", "vecadd", "adres4x4", 0x8244142ec78a1bf2ull},
+      {"ilp-temporal", "saxpy", "small2x2", 0x04ae04144de49650ull},
+      {"ilp-temporal", "dot_product", "small2x2", 0xe64cd030a8506065ull},
+      {"ilp-sched", "saxpy", "adres4x4", 0x3525a7c22369b913ull},
+      {"ilp-sched", "fir4", "adres4x4", 0xed9b00b8ccc666e2ull},
+      {"sat", "vecadd", "adres4x4", 0xeee2ea01a4997ae1ull},
+      {"sat", "fir4", "adres4x4", 0xd1742a4b2eddc05bull},
+      {"smt", "dot_product", "adres4x4", 0xd268dec9c1cd239dull},
+      {"smt", "fir4", "adres4x4", 0x6b7f7bf12f57cbdeull},
+      {"cp", "vecadd", "adres4x4", 0xe40151329706bbdfull},
+      {"cp", "fir4", "adres4x4", 0x710987b2c7c6e828ull},
+  };
+  for (const ExactGolden& g : goldens) {
+    const Mapper* mapper = MapperRegistry::Global().Find(g.mapper);
+    ASSERT_NE(mapper, nullptr) << g.mapper;
+    const std::optional<Architecture> arch = api::FabricByName(g.fabric);
+    ASSERT_TRUE(arch.has_value()) << g.fabric;
+    const std::optional<Kernel> kernel = api::KernelByName(g.kernel, 16, 0x5EED);
+    ASSERT_TRUE(kernel.has_value()) << g.kernel;
+    MapperOptions opts;
+    opts.seed = 42;
+    auto m = mapper->Map(kernel->dfg, *arch, opts);
+    ASSERT_TRUE(m.ok()) << g.mapper << "/" << g.kernel << "/" << g.fabric
+                        << ": " << m.error().message;
+    EXPECT_EQ(MappingDigest(*m), g.digest)
+        << g.mapper << "/" << g.kernel << "/" << g.fabric;
+  }
 }
 
 // ---- A* heuristic equivalence -----------------------------------------------

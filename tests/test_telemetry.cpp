@@ -141,6 +141,23 @@ TEST_F(TracingTest, LongNamesAndDetailsAreTruncatedNotCorrupted) {
   EXPECT_EQ(std::strlen(spans[0].detail), sizeof(spans[0].detail) - 1);
 }
 
+TEST_F(TracingTest, EmptyDetailsRecordAsEmptyStrings) {
+  // A default std::string_view has a null data(); copying it must be a
+  // no-op (the ASan+UBSan job runs this test).
+  {
+    telemetry::Span bare("unit.bare");
+    telemetry::Span empty("unit.empty", std::string_view{});
+  }
+  telemetry::RecordSpan("unit.recorded", std::string_view{}, 1, 2);
+  const std::vector<SpanRecord> spans = TraceSink::Global().Drain();
+  ASSERT_EQ(spans.size(), 3u);
+  for (const char* name : {"unit.bare", "unit.empty", "unit.recorded"}) {
+    const SpanRecord* span = FindSpan(spans, name);
+    ASSERT_NE(span, nullptr) << name;
+    EXPECT_STREQ(span->detail, "") << name;
+  }
+}
+
 TEST_F(TracingTest, RingOverflowDropsAndCounts) {
   const std::size_t n = TraceSink::ThreadRing::kCapacity + 100;
   for (std::size_t i = 0; i < n; ++i) {
