@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "arch/fault.hpp"
 #include "mappers/registry.hpp"
 #include "support/str.hpp"
 
@@ -250,6 +251,32 @@ Status ValidateMapRequest(const MapRequest& r) {
     if (c < 0) return FieldError("dead_cells", "cell indices must be >= 0");
   }
   return Status::Ok();
+}
+
+Result<ResolvedRequest> ResolveMapRequest(const MapRequest& r) {
+  std::optional<Architecture> arch = FabricByName(r.fabric);
+  if (!arch) {
+    return FieldError("fabric", "unknown fabric \"" + r.fabric + "\"");
+  }
+  std::optional<Kernel> kernel = KernelByName(r.kernel, r.iterations, r.seed);
+  if (!kernel) {
+    return FieldError("kernel", "unknown kernel \"" + r.kernel + "\"");
+  }
+  if (!r.dead_cells.empty()) {
+    FaultModel fm;
+    for (const int c : r.dead_cells) fm.KillCell(c);
+    if (Status s = fm.Validate(*arch); !s.ok()) {
+      return FieldError("dead_cells", s.error().message);
+    }
+    arch = arch->WithFaults(fm);
+  }
+  EngineOptions eo;
+  eo.deadline = Deadline::AfterSeconds(r.deadline_seconds);
+  eo.seed = r.seed;
+  eo.min_ii = r.min_ii;
+  eo.max_ii = r.max_ii;
+  eo.extra_slack = r.extra_slack;
+  return ResolvedRequest{std::move(*arch), std::move(*kernel), std::move(eo)};
 }
 
 std::string ToJson(const MapRequest& r) {

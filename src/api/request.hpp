@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "arch/arch.hpp"
+#include "engine/engine.hpp"
 #include "ir/kernels.hpp"
 #include "support/json.hpp"
 #include "support/status.hpp"
@@ -103,6 +104,23 @@ Result<MapRequest> ParseMapRequestText(std::string_view text,
 ///   field "<name>": <what is wrong>
 /// so clients (and tests) can key on the offending field.
 Status ValidateMapRequest(const MapRequest& request);
+
+/// What a validated request resolves to, for every front-end: the
+/// fabric with the request's dead cells killed, the kernel, and engine
+/// options carrying the request's deadline, seed, II window and slack.
+/// Each front-end adds its own policy (race, observer, cache,
+/// isolation) to `engine`.
+struct ResolvedRequest {
+  Architecture arch;
+  Kernel kernel;
+  EngineOptions engine;
+};
+
+/// Looks up the fabric and kernel and applies the dead cells.
+/// kInvalidArgument errors name the field: an unknown fabric or kernel
+/// (unreachable after ValidateMapRequest), or a dead cell outside the
+/// fabric.
+Result<ResolvedRequest> ResolveMapRequest(const MapRequest& request);
 
 /// Canonical serialization; parse(serialize(r)) == r (round-trip
 /// tested). Every field is emitted, including defaults.

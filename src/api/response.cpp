@@ -7,7 +7,6 @@ namespace cgra::api {
 
 MapResponse::SearchSummary SummarizeSearch(const MapTrace& trace) {
   MapResponse::SearchSummary s;
-#if CGRA_TELEMETRY
   std::vector<std::uint64_t> cell_steps;
   for (const MapTrace::Attempt& a : trace.Attempts()) {
     if (a.search == nullptr || !a.search->Any()) continue;
@@ -31,9 +30,6 @@ MapResponse::SearchSummary SummarizeSearch(const MapTrace& trace) {
       s.hot_cell = static_cast<int>(c);
     }
   }
-#else
-  (void)trace;
-#endif
   return s;
 }
 

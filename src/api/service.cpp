@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "arch/fault.hpp"
 #include "engine/engine.hpp"
 #include "engine/quarantine.hpp"
 #include "engine/trace.hpp"
@@ -267,38 +266,18 @@ HttpResponse MappingService::HandleMap(const HttpRequest& http) {
   const std::uint64_t correlation = telemetry::NewCorrelation();
   telemetry::Span span("serve.request", request.name, correlation);
 
-  const std::optional<Architecture> healthy = FabricByName(request.fabric);
-  std::optional<Kernel> kernel =
-      KernelByName(request.kernel, request.iterations, request.seed);
-  if (!healthy || !kernel) {
-    // Unreachable after validation; belt and braces for catalog skew.
+  Result<ResolvedRequest> job = ResolveMapRequest(request);
+  if (!job.ok()) {
     metrics.bad_requests.Add(1);
-    return JsonResponse(
-        400, ToJson(BuildErrorResponse(
-                 request, Error::InvalidArgument("unknown fabric or kernel"),
-                 timer.Seconds(), correlation)));
-  }
-  Architecture arch = *healthy;
-  if (!request.dead_cells.empty()) {
-    FaultModel fm;
-    for (const int c : request.dead_cells) fm.KillCell(c);
-    if (Status s = fm.Validate(arch); !s.ok()) {
-      metrics.bad_requests.Add(1);
-      return JsonResponse(400, ToJson(BuildErrorResponse(
-                                   request, s.error(), timer.Seconds(),
-                                   correlation)));
-    }
-    arch = arch.WithFaults(fm);
+    return JsonResponse(400, ToJson(BuildErrorResponse(
+                                 request, job.error(), timer.Seconds(),
+                                 correlation)));
   }
 
-  EngineOptions eo;
+  EngineOptions& eo = job->engine;
   eo.race = options_.engine_race;
   eo.deadline = Deadline::AfterSeconds(
       std::min(request.deadline_seconds, options_.max_deadline_seconds));
-  eo.seed = request.seed;
-  eo.min_ii = request.min_ii;
-  eo.max_ii = request.max_ii;
-  eo.extra_slack = request.extra_slack;
   eo.cache = options_.cache;
   eo.stop = options_.stop;
   eo.isolation = options_.isolation;
@@ -310,7 +289,7 @@ HttpResponse MappingService::HandleMap(const HttpRequest& http) {
   if (request.stats) eo.observer = &trace;
 
   const Result<EngineResult> result =
-      MappingEngine(eo).Run(kernel->dfg, arch, request.mappers);
+      MappingEngine(eo).Run(job->kernel.dfg, job->arch, request.mappers);
   const double wall = timer.Seconds();
   metrics.seconds.Observe(wall);
   if (result.ok()) {

@@ -51,14 +51,6 @@ class Mrrg {
  public:
   enum class Kind : std::uint8_t { kFu, kHold, kRt };
 
-  /// Materialised per-node view (compat with the pre-SoA API). The
-  /// hot paths use the column accessors (kind/cell/capacity) instead.
-  struct Node {
-    Kind kind;
-    int cell;      ///< owning cell (kShared hold uses cell -1)
-    int capacity;  ///< simultaneous values per time slot
-  };
-
   struct Link {
     std::int32_t to;
     std::int32_t latency;  ///< cycles consumed by traversing this link
@@ -68,16 +60,14 @@ class Mrrg {
 
   const Architecture& arch() const { return *arch_; }
   int num_nodes() const { return static_cast<int>(kind_.size()); }
-  Node node(int n) const {
-    const size_t i = static_cast<size_t>(n);
-    return Node{static_cast<Kind>(kind_[i]), cell_[i], capacity_[i]};
-  }
 
   // SoA column accessors — one contiguous array load each.
   Kind kind(int n) const {
     return static_cast<Kind>(kind_[static_cast<size_t>(n)]);
   }
+  /// Owning cell (the kShared hold uses cell -1).
   int cell(int n) const { return cell_[static_cast<size_t>(n)]; }
+  /// Simultaneous values per time slot.
   int capacity(int n) const { return capacity_[static_cast<size_t>(n)]; }
   /// The full capacity column (tracker bitset initialisation).
   Span<std::int32_t> capacities() const {

@@ -12,6 +12,7 @@
 #include "mapping/validator.hpp"
 #include "mappers/registry.hpp"
 #include "support/str.hpp"
+#include "support/thread_pool.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -57,6 +58,16 @@ Result<Mapping> SafeMap(const Mapper& mapper, const Dfg& dfg,
 
 namespace {
 
+// RunWithRepair's policy: at most this many mapping rounds (the first
+// try plus repairs); the II ceiling grows by kRepairIiStep per round,
+// since a fabric with dead resources often needs more time-sharing
+// than the healthy window allowed; and each round gets at least
+// kMinRoundSeconds of the remaining deadline, so late rounds are not
+// starved into instant kResourceLimit failures.
+constexpr int kRepairRounds = 4;
+constexpr int kRepairIiStep = 2;
+constexpr double kMinRoundSeconds = 0.25;
+
 MapperOptions EntryOptions(const EngineOptions& eo, std::size_t i,
                            StopToken stop, MrrgCache* cache) {
   MapperOptions mo;
@@ -67,10 +78,6 @@ MapperOptions EntryOptions(const EngineOptions& eo, std::size_t i,
   mo.seed = eo.seed + static_cast<std::uint64_t>(i);
   mo.stop = std::move(stop);
   mo.observer = eo.observer;
-  // Search introspection rides the same per-engine gate as the
-  // engine-emitted spans; the runtime SearchDetail level and the
-  // observer requirement apply downstream.
-  mo.search_log = eo.telemetry;
   mo.mrrg_cache = cache;
   return mo;
 }
@@ -175,11 +182,9 @@ EntryOutcome ExecuteEntry(const EngineOptions& eo, const Mapper& mapper,
       (eo.isolation == IsolationMode::kCrashyOnly && quarantine &&
        quarantine->HasCrashHistory(mapper.name()));
 
-  telemetry::Span mapper_span(eo.telemetry ? "mapper" : nullptr,
-                              mapper.name());
+  telemetry::Span mapper_span("mapper", mapper.name());
   if (sandboxed) {
-    telemetry::Span sandbox_span(eo.telemetry ? "sandbox" : nullptr,
-                                 mapper.name());
+    telemetry::Span sandbox_span("sandbox", mapper.name());
     SandboxedMapResult sr =
         SandboxedMap(mapper, dfg, arch, mo, eo.sandbox_limits);
     out.result = std::move(sr.result);
@@ -331,7 +336,8 @@ class RoundStamper final : public MapObserver {
 
 /// The portfolio component of the mapping-cache key: names in
 /// portfolio order. Reordering a portfolio is a different key on
-/// purpose — under stop_on_first the order decides the winner.
+/// purpose — the first success stops the rest, so the order decides
+/// the winner.
 std::string PortfolioCacheName(const std::vector<const Mapper*>& portfolio) {
   std::string out = "portfolio:";
   for (std::size_t i = 0; i < portfolio.size(); ++i) {
@@ -387,8 +393,7 @@ Result<EngineResult> MappingEngine::Run(
   // ever stored, so a prior failure never pins a (dfg, arch) pair.
   std::string cache_key;
   if (options_.cache) {
-    telemetry::Span probe_span(options_.telemetry ? "engine.cache_probe"
-                                                  : nullptr);
+    telemetry::Span probe_span("engine.cache_probe");
     WallTimer lookup_timer;
     cache_key = MappingCacheKey(arch, dfg, CacheKeyOptions(options_),
                                 PortfolioCacheName(portfolio));
@@ -426,10 +431,8 @@ Result<EngineResult> MappingEngine::Run(
   MrrgCache local_cache;
   MrrgCache& cache = options_.mrrg_cache ? *options_.mrrg_cache : local_cache;
   telemetry::Span run_span(
-      options_.telemetry ? "engine.run" : nullptr,
-      options_.telemetry && telemetry::Enabled()
-          ? StrFormat("%zu mappers", portfolio.size())
-          : "");
+      "engine.run",
+      telemetry::Enabled() ? StrFormat("%zu mappers", portfolio.size()) : "");
   Result<EngineResult> r = (!options_.race || portfolio.size() == 1)
                                ? RunSequential(dfg, arch, portfolio, cache)
                                : RunRacing(dfg, arch, portfolio, cache);
@@ -467,9 +470,6 @@ Result<RepairResult> MappingEngine::RunWithRepair(
       return Error::InvalidArgument("engine: null mapper in portfolio");
     }
   }
-  if (repair.max_rounds < 1) {
-    return Error::InvalidArgument("repair: max_rounds must be >= 1");
-  }
   if (Status s = known_faults.Validate(arch); !s.ok()) return s.error();
 
   WallTimer total;
@@ -484,7 +484,7 @@ Result<RepairResult> MappingEngine::RunWithRepair(
   Error last_error =
       Error::Internal("repair loop ended before any round ran");  // unreachable
 
-  for (int round = 0; round < repair.max_rounds; ++round) {
+  for (int round = 0; round < kRepairRounds; ++round) {
     const std::string digest = fm.Digest();
     // Per-round fabric. Each round's Architecture dies with the round,
     // so the address-keyed MrrgCache must not be shared across rounds
@@ -499,23 +499,23 @@ Result<RepairResult> MappingEngine::RunWithRepair(
     eo.mrrg_cache = nullptr;
     // Escalating II window: a derated fabric often needs more
     // time-sharing than the healthy ceiling allowed.
-    eo.max_ii = std::min(arch_r->MaxIi(), options_.max_ii +
-                                              round * repair.ii_step);
+    eo.max_ii = std::min(arch_r->MaxIi(),
+                         options_.max_ii + round * kRepairIiStep);
     // Budget split: each round gets an equal share of what is left, so
     // an expensive first round cannot starve the repairs (and a cheap
     // one donates its slack to them).
     const double remaining = options_.deadline.RemainingSeconds();
     if (remaining < 1e17) {
-      const int rounds_left = repair.max_rounds - round;
-      eo.deadline = Deadline::AfterSeconds(std::max(
-          repair.min_round_seconds, remaining / rounds_left));
+      const int rounds_left = kRepairRounds - round;
+      eo.deadline = Deadline::AfterSeconds(
+          std::max(kMinRoundSeconds, remaining / rounds_left));
     }
 
     WallTimer round_timer;
     Result<EngineResult> r = [&] {
       telemetry::Span round_span(
-          options_.telemetry ? "engine.repair_round" : nullptr,
-          options_.telemetry && telemetry::Enabled()
+          "engine.repair_round",
+          telemetry::Enabled()
               ? StrFormat("round=%d faults=%s", round, digest.c_str())
               : "");
       return MappingEngine(eo).Run(dfg, *arch_r, active);
@@ -528,13 +528,11 @@ Result<RepairResult> MappingEngine::RunWithRepair(
 
     // Shrinking portfolio: a mapper that crashed this round is not
     // given another chance to waste later rounds' budget.
-    if (repair.drop_crashed_mappers) {
-      for (const std::string& name : stamper.TakeCrashed()) {
-        std::erase_if(active,
-                      [&](const Mapper* m) { return m->name() == name; });
-      }
-      if (active.empty()) active = portfolio;  // never run an empty race
+    for (const std::string& name : stamper.TakeCrashed()) {
+      std::erase_if(active,
+                    [&](const Mapper* m) { return m->name() == name; });
     }
+    if (active.empty()) active = portfolio;  // never run an empty race
 
     const bool out_of_time =
         options_.deadline.Expired() || options_.stop.StopRequested();
@@ -624,26 +622,17 @@ Result<EngineResult> MappingEngine::RunRacing(
   const std::size_t n = portfolio.size();
   WallTimer total;
 
-  // One stop source for the whole race: flipped by the first winner
-  // (under stop_on_first), by external cancellation, or by the global
-  // deadline; every cooperative mapper sees it via MapperOptions::stop.
+  // One stop source for the whole race: flipped by the first winner,
+  // by external cancellation, or by the global deadline; every
+  // cooperative mapper sees it via MapperOptions::stop.
   StopSource race_stop;
 
-  // One worker per entry by default: a race only works when every
-  // entry actually runs. With fewer workers than entries (an explicit
-  // `threads`, a shared pool, or a 1-core host) a wedged entry would
-  // hold its worker until the deadline while later entries starve in
-  // the queue — so default to oversubscription; racers spend their
-  // lives polling stop/deadline anyway.
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool* pool = options_.pool;
-  if (pool == nullptr) {
-    std::size_t threads = options_.threads > 0
-                              ? static_cast<std::size_t>(options_.threads)
-                              : n;
-    owned_pool.emplace(threads);
-    pool = &*owned_pool;
-  }
+  // One worker per entry, deliberately NOT capped by the core count: a
+  // race only works when every entry actually runs. With fewer workers
+  // than entries a wedged entry would hold its worker until the
+  // deadline while later entries starve in the queue; racers spend
+  // their lives polling stop/deadline anyway.
+  ThreadPool pool(n);
 
   // Slot i is written only by task i and read only after its future is
   // ready, so no extra locking is needed.
@@ -652,13 +641,13 @@ Result<EngineResult> MappingEngine::RunRacing(
   std::vector<std::future<void>> futures;
   futures.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool->Async([&, i]() {
+    futures.push_back(pool.Async([&, i]() {
       const Mapper& mapper = *portfolio[i];
       MapperOptions mo = EntryOptions(options_, i, race_stop.token(), &cache);
       EntryOutcome outcome = ExecuteEntry(options_, mapper, dfg, arch, mo);
       const bool won = outcome.result.ok();
       results[i] = std::move(outcome);
-      if (won && options_.stop_on_first) race_stop.RequestStop();
+      if (won) race_stop.RequestStop();
     }));
   }
 
@@ -704,7 +693,7 @@ Result<EngineResult> MappingEngine::RunSequential(
     out.attempts.push_back(MakeAttempt(mapper, outcome));
     const bool ok = outcome.result.ok();
     results.push_back(std::move(outcome));
-    if (ok && options_.stop_on_first) break;
+    if (ok) break;
   }
   out.seconds = total.Seconds();
 

@@ -10,10 +10,11 @@
 // Mechanics:
 //   * Each portfolio entry runs Mapper::Map() in its own pool task,
 //     with its own seed and the engine's global Deadline.
-//   * All entries share one StopSource; the first success (under
-//     stop_on_first) requests stop, and every cooperative mapper —
-//     heuristic escalation loops, annealers, B&B, the SAT/SMT/CP/ILP
-//     inner loops — bails out with Error::Code::kResourceLimit.
+//   * All entries share one StopSource; the first success requests
+//     stop, and every cooperative mapper — heuristic escalation loops,
+//     annealers, B&B, the SAT/SMT/CP/ILP inner loops — bails out with
+//     Error::Code::kResourceLimit. Entries that succeed before they see
+//     the stop compete on II (lowest wins, ties by portfolio order).
 //   * MRRG construction is memoised in a thread-safe MrrgCache so the
 //     racers don't rebuild the same resource graph N times.
 //   * Every attempt is reported to the caller's MapObserver (use a
@@ -38,7 +39,6 @@
 #include "mapping/observer.hpp"
 #include "support/stop_token.hpp"
 #include "support/subprocess.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace cgra {
@@ -77,23 +77,11 @@ struct EngineOptions {
   /// reruns reproduce.
   std::uint64_t seed = 0xC62A5EEDULL;
 
-  /// true: run entries concurrently on the pool. false: run them one
-  /// by one on the calling thread (deterministic; losers after the
-  /// first success are skipped, not raced).
+  /// true: run entries concurrently, one engine-owned worker per
+  /// entry. false: run them one by one on the calling thread
+  /// (deterministic; entries after the first success are skipped, not
+  /// raced).
   bool race = true;
-
-  /// Cancel still-running entries as soon as one succeeds. With
-  /// stop_on_first=false the engine lets every entry finish and picks
-  /// the best mapping (lowest II, ties by portfolio order).
-  bool stop_on_first = true;
-
-  /// Pool to race on; nullptr = engine-owned pool of `threads` workers
-  /// (0 = one per portfolio entry — deliberately NOT capped by the core
-  /// count: racers are poll-heavy, and fewer workers than entries lets
-  /// a wedged entry starve the queued ones until the deadline). Pass a
-  /// shared pool only if it has at least one thread per entry.
-  ThreadPool* pool = nullptr;
-  int threads = 0;
 
   /// Observer for the merged event stream (e.g. a MapTrace); may be
   /// nullptr. Must be thread-safe when race=true.
@@ -133,14 +121,6 @@ struct EngineOptions {
   /// wants (state survives across requests); tests point this at a
   /// private tracker. Ignored when isolation == kNone.
   QuarantineTracker* quarantine = nullptr;
-
-  /// Runtime gate for the engine's own telemetry spans (engine.run,
-  /// engine.repair_round, per-mapper "mapper" spans, engine.cache_probe).
-  /// Spans are recorded only when this is true AND the process-wide
-  /// tracer is on (telemetry::SetEnabled); with CGRA_TELEMETRY=0 the
-  /// flag is inert. Mapper-internal spans (attempt, phase.*,
-  /// solver.search) consult only the global gate.
-  bool telemetry = true;
 };
 
 /// Per-entry record in the engine result.
@@ -171,26 +151,8 @@ struct EngineResult {
   std::string cache_key;
 };
 
-/// Retry/backoff policy for MappingEngine::RunWithRepair.
+/// Deployment check for MappingEngine::RunWithRepair.
 struct RepairOptions {
-  /// Total mapping rounds before giving up (the first try plus up to
-  /// max_rounds - 1 repairs).
-  int max_rounds = 4;
-
-  /// The II ceiling grows by this much every round: a fabric with dead
-  /// resources often needs more time-sharing than the healthy window
-  /// allowed (SAT-MapIt-style escalation, but across repair rounds).
-  int ii_step = 2;
-
-  /// Floor on each round's share of the remaining deadline, so late
-  /// rounds are not starved into instant kResourceLimit failures.
-  double min_round_seconds = 0.25;
-
-  /// Drop portfolio entries whose Map() crashed (Error::Code::kInternal
-  /// after the engine's try/catch) from subsequent rounds — a mapper
-  /// that threw once is not owed a second chance to waste budget.
-  bool drop_crashed_mappers = true;
-
   /// Deployment check run after a round produces a validated mapping
   /// (e.g. compile + simulate + compare against the reference; see
   /// MappingMatchesReference in sim/harness.hpp). Return Ok to accept
@@ -255,18 +217,18 @@ class MappingEngine {
   Result<EngineResult> Run(const Dfg& dfg, const Architecture& arch,
                            const std::vector<std::string>& mapper_names) const;
 
-  /// Fault-tolerant mapping with a bounded repair loop. Each round
-  /// derates `arch` with the accumulated FaultModel (starting from
-  /// `known_faults` plus whatever `arch` already carries), races the
-  /// portfolio on the derated fabric with a per-round budget split off
-  /// the remaining deadline and an II ceiling that escalates by
-  /// `repair.ii_step` per round, validates the winner, and hands it to
-  /// `repair.verifier`. A verifier miscompare that diagnoses new
-  /// faults triggers the next round; crashed mappers are dropped from
-  /// later rounds. Every event of round k reaches the observer with
-  /// repair_round = k and the round's fault digest. Fails with the last
-  /// round's error code once max_rounds, the deadline, or an
-  /// undiagnosable miscompare exhausts the loop.
+  /// Fault-tolerant mapping with a bounded repair loop of at most 4
+  /// rounds. Each round derates `arch` with the accumulated FaultModel
+  /// (starting from `known_faults` plus whatever `arch` already
+  /// carries), races the portfolio on the derated fabric with an equal
+  /// share (at least 0.25 s) of the remaining deadline and an II
+  /// ceiling that grows by 2 per round, validates the winner, and hands
+  /// it to `repair.verifier`. A verifier miscompare that diagnoses new
+  /// faults triggers the next round; mappers that crashed
+  /// (kInternal) are dropped from later rounds. Every event of round k
+  /// reaches the observer with repair_round = k and the round's fault
+  /// digest. Fails with the last round's error code once the rounds,
+  /// the deadline, or an undiagnosable miscompare exhaust the loop.
   Result<RepairResult> RunWithRepair(
       const Dfg& dfg, const Architecture& arch, const FaultModel& known_faults,
       const std::vector<const Mapper*>& portfolio,

@@ -172,12 +172,13 @@ SandboxedMapResult SandboxedMap(const Mapper& mapper, const Dfg& dfg,
         // so it ships one whole-Map record instead: the counter delta
         // across Map(), and one whole-Map collector covering every II
         // (the per-attempt collectors require an observer and never
-        // install).
+        // install). The collector follows the attempt bracket's test
+        // on the parent's observer.
         telemetry::SearchLog child_log;
         const PerfCounters before = ThreadPerfCounters();
         Result<Mapping> r = [&] {
           telemetry::ScopedSearchLog scoped(
-              child_options.search_log &&
+              options.observer != nullptr &&
                       telemetry::GetSearchDetail() !=
                           telemetry::SearchDetail::kOff
                   ? &child_log

@@ -19,11 +19,10 @@
 //
 // so a sandboxed attempt row carries the same router, tracker and
 // solver counters as the in-process run would, and the search log when
-// MapperOptions::search_log collection was on. Frames without the
-// prefix still decode; a truncated or bad-length prefix classifies as
-// kWireCorrupt like any other framing damage. Parent and child are the
-// same binary image (fork without exec), so they agree on the counter
-// table.
+// the parent attached an observer. Frames without the prefix still
+// decode; a truncated or bad-length prefix classifies as kWireCorrupt
+// like any other framing damage. Parent and child are the same binary
+// image (fork without exec), so they agree on the counter table.
 //
 // Reusing the versioned+checksummed SerializeMapping wire format means
 // a child that scribbles on its own heap before exiting produces a
@@ -43,10 +42,10 @@ namespace cgra {
 
 struct SandboxedMapResult {
   /// The mapper's result, reconstructed in the parent. Crashes map to
-  /// kInternal (same code SafeMap uses, so RepairOptions::
-  /// drop_crashed_mappers and the quarantine tracker treat both
-  /// isolation levels uniformly); watchdog/CPU-limit kills and
-  /// cancellation map to kResourceLimit.
+  /// kInternal (same code SafeMap uses, so RunWithRepair's crashed-
+  /// mapper drop and the quarantine tracker treat both isolation
+  /// levels uniformly); watchdog/CPU-limit kills and cancellation map
+  /// to kResourceLimit.
   Result<Mapping> result;
 
   /// The raw process-level classification (signal name, OOM, timeout,

@@ -125,7 +125,7 @@ class Annealer {
       ++load[{node, Slot(time)}];
     }
     for (const auto& [key, n] : load) {
-      over += std::max(0, n - mrrg_.node(key.first).capacity);
+      over += std::max(0, n - mrrg_.capacity(key.first));
     }
     return 100.0 * timing_violations + 10.0 * over + 0.01 * steps;
   }

@@ -354,7 +354,7 @@ Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
 Result<Mapping> BindAtFixedTimes(const Dfg& dfg, const Architecture& arch,
                                  const Mrrg& mrrg, int ii,
                                  const std::vector<int>& times,
-                                 const Deadline& deadline, int node_budget,
+                                 const Deadline& deadline,
                                  const StopToken& stop) {
   telemetry::Span phase_span("phase.bind");
   PlaceRouteState state(dfg, arch, mrrg, ii);
@@ -366,7 +366,7 @@ Result<Mapping> BindAtFixedTimes(const Dfg& dfg, const Architecture& arch,
   });
   const auto candidates = CandidateCellTable(dfg, arch);
   const auto edges = dfg.Edges(true);
-  int budget = node_budget;
+  int budget = 20000;  // search nodes
   bool timed_out = false;
 
   std::function<bool(size_t)> dfs = [&](size_t depth) -> bool {
@@ -466,7 +466,7 @@ Result<Mapping> ObservedAttempt(const Mapper& self,
   // observer being present — without one the log would have nowhere
   // to go.
   std::shared_ptr<telemetry::SearchLog> search;
-  if (options.search_log && options.observer != nullptr &&
+  if (options.observer != nullptr &&
       telemetry::GetSearchDetail() != telemetry::SearchDetail::kOff) {
     search = std::make_shared<telemetry::SearchLog>();
   }

@@ -75,13 +75,13 @@ Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
 
 /// Binds ops to cells under an externally fixed schedule: depth-first
 /// search in time order over affinity-ordered candidate cells, with a
-/// node budget. Used by the decoupled schedulers (ILP scheduling, CP
-/// realizations) whose "binding is someone else's problem".
+/// budget of 20000 search nodes. Used by the decoupled schedulers (ILP
+/// scheduling, CP realizations) whose "binding is someone else's
+/// problem".
 Result<Mapping> BindAtFixedTimes(const Dfg& dfg, const Architecture& arch,
                                  const Mrrg& mrrg, int ii,
                                  const std::vector<int>& times,
                                  const Deadline& deadline,
-                                 int node_budget = 20000,
                                  const StopToken& stop = {});
 
 /// Runs ObservedAttempt(ii) for ii from max(mii, 1) to min(max_ii,

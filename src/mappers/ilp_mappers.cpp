@@ -544,8 +544,7 @@ class IlpScheduler final : public Mapper {
         }
       }
       return BindAtFixedTimes(dfg, arch, mrrg, ii, solved_times,
-                              options.deadline, /*node_budget=*/20000,
-                              options.stop);
+                              options.deadline, options.stop);
     });
   }
 };

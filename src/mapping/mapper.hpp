@@ -64,16 +64,9 @@ struct MapperOptions {
 
   /// Optional progress sink (see mapping/observer.hpp). May be invoked
   /// concurrently when mappers race; implementations must be
-  /// thread-safe. Null disables observation.
+  /// thread-safe. Null disables observation, search-log collection
+  /// included.
   MapObserver* observer = nullptr;
-
-  /// Collect a per-attempt SearchLog (telemetry/search_log.hpp) and
-  /// attach it to each kAttemptDone event. Requires an observer; also
-  /// gated by the process-wide telemetry::SearchDetail level and by
-  /// -DCGRA_TELEMETRY. Collection never changes what the mapper
-  /// computes, so — like the observer — this is NOT a semantic field
-  /// and stays out of AppendCanonicalBytes.
-  bool search_log = false;
 
   /// Optional shared MRRG memo (arch/mrrg_cache.hpp). When set,
   /// mappers obtain the time-extended resource graph through the cache

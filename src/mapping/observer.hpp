@@ -42,8 +42,8 @@ struct AttemptRecord {
   std::string sandbox;
   /// Search introspection (telemetry/search_log.hpp): placement
   /// counters, fabric congestion heatmap, solver progress, cost curves.
-  /// Set when MapperOptions::search_log collection was active; null
-  /// otherwise (and always null under -DCGRA_TELEMETRY=0).
+  /// Set when the attempt ran with an observer attached and
+  /// SearchDetail was not kOff; null otherwise.
   std::shared_ptr<const telemetry::SearchLog> search;
 };
 

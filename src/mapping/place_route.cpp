@@ -148,14 +148,19 @@ bool PlaceRouteState::TryPlace(OpId op, int cell, int time,
   std::vector<RouteRequest> batch_reqs;
   auto flush_fanout = [&]() -> bool {
     if (batch_edges.empty()) return true;
+    std::size_t failed = 0;
     auto routes = RouteFanout(*mrrg_, tracker_, batch_reqs.data(),
-                              batch_reqs.size(), router_options);
+                              batch_reqs.size(), router_options, &failed);
     if (!routes.ok()) {
-      // RouteFanout is atomic: nothing from this batch is committed.
-      for (const RouteRequest& req : batch_reqs) {
-        telemetry::SearchRecordRouteResult(false);
-        telemetry::SearchRecordCellCongested(req.to_cell);
+      // Record what the sequential RouteEdge loop would have: the sinks
+      // before `failed` routed, `failed` is charged to its cell, and
+      // the ones after it were never tried. RouteFanout is atomic, so
+      // nothing from this batch is committed and no steps are folded.
+      for (std::size_t i = 0; i < failed; ++i) {
+        telemetry::SearchRecordRouteResult(true);
       }
+      telemetry::SearchRecordRouteResult(false);
+      telemetry::SearchRecordCellCongested(batch_reqs[failed].to_cell);
       last_fail_ = FailReason::kRouteCongested;
       return false;
     }

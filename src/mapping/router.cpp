@@ -7,10 +7,14 @@
 
 #include "mapping/perf.hpp"
 #include "support/str.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace cgra {
 namespace {
+
+// Unit cost per occupied (node, time) step, and the per-query
+// expansion cap (RouterOptions documents both).
+constexpr double kStepCost = 1.0;
+constexpr int kMaxExpansions = 1 << 18;
 
 // Search state. `stay` counts consecutive cycles already spent in
 // `node`; it bounds how many entries one path may stack onto a single
@@ -172,21 +176,11 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
   }
   const std::uint32_t goal_epoch = scratch.goal_epoch;
 
-  auto node_cost = [&](int node) {
-    double c = options.step_cost;
-    if (options.history_cost &&
-        static_cast<size_t>(node) < options.history_cost->size()) {
-      c += (*options.history_cost)[static_cast<size_t>(node)];
-    }
-    return c;
-  };
-
   // ---- admissible A* bound -------------------------------------------------
-  // Every remaining step costs >= step_cost (history costs are
-  // non-negative), every step advances time by at most one cycle, and
-  // reaching a goal cell from `node`'s cell needs at least the fabric
-  // hop distance in both steps and cycles. Shared-RF nodes (cell < 0)
-  // contribute no hop bound.
+  // Every remaining step costs kStepCost, every step advances time by
+  // at most one cycle, and reaching a goal cell from `node`'s cell
+  // needs at least the fabric hop distance in both steps and cycles.
+  // Shared-RF nodes (cell < 0) contribute no hop bound.
   auto goal_hops = [&](int node) -> int {
     std::uint32_t& cached = scratch.hop_stamp[static_cast<std::size_t>(node)];
     if (cached == goal_epoch) {
@@ -215,7 +209,7 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
   auto heuristic = [&](int node, int time) -> double {
     if (!use_h) return 0.0;
     const int lb = std::max(request.to_time - time, goal_hops(node));
-    return options.step_cost * lb;
+    return kStepCost * lb;
   };
 
   // True when a consecutive chain of `chain_len` cycles ending at
@@ -231,7 +225,7 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
 
   std::uint64_t pushes = 0, pops = 0;
   const std::size_t start_idx = index(start_node, start_time, 0);
-  scratch.best[start_idx] = node_cost(start_node);
+  scratch.best[start_idx] = kStepCost;
   scratch.parent[start_idx] = -1;
   scratch.stamp[start_idx] = epoch;
   StateQueue pq(std::move(scratch.heap_storage));
@@ -253,7 +247,7 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
       goal_idx = static_cast<std::int64_t>(k);
       break;
     }
-    if (++expansions > options.max_expansions) break;
+    if (++expansions > kMaxExpansions) break;
     for (const Mrrg::Link& link : mrrg.OutLinks(s.node)) {
       const int nt = s.time + link.latency;
       if (nt > request.to_time) continue;
@@ -270,7 +264,7 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
       // left can never make the consumer's deadline; drop it early.
       if (use_h && goal_hops(link.to) > request.to_time - nt) continue;
       assert(nstay < stay_bins);
-      const double nc = s.g + node_cost(link.to);
+      const double nc = s.g + kStepCost;
       const std::size_t nk = index(link.to, nt, nstay);
       if (scratch.stamp[nk] != epoch || nc < scratch.best[nk]) {
         scratch.stamp[nk] = epoch;
@@ -327,10 +321,6 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
 Result<Route> RouteValue(const Mrrg& mrrg, ResourceTracker& tracker,
                          const RouteRequest& request,
                          const RouterOptions& options) {
-  // Per-query spans only under the detail gate: a mapper issues
-  // thousands of these, which would swamp the rings on a normal trace.
-  telemetry::Span query_span(telemetry::DetailEnabled() ? "phase.route"
-                                                        : nullptr);
   return RouteOne(mrrg, tracker, request, options, /*new_goals=*/true);
 }
 
@@ -338,9 +328,8 @@ Result<std::vector<Route>> RouteFanout(const Mrrg& mrrg,
                                        ResourceTracker& tracker,
                                        const RouteRequest* requests,
                                        std::size_t num_requests,
-                                       const RouterOptions& options) {
-  telemetry::Span batch_span(telemetry::DetailEnabled() ? "phase.route_fanout"
-                                                        : nullptr);
+                                       const RouterOptions& options,
+                                       std::size_t* failed_sink) {
   std::vector<Route> routes;
   routes.reserve(num_requests);
   for (std::size_t i = 1; i < num_requests; ++i) {
@@ -365,6 +354,7 @@ Result<std::vector<Route>> RouteFanout(const Mrrg& mrrg,
           ReleaseRoute(tracker, routes[j], requests[j].value);
         }
       }
+      if (failed_sink != nullptr) *failed_sink = i;
       return Error::Unmappable(
           StrFormat("fanout sink %d/%d unroutable: %s", static_cast<int>(i),
                     static_cast<int>(num_requests),

@@ -34,23 +34,17 @@ struct RouteRequest {
   ValueId value = -1;  ///< producer op id (nets sharing a value share steps)
 };
 
+/// Every (node, time) step a route occupies costs one unit, so the
+/// router returns a route with the fewest steps; a query gives up after
+/// 2^18 state expansions (guards pathological searches).
 struct RouterOptions {
-  /// Per-MRRG-node extra cost (PathFinder-style history); may be null.
-  /// Entries must be non-negative: the A* lower bound assumes every
-  /// step costs at least `step_cost` (disable `use_heuristic` if you
-  /// need negative history costs).
-  const std::vector<double>* history_cost = nullptr;
-  /// Base cost of occupying one (node, time) step.
-  double step_cost = 1.0;
-  /// Hard cap on search expansions (guards pathological searches).
-  int max_expansions = 1 << 18;
   /// DRESC-style congestion-negotiating mode: ignore capacities and do
   /// NOT record occupancy in the tracker — the caller accounts overuse
   /// itself and anneals it away (Mei et al. [22]).
   bool ignore_capacity = false;
   /// Guide the search with an admissible A* heuristic built from the
-  /// hop-distance tables the Architecture precomputes: remaining cost
-  /// >= step_cost * max(cycles-to-deadline, hops-to-consumer). Never
+  /// hop-distance tables the Architecture precomputes: remaining steps
+  /// >= max(cycles-to-deadline, hops-to-consumer). Never
   /// changes which routes are reachable or their cost; prunes states
   /// that provably cannot reach the consumer in time. Off by default
   /// because A* pops equal-cost states in a different order than plain
@@ -79,12 +73,15 @@ Result<Route> RouteValue(const Mrrg& mrrg, ResourceTracker& tracker,
 /// Atomic: on success every returned route is recorded in the tracker
 /// (routes[i] answers requests[i]); on failure NOTHING is recorded —
 /// routes committed before the failing sink are released again — and
-/// the error names the failing sink. See docs/MRRG.md §RouteFanout.
+/// the error names the failing sink, whose index is also stored in
+/// `*failed_sink` when that is non-null (the sinks before it routed,
+/// the ones after it were never tried). See docs/MRRG.md §RouteFanout.
 Result<std::vector<Route>> RouteFanout(const Mrrg& mrrg,
                                        ResourceTracker& tracker,
                                        const RouteRequest* requests,
                                        std::size_t num_requests,
-                                       const RouterOptions& options = {});
+                                       const RouterOptions& options = {},
+                                       std::size_t* failed_sink = nullptr);
 
 /// Releases every step of `route` for `value`.
 void ReleaseRoute(ResourceTracker& tracker, const Route& route, ValueId value);

@@ -162,17 +162,17 @@ Status ValidateMapping(const Dfg& dfg, const Architecture& arch,
           from_op.name.c_str(), to_op.name.c_str(), arrive));
     }
     for (const RouteStep& step : route.steps) {
-      const Mrrg::Node& n = mrrg.node(step.node);
-      if (n.cell >= 0 && !arch.CellAlive(n.cell)) {
+      const int cell = mrrg.cell(step.node);
+      if (cell >= 0 && !arch.CellAlive(cell)) {
         return Error::InvalidArgument(StrFormat(
             "edge %s -> %s: route passes through faulted cell %d",
-            from_op.name.c_str(), to_op.name.c_str(), n.cell));
+            from_op.name.c_str(), to_op.name.c_str(), cell));
       }
       if (!mrrg.SlotUsable(step.node, slot_of(step.time))) {
         return Error::InvalidArgument(StrFormat(
             "edge %s -> %s: route uses faulted context slot %d of cell %d",
             from_op.name.c_str(), to_op.name.c_str(), slot_of(step.time),
-            n.cell));
+            cell));
       }
       occupancy.insert({edge.from, step.node, step.time});
     }
@@ -183,14 +183,14 @@ Status ValidateMapping(const Dfg& dfg, const Architecture& arch,
   for (const auto& [value, node, time] : occupancy) {
     (void)value;
     const int use = ++load[{node, slot_of(time)}];
-    if (use > mrrg.node(node).capacity) {
-      const Mrrg::Node& n = mrrg.node(node);
-      const char* kind = n.kind == Mrrg::Kind::kHold ? "register file"
-                         : n.kind == Mrrg::Kind::kRt ? "route channel"
-                                                     : "FU";
-      return Error::InvalidArgument(
-          StrFormat("%s of cell %d oversubscribed in slot %d (%d > %d)", kind,
-                    n.cell, slot_of(time), use, n.capacity));
+    if (use > mrrg.capacity(node)) {
+      const Mrrg::Kind k = mrrg.kind(node);
+      const char* kind = k == Mrrg::Kind::kHold ? "register file"
+                         : k == Mrrg::Kind::kRt ? "route channel"
+                                                : "FU";
+      return Error::InvalidArgument(StrFormat(
+          "%s of cell %d oversubscribed in slot %d (%d > %d)", kind,
+          mrrg.cell(node), slot_of(time), use, mrrg.capacity(node)));
     }
   }
   return Status::Ok();

@@ -100,7 +100,7 @@ Result<RegAlloc> AllocateRegisters(const Mrrg& mrrg, const Mapping& m,
   const auto edges = dfg.Edges(true);
   for (size_t e = 0; e < m.routes.size() && e < edges.size(); ++e) {
     for (const RouteStep& s : m.routes[e].steps) {
-      if (mrrg.node(s.node).kind == Mrrg::Kind::kHold) {
+      if (mrrg.kind(s.node) == Mrrg::Kind::kHold) {
         stays[{s.node, edges[e].from}].insert(s.time);
       }
     }
@@ -155,7 +155,7 @@ Result<RegAlloc> AllocateRegisters(const Mrrg& mrrg, const Mapping& m,
             "rotating register file",
             dfg.op(u.value).name.c_str(), len, m.ii));
       }
-      const int hold_cell = mrrg.node(u.hold).cell;
+      const int hold_cell = mrrg.cell(u.hold);
       int chosen = -1;
       for (int r = 0; r < R && chosen < 0; ++r) {
         // A faulted physical register is not a usable colour. (A
@@ -173,7 +173,7 @@ Result<RegAlloc> AllocateRegisters(const Mrrg& mrrg, const Mapping& m,
       if (chosen < 0) {
         return Error::Unmappable(StrFormat(
             "register allocation failed in the RF of cell %d (%d regs)",
-            mrrg.node(u.hold).cell, R));
+            mrrg.cell(u.hold), R));
       }
       u.reg = chosen;
     }
@@ -195,7 +195,7 @@ Status VerifyAllocation(const RegAlloc& alloc, const Mrrg& mrrg, int R,
         return Error::Internal(StrFormat(
             "register allocation collision in cell %d between %s [%d,%d] "
             "(warmup %d) and %s [%d,%d] (warmup %d)",
-            mrrg.node(u.hold).cell, dfg.op(u.value).name.c_str(), u.a, u.b,
+            mrrg.cell(u.hold), dfg.op(u.value).name.c_str(), u.a, u.b,
             u.warmup, dfg.op(w.value).name.c_str(), w.a, w.b, w.warmup));
       }
     }
@@ -250,7 +250,7 @@ Result<ConfigImage> CompileToContexts(const Dfg& dfg, const Architecture& arch,
     if (!unit) return Error::Internal("no live unit at the read site");
     OperandSel sel;
     sel.src = OperandSel::Src::kReg;
-    const int src_cell = mrrg.node(last.node).cell;
+    const int src_cell = mrrg.cell(last.node);
     sel.read_idx = shared ? 0 : ReadableIndexOf(arch, reader_cell, src_cell);
     if (sel.read_idx < 0) return Error::Internal("read site not readable");
     sel.reg = alloc.ReadIndex(*unit, arrive, R);
@@ -401,9 +401,9 @@ Result<ConfigImage> CompileToContexts(const Dfg& dfg, const Architecture& arch,
   for (size_t e = 0; e < m.routes.size(); ++e) {
     const auto& steps = m.routes[e].steps;
     for (size_t i = 0; i + 1 < steps.size() + 1 && i < steps.size(); ++i) {
-      if (mrrg.node(steps[i].node).kind != Mrrg::Kind::kRt) continue;
+      if (mrrg.kind(steps[i].node) != Mrrg::Kind::kRt) continue;
       if (i == 0) return Error::Internal("route begins at a routing channel");
-      transfer_src_hold[{mrrg.node(steps[i].node).cell, edges[e].from,
+      transfer_src_hold[{mrrg.cell(steps[i].node), edges[e].from,
                          steps[i].time}] = steps[i - 1].node;
     }
   }
@@ -438,7 +438,7 @@ Result<ConfigImage> CompileToContexts(const Dfg& dfg, const Architecture& arch,
                          m.ii * edge.distance;
       const LiveUnit* unit = alloc.Find(last.node, edge.from, arrive);
       if (!unit) return Error::Internal("carried edge read site unallocated");
-      const int bank = shared ? 0 : mrrg.node(last.node).cell;
+      const int bank = shared ? 0 : mrrg.cell(last.node);
       for (int i = 0; i < edge.distance; ++i) {
         const int physical =
             rotating ? (((unit->reg + i - edge.distance) % R) + R) % R
@@ -484,7 +484,7 @@ Result<ConfigImage> CompileToContexts(const Dfg& dfg, const Architecture& arch,
     const LiveUnit* src = alloc.Find(src_hold, value, t);
     const LiveUnit* dst = alloc.Find(mrrg.HoldNode(cell), value, t + 1);
     if (!src || !dst) return Error::Internal("transfer endpoints unallocated");
-    rt.read_idx = shared ? 0 : ReadableIndexOf(arch, cell, mrrg.node(src_hold).cell);
+    rt.read_idx = shared ? 0 : ReadableIndexOf(arch, cell, mrrg.cell(src_hold));
     if (rt.read_idx < 0) {
       return Error::Internal("transfer source not linked to this cell");
     }

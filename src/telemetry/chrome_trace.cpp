@@ -1,7 +1,5 @@
 #include "telemetry/chrome_trace.hpp"
 
-#if CGRA_TELEMETRY
-
 #include <algorithm>
 #include <cstdio>
 #include <set>
@@ -114,5 +112,3 @@ bool WriteChromeTrace(const std::string& path) {
 }
 
 }  // namespace cgra::telemetry
-
-#endif  // CGRA_TELEMETRY

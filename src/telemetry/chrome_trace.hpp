@@ -21,8 +21,6 @@
 
 namespace cgra::telemetry {
 
-#if CGRA_TELEMETRY
-
 /// Renders `spans` as a complete Chrome trace JSON document.
 /// `wall_anchor_micros` is stamped into otherData; `dropped` is the
 /// ring-overflow count (0 = the trace is complete).
@@ -33,15 +31,5 @@ std::string ChromeTraceJson(const std::vector<SpanRecord>& spans,
 /// Drains the global TraceSink and writes the trace to `path`.
 /// Returns false when the file cannot be written.
 bool WriteChromeTrace(const std::string& path);
-
-#else
-
-inline std::string ChromeTraceJson(const std::vector<SpanRecord>&,
-                                   std::uint64_t, std::int64_t) {
-  return "{\"traceEvents\":[]}";
-}
-inline bool WriteChromeTrace(const std::string&) { return false; }
-
-#endif  // CGRA_TELEMETRY
 
 }  // namespace cgra::telemetry

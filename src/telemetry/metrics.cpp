@@ -1,7 +1,5 @@
 #include "telemetry/metrics.hpp"
 
-#if CGRA_TELEMETRY
-
 #include <algorithm>
 #include <cmath>
 
@@ -234,11 +232,6 @@ void RegisterBuildInfo(int api_schema_version, int search_schema_version) {
       .GetGauge("cgra_build_search_log_schema_version",
                 "schema version of SearchLog JSON (\"search\" trace key)")
       .Set(search_schema_version);
-  registry
-      .GetGauge("cgra_build_telemetry_compiled",
-                "1 when built with -DCGRA_TELEMETRY=1 (when compiled "
-                "out this dump is empty altogether)")
-      .Set(1);
   // First-class from process start: dashboards alerting on span loss
   // need the counter present at 0, not absent until the first drop
   // (the span tracer bumps this same entry on ring-buffer overflow).
@@ -265,5 +258,3 @@ void MetricsRegistry::Reset() {
 }
 
 }  // namespace cgra::telemetry
-
-#endif  // CGRA_TELEMETRY

@@ -16,24 +16,14 @@
 //   * ToJson(): a snapshot object embedded in the cgra_batch report
 //     (docs/OBSERVABILITY.md documents both schemas and every metric
 //     name the repo registers).
-//
-// CGRA_TELEMETRY=0 compiles the whole surface to no-ops; the dumps
-// return "{}" / "".
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#ifndef CGRA_TELEMETRY
-#define CGRA_TELEMETRY 1
-#endif
-
-#if CGRA_TELEMETRY
-
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <vector>
 
 namespace cgra::telemetry {
 
@@ -156,71 +146,9 @@ class MetricsRegistry {
 ///   cgra_build_info                      always 1 — presence marker
 ///   cgra_build_api_schema_version        api::kSchemaVersion
 ///   cgra_build_search_log_schema_version SearchLog::kSchemaVersion
-///   cgra_build_telemetry_compiled       1 here; the whole dump is
-///                                        empty when compiled out
 /// Plain gauges rather than labels because the registry is label-free;
 /// tools call this once at startup so every /metrics or
 /// aggregate.metrics snapshot states which schemas produced it.
 void RegisterBuildInfo(int api_schema_version, int search_schema_version);
 
 }  // namespace cgra::telemetry
-
-#else  // CGRA_TELEMETRY == 0
-
-namespace cgra::telemetry {
-
-class Counter {
- public:
-  void Add(std::uint64_t = 1) {}
-  std::uint64_t Value() const { return 0; }
-  void Reset() {}
-};
-
-class Gauge {
- public:
-  void Set(std::int64_t) {}
-  void Add(std::int64_t) {}
-  std::int64_t Value() const { return 0; }
-  std::int64_t Max() const { return 0; }
-  void Reset() {}
-};
-
-class Histogram {
- public:
-  explicit Histogram(std::vector<double>) {}
-  void Observe(double) {}
-  std::uint64_t Count() const { return 0; }
-  double Sum() const { return 0; }
-  std::vector<std::uint64_t> BucketCounts() const { return {}; }
-  void Reset() {}
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& Global() {
-    static MetricsRegistry r;
-    return r;
-  }
-  Counter& GetCounter(const std::string&, const std::string& = "") {
-    static Counter c;
-    return c;
-  }
-  Gauge& GetGauge(const std::string&, const std::string& = "") {
-    static Gauge g;
-    return g;
-  }
-  Histogram& GetHistogram(const std::string&, std::vector<double>,
-                          const std::string& = "") {
-    static Histogram h{{}};
-    return h;
-  }
-  std::string ToPrometheus() const { return ""; }
-  std::string ToJson() const { return "{}"; }
-  void Reset() {}
-};
-
-inline void RegisterBuildInfo(int, int) {}
-
-}  // namespace cgra::telemetry
-
-#endif  // CGRA_TELEMETRY

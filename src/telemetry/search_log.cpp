@@ -1,7 +1,5 @@
 #include "telemetry/search_log.hpp"
 
-#if CGRA_TELEMETRY
-
 #include <atomic>
 
 #include "support/json.hpp"
@@ -319,5 +317,3 @@ bool SearchLog::FromJson(std::string_view json, SearchLog* out,
 }
 
 }  // namespace cgra::telemetry
-
-#endif  // CGRA_TELEMETRY

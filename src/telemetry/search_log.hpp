@@ -20,14 +20,12 @@
 // mapping itself (the golden-digest tests pin both properties).
 //
 // Gates, coarse to fine:
-//   * -DCGRA_TELEMETRY=0 compiles the whole surface to inline no-ops;
 //   * SearchDetail (process-wide runtime level): kOff collects
 //     nothing, kCounters (default) collects counters + heatmap +
 //     bounded solver/cost samples, kFull adds the placement-progress
 //     time series;
-//   * per-attempt: a collector is only installed when
-//     MapperOptions::search_log is set (the engine sets it from
-//     EngineOptions::telemetry) and an observer is attached.
+//   * per-attempt: a collector is only installed when an observer is
+//     attached (MapperOptions::observer).
 //
 // The finished log rides the kAttemptDone MapEvent as a shared_ptr,
 // lands in MapTrace::ToJson under a schema-versioned "search" key, and
@@ -38,13 +36,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-
-#ifndef CGRA_TELEMETRY
-#define CGRA_TELEMETRY 1
-#endif
-
-#if CGRA_TELEMETRY
-
 #include <vector>
 
 namespace cgra::telemetry {
@@ -285,69 +276,3 @@ inline void SearchRecordCost(std::int64_t iteration, double cost) {
 }
 
 }  // namespace cgra::telemetry
-
-#else  // CGRA_TELEMETRY == 0: the whole surface compiles to nothing.
-
-namespace cgra::telemetry {
-
-enum class SearchDetail { kOff, kCounters, kFull };
-
-inline constexpr SearchDetail GetSearchDetail() { return SearchDetail::kOff; }
-inline void SetSearchDetail(SearchDetail) {}
-
-inline std::string_view SearchDetailName(SearchDetail detail) {
-  switch (detail) {
-    case SearchDetail::kCounters: return "counters";
-    case SearchDetail::kFull: return "full";
-    default: return "off";
-  }
-}
-
-inline bool ParseSearchDetail(std::string_view name, SearchDetail* out) {
-  if (name == "off") {
-    *out = SearchDetail::kOff;
-  } else if (name == "counters") {
-    *out = SearchDetail::kCounters;
-  } else if (name == "full") {
-    *out = SearchDetail::kFull;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-struct SearchLog {
-  static constexpr int kSchemaVersion = 1;
-  bool Any() const { return false; }
-  void Clear() {}
-  std::string ToJson() const { return "{}"; }
-  static bool FromJson(std::string_view, SearchLog*, std::string* error) {
-    if (error) *error = "telemetry compiled out";
-    return false;
-  }
-};
-
-inline SearchLog* ActiveSearchLog() { return nullptr; }
-
-class ScopedSearchLog {
- public:
-  explicit ScopedSearchLog(SearchLog*) {}
-  ScopedSearchLog(const ScopedSearchLog&) = delete;
-  ScopedSearchLog& operator=(const ScopedSearchLog&) = delete;
-};
-
-inline void SearchRecordGrid(int, int) {}
-inline void SearchRecordPlaceAccept() {}
-inline void SearchRecordPlaceReject(int) {}
-inline void SearchRecordEviction() {}
-inline void SearchRecordRouteResult(bool) {}
-inline void SearchRecordCellRouted(int) {}
-inline void SearchRecordCellCongested(int) {}
-inline void SearchRecordSolverSample(std::int64_t, std::int64_t,
-                                     std::int64_t) {}
-inline void SearchRecordObjective(double, std::int64_t) {}
-inline void SearchRecordCost(std::int64_t, double) {}
-
-}  // namespace cgra::telemetry
-
-#endif  // CGRA_TELEMETRY

@@ -1,17 +1,14 @@
 #include "telemetry/telemetry.hpp"
 
-#include "telemetry/metrics.hpp"
-
-#if CGRA_TELEMETRY
-
 #include <chrono>
 #include <cstring>
+
+#include "telemetry/metrics.hpp"
 
 namespace cgra::telemetry {
 namespace {
 
 std::atomic<bool> g_enabled{false};
-std::atomic<bool> g_detail{false};
 std::atomic<std::uint64_t> g_next_correlation{1};
 
 thread_local std::uint32_t tl_depth = 0;
@@ -40,9 +37,6 @@ void SetEnabled(bool enabled) {
   if (enabled) TraceSink::Global();  // pin the anchors before any span
   g_enabled.store(enabled, std::memory_order_relaxed);
 }
-
-bool DetailEnabled() { return g_detail.load(std::memory_order_relaxed); }
-void SetDetail(bool enabled) { g_detail.store(enabled, std::memory_order_relaxed); }
 
 std::uint64_t NowNs() {
   return static_cast<std::uint64_t>(
@@ -159,7 +153,7 @@ void RecordSpan(const char* name, std::string_view detail,
                 std::uint64_t correlation) {
   if (!Enabled()) return;
   SpanRecord rec;
-  CopyTruncated(rec.name, sizeof(rec.name), name ? name : "");
+  CopyTruncated(rec.name, sizeof(rec.name), name);
   CopyTruncated(rec.detail, sizeof(rec.detail), detail);
   rec.start_ns = start_ns;
   rec.dur_ns = end_ns > start_ns ? end_ns - start_ns : 0;
@@ -170,9 +164,7 @@ void RecordSpan(const char* name, std::string_view detail,
 
 Span::Span(const char* name, std::string_view detail,
            std::uint64_t correlation) {
-  // nullptr name = caller-side suppression (e.g. the router passes
-  // DetailEnabled() ? "phase.route" : nullptr).
-  if (name == nullptr || !Enabled()) return;
+  if (!Enabled()) return;
   active_ = true;
   name_ = name;
   CopyTruncated(detail_, sizeof(detail_), detail);
@@ -191,7 +183,7 @@ Span::~Span() {
   const std::uint64_t end = NowNs();
   --tl_depth;
   SpanRecord rec;
-  CopyTruncated(rec.name, sizeof(rec.name), name_ ? name_ : "");
+  CopyTruncated(rec.name, sizeof(rec.name), name_);
   std::memcpy(rec.detail, detail_, sizeof(rec.detail));
   rec.start_ns = start_ns_;
   rec.dur_ns = end - start_ns_;
@@ -202,5 +194,3 @@ Span::~Span() {
 }
 
 }  // namespace cgra::telemetry
-
-#endif  // CGRA_TELEMETRY

@@ -13,11 +13,7 @@
 // span taxonomy and the file schema).
 //
 // Cost model:
-//   * CGRA_TELEMETRY=0 (compile-time kill switch, -DCGRA_TELEMETRY=0):
-//     every type here becomes an empty inline no-op; zero code, zero
-//     data, zero branches in the binary.
-//   * Compiled in but runtime-disabled (the default): each Span costs
-//     one relaxed atomic load.
+//   * Disabled (the default): each Span costs one relaxed atomic load.
 //   * Enabled: two steady_clock reads plus one ring-buffer store per
 //     span; no locks, no allocation on the hot path (thread
 //     registration allocates once per thread).
@@ -28,18 +24,11 @@
 // against the spans (and metrics) behind it.
 #pragma once
 
-#include <cstdint>
-#include <string_view>
-
-#ifndef CGRA_TELEMETRY
-#define CGRA_TELEMETRY 1
-#endif
-
-#if CGRA_TELEMETRY
-
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <vector>
 
 namespace cgra::telemetry {
@@ -62,12 +51,6 @@ struct SpanRecord {
 /// flip is recorded or not, both fine.
 bool Enabled();
 void SetEnabled(bool enabled);
-
-/// Extra gate for per-query spans on truly hot paths (one span per
-/// router query). Off unless explicitly requested; coarse phase spans
-/// do not consult it.
-bool DetailEnabled();
-void SetDetail(bool enabled);
 
 /// Steady nanoseconds since the TraceSink's anchor (process start).
 std::uint64_t NowNs();
@@ -134,9 +117,7 @@ void RecordSpan(const char* name, std::string_view detail,
                 std::uint64_t start_ns, std::uint64_t end_ns,
                 std::uint64_t correlation = 0);
 
-/// RAII span. Construction is a no-op when tracing is disabled, or
-/// when `name` is nullptr (caller-side suppression for conditional
-/// spans: `Span s(DetailEnabled() ? "phase.route" : nullptr)`).
+/// RAII span. Construction is a no-op when tracing is disabled.
 class Span {
  public:
   explicit Span(const char* name) : Span(name, {}, 0) {}
@@ -164,34 +145,3 @@ class Span {
 };
 
 }  // namespace cgra::telemetry
-
-#else  // CGRA_TELEMETRY == 0: the whole surface compiles to nothing.
-
-namespace cgra::telemetry {
-
-struct SpanRecord {};
-
-inline constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-inline constexpr bool DetailEnabled() { return false; }
-inline void SetDetail(bool) {}
-inline std::uint64_t NowNs() { return 0; }
-inline std::uint64_t NewCorrelation() { return 0; }
-inline std::uint64_t CurrentCorrelation() { return 0; }
-inline std::uint32_t CurrentThreadId() { return 0; }
-
-inline void RecordSpan(const char*, std::string_view, std::uint64_t,
-                       std::uint64_t, std::uint64_t = 0) {}
-
-class Span {
- public:
-  explicit Span(const char*) {}
-  Span(const char*, std::string_view, std::uint64_t = 0) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  std::uint64_t correlation() const { return 0; }
-};
-
-}  // namespace cgra::telemetry
-
-#endif  // CGRA_TELEMETRY

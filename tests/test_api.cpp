@@ -197,6 +197,42 @@ TEST(ApiValidate, UnknownFabricErrorText) {
             "mega16x16, vliw4)");
 }
 
+// ---- request resolution ---------------------------------------------------
+
+TEST(ApiResolve, DeadCellsDerateTheFabricAndRequestFillsTheEngine) {
+  api::MapRequest r = ValidRequest();
+  r.dead_cells = {1, 5};
+  r.seed = 99;
+  r.min_ii = 2;
+  r.max_ii = 7;
+  r.extra_slack = 3;
+  const Result<api::ResolvedRequest> job = api::ResolveMapRequest(r);
+  ASSERT_TRUE(job.ok()) << job.error().message;
+  EXPECT_EQ(job->arch.params().name, "adres4x4");
+  EXPECT_FALSE(job->arch.CellAlive(1));
+  EXPECT_FALSE(job->arch.CellAlive(5));
+  EXPECT_TRUE(job->arch.CellAlive(0));
+  EXPECT_EQ(job->kernel.name, "dot_product");
+  EXPECT_EQ(job->engine.seed, 99u);
+  EXPECT_EQ(job->engine.min_ii, 2);
+  EXPECT_EQ(job->engine.max_ii, 7);
+  EXPECT_EQ(job->engine.extra_slack, 3);
+  EXPECT_FALSE(job->engine.deadline.Expired());
+}
+
+TEST(ApiResolve, OutOfRangeDeadCellIsStructuredError) {
+  api::MapRequest r = ValidRequest();
+  r.dead_cells = {99};
+  ASSERT_TRUE(api::ValidateMapRequest(r).ok());  // range needs the fabric
+  const Result<api::ResolvedRequest> job = api::ResolveMapRequest(r);
+  ASSERT_FALSE(job.ok());
+  EXPECT_EQ(job.error().code, Error::Code::kInvalidArgument);
+  EXPECT_EQ(job.error().message.rfind("field \"dead_cells\": ", 0), 0u)
+      << job.error().message;
+  EXPECT_NE(job.error().message.find("99"), std::string::npos)
+      << job.error().message;
+}
+
 // ---- manifest parsing -----------------------------------------------------
 
 TEST(ApiManifest, DefaultsLayerUnderJobs) {

@@ -119,9 +119,9 @@ TEST(Mrrg, NodeCountsMesh) {
   const Mrrg mrrg(arch);
   // 16 FU + 16 HOLD + 16 RT.
   EXPECT_EQ(mrrg.num_nodes(), 48);
-  EXPECT_EQ(mrrg.node(mrrg.FuNode(3)).kind, Mrrg::Kind::kFu);
-  EXPECT_EQ(mrrg.node(mrrg.HoldNode(3)).kind, Mrrg::Kind::kHold);
-  EXPECT_EQ(mrrg.node(mrrg.RtNode(3)).kind, Mrrg::Kind::kRt);
+  EXPECT_EQ(mrrg.kind(mrrg.FuNode(3)), Mrrg::Kind::kFu);
+  EXPECT_EQ(mrrg.kind(mrrg.HoldNode(3)), Mrrg::Kind::kHold);
+  EXPECT_EQ(mrrg.kind(mrrg.RtNode(3)), Mrrg::Kind::kRt);
 }
 
 TEST(Mrrg, HoldSelfLoopHasUnitLatency) {
@@ -165,7 +165,7 @@ TEST(Mrrg, SharedRfSingleHold) {
   std::set<int> holds;
   for (int c = 0; c < arch.num_cells(); ++c) holds.insert(mrrg.HoldNode(c));
   EXPECT_EQ(holds.size(), 1u);
-  EXPECT_EQ(mrrg.node(*holds.begin()).capacity, arch.params().rf_size);
+  EXPECT_EQ(mrrg.capacity(*holds.begin()), arch.params().rf_size);
 }
 
 TEST(Mrrg, ReadableHoldsMatchLinks) {
@@ -210,8 +210,8 @@ void CheckSoaLayout(const Architecture& arch) {
     }
   }
 
-  // Kind column agrees with the block an id falls in, and the compat
-  // node() view agrees with every column accessor.
+  // Kind column agrees with the block an id falls in, and the capacity
+  // span agrees with the column accessor.
   ASSERT_EQ(mrrg.capacities().size(), static_cast<size_t>(n_nodes));
   int max_cap = 1;
   for (int n = 0; n < n_nodes; ++n) {
@@ -219,10 +219,6 @@ void CheckSoaLayout(const Architecture& arch) {
                                 : n < mrrg.rt_begin() ? Mrrg::Kind::kHold
                                                       : Mrrg::Kind::kRt;
     EXPECT_EQ(mrrg.kind(n), expected) << "node " << n;
-    const Mrrg::Node view = mrrg.node(n);
-    EXPECT_EQ(view.kind, mrrg.kind(n)) << "node " << n;
-    EXPECT_EQ(view.cell, mrrg.cell(n)) << "node " << n;
-    EXPECT_EQ(view.capacity, mrrg.capacity(n)) << "node " << n;
     EXPECT_EQ(mrrg.capacities()[static_cast<size_t>(n)], mrrg.capacity(n))
         << "node " << n;
     EXPECT_GE(mrrg.capacity(n), 0) << "node " << n;

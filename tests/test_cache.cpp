@@ -383,7 +383,8 @@ TEST(EngineCache, SecondRunIsACacheHitWithTheSameMapping) {
   EXPECT_EQ(warm->attempts.size(), 1u);
 
   // Portfolio identity is part of the key: a different line-up may not
-  // reuse this entry (stop_on_first makes the winner order-dependent).
+  // reuse this entry (the first success stops the rest, so the winner
+  // is order-dependent).
   const auto other = engine.Run(k.dfg, arch, std::vector<std::string>{"ems"});
   ASSERT_TRUE(other.ok());
   EXPECT_FALSE(other->cache_hit);

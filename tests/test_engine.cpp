@@ -603,7 +603,6 @@ TEST(MappingEngine, RunWithRepairAbortsWhenVerifierDiagnosesNothing) {
   const MappingEngine engine(opts);
 
   RepairOptions repair;
-  repair.max_rounds = 4;
   repair.verifier = [](const Architecture&, const Mapping&,
                        FaultModel&) -> Status {
     return Error::Internal("always unhappy, never diagnostic");

@@ -188,12 +188,12 @@ TEST(MrrgPruning, FaultedResourcesGetZeroCapacity) {
 
   // Node numbering is stable across derating.
   ASSERT_EQ(pruned.num_nodes(), full.num_nodes());
-  EXPECT_EQ(pruned.node(pruned.FuNode(5)).capacity, 0);
-  EXPECT_EQ(pruned.node(pruned.RtNode(5)).capacity, 0);
-  EXPECT_GE(full.node(full.FuNode(5)).capacity, 1);
+  EXPECT_EQ(pruned.capacity(pruned.FuNode(5)), 0);
+  EXPECT_EQ(pruned.capacity(pruned.RtNode(5)), 0);
+  EXPECT_GE(full.capacity(full.FuNode(5)), 1);
 
   // Context-slot faults gate per-slot usability, not capacity.
-  EXPECT_GE(pruned.node(pruned.FuNode(7)).capacity, 1);
+  EXPECT_GE(pruned.capacity(pruned.FuNode(7)), 1);
   EXPECT_TRUE(pruned.SlotUsable(pruned.FuNode(7), 0));
   EXPECT_FALSE(pruned.SlotUsable(pruned.FuNode(7), 1));
   EXPECT_FALSE(pruned.SlotUsable(pruned.RtNode(7), 1));
@@ -269,7 +269,7 @@ TEST(SimInjection, DeadPeOnAUsedCellMiscompares) {
       for (const Route& r : m->routes) {
         const Mrrg mrrg(arch);
         for (const RouteStep& s : r.steps) {
-          if (mrrg.node(s.node).cell == c) used = true;
+          if (mrrg.cell(s.node) == c) used = true;
         }
       }
     }

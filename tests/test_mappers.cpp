@@ -17,6 +17,7 @@
 #include "mapping/validator.hpp"
 #include "sim/harness.hpp"
 #include "support/rng.hpp"
+#include "support/timer.hpp"
 
 namespace cgra {
 namespace {
@@ -45,16 +46,20 @@ bool IsExact(const Mapper& m) {
 
 // ---- common helpers ---------------------------------------------------------
 
+// Running out of budget is allowed (exact methods may not finish), but
+// only within the 1.5x grace the end-to-end benchmark grants.
 void ExpectEndToEnd(const Mapper& mapper, const Kernel& kernel,
                     const Architecture& arch, double budget_seconds = 20.0,
                     MapObserver* observer = nullptr) {
   MapperOptions opts;
   opts.deadline = Deadline::AfterSeconds(budget_seconds);
   opts.observer = observer;
+  WallTimer timer;
   const auto r = RunEndToEnd(mapper, kernel, arch, opts);
   if (!r.ok() && r.error().code == Error::Code::kResourceLimit) {
-    GTEST_SKIP() << mapper.name() << " timed out on " << kernel.name
-                 << " (allowed for exact methods)";
+    EXPECT_LE(timer.Seconds(), 1.5 * budget_seconds)
+        << mapper.name() << " overran its budget on " << kernel.name;
+    return;
   }
   ASSERT_TRUE(r.ok()) << mapper.name() << " on " << kernel.name << ": "
                       << r.error().message;

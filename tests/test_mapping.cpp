@@ -108,7 +108,7 @@ TEST(Router, MultiHopThroughRoutingChannels) {
   // Needs at least 2 routed hops to reach a hold adjacent to (0,3).
   int rts = 0;
   for (const auto& s : route->steps) {
-    if (mrrg.node(s.node).kind == Mrrg::Kind::kRt) ++rts;
+    if (mrrg.kind(s.node) == Mrrg::Kind::kRt) ++rts;
   }
   EXPECT_GE(rts, 2);
 }

@@ -76,7 +76,7 @@ TEST_P(RouterPropertyTest, RoutesHaveExactLatencyAndValidSteps) {
       // The tracker never exceeds capacity after commits.
       for (const auto& step : route->steps) {
         EXPECT_LE(tracker.Load(step.node, ((step.time % ii) + ii) % ii),
-                  mrrg.node(step.node).capacity);
+                  mrrg.capacity(step.node));
       }
     }
   }

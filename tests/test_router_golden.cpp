@@ -456,7 +456,7 @@ struct ModelTracker {
     if (!mrrg.SlotUsable(node, s)) return false;
     auto it = refs.find({node, s, value, time});
     if (it != refs.end() && it->second > 0) return true;
-    return Load(node, s) < mrrg.node(node).capacity;
+    return Load(node, s) < mrrg.capacity(node);
   }
   void Occupy(int node, int time, ValueId value) {
     ++refs[{node, Slot(time), value, time}];

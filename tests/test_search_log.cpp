@@ -1,12 +1,9 @@
 // Tests for search introspection (telemetry/search_log.hpp): JSON
 // round-trip and schema-version skew, determinism of the collected
 // logs across identical runs, the "collection never perturbs the
-// mapping" digest contract, the runtime detail gate, the sandbox
-// wire-frame carriage, and the /v1/stats sliding window.
-//
-// The collection-path tests are CGRA_TELEMETRY-gated: with telemetry
-// compiled out the surface is no-ops and only the no-op contract is
-// checked.
+// mapping" digest contract, the runtime detail gate, the placer's
+// route accounting, the sandbox wire-frame carriage, and the /v1/stats
+// sliding window.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -19,6 +16,7 @@
 #include "engine/trace.hpp"
 #include "ir/kernels.hpp"
 #include "mapping/mapping.hpp"
+#include "mapping/place_route.hpp"
 #include "telemetry/search_log.hpp"
 
 namespace cgra {
@@ -62,8 +60,6 @@ TEST(SearchLogJson, RecordHelpersAreSafeWithoutCollector) {
   telemetry::SearchRecordCost(6, 7.0);
   EXPECT_EQ(telemetry::ActiveSearchLog(), nullptr);
 }
-
-#if CGRA_TELEMETRY
 
 SearchLog PopulatedLog() {
   SearchLog log;
@@ -167,10 +163,10 @@ TEST(SearchLogJson, CurveDecimationIsBoundedAndDeterministic) {
 
 // ---- collection through the real engine ----------------------------------
 
-/// Runs ims on dot_product/adres4x4 with a trace attached and returns
-/// (digest, per-attempt search JSONs).
+/// Runs ims on dot_product/adres4x4 with a trace attached at search
+/// detail `detail` and returns (digest, per-attempt search JSONs).
 std::pair<std::string, std::vector<std::string>> TracedRun(
-    bool telemetry_on) {
+    SearchDetail detail) {
   const Architecture arch = Adres4x4();
   const Kernel k = MakeDotProduct(8, 7);
   MapTrace trace;
@@ -178,9 +174,10 @@ std::pair<std::string, std::vector<std::string>> TracedRun(
   eo.race = false;
   eo.deadline = Deadline::AfterSeconds(30);
   eo.observer = &trace;
-  eo.telemetry = telemetry_on;
+  telemetry::SetSearchDetail(detail);
   const Result<EngineResult> r =
       MappingEngine(eo).Run(k.dfg, arch, std::vector<std::string>{"ims"});
+  telemetry::SetSearchDetail(SearchDetail::kCounters);
   EXPECT_TRUE(r.ok()) << (r.ok() ? "" : r.error().message);
   std::vector<std::string> search_jsons;
   for (const MapTrace::Attempt& a : trace.Attempts()) {
@@ -193,8 +190,8 @@ std::pair<std::string, std::vector<std::string>> TracedRun(
 }
 
 TEST(SearchCollection, AttemptsCarryLogsAndHeatmapIsDeterministic) {
-  const auto [digest1, logs1] = TracedRun(true);
-  const auto [digest2, logs2] = TracedRun(true);
+  const auto [digest1, logs1] = TracedRun(SearchDetail::kCounters);
+  const auto [digest2, logs2] = TracedRun(SearchDetail::kCounters);
   ASSERT_FALSE(logs1.empty());
 
   // Identical runs produce byte-identical search logs — no wall time,
@@ -219,32 +216,56 @@ TEST(SearchCollection, AttemptsCarryLogsAndHeatmapIsDeterministic) {
 
 TEST(SearchCollection, DigestIsIdenticalWithIntrospectionOnAndOff) {
   // The acceptance bar for observability: recording must never perturb
-  // the search itself.
-  const auto [digest_on, logs_on] = TracedRun(true);
-  const auto [digest_off, logs_off] = TracedRun(false);
+  // the search itself, and kOff collects nothing.
+  const auto [digest_on, logs_on] = TracedRun(SearchDetail::kCounters);
+  const auto [digest_off, logs_off] = TracedRun(SearchDetail::kOff);
   EXPECT_FALSE(logs_on.empty());
   EXPECT_TRUE(logs_off.empty());
+  EXPECT_FALSE(digest_on.empty());
   EXPECT_EQ(digest_on, digest_off);
 }
 
 TEST(SearchCollection, DetailOffCollectsNothing) {
-  telemetry::SetSearchDetail(SearchDetail::kOff);
-  const auto [digest, logs] = TracedRun(true);
-  telemetry::SetSearchDetail(SearchDetail::kCounters);
+  const auto [digest, logs] = TracedRun(SearchDetail::kOff);
   EXPECT_TRUE(logs.empty());
   EXPECT_FALSE(digest.empty());
 }
 
 TEST(SearchCollection, FullDetailAddsProgressSeries) {
-  telemetry::SetSearchDetail(SearchDetail::kFull);
-  const auto [digest, logs] = TracedRun(true);
-  telemetry::SetSearchDetail(SearchDetail::kCounters);
+  const auto [digest, logs] = TracedRun(SearchDetail::kFull);
   ASSERT_FALSE(logs.empty());
   SearchLog log;
   std::string error;
   ASSERT_TRUE(SearchLog::FromJson(logs.back(), &log, &error)) << error;
   EXPECT_FALSE(log.progress.empty());
   EXPECT_LE(log.progress.size(), SearchLog::kMaxProgress);
+}
+
+TEST(SearchCollection, FailedFanoutChargesOnlyTheFailingSink) {
+  // `a` on cell 1 fans out to `b` on the adjacent cell 5 and `c` on the
+  // far corner cell 15, both one cycle later. The batch routes b and
+  // fails on c: the log must match the sequential RouteEdge loop, not
+  // charge every sink of the rolled-back batch.
+  const Architecture arch = Adres4x4();
+  const Mrrg mrrg(arch);
+  Dfg dfg;
+  const OpId a = dfg.AddInput(0, "a");
+  const OpId b = dfg.AddUnary(Opcode::kNeg, a, "b");
+  const OpId c = dfg.AddUnary(Opcode::kNeg, a, "c");
+  SearchLog log;
+  {
+    ScopedSearchLog scoped(&log);
+    PlaceRouteState state(dfg, arch, mrrg, /*ii=*/4);
+    ASSERT_TRUE(state.TryPlace(b, 5, 1));
+    ASSERT_TRUE(state.TryPlace(c, 15, 1));
+    EXPECT_FALSE(state.TryPlace(a, 1, 0));
+    EXPECT_EQ(state.last_fail(), PlaceRouteState::FailReason::kRouteCongested);
+  }
+  EXPECT_EQ(log.route_attempts, 2u);
+  EXPECT_EQ(log.route_failures, 1u);
+  ASSERT_EQ(log.cell_congested.size(), 16u);
+  EXPECT_EQ(log.cell_congested[5], 0u);
+  EXPECT_EQ(log.cell_congested[15], 1u);
 }
 
 // ---- sandbox wire carriage ------------------------------------------------
@@ -330,23 +351,6 @@ TEST(SearchSandboxWire, TruncatedSearchPrefixIsWireCorrupt) {
     EXPECT_FALSE(r.ok());
   }
 }
-
-#else  // !CGRA_TELEMETRY
-
-TEST(SearchLogJson, CompiledOutSurfaceIsInertNoOps) {
-  SearchLog log;
-  EXPECT_FALSE(log.Any());
-  EXPECT_EQ(log.ToJson(), "{}");
-  std::string error;
-  EXPECT_FALSE(SearchLog::FromJson("{}", &log, &error));
-  EXPECT_EQ(telemetry::GetSearchDetail(), SearchDetail::kOff);
-  telemetry::SetSearchDetail(SearchDetail::kFull);
-  EXPECT_EQ(telemetry::GetSearchDetail(), SearchDetail::kOff);
-  ScopedSearchLog scoped(&log);
-  EXPECT_EQ(telemetry::ActiveSearchLog(), nullptr);
-}
-
-#endif  // CGRA_TELEMETRY
 
 // ---- /v1/stats sliding window --------------------------------------------
 

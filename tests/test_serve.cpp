@@ -84,7 +84,6 @@ TEST(Serve, MapHappyPath) {
   EXPECT_GE(body->ii, 1);
   EXPECT_EQ(body->winner, "ims");
   EXPECT_EQ(body->mapping_digest.size(), 16u);
-#if CGRA_TELEMETRY
   // The correlation id joins the response to its telemetry spans; it
   // is echoed both in the body and as a header.
   EXPECT_NE(body->correlation, 0u);
@@ -97,7 +96,6 @@ TEST(Serve, MapHappyPath) {
     }
   }
   EXPECT_TRUE(have_header);
-#endif
 }
 
 TEST(Serve, SharedCacheAnswersRepeatRequests) {
@@ -142,11 +140,9 @@ TEST(Serve, MetricsIsPrometheusText) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->status, 200);
   EXPECT_EQ(r->content_type.rfind("text/plain", 0), 0u) << r->content_type;
-#if CGRA_TELEMETRY
   EXPECT_NE(r->body.find("cgra_serve_http_requests_total"), std::string::npos)
       << r->body.substr(0, 400);
   EXPECT_NE(r->body.find("# TYPE"), std::string::npos);
-#endif
 }
 
 TEST(Serve, StatsWindowEndpoint) {
@@ -202,15 +198,11 @@ TEST(Serve, StatsOptInEchoesSearchSummary) {
   const Result<api::MapResponse> body = api::ParseMapResponseText(r->body);
   ASSERT_TRUE(body.ok()) << r->body;
   EXPECT_TRUE(body->ok);
-#if CGRA_TELEMETRY
   EXPECT_TRUE(body->search.present) << r->body;
   EXPECT_GE(body->search.attempts, 1);
   EXPECT_GT(body->search.place_accepts, 0u);
   EXPECT_GT(body->search.route_attempts, 0u);
   EXPECT_GE(body->search.hot_cell, 0);
-#else
-  EXPECT_FALSE(body->search.present);
-#endif
 
   // Without the opt-in the response carries no "search" key.
   req.stats = false;

@@ -2,8 +2,7 @@
 // metrics registry (metrics.hpp), and the Chrome trace-event export
 // (chrome_trace.hpp). The tracer's global state (enabled flag, the
 // process-wide TraceSink) is shared across tests, so every test that
-// enables tracing clears the sink first and disables it on exit. Under
-// -DCGRA_TELEMETRY=0 only the inert compiled-out surface is tested.
+// enables tracing clears the sink first and disables it on exit.
 #include <algorithm>
 #include <cstring>
 #include <map>
@@ -21,8 +20,6 @@
 namespace cgra {
 namespace {
 
-#if CGRA_TELEMETRY
-
 using telemetry::SpanRecord;
 using telemetry::TraceSink;
 
@@ -34,7 +31,6 @@ class TracingTest : public ::testing::Test {
   }
   void TearDown() override {
     telemetry::SetEnabled(false);
-    telemetry::SetDetail(false);
     TraceSink::Global().Clear();
   }
 };
@@ -86,18 +82,6 @@ TEST_F(TracingTest, DisabledTracerRecordsNothing) {
   }
   telemetry::RecordSpan("unit.ghost2", "", 1, 2);
   EXPECT_TRUE(TraceSink::Global().Drain().empty());
-}
-
-TEST_F(TracingTest, NullptrNameSuppressesTheSpan) {
-  {
-    telemetry::Span span(nullptr);
-    telemetry::Span kept("unit.kept");
-  }
-  const std::vector<SpanRecord> spans = TraceSink::Global().Drain();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_STREQ(spans[0].name, "unit.kept");
-  // The suppressed span must not have bumped the nesting depth.
-  EXPECT_EQ(spans[0].depth, 0u);
 }
 
 TEST_F(TracingTest, CorrelationInstallsAndInherits) {
@@ -380,24 +364,6 @@ TEST_F(TracingTest, ChromeTraceNestsInnerInsideOuter) {
   EXPECT_EQ(order[2], "E:unit.inner");
   EXPECT_EQ(order[3], "E:unit.outer");
 }
-
-#else  // !CGRA_TELEMETRY
-
-TEST(TelemetryCompiledOut, SurfaceIsInertNoOps) {
-  telemetry::SetEnabled(true);
-  EXPECT_FALSE(telemetry::Enabled());
-  {
-    telemetry::Span span("unit.ghost", "d", telemetry::NewCorrelation());
-    EXPECT_EQ(span.correlation(), 0u);
-  }
-  EXPECT_EQ(telemetry::CurrentCorrelation(), 0u);
-  telemetry::MetricsRegistry reg;
-  reg.GetCounter("unit_total").Add(9);
-  EXPECT_EQ(reg.GetCounter("unit_total").Value(), 0u);
-  EXPECT_EQ(reg.ToPrometheus(), "");
-}
-
-#endif  // CGRA_TELEMETRY
 
 }  // namespace
 }  // namespace cgra

@@ -45,7 +45,6 @@
 #include "api/request.hpp"
 #include "api/response.hpp"
 #include "arch/arch.hpp"
-#include "arch/fault.hpp"
 #include "cache/mapping_cache.hpp"
 #include "engine/engine.hpp"
 #include "engine/trace.hpp"
@@ -81,39 +80,24 @@ api::MapResponse RunJob(const api::MapRequest& request, MappingCache* cache,
   if (Status s = api::ValidateMapRequest(request); !s.ok()) {
     return api::BuildErrorResponse(request, s.error(), timer.Seconds());
   }
-
-  const std::optional<Architecture> healthy =
-      api::FabricByName(request.fabric);
-  const std::optional<Kernel> kernel =
-      api::KernelByName(request.kernel, request.iterations, request.seed);
-  Architecture arch = *healthy;
-  if (!request.dead_cells.empty()) {
-    FaultModel fm;
-    for (int c : request.dead_cells) fm.KillCell(c);
-    if (Status s = fm.Validate(arch); !s.ok()) {
-      return api::BuildErrorResponse(request, s.error(), timer.Seconds());
-    }
-    arch = arch.WithFaults(fm);
+  Result<api::ResolvedRequest> job = api::ResolveMapRequest(request);
+  if (!job.ok()) {
+    return api::BuildErrorResponse(request, job.error(), timer.Seconds());
   }
 
   MapTrace trace;
-  EngineOptions eo;
+  EngineOptions& eo = job->engine;
   // Sequential sweep, not a race: a batch run is already maximally
   // parallel across jobs, and determinism is what makes the warm-run
   // digests comparable to the cold ones.
   eo.race = false;
-  eo.deadline = Deadline::AfterSeconds(request.deadline_seconds);
-  eo.seed = request.seed;
-  eo.min_ii = request.min_ii;
-  eo.max_ii = request.max_ii;
-  eo.extra_slack = request.extra_slack;
   eo.observer = &trace;
   eo.cache = cache;
   eo.isolation = isolation.mode;
   eo.sandbox_limits = isolation.limits;
 
   const Result<EngineResult> r =
-      MappingEngine(eo).Run(kernel->dfg, arch, request.mappers);
+      MappingEngine(eo).Run(job->kernel.dfg, job->arch, request.mappers);
   api::MapResponse out = api::BuildMapResponse(request, r, timer.Seconds());
 
   {
@@ -221,7 +205,7 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) telemetry::SetEnabled(true);
   // Stamp the build_info gauges so the report's aggregate.metrics (and
   // any /metrics-style dump of this process) identifies the schemas
-  // this binary speaks and whether telemetry was compiled in.
+  // this binary speaks.
   telemetry::RegisterBuildInfo(api::kSchemaVersion,
                                telemetry::SearchLog::kSchemaVersion);
 
@@ -320,8 +304,7 @@ int main(int argc, char** argv) {
     w.Key("cache").Null();
   }
   // Process-wide metrics snapshot: attempt/cache/pool/batch counters
-  // and histograms accumulated over the whole run ("{}" when compiled
-  // with CGRA_TELEMETRY=0).
+  // and histograms accumulated over the whole run.
   w.Key("metrics").Raw(telemetry::MetricsRegistry::Global().ToJson());
   w.EndObject();
   w.EndObject();
