@@ -10,16 +10,22 @@ a correctness bug, not a win — and the fanout_batches /
 fanout_batched_routes counters join the per-row counter objects.
 
 With --compare the file is additionally gated against a committed
-baseline (bench/baselines/): router_micro rows are matched on
-(scenario, heuristic) and their queries_per_sec must not fall more
-than --tolerance-pct below the baseline; route_fanout rows are matched
-on (scenario, heuristic) and their requests_per_sec must not fall
-below the same floor; mapper_suite rows are matched on (fabric,
-mapper, kernel) and
-their wall_seconds must not rise more than --tolerance-pct above it.
-Rows present in the baseline but absent from the candidate are
-failures (a silently dropped benchmark is a regression too); new
-candidate rows are fine. Only rows ok in both files race the clock.
+baseline (bench/baselines/) of the same preset: router_micro rows are
+matched on (scenario, heuristic) and their queries_per_sec must not
+fall more than --tolerance-pct below the baseline; route_fanout rows
+are matched on (scenario, heuristic) and their requests_per_sec must
+not fall below the same floor; mapper_suite rows are matched on
+(fabric, mapper, kernel) and their wall_seconds must not rise more
+than --tolerance-pct above it. Rows present in the baseline but absent
+from the candidate are failures (a silently dropped benchmark is a
+regression too); new candidate rows are fine. Only rows ok in both
+files race the clock.
+
+The digests are the contract that perf work does not change results
+(docs/PERF.md), so --compare also fails when a router_micro or
+route_fanout route_digest, or the mapping_digest of a mapper_suite row
+ok on both sides, differs from the baseline's. A change that moves
+them on purpose re-pins the baseline and says why.
 
 usage: check_perf_json.py BENCH_perf.json
        check_perf_json.py BENCH_perf.json --compare BASELINE \
@@ -98,7 +104,8 @@ def is_hex_digest(s):
 
 
 def compare_to_baseline(path, doc, base_path, baseline, tolerance_pct):
-    """Appends to `errors` for every perf regression beyond tolerance."""
+    """Appends to `errors` for every perf regression beyond tolerance and
+    every digest that differs from the baseline's."""
     slack = tolerance_pct / 100.0
 
     def rate_floor(v):
@@ -106,6 +113,17 @@ def compare_to_baseline(path, doc, base_path, baseline, tolerance_pct):
 
     def time_ceiling(v):
         return v * (1.0 + slack)
+
+    if doc.get("preset") != baseline.get("preset"):
+        fail("top", f"preset {doc.get('preset')!r} differs from the "
+             f"baseline's {baseline.get('preset')!r}; digests and rates "
+             "are only comparable within one preset")
+        return
+
+    def same_digest(where, key, brow, crow):
+        if crow.get(key) != brow.get(key):
+            fail(where, f"{key} {crow.get(key)} differs from the baseline's "
+                 f"{brow.get(key)}: the change moved results")
 
     base_micro = {(r["scenario"], r["heuristic"]): r
                   for r in baseline.get("router_micro", [])}
@@ -117,6 +135,7 @@ def compare_to_baseline(path, doc, base_path, baseline, tolerance_pct):
         if crow is None:
             fail(where, f"present in baseline {base_path} but missing here")
             continue
+        same_digest(where, "route_digest", brow, crow)
         base_qps, qps = brow["queries_per_sec"], crow.get("queries_per_sec")
         if isinstance(qps, (int, float)) and qps < rate_floor(base_qps):
             fail(where,
@@ -133,6 +152,7 @@ def compare_to_baseline(path, doc, base_path, baseline, tolerance_pct):
         if crow is None:
             fail(where, f"present in baseline {base_path} but missing here")
             continue
+        same_digest(where, "route_digest", brow, crow)
         base_rps, rps = brow["requests_per_sec"], crow.get("requests_per_sec")
         if isinstance(rps, (int, float)) and rps < rate_floor(base_rps):
             fail(where,
@@ -154,6 +174,7 @@ def compare_to_baseline(path, doc, base_path, baseline, tolerance_pct):
         if not crow.get("ok"):
             fail(where, "ok in baseline but failed here")
             continue
+        same_digest(where, "mapping_digest", brow, crow)
         base_wall, wall = brow["wall_seconds"], crow.get("wall_seconds")
         if isinstance(wall, (int, float)) and wall > time_ceiling(base_wall):
             fail(where,
@@ -272,8 +293,8 @@ def main():
             return 1
         compare_to_baseline(path, doc, args.compare, baseline,
                             args.tolerance_pct)
-        compared = (f", within {args.tolerance_pct:g}% of "
-                    f"{args.compare}")
+        compared = (f", same digests and within {args.tolerance_pct:g}% "
+                    f"of {args.compare}")
 
     if errors:
         for e in errors:

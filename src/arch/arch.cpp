@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <queue>
 
 #include "arch/fault.hpp"
 #include "support/bytes.hpp"
@@ -103,24 +102,22 @@ Architecture::Architecture(ArchParams params) : params_(std::move(params)) {
 }
 
 void Architecture::RecomputeHopDistances() {
-  // Hop distances (BFS over links).
+  // Hop distances (BFS over links), one flat queue reused per source:
+  // every cell enters a source's BFS at most once.
   const int n = num_cells();
   hop_dist_.assign(static_cast<size_t>(n) * static_cast<size_t>(n), -1);
+  std::vector<int> queue(static_cast<size_t>(n));
   for (int s = 0; s < n; ++s) {
-    std::queue<int> q;
-    auto dist_of = [&](int t) -> int& {
-      return hop_dist_[static_cast<size_t>(s) * static_cast<size_t>(n) +
-                       static_cast<size_t>(t)];
-    };
-    dist_of(s) = 0;
-    q.push(s);
-    while (!q.empty()) {
-      const int v = q.front();
-      q.pop();
+    int* dist = hop_dist_.data() + static_cast<size_t>(s) * static_cast<size_t>(n);
+    dist[s] = 0;
+    queue[0] = s;
+    size_t head = 0, tail = 1;
+    while (head < tail) {
+      const int v = queue[head++];
       for (int w : links_out_[static_cast<size_t>(v)]) {
-        if (dist_of(w) < 0) {
-          dist_of(w) = dist_of(v) + 1;
-          q.push(w);
+        if (dist[w] < 0) {
+          dist[w] = dist[v] + 1;
+          queue[tail++] = w;
         }
       }
     }

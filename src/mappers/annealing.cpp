@@ -12,8 +12,6 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <map>
-#include <set>
 #include <tuple>
 
 #include "mappers/common.hpp"
@@ -31,6 +29,34 @@ struct SaConfig {
   double cooling = 0.995;
 };
 
+// Use counts per (resource, slot) for one cost evaluation: a flat
+// array, re-zeroed through the list of entries it touched.
+class SlotUse {
+ public:
+  explicit SlotUse(std::size_t entries) : count_(entries, 0) {}
+
+  void Add(std::size_t i) {
+    if (count_[i]++ == 0) touched_.push_back(i);
+  }
+
+  /// Sum over touched entries of max(0, count - limit(entry)); leaves
+  /// every count at zero again.
+  template <typename Limit>
+  int DrainOveruse(Limit limit) {
+    int over = 0;
+    for (const std::size_t i : touched_) {
+      over += std::max(0, count_[i] - limit(i));
+      count_[i] = 0;
+    }
+    touched_.clear();
+    return over;
+  }
+
+ private:
+  std::vector<int> count_;
+  std::vector<std::size_t> touched_;
+};
+
 // Annealer working state: a full assignment op -> (cell, time), with
 // per-edge capacity-blind routes and an overuse score.
 class Annealer {
@@ -45,12 +71,18 @@ class Annealer {
         rng_(rng),
         blind_tracker_(mrrg, ii),
         candidates_(CandidateCellTable(dfg, arch)),
-        place_(static_cast<size_t>(dfg.num_ops())) {
+        place_(static_cast<size_t>(dfg.num_ops())),
+        edges_of_(static_cast<size_t>(dfg.num_ops())),
+        fu_use_(static_cast<size_t>(arch.num_cells()) * static_cast<size_t>(ii)),
+        bank_use_(static_cast<size_t>(std::max(1, arch.params().num_banks)) *
+                  static_cast<size_t>(ii)),
+        route_use_(static_cast<size_t>(mrrg.num_nodes()) *
+                   static_cast<size_t>(ii)) {
     edges_ = dfg_.Edges(true);
     for (size_t e = 0; e < edges_.size(); ++e) {
-      edges_of_[edges_[e].from].push_back(static_cast<int>(e));
+      edges_of_[static_cast<size_t>(edges_[e].from)].push_back(static_cast<int>(e));
       if (edges_[e].to != edges_[e].from) {
-        edges_of_[edges_[e].to].push_back(static_cast<int>(e));
+        edges_of_[static_cast<size_t>(edges_[e].to)].push_back(static_cast<int>(e));
       }
     }
     routes_.resize(edges_.size());
@@ -79,26 +111,27 @@ class Annealer {
   }
 
   double Cost() const {
-    // FU overuse.
-    std::map<std::pair<int, int>, int> fu;
-    std::map<std::pair<int, int>, int> bank;
-    double timing_violations = 0;
+    // FU and bank-port overuse per (resource, slot). Every term is a
+    // small integer count, so the integer sums convert to exactly the
+    // doubles a term-by-term double accumulation would give.
+    const size_t ii = static_cast<size_t>(ii_);
+    int timing_violations = 0;
     for (OpId op = 0; op < dfg_.num_ops(); ++op) {
       if (arch_.IsFolded(dfg_.op(op).opcode)) continue;
       const Placement& p = place_[static_cast<size_t>(op)];
-      ++fu[{p.cell, Slot(p.time)}];
-      if (IsMemoryOp(dfg_.op(op).opcode) && arch_.caps(p.cell).bank >= 0) {
-        ++bank[{arch_.caps(p.cell).bank, Slot(p.time)}];
+      const size_t slot = static_cast<size_t>(Slot(p.time));
+      fu_use_.Add(static_cast<size_t>(p.cell) * ii + slot);
+      const int bank = arch_.caps(p.cell).bank;
+      if (IsMemoryOp(dfg_.op(op).opcode) && bank >= 0) {
+        bank_use_.Add(static_cast<size_t>(bank) * ii + slot);
       }
     }
-    double over = 0;
-    for (const auto& [key, n] : fu) over += std::max(0, n - 1);
-    for (const auto& [key, n] : bank) {
-      over += std::max(0, n - arch_.params().bank_ports);
-    }
+    int over = fu_use_.DrainOveruse([](size_t) { return 1; });
+    over += bank_use_.DrainOveruse(
+        [&](size_t) { return arch_.params().bank_ports; });
     // Route overuse from cached routes (net-shared steps deduped).
-    std::set<std::tuple<ValueId, int, int>> occ;
-    double steps = 0;
+    occupied_.clear();
+    int steps = 0;
     for (size_t e = 0; e < edges_.size(); ++e) {
       const DfgEdge& edge = edges_[e];
       if (edge.to_port == kOrderPort) {
@@ -115,19 +148,23 @@ class Annealer {
         continue;
       }
       for (const RouteStep& s : routes_[e]->steps) {
-        occ.insert({edge.from, s.node, s.time});
+        occupied_.emplace_back(edge.from, s.node, s.time);
       }
-      steps += static_cast<double>(routes_[e]->steps.size());
+      steps += static_cast<int>(routes_[e]->steps.size());
     }
-    std::map<std::pair<int, int>, int> load;
-    for (const auto& [v, node, time] : occ) {
+    std::sort(occupied_.begin(), occupied_.end());
+    occupied_.erase(std::unique(occupied_.begin(), occupied_.end()),
+                    occupied_.end());
+    for (const auto& [v, node, time] : occupied_) {
       (void)v;
-      ++load[{node, Slot(time)}];
+      route_use_.Add(static_cast<size_t>(node) * ii +
+                     static_cast<size_t>(Slot(time)));
     }
-    for (const auto& [key, n] : load) {
-      over += std::max(0, n - mrrg_.capacity(key.first));
-    }
-    return 100.0 * timing_violations + 10.0 * over + 0.01 * steps;
+    over += route_use_.DrainOveruse([&](size_t i) {
+      return mrrg_.capacity(static_cast<int>(i / ii));
+    });
+    return 100.0 * static_cast<double>(timing_violations) +
+           10.0 * static_cast<double>(over) + 0.01 * static_cast<double>(steps);
   }
 
   /// Applies one random move; returns (op, old placement) for undo.
@@ -145,13 +182,13 @@ class Annealer {
                   static_cast<int>(rng_.NextIndex(static_cast<size_t>(2 * ii_)));
     }
     place_[static_cast<size_t>(op)] = next;
-    for (int e : edges_of_[op]) RerouteEdge(e);
+    for (int e : edges_of_[static_cast<size_t>(op)]) RerouteEdge(e);
     return {op, old};
   }
 
   void Undo(const std::pair<OpId, Placement>& undo) {
     place_[static_cast<size_t>(undo.first)] = undo.second;
-    for (int e : edges_of_[undo.first]) RerouteEdge(e);
+    for (int e : edges_of_[static_cast<size_t>(undo.first)]) RerouteEdge(e);
   }
 
   /// Tries to rebuild the current assignment with hard capacities.
@@ -208,8 +245,13 @@ class Annealer {
   std::vector<std::vector<int>> candidates_;
   std::vector<Placement> place_;
   std::vector<DfgEdge> edges_;
-  std::map<OpId, std::vector<int>> edges_of_;
+  std::vector<std::vector<int>> edges_of_;
   std::vector<std::optional<Route>> routes_;
+  // Cost() scratch, reused across calls.
+  mutable SlotUse fu_use_;     ///< (cell, slot) issues
+  mutable SlotUse bank_use_;   ///< (bank, slot) memory accesses
+  mutable SlotUse route_use_;  ///< (node, slot) distinct route occupants
+  mutable std::vector<std::tuple<ValueId, int, int>> occupied_;
 };
 
 Result<Mapping> AnnealAtIi(const Dfg& dfg, const Architecture& arch,

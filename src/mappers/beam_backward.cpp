@@ -15,6 +15,7 @@
 #include "mappers/common.hpp"
 #include "mappers/mappers.hpp"
 #include "support/rng.hpp"
+#include "telemetry/search_log.hpp"
 
 namespace cgra {
 namespace {
@@ -60,16 +61,28 @@ class BackwardBeamMapper final : public Mapper {
         PlaceRouteState prs;
         int route_steps = 0;
       };
+      // A tried child that placed: its parent in the beam, where it
+      // went, and its accumulated routing cost. Only the survivors of
+      // the pruning are ever built as full states.
+      struct Child {
+        std::size_t parent;
+        int cell;
+        int time;
+        int route_steps;
+      };
       std::vector<State> beam;
       beam.push_back(State{PlaceRouteState(dfg, arch, mrrg, ii), 0});
+      PlaceRouteState trial(dfg, arch, mrrg, ii);
+      std::vector<Child> next;
 
       const auto edges = dfg.Edges(true);
       for (OpId op : order) {
         if (ShouldAbort(options)) {
           return Error::ResourceLimit("beam search deadline expired");
         }
-        std::vector<State> next;
-        for (State& s : beam) {
+        next.clear();
+        for (std::size_t p = 0; p < beam.size(); ++p) {
+          const State& s = beam[p];
           // Time window: below every placed consumer, above ASAP.
           int hi = horizon;
           for (const DfgEdge& e : edges) {
@@ -80,16 +93,24 @@ class BackwardBeamMapper final : public Mapper {
           }
           const int lo = std::max(est[static_cast<size_t>(op)], hi - ii + 1);
           int expansions = 0;
+          // Every child is tried on `trial`, a copy of its parent. A
+          // failed TryPlace rolls itself back, so the copy is refreshed
+          // only after a placement succeeded.
+          bool trial_is_parent = false;
           // Prefer late times (backward construction packs upward).
           for (int t = hi; t >= lo && expansions < kExpansionsPerState; --t) {
             std::vector<int> cells = candidates[static_cast<size_t>(op)];
             rng.Shuffle(cells);
             for (int cell : cells) {
               if (expansions >= kExpansionsPerState) break;
-              State child{s.prs, s.route_steps};  // copy the partial solution
-              if (child.prs.TryPlace(op, cell, t)) {
-                child.route_steps += child.prs.last_route_steps();
-                next.push_back(std::move(child));
+              if (!trial_is_parent) {
+                trial = s.prs;
+                trial_is_parent = true;
+              }
+              if (trial.TryPlace(op, cell, t)) {
+                next.push_back(
+                    Child{p, cell, t, s.route_steps + trial.last_route_steps()});
+                trial_is_parent = false;
                 ++expansions;
               }
             }
@@ -100,7 +121,7 @@ class BackwardBeamMapper final : public Mapper {
                                    dfg.op(op).name);
         }
         // Deterministic survivors + one stochastic survivor [24].
-        std::sort(next.begin(), next.end(), [](const State& a, const State& b) {
+        std::sort(next.begin(), next.end(), [](const Child& a, const Child& b) {
           return a.route_steps < b.route_steps;
         });
         if (static_cast<int>(next.size()) > kBeamWidth) {
@@ -110,7 +131,20 @@ class BackwardBeamMapper final : public Mapper {
           std::swap(next[kBeamWidth - 1], next[wild]);
           next.erase(next.begin() + kBeamWidth, next.end());
         }
-        beam = std::move(next);
+        // Build the survivors by replaying their placement on a copy of
+        // their parent: the same call on the same state routes the same
+        // way. The search log already counted these placements.
+        std::vector<State> survivors;
+        survivors.reserve(next.size());
+        telemetry::SuspendedSearchLog replay;
+        for (const Child& c : next) {
+          State child{beam[c.parent].prs, c.route_steps};
+          if (!child.prs.TryPlace(op, c.cell, c.time)) {
+            return Error::Internal("bwd-beam survivor failed to replay");
+          }
+          survivors.push_back(std::move(child));
+        }
+        beam = std::move(survivors);
       }
       return beam.front().prs.Finalize();
     });

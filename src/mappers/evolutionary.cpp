@@ -22,7 +22,8 @@ namespace {
 // Scores a binding genome by greedy realization: ops are placed in
 // schedule order on their genome cells (sliding up to `slide_slack`
 // cycles when allowed); unplaceable ops are skipped so the fitness
-// stays informative ("how much of the DFG this genome maps").
+// stays informative ("how much of the DFG this genome maps"). `state`
+// is reset first, so one state serves every genome of an II.
 struct GenomeEval {
   int placed = 0;
   int route_steps = 0;
@@ -34,11 +35,10 @@ struct GenomeEval {
   }
 };
 
-GenomeEval EvaluateGenome(const Dfg& dfg, const Architecture& arch,
-                          const Mrrg& mrrg, int ii,
+GenomeEval EvaluateGenome(PlaceRouteState& state,
                           const std::vector<int>& cell_of_op,
                           const std::vector<int>& times, int slide_slack) {
-  PlaceRouteState state(dfg, arch, mrrg, ii);
+  state.Reset();
   std::vector<OpId> order = state.MappableOps();
   std::sort(order.begin(), order.end(), [&](OpId a, OpId b) {
     return times[static_cast<size_t>(a)] != times[static_cast<size_t>(b)]
@@ -87,6 +87,7 @@ class GeneticSpatialMapper final : public Mapper {
     if (times.empty()) return Error::Unmappable("recurrences infeasible at II=1");
     const auto candidates = CandidateCellTable(dfg, arch);
     const int n = dfg.num_ops();
+    PlaceRouteState state(dfg, arch, mrrg, ii);
 
     constexpr int kPopulation = 24;
     constexpr int kGenerations = 60;
@@ -115,8 +116,8 @@ class GeneticSpatialMapper final : public Mapper {
 
     for (int i = 0; i < kPopulation; ++i) {
       pop.push_back(random_genome());
-      evals.push_back(EvaluateGenome(dfg, arch, mrrg, ii, pop.back(), times,
-                                     options.extra_slack));
+      evals.push_back(
+          EvaluateGenome(state, pop.back(), times, options.extra_slack));
       if (evals.back().mapping) return *evals.back().mapping;
       fitness.push_back(evals.back().Fitness(total_ops));
     }
@@ -153,8 +154,7 @@ class GeneticSpatialMapper final : public Mapper {
       }
       pop = std::move(next);
       for (size_t i = 0; i < pop.size(); ++i) {
-        evals[i] = EvaluateGenome(dfg, arch, mrrg, ii, pop[i], times,
-                                  options.extra_slack);
+        evals[i] = EvaluateGenome(state, pop[i], times, options.extra_slack);
         if (evals[i].mapping) return *evals[i].mapping;
         fitness[i] = evals[i].Fitness(total_ops);
       }
@@ -203,6 +203,7 @@ class QeaBinder final : public Mapper {
         const size_t k = candidates[static_cast<size_t>(op)].size();
         if (k > 0) q[static_cast<size_t>(op)].assign(k, 1.0 / static_cast<double>(k));
       }
+      PlaceRouteState state(dfg, arch, mrrg, ii);
       auto observe = [&] {
         std::vector<int> genome(static_cast<size_t>(n), -1);
         for (OpId op = 0; op < n; ++op) {
@@ -232,8 +233,8 @@ class QeaBinder final : public Mapper {
           const auto genome = observe();
           // A little slide slack lets the greedy realization repair
           // local slot congestion the fixed modulo-ASAP schedule has.
-          const auto eval = EvaluateGenome(dfg, arch, mrrg, ii, genome, times,
-                                           options.extra_slack);
+          const auto eval =
+              EvaluateGenome(state, genome, times, options.extra_slack);
           if (eval.mapping) return *eval.mapping;
           const double f = eval.Fitness(total_ops);
           if (f > best_fitness) {

@@ -133,7 +133,9 @@ bool PlaceRouteState::TryPlace(OpId op, int cell, int time,
     ++bank_load_[static_cast<size_t>(BankOf(cell))][static_cast<size_t>(slot)];
   }
 
-  std::vector<int> routed;
+  routed_.clear();
+  batch_edges_.clear();
+  batch_reqs_.clear();
   last_route_steps_ = 0;
   bool ok = true;
   // Fanout edges of `op` that appear consecutively in edges_of_ share
@@ -144,13 +146,11 @@ bool PlaceRouteState::TryPlace(OpId op, int cell, int time,
   // to the sequential RouteEdge loop this replaces (the golden mapper
   // digests in tests/test_router_golden.cpp pin that equivalence).
   const Placement& self = place_[static_cast<size_t>(op)];
-  std::vector<int> batch_edges;
-  std::vector<RouteRequest> batch_reqs;
   auto flush_fanout = [&]() -> bool {
-    if (batch_edges.empty()) return true;
+    if (batch_edges_.empty()) return true;
     std::size_t failed = 0;
-    auto routes = RouteFanout(*mrrg_, tracker_, batch_reqs.data(),
-                              batch_reqs.size(), router_options, &failed);
+    auto routes = RouteFanout(*mrrg_, tracker_, batch_reqs_.data(),
+                              batch_reqs_.size(), router_options, &failed);
     if (!routes.ok()) {
       // Record what the sequential RouteEdge loop would have: the sinks
       // before `failed` routed, `failed` is charged to its cell, and
@@ -160,20 +160,20 @@ bool PlaceRouteState::TryPlace(OpId op, int cell, int time,
         telemetry::SearchRecordRouteResult(true);
       }
       telemetry::SearchRecordRouteResult(false);
-      telemetry::SearchRecordCellCongested(batch_reqs[failed].to_cell);
+      telemetry::SearchRecordCellCongested(batch_reqs_[failed].to_cell);
       last_fail_ = FailReason::kRouteCongested;
       return false;
     }
-    for (size_t i = 0; i < batch_edges.size(); ++i) {
-      const int e = batch_edges[i];
+    for (size_t i = 0; i < batch_edges_.size(); ++i) {
+      const int e = batch_edges_[i];
       telemetry::SearchRecordRouteResult(true);
       FoldRouteSteps(*mrrg_, (*routes)[i]);
       last_route_steps_ += static_cast<int>((*routes)[i].steps.size());
       routes_[static_cast<size_t>(e)] = std::move((*routes)[i]);
-      routed.push_back(e);
+      routed_.push_back(e);
     }
-    batch_edges.clear();
-    batch_reqs.clear();
+    batch_edges_.clear();
+    batch_reqs_.clear();
     return true;
   };
   for (int e : edges_of_[static_cast<size_t>(op)]) {
@@ -199,8 +199,8 @@ bool PlaceRouteState::TryPlace(OpId op, int cell, int time,
       req.to_cell = to.cell;
       req.to_time = arrive;
       req.value = edge.from;
-      batch_edges.push_back(e);
-      batch_reqs.push_back(req);
+      batch_edges_.push_back(e);
+      batch_reqs_.push_back(req);
       continue;
     }
     if (!flush_fanout()) {
@@ -213,12 +213,12 @@ bool PlaceRouteState::TryPlace(OpId op, int cell, int time,
     }
     last_route_steps_ +=
         static_cast<int>(routes_[static_cast<size_t>(e)]->steps.size());
-    routed.push_back(e);
+    routed_.push_back(e);
   }
   if (ok && !flush_fanout()) ok = false;
 
   if (!ok) {
-    for (int e : routed) UnrouteEdge(e);
+    for (int e : routed_) UnrouteEdge(e);
     tracker_.Release(fu, time, op);
     if (is_mem && BankOf(cell) >= 0) {
       --bank_load_[static_cast<size_t>(BankOf(cell))][static_cast<size_t>(slot)];
@@ -246,6 +246,18 @@ void PlaceRouteState::Unplace(OpId op) {
   place_[static_cast<size_t>(op)] = Placement{};
   --placed_count_;
   telemetry::SearchRecordEviction();
+}
+
+void PlaceRouteState::Reset() {
+  tracker_.Reset();
+  std::fill(place_.begin(), place_.end(), Placement{});
+  for (std::optional<Route>& route : routes_) route.reset();
+  for (std::vector<int>& slots : bank_load_) {
+    std::fill(slots.begin(), slots.end(), 0);
+  }
+  placed_count_ = 0;
+  last_fail_ = FailReason::kNone;
+  last_route_steps_ = 0;
 }
 
 Mapping PlaceRouteState::Finalize() const {

@@ -55,6 +55,11 @@ class PlaceRouteState {
   /// Removes `op`, releasing its FU slot, bank port and incident routes.
   void Unplace(OpId op);
 
+  /// Removes every placement and route, leaving the state a fresh
+  /// PlaceRouteState at the same II starts in, without reallocating
+  /// (population mappers score many genomes per II).
+  void Reset();
+
   /// Number of ops currently placed.
   int placed_count() const { return placed_count_; }
 
@@ -101,6 +106,10 @@ class PlaceRouteState {
   std::vector<OpId> mappable_;
   FailReason last_fail_ = FailReason::kNone;
   int last_route_steps_ = 0;
+  // TryPlace's working lists, cleared per call (kept to reuse storage).
+  std::vector<int> routed_;                ///< edges routed by this call
+  std::vector<int> batch_edges_;           ///< pending fanout batch
+  std::vector<RouteRequest> batch_reqs_;   ///< ... and its requests
 };
 
 }  // namespace cgra

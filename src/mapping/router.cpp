@@ -12,9 +12,13 @@ namespace cgra {
 namespace {
 
 // Unit cost per occupied (node, time) step, and the per-query
-// expansion cap (RouterOptions documents both).
-constexpr double kStepCost = 1.0;
+// expansion cap (RouterOptions documents both). Costs are whole steps,
+// so every cost and bound below is an exact integer.
+constexpr std::int32_t kStepCost = 1;
 constexpr int kMaxExpansions = 1 << 18;
+
+constexpr const char* kNoRoute =
+    "no capacity-respecting route of the required latency";
 
 // Search state. `stay` counts consecutive cycles already spent in
 // `node`; it bounds how many entries one path may stack onto a single
@@ -22,11 +26,11 @@ constexpr int kMaxExpansions = 1 << 18;
 // could silently exceed the file's capacity (each II wrap is another
 // live copy).
 struct State {
-  double f;  ///< g + admissible remaining-cost bound (== g without A*)
-  double g;  ///< cost so far
-  int node;
-  int time;
-  int stay;
+  std::int32_t f;  ///< g + admissible remaining-cost bound (== g without A*)
+  std::int32_t g;  ///< cost so far
+  std::int32_t node;
+  std::int32_t time;
+  std::int32_t stay;
 };
 
 struct StateCmp {
@@ -55,7 +59,7 @@ class StateQueue
 // RouteFanout batch can keep them warm across consecutive sinks on the
 // same consumer cell while the per-state stamps advance.
 struct Scratch {
-  std::vector<double> best;
+  std::vector<std::int32_t> best;         ///< cost (steps) of the best path
   std::vector<std::int32_t> parent;      ///< arena index of predecessor, -1 root
   std::vector<std::uint32_t> stamp;      ///< per-state epoch
   std::vector<std::uint32_t> goal_stamp; ///< per-node: is a goal this goal-epoch
@@ -111,6 +115,30 @@ Scratch& TlsScratch() {
   return scratch;
 }
 
+int SlotOf(int time, int ii) { return ((time % ii) + ii) % ii; }
+
+// False when no goal can be reached in `cycles` cycles from the
+// producer's hold `start_node`: every cell hop costs exactly one cycle
+// (hold -0-> neighbour RT -1-> hold, arch/mrrg.cpp), so a goal more
+// fabric hops away than the window has cycles is out of reach — the
+// bound A* prunes with per state, applied once at the root. Goals the
+// producer cannot reach at all (distance -1) count as out of reach.
+// Shared-RF holds (cell < 0) give no bound, so they are always
+// "within reach".
+bool GoalWithinHops(const Mrrg& mrrg, int start_node,
+                    Span<std::int32_t> goals, int cycles) {
+  const int from = mrrg.cell(start_node);
+  if (from < 0) return true;
+  const Architecture& arch = mrrg.arch();
+  for (const std::int32_t g : goals) {
+    const int gcell = mrrg.cell(g);
+    if (gcell < 0) return true;
+    const int hops = arch.HopDistance(from, gcell);
+    if (hops >= 0 && hops <= cycles) return true;
+  }
+  return false;
+}
+
 // One route query against the calling thread's arena. Exactly the
 // semantics RouteValue documents; RouteFanout calls it once per sink.
 // `new_goals` == false reuses the previous call's goal set and hop
@@ -131,6 +159,13 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
   if (!options.ignore_capacity &&
       !tracker.CanOccupy(start_node, start_time, request.value)) {
     return Error::Unmappable("producer's register file is full at the latch cycle");
+  }
+  // A query no goal can make in time fails without touching the arena,
+  // the goal stamps or the heap. Only queries that cannot succeed stop
+  // here, so every other query runs the identical search.
+  const auto goals = mrrg.ReadableHolds(request.to_cell);
+  if (!GoalWithinHops(mrrg, start_node, goals, request.to_time - start_time)) {
+    return Error::Unmappable(kNoRoute);
   }
 
   // ---- arena layout for this query ----------------------------------------
@@ -167,7 +202,6 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
            static_cast<std::size_t>(stay);
   };
 
-  const auto goals = mrrg.ReadableHolds(request.to_cell);
   if (new_goals) {
     scratch.BeginGoals();
     for (int g : goals) {
@@ -206,8 +240,8 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
     return bound;
   };
   const bool use_h = options.use_heuristic;
-  auto heuristic = [&](int node, int time) -> double {
-    if (!use_h) return 0.0;
+  auto heuristic = [&](int node, int time) -> std::int32_t {
+    if (!use_h) return 0;
     const int lb = std::max(request.to_time - time, goal_hops(node));
     return kStepCost * lb;
   };
@@ -219,8 +253,20 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
   auto chain_fits = [&](int node, int end_time, int chain_len) {
     if (options.ignore_capacity) return true;
     const int hits = (chain_len - 1) / ii + 1;
-    const int slot = ((end_time % ii) + ii) % ii;
-    return tracker.Load(node, slot) + hits <= mrrg.capacity(node);
+    return tracker.Load(node, SlotOf(end_time, ii)) + hits <=
+           mrrg.capacity(node);
+  };
+
+  // Admission of a new (node, time) step: tracker.CanOccupy inlined,
+  // its check and hit counts summed here and added once per query.
+  std::uint64_t checks = 0, admitted = 0;
+  auto admits = [&](int node, int time) {
+    ++checks;
+    const int slot = SlotOf(time, ii);
+    const bool ok = tracker.AvailBit(node, slot) ||
+                    tracker.AdmitsWhenFull(node, slot, time, request.value);
+    if (ok) ++admitted;
+    return ok;
   };
 
   std::uint64_t pushes = 0, pops = 0;
@@ -256,15 +302,14 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
       if (self_stay) {
         // The whole consecutive chain (nstay + 1 cycles) must fit.
         if (!chain_fits(link.to, nt, nstay + 1)) continue;
-      } else if (!options.ignore_capacity &&
-                 !tracker.CanOccupy(link.to, nt, request.value)) {
+      } else if (!options.ignore_capacity && !admits(link.to, nt)) {
         continue;
       }
       // A state that still needs more fabric hops than it has cycles
       // left can never make the consumer's deadline; drop it early.
       if (use_h && goal_hops(link.to) > request.to_time - nt) continue;
       assert(nstay < stay_bins);
-      const double nc = s.g + kStepCost;
+      const std::int32_t nc = s.g + kStepCost;
       const std::size_t nk = index(link.to, nt, nstay);
       if (scratch.stamp[nk] != epoch || nc < scratch.best[nk]) {
         scratch.stamp[nk] = epoch;
@@ -280,12 +325,20 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
   perf.router_pushes += pushes;
   perf.router_pops += pops;
   perf.router_expansions += static_cast<std::uint64_t>(expansions);
+  perf.tracker_checks += checks;
+  perf.tracker_check_hits += admitted;
 
   if (goal_idx < 0) {
-    return Error::Unmappable("no capacity-respecting route of the required latency");
+    return Error::Unmappable(kNoRoute);
   }
 
+  // Every step costs one unit, so the goal's cost sizes the route; the
+  // parent chain is never longer, and is shorter only when an A* bound
+  // re-opened an ancestor after the goal's parent link was set.
   Route route;
+  route.steps.resize(
+      static_cast<std::size_t>(scratch.best[static_cast<std::size_t>(goal_idx)]));
+  std::size_t first = route.steps.size();
   const std::size_t plane = static_cast<std::size_t>(stay_bins);
   for (std::int64_t k = goal_idx; k >= 0;
        k = scratch.parent[static_cast<std::size_t>(k)]) {
@@ -293,9 +346,11 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
     const int node = static_cast<int>(uk / (plane * static_cast<std::size_t>(horizon)));
     const int time =
         start_time + static_cast<int>((uk / plane) % static_cast<std::size_t>(horizon));
-    route.steps.push_back(RouteStep{node, time});
+    assert(first > 0);
+    route.steps[--first] = RouteStep{node, time};
   }
-  std::reverse(route.steps.begin(), route.steps.end());
+  route.steps.erase(route.steps.begin(),
+                    route.steps.begin() + static_cast<std::ptrdiff_t>(first));
 
   if (!options.ignore_capacity) {
     for (const RouteStep& step : route.steps) {
@@ -305,8 +360,8 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
     // covered by the stay counter; verify the committed load and back
     // out if anything overflowed.
     for (const RouteStep& step : route.steps) {
-      const int slot = ((step.time % ii) + ii) % ii;
-      if (tracker.Load(step.node, slot) > mrrg.capacity(step.node)) {
+      if (tracker.Load(step.node, SlotOf(step.time, ii)) >
+          mrrg.capacity(step.node)) {
         ReleaseRoute(tracker, route, request.value);
         return Error::Unmappable("route would overflow a register file");
       }

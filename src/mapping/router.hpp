@@ -36,7 +36,11 @@ struct RouteRequest {
 
 /// Every (node, time) step a route occupies costs one unit, so the
 /// router returns a route with the fewest steps; a query gives up after
-/// 2^18 state expansions (guards pathological searches).
+/// 2^18 state expansions (guards pathological searches). Before any
+/// search, a query whose window (to_time - from_time - 1 cycles) is
+/// shorter than the fabric hop distance from the producer's cell to
+/// every readable goal fails at once, in every mode: each cell hop
+/// costs one cycle, so no such query can route.
 struct RouterOptions {
   /// DRESC-style congestion-negotiating mode: ignore capacities and do
   /// NOT record occupancy in the tracker — the caller accounts overuse
@@ -46,7 +50,9 @@ struct RouterOptions {
   /// hop-distance tables the Architecture precomputes: remaining steps
   /// >= max(cycles-to-deadline, hops-to-consumer). Never
   /// changes which routes are reachable or their cost; prunes states
-  /// that provably cannot reach the consumer in time. Off by default
+  /// that provably cannot reach the consumer in time (the root-level
+  /// hop check above applies the same bound once per query, in both
+  /// modes). Off by default
   /// because A* pops equal-cost states in a different order than plain
   /// Dijkstra, which can return a different (equal-cost) route and so
   /// perturb tie-break-sensitive search mappers; turn it on when exact
@@ -56,7 +62,10 @@ struct RouterOptions {
 
 /// On success the returned route's steps are already recorded in the
 /// tracker (call ReleaseRoute to undo). Fails with kUnmappable when no
-/// capacity-respecting path of the exact required latency exists.
+/// capacity-respecting path of the exact required latency exists; a
+/// query that is hop-infeasible (see RouterOptions) fails with the same
+/// error without touching the scratch arena, and every other query
+/// runs the same search, so the exit never changes a returned route.
 Result<Route> RouteValue(const Mrrg& mrrg, ResourceTracker& tracker,
                          const RouteRequest& request,
                          const RouterOptions& options = {});

@@ -19,8 +19,8 @@ ResourceTracker::ResourceTracker(const Mrrg& mrrg, int ii)
   counts_.assign(slots, 0);
 
   // The usable plane is derived once from the (immutable) fault state;
-  // the avail plane starts as "usable with any capacity at all" and is
-  // maintained incrementally from there.
+  // the avail plane starts as "usable with any capacity at all" (Reset)
+  // and is maintained incrementally from there.
   const size_t words =
       static_cast<size_t>(ii) * static_cast<size_t>(words_per_slot_);
   usable_.assign(words, 0);
@@ -28,12 +28,11 @@ ResourceTracker::ResourceTracker(const Mrrg& mrrg, int ii)
   for (int s = 0; s < ii; ++s) {
     for (int n = 0; n < mrrg.num_nodes(); ++n) {
       if (!mrrg.SlotUsable(n, s)) continue;
-      const size_t w = RowIndex(s) + static_cast<size_t>(n >> 6);
-      const std::uint64_t bit = std::uint64_t{1} << (n & 63);
-      usable_[w] |= bit;
-      if (capacity_[static_cast<size_t>(n)] > 0) avail_[w] |= bit;
+      usable_[RowIndex(s) + static_cast<size_t>(n >> 6)] |=
+          std::uint64_t{1} << (n & 63);
     }
   }
+  Reset();
 }
 
 bool ResourceTracker::CanOccupy(int node, int time, ValueId value) const {
@@ -42,12 +41,13 @@ bool ResourceTracker::CanOccupy(int node, int time, ValueId value) const {
   const int s = Slot(time);
   // Fast path: one bit answers "usable slot with headroom" — yes for
   // any value, already an occupant or not.
-  const std::uint64_t word =
-      avail_[RowIndex(s) + static_cast<size_t>(node >> 6)];
-  if ((word >> (node & 63)) & 1u) {
-    ++perf.tracker_check_hits;
-    return true;
-  }
+  const bool ok = AvailBit(node, s) || AdmitsWhenFull(node, s, time, value);
+  if (ok) ++perf.tracker_check_hits;
+  return ok;
+}
+
+bool ResourceTracker::AdmitsWhenFull(int node, int s, int time,
+                                     ValueId value) const {
   if (!UsableBit(node, s)) return false;
   // Slot is full (or capacity 0): admissible only if this (value,
   // absolute time) already holds an entry.
@@ -57,7 +57,6 @@ bool ResourceTracker::CanOccupy(int node, int time, ValueId value) const {
   const int in_block = std::min(count, kInlineOccupants);
   for (int i = 0; i < in_block; ++i) {
     if (block[i].value == value && block[i].time == time) {
-      ++perf.tracker_check_hits;
       return true;  // already ours
     }
   }
@@ -66,14 +65,11 @@ bool ResourceTracker::CanOccupy(int node, int time, ValueId value) const {
     for (const SpillEntry& se : spill_) {
       if (se.slot_index == key && se.entry.value == value &&
           se.entry.time == time) {
-        ++perf.tracker_check_hits;
         return true;
       }
     }
   }
-  const bool ok = count < capacity_[static_cast<size_t>(node)];
-  if (ok) ++perf.tracker_check_hits;
-  return ok;
+  return count < capacity_[static_cast<size_t>(node)];
 }
 
 void ResourceTracker::Occupy(int node, int time, ValueId value) {
@@ -181,16 +177,14 @@ void ResourceTracker::Reset() {
   std::fill(counts_.begin(), counts_.end(), 0);
   spill_.clear();
   // Empty tracker: avail returns to "usable with nonzero capacity".
-  for (int s = 0; s < ii_; ++s) {
-    const size_t row = RowIndex(s);
-    for (int n = 0; n < mrrg_->num_nodes(); ++n) {
-      const size_t w = row + static_cast<size_t>(n >> 6);
-      const std::uint64_t bit = std::uint64_t{1} << (n & 63);
-      if ((usable_[w] & bit) && capacity_[static_cast<size_t>(n)] > 0) {
-        avail_[w] |= bit;
-      } else {
-        avail_[w] &= ~bit;
-      }
+  // Inline entries past each (zeroed) count are never read, so they
+  // stay as they are.
+  std::copy(usable_.begin(), usable_.end(), avail_.begin());
+  for (int n = 0; n < mrrg_->num_nodes(); ++n) {
+    if (capacity_[static_cast<size_t>(n)] > 0) continue;
+    const std::uint64_t bit = std::uint64_t{1} << (n & 63);
+    for (int s = 0; s < ii_; ++s) {
+      avail_[RowIndex(s) + static_cast<size_t>(n >> 6)] &= ~bit;
     }
   }
 }

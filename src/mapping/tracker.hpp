@@ -52,7 +52,20 @@ class ResourceTracker {
   /// True if `value` may (additionally) occupy `node` at absolute
   /// `time` without exceeding capacity. Re-occupying an entry the
   /// value already holds at the same absolute time is always allowed.
+  /// Counts one tracker check (and a hit when it says yes).
   bool CanOccupy(int node, int time, ValueId value) const;
+
+  /// The two halves of CanOccupy, uncounted, for a hot loop that sums
+  /// its checks and hits itself (the router). `slot` is `time` mod II.
+  /// AvailBit: usable slot with headroom, so admissible for any value.
+  bool AvailBit(int node, int slot) const {
+    return (avail_[RowIndex(slot) + static_cast<size_t>(node >> 6)] >>
+            (node & 63)) &
+           1u;
+  }
+  /// The rest of CanOccupy once AvailBit said no: the slot is full (or
+  /// unusable), so only a value already holding it at `time` fits.
+  bool AdmitsWhenFull(int node, int slot, int time, ValueId value) const;
 
   /// Records the occupancy (reference-counted per (node,time,value) so
   /// shared route prefixes release correctly).

@@ -193,6 +193,20 @@ class ScopedSearchLog {
   bool installed_ = false;
 };
 
+/// Detaches the calling thread's collector for its extent, so work
+/// that replays an already-recorded decision (bwd-beam rebuilding its
+/// surviving partial solutions) is not counted twice.
+class SuspendedSearchLog {
+ public:
+  SuspendedSearchLog() : saved_(tl_search_log) { tl_search_log = nullptr; }
+  ~SuspendedSearchLog() { tl_search_log = saved_; }
+  SuspendedSearchLog(const SuspendedSearchLog&) = delete;
+  SuspendedSearchLog& operator=(const SuspendedSearchLog&) = delete;
+
+ private:
+  SearchLog* saved_;
+};
+
 // ---- recording helpers (hot paths; no-ops without a collector) ----
 
 inline void SearchRecordGrid(int rows, int cols) {

@@ -10,6 +10,10 @@
 //   * arena epochs — scratch reuse across queries, II escalation, and
 //     uint32 epoch wrap-around must never leak a stale best/parent
 //     entry into a later query;
+//   * feasibility — a query whose window is shorter than the hop
+//     distance to every goal fails without searching, and with
+//     capacities ignored a query routes exactly when plain reachability
+//     over (node, time) says it can;
 //   * tracker properties — the inline-block + spill storage must agree
 //     with a naive reference model under random occupy/release traffic,
 //     including fault-gated SlotUsable and >kInlineOccupants spilling.
@@ -30,6 +34,7 @@
 #include "ir/kernels.hpp"
 #include "mappers/registry.hpp"
 #include "mapping/mapping.hpp"
+#include "mapping/perf.hpp"
 #include "mapping/router.hpp"
 #include "mapping/tracker.hpp"
 #include "support/rng.hpp"
@@ -432,6 +437,156 @@ TEST(RouterArena, EpochWrapAroundStaysCorrect) {
     ReleaseRoute(tracker, *after, req.value);
     const auto stats = router_internal::CurrentScratchStats();
     EXPECT_NE(stats.epoch, 0u);
+  }
+}
+
+// ---- hop-feasibility exit ---------------------------------------------------
+
+// Fewest fabric hops from `from_cell` to any hold the consumer on
+// `to_cell` can read (-1 when none is reachable). Each hop costs one
+// cycle, so a window shorter than this can never route. A shared
+// register file (no cell) is readable from everywhere: 0 hops.
+int NearestGoalHops(const Mrrg& mrrg, int from_cell, int to_cell) {
+  int nearest = -1;
+  for (const std::int32_t g : mrrg.ReadableHolds(to_cell)) {
+    const int gcell = mrrg.cell(g);
+    const int hops =
+        gcell < 0 ? 0 : mrrg.arch().HopDistance(from_cell, gcell);
+    if (hops >= 0 && (nearest < 0 || hops < nearest)) nearest = hops;
+  }
+  return nearest;
+}
+
+TEST(RouterArena, HopInfeasibleQueryDoesNotSearch) {
+  for (const Architecture& arch :
+       {Architecture::Adres4x4(), Architecture::Big8x8()}) {
+    const Mrrg mrrg(arch);
+    ResourceTracker tracker(mrrg, 2);
+    RouteRequest req;
+    req.from_cell = 0;
+    req.to_cell = arch.num_cells() - 1;  // opposite corner
+    req.from_time = 0;
+    req.value = 3;
+    const int nearest = NearestGoalHops(mrrg, req.from_cell, req.to_cell);
+    ASSERT_GE(nearest, 2) << arch.params().name;
+    // The window (to_time - from_time - 1 cycles) is one short.
+    req.to_time = req.from_time + nearest;
+
+    const auto stats_before = router_internal::CurrentScratchStats();
+    const PerfCounters perf_before = ThreadPerfCounters();
+    auto route = RouteValue(mrrg, tracker, req);
+    ASSERT_FALSE(route.ok()) << arch.params().name;
+    EXPECT_EQ(route.error().code, Error::Code::kUnmappable);
+    EXPECT_EQ(router_internal::CurrentScratchStats().epoch, stats_before.epoch)
+        << arch.params().name << ": the arena was touched";
+    const PerfCounters perf = ThreadPerfCounters() - perf_before;
+    EXPECT_EQ(perf.router_expansions, 0u) << arch.params().name;
+    EXPECT_EQ(perf.router_queries, 1u) << arch.params().name;
+
+    // One cycle more reaches the nearest goal, so the bound is tight.
+    ++req.to_time;
+    auto at_bound = RouteValue(mrrg, tracker, req);
+    ASSERT_TRUE(at_bound.ok()) << arch.params().name << ": "
+                               << at_bound.error().message;
+    EXPECT_GT(router_internal::CurrentScratchStats().epoch, stats_before.epoch);
+  }
+}
+
+// Reference for capacity-blind routing: breadth-first reachability
+// over (node, time) along Mrrg::OutLinks, from the producer's hold one
+// cycle after issue to any readable goal at exactly `to_time`.
+bool ReachableOverTime(const Mrrg& mrrg, const RouteRequest& req) {
+  const int start_time = req.from_time + 1;
+  if (start_time > req.to_time) return false;
+  std::vector<char> layer(static_cast<std::size_t>(mrrg.num_nodes()), 0);
+  layer[static_cast<std::size_t>(mrrg.HoldNode(req.from_cell))] = 1;
+  for (int t = start_time;; ++t) {
+    // Close the layer under same-cycle (latency 0) links.
+    std::vector<int> frontier;
+    for (int n = 0; n < mrrg.num_nodes(); ++n) {
+      if (layer[static_cast<std::size_t>(n)]) frontier.push_back(n);
+    }
+    while (!frontier.empty()) {
+      const int n = frontier.back();
+      frontier.pop_back();
+      for (const Mrrg::Link& link : mrrg.OutLinks(n)) {
+        char& seen = layer[static_cast<std::size_t>(link.to)];
+        if (link.latency == 0 && !seen) {
+          seen = 1;
+          frontier.push_back(link.to);
+        }
+      }
+    }
+    if (t == req.to_time) break;
+    std::vector<char> next(layer.size(), 0);
+    for (int n = 0; n < mrrg.num_nodes(); ++n) {
+      if (!layer[static_cast<std::size_t>(n)]) continue;
+      for (const Mrrg::Link& link : mrrg.OutLinks(n)) {
+        if (link.latency == 1) next[static_cast<std::size_t>(link.to)] = 1;
+      }
+    }
+    layer = std::move(next);
+  }
+  for (const std::int32_t g : mrrg.ReadableHolds(req.to_cell)) {
+    if (layer[static_cast<std::size_t>(g)]) return true;
+  }
+  return false;
+}
+
+TEST(RouterProperty, FeasibilityMatchesTimeExpandedReachability) {
+  FaultModel faults;
+  faults.KillCell(5);
+  faults.KillLink(0, 1);
+  const struct {
+    const char* name;
+    Architecture arch;
+  } fabrics[] = {
+      {"adres4x4", Architecture::Adres4x4()},
+      {"big8x8", Architecture::Big8x8()},
+      {"adres4x4+faults", Architecture::Adres4x4().WithFaults(faults)},
+      {"vliw4", Architecture::VliwLike4()},
+  };
+  for (const auto& [name, arch] : fabrics) {
+    const Mrrg mrrg(arch);
+    ResourceTracker tracker(mrrg, 2);
+    RouterOptions blind;
+    blind.ignore_capacity = true;
+    Rng rng(0x40Full);
+    int routed = 0, failed = 0, unsearched = 0;
+    for (int q = 0; q < 400; ++q) {
+      RouteRequest req;
+      req.from_cell =
+          static_cast<int>(rng.NextIndex(static_cast<size_t>(arch.num_cells())));
+      req.to_cell =
+          static_cast<int>(rng.NextIndex(static_cast<size_t>(arch.num_cells())));
+      req.from_time = static_cast<int>(rng.NextIndex(2));
+      req.value = static_cast<ValueId>(q);
+      // Windows from two below to two above the hop bound.
+      const int bound =
+          std::max(0, NearestGoalHops(mrrg, req.from_cell, req.to_cell));
+      const int window =
+          std::max(0, bound - 2 + static_cast<int>(rng.NextIndex(5)));
+      req.to_time = req.from_time + 1 + window;
+
+      const std::uint64_t expansions = ThreadPerfCounters().router_expansions;
+      auto route = RouteValue(mrrg, tracker, req, blind);
+      ASSERT_EQ(route.ok(), ReachableOverTime(mrrg, req))
+          << name << " query " << q << ": " << req.from_cell << "@"
+          << req.from_time << " -> " << req.to_cell << "@" << req.to_time;
+      if (route.ok()) {
+        ++routed;
+        EXPECT_EQ(route->steps.front().time, req.from_time + 1);
+        EXPECT_EQ(route->steps.back().time, req.to_time);
+      } else {
+        ++failed;
+        if (ThreadPerfCounters().router_expansions == expansions) ++unsearched;
+      }
+    }
+    EXPECT_GT(routed, 0) << name;
+    if (arch.params().rf_kind != RfKind::kShared) {
+      EXPECT_GT(failed, 0) << name;
+      EXPECT_GT(unsearched, 0) << name << ": the exit never fired";
+    }
   }
 }
 

@@ -6,6 +6,8 @@
 // sliding window.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "engine/sandbox.hpp"
 #include "engine/trace.hpp"
 #include "ir/kernels.hpp"
+#include "mappers/registry.hpp"
 #include "mapping/mapping.hpp"
 #include "mapping/place_route.hpp"
 #include "telemetry/search_log.hpp"
@@ -266,6 +269,44 @@ TEST(SearchCollection, FailedFanoutChargesOnlyTheFailingSink) {
   ASSERT_EQ(log.cell_congested.size(), 16u);
   EXPECT_EQ(log.cell_congested[5], 0u);
   EXPECT_EQ(log.cell_congested[15], 1u);
+}
+
+TEST(SearchCollection, BeamSurvivorReplayIsNotRecorded) {
+  // bwd-beam tries each child on a scratch copy of its parent and
+  // replays only the survivors of the pruning; the replays must not
+  // show up as extra placements or routes. The counts were captured
+  // when every tried child was kept as a full copy (nothing replayed).
+  struct Expected {
+    const char* kernel;
+    std::uint64_t accepts, rejects, route_attempts, route_failures,
+        route_steps;
+  };
+  const Expected expected[] = {
+      {"dot_product", 47, 299, 377, 250, 52},
+      {"butterfly", 382, 1127, 1236, 884, 491},
+  };
+  const Mapper* mapper = MapperRegistry::Global().Find("bwd-beam");
+  ASSERT_NE(mapper, nullptr);
+  const auto kernels = TinyKernelSuite();
+  for (const Expected& e : expected) {
+    const auto it =
+        std::find_if(kernels.begin(), kernels.end(),
+                     [&](const Kernel& k) { return k.name == e.kernel; });
+    ASSERT_NE(it, kernels.end()) << e.kernel;
+    SearchLog log;
+    {
+      ScopedSearchLog scoped(&log);
+      MapperOptions opts;
+      opts.seed = 42;
+      ASSERT_TRUE(mapper->Map(it->dfg, Architecture::Adres4x4(), opts).ok())
+          << e.kernel;
+    }
+    EXPECT_EQ(log.place_accepts, e.accepts) << e.kernel;
+    EXPECT_EQ(log.place_rejects, e.rejects) << e.kernel;
+    EXPECT_EQ(log.route_attempts, e.route_attempts) << e.kernel;
+    EXPECT_EQ(log.route_failures, e.route_failures) << e.kernel;
+    EXPECT_EQ(log.route_steps, e.route_steps) << e.kernel;
+  }
 }
 
 // ---- sandbox wire carriage ------------------------------------------------
