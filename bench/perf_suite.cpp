@@ -12,7 +12,9 @@
 //     a digests_match flag the checker requires to be true;
 //   * mapper_suite — representative mappers end to end (greedy
 //     placement, DRESC-style annealing [22], edge-centric EMS [37],
-//     iterative modulo scheduling IMS) over the tiny kernel suite on
+//     iterative modulo scheduling IMS, EPIMap-style embedding [28],
+//     annealed binding [49] and annealed spatial placement [33]) over
+//     the tiny kernel suite on
 //     4x4 -> 16x16 fabrics, with per-II-attempt wall time and the
 //     router/tracker counters the attempt burned (MapTrace::Attempt).
 //
@@ -412,7 +414,8 @@ int main(int argc, char** argv) {
         {"big8x8", Architecture::Big8x8()},
     };
     if (!small) fabrics.push_back({"mega16x16", Architecture::Mega16x16()});
-    const char* mapper_names[] = {"greedy-spatial", "dresc-sa", "ems", "ims"};
+    const char* mapper_names[] = {"greedy-spatial", "dresc-sa", "ems", "ims",
+                                  "epimap",         "spr-sa",   "sa-spatial"};
     const auto kernels = TinyKernelSuite();
     std::printf("== mapper suite ==\n");
     for (const Fabric& f : fabrics) {

@@ -41,11 +41,4 @@ std::vector<NodeId> Digraph::Predecessors(NodeId n) const {
   return out;
 }
 
-bool Digraph::HasEdge(NodeId from, NodeId to) const {
-  for (EdgeId e : out_[static_cast<size_t>(from)]) {
-    if (edges_[static_cast<size_t>(e)].to == to) return true;
-  }
-  return false;
-}
-
 }  // namespace cgra

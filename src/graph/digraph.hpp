@@ -62,9 +62,6 @@ class Digraph {
   std::vector<NodeId> Successors(NodeId n) const;
   std::vector<NodeId> Predecessors(NodeId n) const;
 
-  /// True if an edge from->to exists (linear in out-degree).
-  bool HasEdge(NodeId from, NodeId to) const;
-
  private:
   std::vector<Edge> edges_;
   std::vector<std::vector<EdgeId>> out_;

@@ -9,10 +9,11 @@
 //  * sa-spatial — SNAFU [33]/DSAGEN [32] style: II = 1 placement
 //    annealing for spatial fabrics.
 #include <algorithm>
+#include <cassert>
+#include <climits>
 #include <cmath>
 #include <cstddef>
-#include <limits>
-#include <tuple>
+#include <cstdint>
 
 #include "mappers/common.hpp"
 #include "mappers/mappers.hpp"
@@ -29,36 +30,101 @@ struct SaConfig {
   double cooling = 0.995;
 };
 
-// Use counts per (resource, slot) for one cost evaluation: a flat
-// array, re-zeroed through the list of entries it touched.
-class SlotUse {
+// Capacity-blind routes by (from_cell, to_cell, to_time - from_time).
+// In blind mode the router never reads the tracker, indexes its states
+// relative to the producer's latch cycle and orders its heap by cost
+// alone, so a request shifted in time gets the same route shifted: one
+// answer per key serves every move that asks for it. Requests the
+// router would fail before searching (most random moves on a large
+// fabric) are answered without it and never stored. Steps are stored
+// relative to the latch in one flat array behind an open-addressing
+// index; an unroutable key stores no steps.
+class BlindRouteMemo {
  public:
-  explicit SlotUse(std::size_t entries) : count_(entries, 0) {}
+  /// Steps [offset, offset + length) of steps(), or no route when
+  /// length < 0.
+  struct Ref {
+    std::uint32_t offset = 0;
+    std::int32_t length = -1;
+  };
 
-  void Add(std::size_t i) {
-    if (count_[i]++ == 0) touched_.push_back(i);
-  }
+  BlindRouteMemo(const Mrrg& mrrg, int ii)
+      : mrrg_(mrrg), tracker_(mrrg, ii), index_(std::size_t{1} << kInitialBits) {}
 
-  /// Sum over touched entries of max(0, count - limit(entry)); leaves
-  /// every count at zero again.
-  template <typename Limit>
-  int DrainOveruse(Limit limit) {
-    int over = 0;
-    for (const std::size_t i : touched_) {
-      over += std::max(0, count_[i] - limit(i));
-      count_[i] = 0;
+  /// The blind route of `request`, routed on first sight.
+  Ref Get(const RouteRequest& request) {
+    if (!WithinReach(mrrg_, request)) return Ref{};
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(request.from_cell) *
+             static_cast<std::uint64_t>(mrrg_.arch().num_cells()) +
+         static_cast<std::uint64_t>(request.to_cell))
+            << 32 |
+        static_cast<std::uint32_t>(request.to_time - request.from_time);
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = Home(key);
+    for (; index_[i].ref.length != kEmpty; i = (i + 1) & mask) {
+      if (index_[i].key == key) return index_[i].ref;
     }
-    touched_.clear();
-    return over;
+    Ref ref;
+    RouterOptions blind;
+    blind.ignore_capacity = true;
+    auto route = RouteValue(mrrg_, tracker_, request, blind);
+    if (route.ok()) {
+      ref.offset = static_cast<std::uint32_t>(steps_.size());
+      ref.length = static_cast<std::int32_t>(route->steps.size());
+      const int latch = request.from_time + 1;
+      for (const RouteStep& step : route->steps) {
+        steps_.push_back(RouteStep{step.node, step.time - latch});
+      }
+    }
+    index_[i] = Entry{key, ref};
+    if (2 * ++size_ > index_.size()) Grow();
+    return ref;
   }
+
+  /// Step times are relative to the latch cycle (from_time + 1).
+  const RouteStep* steps() const { return steps_.data(); }
 
  private:
-  std::vector<int> count_;
-  std::vector<std::size_t> touched_;
+  static constexpr int kInitialBits = 6;
+  static constexpr std::int32_t kEmpty = INT32_MIN;
+
+  struct Entry {
+    std::uint64_t key = 0;
+    Ref ref{0, kEmpty};
+  };
+
+  std::size_t Home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  void Grow() {
+    std::vector<Entry> old(index_.size() * 2);
+    old.swap(index_);
+    --shift_;
+    const std::size_t mask = index_.size() - 1;
+    for (const Entry& e : old) {
+      if (e.ref.length == kEmpty) continue;
+      std::size_t i = Home(e.key);
+      while (index_[i].ref.length != kEmpty) i = (i + 1) & mask;
+      index_[i] = e;
+    }
+  }
+
+  const Mrrg& mrrg_;
+  ResourceTracker tracker_;  // untouched in blind mode
+  std::vector<Entry> index_;
+  int shift_ = 64 - kInitialBits;
+  std::size_t size_ = 0;
+  std::vector<RouteStep> steps_;
 };
 
 // Annealer working state: a full assignment op -> (cell, time), with
-// per-edge capacity-blind routes and an overuse score.
+// per-edge capacity-blind routes and an overuse cost whose integer
+// terms are kept up to date move by move. Mutate and Undo take the
+// moved op's terms out before its placement changes (order-port terms
+// read both endpoints' times) and add them back after its edges have
+// their routes again; Recount rebuilds every term from scratch.
 class Annealer {
  public:
   Annealer(const Dfg& dfg, const Architecture& arch, const Mrrg& mrrg, int ii,
@@ -69,7 +135,7 @@ class Annealer {
         ii_(ii),
         est_(est),
         rng_(rng),
-        blind_tracker_(mrrg, ii),
+        memo_(mrrg, ii),
         candidates_(CandidateCellTable(dfg, arch)),
         place_(static_cast<size_t>(dfg.num_ops())),
         edges_of_(static_cast<size_t>(dfg.num_ops())),
@@ -77,7 +143,8 @@ class Annealer {
         bank_use_(static_cast<size_t>(std::max(1, arch.params().num_banks)) *
                   static_cast<size_t>(ii)),
         route_use_(static_cast<size_t>(mrrg.num_nodes()) *
-                   static_cast<size_t>(ii)) {
+                   static_cast<size_t>(ii)),
+        occupants_(static_cast<size_t>(dfg.num_ops())) {
     edges_ = dfg_.Edges(true);
     for (size_t e = 0; e < edges_.size(); ++e) {
       edges_of_[static_cast<size_t>(edges_[e].from)].push_back(static_cast<int>(e));
@@ -100,6 +167,7 @@ class Annealer {
       place_[static_cast<size_t>(op)] = Placement{cell, t};
     }
     for (size_t e = 0; e < edges_.size(); ++e) RerouteEdge(static_cast<int>(e));
+    Recount();
   }
 
   void SetTimesFixed(const std::vector<int>& times) {
@@ -108,63 +176,30 @@ class Annealer {
       place_[static_cast<size_t>(op)].time = times[static_cast<size_t>(op)];
     }
     for (size_t e = 0; e < edges_.size(); ++e) RerouteEdge(static_cast<int>(e));
+    Recount();
   }
 
+  /// 100 per timing violation (or unroutable edge), 10 per unit of FU,
+  /// bank-port or route overuse, 0.01 per route step. Every term is an
+  /// integer count, so the value is the double a term-by-term sum over
+  /// the whole assignment would give.
   double Cost() const {
-    // FU and bank-port overuse per (resource, slot). Every term is a
-    // small integer count, so the integer sums convert to exactly the
-    // doubles a term-by-term double accumulation would give.
-    const size_t ii = static_cast<size_t>(ii_);
-    int timing_violations = 0;
+    return 100.0 * static_cast<double>(timing_violations_) +
+           10.0 * static_cast<double>(overuse_) +
+           0.01 * static_cast<double>(steps_);
+  }
+
+  /// Rebuilds every cost term from the current assignment and routes.
+  void Recount() {
+    std::fill(fu_use_.begin(), fu_use_.end(), 0);
+    std::fill(bank_use_.begin(), bank_use_.end(), 0);
+    std::fill(route_use_.begin(), route_use_.end(), 0);
+    for (auto& list : occupants_) list.clear();
+    timing_violations_ = overuse_ = steps_ = 0;
     for (OpId op = 0; op < dfg_.num_ops(); ++op) {
-      if (arch_.IsFolded(dfg_.op(op).opcode)) continue;
-      const Placement& p = place_[static_cast<size_t>(op)];
-      const size_t slot = static_cast<size_t>(Slot(p.time));
-      fu_use_.Add(static_cast<size_t>(p.cell) * ii + slot);
-      const int bank = arch_.caps(p.cell).bank;
-      if (IsMemoryOp(dfg_.op(op).opcode) && bank >= 0) {
-        bank_use_.Add(static_cast<size_t>(bank) * ii + slot);
-      }
+      if (!arch_.IsFolded(dfg_.op(op).opcode)) CountOp(op, +1);
     }
-    int over = fu_use_.DrainOveruse([](size_t) { return 1; });
-    over += bank_use_.DrainOveruse(
-        [&](size_t) { return arch_.params().bank_ports; });
-    // Route overuse from cached routes (net-shared steps deduped).
-    occupied_.clear();
-    int steps = 0;
-    for (size_t e = 0; e < edges_.size(); ++e) {
-      const DfgEdge& edge = edges_[e];
-      if (edge.to_port == kOrderPort) {
-        const int arrive = place_[static_cast<size_t>(edge.to)].time + ii_ * edge.distance;
-        if (!arch_.IsFolded(dfg_.op(edge.from).opcode) &&
-            arrive < place_[static_cast<size_t>(edge.from)].time + 1) {
-          timing_violations += 1;
-        }
-        continue;
-      }
-      if (arch_.IsFolded(dfg_.op(edge.from).opcode)) continue;
-      if (!routes_[e].has_value()) {
-        timing_violations += 1;  // unroutable (usually a timing problem)
-        continue;
-      }
-      for (const RouteStep& s : routes_[e]->steps) {
-        occupied_.emplace_back(edge.from, s.node, s.time);
-      }
-      steps += static_cast<int>(routes_[e]->steps.size());
-    }
-    std::sort(occupied_.begin(), occupied_.end());
-    occupied_.erase(std::unique(occupied_.begin(), occupied_.end()),
-                    occupied_.end());
-    for (const auto& [v, node, time] : occupied_) {
-      (void)v;
-      route_use_.Add(static_cast<size_t>(node) * ii +
-                     static_cast<size_t>(Slot(time)));
-    }
-    over += route_use_.DrainOveruse([&](size_t i) {
-      return mrrg_.capacity(static_cast<int>(i / ii));
-    });
-    return 100.0 * static_cast<double>(timing_violations) +
-           10.0 * static_cast<double>(over) + 0.01 * static_cast<double>(steps);
+    for (size_t e = 0; e < edges_.size(); ++e) CountEdge(static_cast<int>(e), +1);
   }
 
   /// Applies one random move; returns (op, old placement) for undo.
@@ -181,14 +216,26 @@ class Annealer {
       next.time = est_[static_cast<size_t>(op)] +
                   static_cast<int>(rng_.NextIndex(static_cast<size_t>(2 * ii_)));
     }
+    CountMoved(op, -1);
+    saved_.clear();
+    for (int e : edges_of_[static_cast<size_t>(op)]) {
+      saved_.push_back(routes_[static_cast<size_t>(e)]);
+    }
     place_[static_cast<size_t>(op)] = next;
     for (int e : edges_of_[static_cast<size_t>(op)]) RerouteEdge(e);
+    CountMoved(op, +1);
     return {op, old};
   }
 
+  /// Reverts the Mutate that returned `undo`, restoring its saved routes.
   void Undo(const std::pair<OpId, Placement>& undo) {
+    const auto& edges = edges_of_[static_cast<size_t>(undo.first)];
+    CountMoved(undo.first, -1);
     place_[static_cast<size_t>(undo.first)] = undo.second;
-    for (int e : edges_of_[static_cast<size_t>(undo.first)]) RerouteEdge(e);
+    for (size_t i = 0; i < edges.size(); ++i) {
+      routes_[static_cast<size_t>(edges[i])] = saved_[i];
+    }
+    CountMoved(undo.first, +1);
   }
 
   /// Tries to rebuild the current assignment with hard capacities.
@@ -213,14 +260,62 @@ class Annealer {
     return state.Finalize();
   }
 
+  const std::vector<int>& edges_of(OpId op) const {
+    return edges_of_[static_cast<size_t>(op)];
+  }
+
+  /// Test hook: true when edge `e`'s memoised answer, shifted by
+  /// `shift` cycles, differs from a fresh blind RouteValue for its
+  /// request shifted the same; false for edges that route nothing.
+  /// `blind` is any tracker of this MRRG and II.
+  bool MemoDiffersFromRouter(int e, int shift, ResourceTracker& blind) const {
+    const DfgEdge& edge = edges_[static_cast<size_t>(e)];
+    if (edge.to_port == kOrderPort || arch_.IsFolded(dfg_.op(edge.from).opcode)) {
+      return false;
+    }
+    RouteRequest req = Request(edge);
+    req.from_time += shift;
+    req.to_time += shift;
+    RouterOptions options;
+    options.ignore_capacity = true;
+    const auto fresh = RouteValue(mrrg_, blind, req, options);
+    const EdgeRoute& memo = routes_[static_cast<size_t>(e)];
+    if (!fresh.ok() || memo.ref.length < 0) return fresh.ok() != (memo.ref.length >= 0);
+    if (fresh->steps.size() != static_cast<size_t>(memo.ref.length)) return true;
+    const RouteStep* steps = memo_.steps() + memo.ref.offset;
+    for (size_t i = 0; i < fresh->steps.size(); ++i) {
+      const RouteStep shifted{steps[i].node, memo.latch + shift + steps[i].time};
+      if (!(fresh->steps[i] == shifted)) return true;
+    }
+    return false;
+  }
+
  private:
+  // A memoised blind route placed at `latch` (the producer's issue
+  // cycle + 1).
+  struct EdgeRoute {
+    BlindRouteMemo::Ref ref;
+    int latch = 0;
+  };
+
+  // One distinct (node, time) step of a value's routes, shared by
+  // `count` of its edges.
+  struct Occupant {
+    int node;
+    int time;
+    int count;
+  };
+
   int Slot(int t) const { return ((t % ii_) + ii_) % ii_; }
 
-  void RerouteEdge(int e) {
-    const DfgEdge& edge = edges_[static_cast<size_t>(e)];
-    routes_[static_cast<size_t>(e)].reset();
-    if (edge.to_port == kOrderPort) return;
-    if (arch_.IsFolded(dfg_.op(edge.from).opcode)) return;
+  // Adds `sign` (+1 or -1) to a use count; returns the change in
+  // max(0, count - limit).
+  static int Bump(int& count, int sign, int limit) {
+    if (sign > 0) return count++ >= limit ? 1 : 0;
+    return --count >= limit ? -1 : 0;
+  }
+
+  RouteRequest Request(const DfgEdge& edge) const {
     const Placement& pf = place_[static_cast<size_t>(edge.from)];
     const Placement& pt = place_[static_cast<size_t>(edge.to)];
     RouteRequest req;
@@ -229,10 +324,83 @@ class Annealer {
     req.to_cell = pt.cell;
     req.to_time = pt.time + ii_ * edge.distance;
     req.value = edge.from;
-    RouterOptions blind;
-    blind.ignore_capacity = true;
-    auto r = RouteValue(mrrg_, blind_tracker_, req, blind);
-    if (r.ok()) routes_[static_cast<size_t>(e)] = std::move(r).value();
+    return req;
+  }
+
+  void RerouteEdge(int e) {
+    const DfgEdge& edge = edges_[static_cast<size_t>(e)];
+    EdgeRoute& route = routes_[static_cast<size_t>(e)];
+    route = EdgeRoute{};
+    if (edge.to_port == kOrderPort) return;
+    if (arch_.IsFolded(dfg_.op(edge.from).opcode)) return;
+    const RouteRequest req = Request(edge);
+    route.ref = memo_.Get(req);
+    route.latch = req.from_time + 1;
+  }
+
+  // FU and bank-port terms of one placed op.
+  void CountOp(OpId op, int sign) {
+    const Placement& p = place_[static_cast<size_t>(op)];
+    const size_t ii = static_cast<size_t>(ii_);
+    const size_t slot = static_cast<size_t>(Slot(p.time));
+    overuse_ += Bump(fu_use_[static_cast<size_t>(p.cell) * ii + slot], sign, 1);
+    const int bank = arch_.caps(p.cell).bank;
+    if (IsMemoryOp(dfg_.op(op).opcode) && bank >= 0) {
+      overuse_ += Bump(bank_use_[static_cast<size_t>(bank) * ii + slot], sign,
+                       arch_.params().bank_ports);
+    }
+  }
+
+  // Timing, step and route-occupancy terms of one edge.
+  void CountEdge(int e, int sign) {
+    const DfgEdge& edge = edges_[static_cast<size_t>(e)];
+    if (arch_.IsFolded(dfg_.op(edge.from).opcode)) return;
+    if (edge.to_port == kOrderPort) {
+      const int arrive = place_[static_cast<size_t>(edge.to)].time + ii_ * edge.distance;
+      if (arrive < place_[static_cast<size_t>(edge.from)].time + 1) {
+        timing_violations_ += sign;
+      }
+      return;
+    }
+    const EdgeRoute& route = routes_[static_cast<size_t>(e)];
+    if (route.ref.length < 0) {
+      timing_violations_ += sign;  // unroutable (usually a timing problem)
+      return;
+    }
+    steps_ += sign * route.ref.length;
+    const RouteStep* steps = memo_.steps() + route.ref.offset;
+    for (std::int32_t i = 0; i < route.ref.length; ++i) {
+      Occupy(edge.from, steps[i].node, route.latch + steps[i].time, sign);
+    }
+  }
+
+  // Route load counts distinct (value, node, time) occupants per
+  // (node, slot): edges of one value share their common steps.
+  void Occupy(ValueId value, int node, int time, int sign) {
+    std::vector<Occupant>& list = occupants_[static_cast<size_t>(value)];
+    auto it = std::find_if(list.begin(), list.end(), [&](const Occupant& o) {
+      return o.node == node && o.time == time;
+    });
+    if (sign > 0) {
+      if (it != list.end()) {
+        ++it->count;
+        return;
+      }
+      list.push_back(Occupant{node, time, 1});
+    } else {
+      assert(it != list.end());
+      if (--it->count > 0) return;
+      *it = list.back();
+      list.pop_back();
+    }
+    const size_t use = static_cast<size_t>(node) * static_cast<size_t>(ii_) +
+                       static_cast<size_t>(Slot(time));
+    overuse_ += Bump(route_use_[use], sign, mrrg_.capacity(node));
+  }
+
+  void CountMoved(OpId op, int sign) {
+    CountOp(op, sign);
+    for (int e : edges_of_[static_cast<size_t>(op)]) CountEdge(e, sign);
   }
 
   const Dfg& dfg_;
@@ -241,17 +409,21 @@ class Annealer {
   int ii_;
   std::vector<int> est_;
   Rng& rng_;
-  mutable ResourceTracker blind_tracker_;  // untouched in blind mode
+  BlindRouteMemo memo_;
   std::vector<std::vector<int>> candidates_;
   std::vector<Placement> place_;
   std::vector<DfgEdge> edges_;
   std::vector<std::vector<int>> edges_of_;
-  std::vector<std::optional<Route>> routes_;
-  // Cost() scratch, reused across calls.
-  mutable SlotUse fu_use_;     ///< (cell, slot) issues
-  mutable SlotUse bank_use_;   ///< (bank, slot) memory accesses
-  mutable SlotUse route_use_;  ///< (node, slot) distinct route occupants
-  mutable std::vector<std::tuple<ValueId, int, int>> occupied_;
+  std::vector<EdgeRoute> routes_;
+  std::vector<EdgeRoute> saved_;  ///< the last Mutate's replaced routes
+  // Cost terms and the use counts behind them.
+  int timing_violations_ = 0;
+  int overuse_ = 0;
+  int steps_ = 0;
+  std::vector<int> fu_use_;    ///< (cell, slot) issues
+  std::vector<int> bank_use_;  ///< (bank, slot) memory accesses
+  std::vector<int> route_use_; ///< (node, slot) distinct route occupants
+  std::vector<std::vector<Occupant>> occupants_;  ///< per value
 };
 
 Result<Mapping> AnnealAtIi(const Dfg& dfg, const Architecture& arch,
@@ -378,6 +550,51 @@ class AnnealingSpatialMapper final : public Mapper {
 };
 
 }  // namespace
+
+namespace annealing_internal {
+
+CostCheck CheckIncrementalCost(const Dfg& dfg, const Architecture& arch, int ii,
+                               bool fixed_times, std::uint64_t seed, int moves) {
+  CostCheck check;
+  const Mrrg mrrg(arch);
+  const auto est = ModuloAsap(dfg, arch, ii);
+  if (est.empty()) return check;
+  Rng rng(seed);
+  Rng coin(seed + 1);
+  Annealer annealer(dfg, arch, mrrg, ii, est, rng);
+  annealer.RandomInit(/*jitter_time=*/!fixed_times);
+  if (fixed_times) annealer.SetTimesFixed(est);
+  ResourceTracker blind(mrrg, ii);
+  auto compare_cost = [&] {
+    const double incremental = annealer.Cost();
+    annealer.Recount();
+    ++check.cost_checks;
+    if (incremental != annealer.Cost()) ++check.cost_mismatches;
+  };
+  auto compare_routes = [&](OpId op) {
+    for (int e : annealer.edges_of(op)) {
+      for (const int shift : {0, 1, ii}) {
+        ++check.route_checks;
+        if (annealer.MemoDiffersFromRouter(e, shift, blind)) ++check.route_mismatches;
+      }
+    }
+  };
+  compare_cost();
+  for (OpId op = 0; op < dfg.num_ops(); ++op) compare_routes(op);
+  for (int m = 0; m < moves; ++m) {
+    const auto undo = annealer.Mutate(/*move_time=*/!fixed_times);
+    compare_cost();
+    compare_routes(undo.first);
+    if (coin.NextBool(0.5)) {
+      annealer.Undo(undo);
+      compare_cost();
+      compare_routes(undo.first);
+    }
+  }
+  return check;
+}
+
+}  // namespace annealing_internal
 
 std::unique_ptr<Mapper> MakeDrescAnnealingMapper() {
   return std::make_unique<DrescAnnealingMapper>();

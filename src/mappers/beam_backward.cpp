@@ -10,6 +10,8 @@
 // are stochastically pruned to keep under control their number").
 #include <algorithm>
 #include <cstddef>
+#include <numeric>
+#include <optional>
 
 #include "graph/algos.hpp"
 #include "mappers/common.hpp"
@@ -131,20 +133,44 @@ class BackwardBeamMapper final : public Mapper {
           std::swap(next[kBeamWidth - 1], next[wild]);
           next.erase(next.begin() + kBeamWidth, next.end());
         }
-        // Build the survivors by replaying their placement on a copy of
-        // their parent: the same call on the same state routes the same
-        // way. The search log already counted these placements.
-        std::vector<State> survivors;
-        survivors.reserve(next.size());
-        telemetry::SuspendedSearchLog replay;
-        for (const Child& c : next) {
-          State child{beam[c.parent].prs, c.route_steps};
-          if (!child.prs.TryPlace(op, c.cell, c.time)) {
-            return Error::Internal("bwd-beam survivor failed to replay");
-          }
-          survivors.push_back(std::move(child));
+        // Build the survivors by replaying their placement on their
+        // parent: the same call on the same state routes the same way,
+        // so the order they are built in cannot matter. Each parent is
+        // copied for all but its last survivor and moved into that one;
+        // parents with fewer survivors go first, so unused parents are
+        // dropped before anything is built and no more than one beam of
+        // states is ever alive. The search log already counted these
+        // placements.
+        std::vector<std::vector<std::size_t>> kids(beam.size());
+        for (std::size_t i = 0; i < next.size(); ++i) {
+          kids[next[i].parent].push_back(i);
         }
-        beam = std::move(survivors);
+        std::vector<std::size_t> parents(beam.size());
+        std::iota(parents.begin(), parents.end(), std::size_t{0});
+        std::stable_sort(parents.begin(), parents.end(),
+                         [&](std::size_t a, std::size_t b) {
+                           return kids[a].size() < kids[b].size();
+                         });
+        std::vector<std::optional<State>> built(next.size());
+        telemetry::SuspendedSearchLog replay;
+        for (const std::size_t p : parents) {
+          PlaceRouteState& prs = beam[p].prs;
+          if (kids[p].empty()) {
+            const PlaceRouteState dropped(std::move(prs));
+            continue;
+          }
+          for (const std::size_t i : kids[p]) {
+            const Child& c = next[i];
+            State& child = i == kids[p].back()
+                               ? built[i].emplace(State{std::move(prs), c.route_steps})
+                               : built[i].emplace(State{prs, c.route_steps});
+            if (!child.prs.TryPlace(op, c.cell, c.time)) {
+              return Error::Internal("bwd-beam survivor failed to replay");
+            }
+          }
+        }
+        beam.clear();
+        for (std::optional<State>& child : built) beam.push_back(std::move(*child));
       }
       return beam.front().prs.Finalize();
     });

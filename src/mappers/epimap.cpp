@@ -1,21 +1,23 @@
-// EPIMap-style binding via maximum common subgraph, after Hamzeh et
-// al. [28] (and the backward simultaneous variant of Peyret [47] uses
-// the same compatibility machinery).
+// EPIMap-style binding, after Hamzeh et al. [28] (the backward
+// simultaneous variant of Peyret [47] uses the same compatibility
+// machinery).
 //
 // The schedule is produced first (modulo-ASAP levels); binding is then
 // the problem of embedding the scheduled DFG into the time-extended
-// CGRA graph. We build graph A = scheduled ops (edges = same/carried
-// dependencies) and graph B = (cell, slot) pairs with edges wherever a
-// one-hop-or-wait transfer of the required latency exists, and run the
-// MCS search with compatibility = capability + slot agreement. When
-// the embedding misses ops (MCS < |A|), the DFG is transformed the
-// EPIMap way — a kRoute node is inserted to stretch the failing edge —
-// and the process repeats (the "epimorphism" iteration).
+// CGRA graph. EPIMap keeps only complete embeddings, and with time
+// fixed that is subgraph monomorphism over space: the first full
+// embedding of the scheduled ops into (cell, slot) pairs where every
+// op's cell can execute it at its slot and every dependence is a
+// one-hop-or-wait transfer (the space/time decoupling of Tirelli et
+// al., PAPERS.md; graph/embed.hpp). When no full embedding exists, the
+// DFG is transformed the EPIMap way — a kRoute node is inserted to
+// stretch the failing edge — and the process repeats (the
+// "epimorphism" iteration).
 #include <algorithm>
 #include <cstddef>
 #include <map>
 
-#include "graph/mcs.hpp"
+#include "graph/embed.hpp"
 #include "mappers/common.hpp"
 #include "mappers/mappers.hpp"
 
@@ -28,21 +30,27 @@ class EpimapStyleMapper final : public Mapper {
   TechniqueClass technique() const override { return TechniqueClass::kHeuristic; }
   MappingKind kind() const override { return MappingKind::kBinding; }
   std::string lineage() const override {
-    return "max-common-subgraph binding with recompute/route transforms "
-           "(EPIMap [28]; cf. Peyret et al. [47])";
+    return "first full embedding (monomorphism) after the schedule fixes "
+           "time, with recompute/route transforms (EPIMap [28]; cf. "
+           "Peyret et al. [47], Tirelli et al.)";
   }
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     const auto mrrg_ref = AcquireMrrg(arch, options);
     const Mrrg& mrrg = *mrrg_ref;
+    // A dependence p -> q binds when q reads p's cell directly.
+    CellReads reads(arch.num_cells());
+    for (int q = 0; q < arch.num_cells(); ++q) {
+      for (const int p : arch.ReadableFrom(q)) reads.Add(q, p);
+    }
     return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
       Dfg work = dfg;  // transformed copy (route insertions)
       for (int transform_round = 0; transform_round < 4; ++transform_round) {
         if (ShouldAbort(options)) {
           return Error::ResourceLimit("EPIMap deadline expired");
         }
-        Result<Mapping> r = TryBind(work, dfg, arch, mrrg, ii, options);
+        Result<Mapping> r = TryBind(work, dfg, arch, mrrg, reads, ii, options);
         if (r.ok()) return r;
         // Transform: stretch the longest same-iteration edge of the
         // highest-fanout op with a route node, then retry.
@@ -79,89 +87,60 @@ class EpimapStyleMapper final : public Mapper {
   // prefix (synthetic routes are appended, so original placements are
   // a prefix); we re-pin-and-route the original ops.
   Result<Mapping> TryBind(const Dfg& work, const Dfg& original,
-                          const Architecture& arch, const Mrrg& mrrg, int ii,
+                          const Architecture& arch, const Mrrg& mrrg,
+                          const CellReads& reads, int ii,
                           const MapperOptions& options) const {
     const auto times = ModuloAsap(work, arch, ii);
     if (times.empty()) {
       return Error::Unmappable("recurrences infeasible at this II");
     }
 
-    // Graph A: mappable scheduled ops with their dependence edges.
+    // Pattern: mappable scheduled ops with their dependence edges, each
+    // op restricted to the cells that can execute it at its slot.
     std::vector<OpId> mappable;
     std::vector<int> compact(static_cast<size_t>(work.num_ops()), -1);
+    EmbedDomains domains;
+    domains.ii = ii;
     for (OpId op = 0; op < work.num_ops(); ++op) {
-      if (!arch.IsFolded(work.op(op).opcode)) {
-        compact[static_cast<size_t>(op)] = static_cast<int>(mappable.size());
-        mappable.push_back(op);
+      if (arch.IsFolded(work.op(op).opcode)) continue;
+      compact[static_cast<size_t>(op)] = static_cast<int>(mappable.size());
+      mappable.push_back(op);
+      domains.slot.push_back(((times[static_cast<size_t>(op)] % ii) + ii) % ii);
+      std::vector<int>& cells = domains.cells.emplace_back();
+      for (int cell = 0; cell < arch.num_cells(); ++cell) {
+        if (arch.CanExecute(cell, work.op(op))) cells.push_back(cell);
       }
     }
     Digraph a(static_cast<int>(mappable.size()));
-    struct AEdge {
-      int from, to, latency;
-    };
-    std::vector<AEdge> a_edges;
     for (const DfgEdge& e : work.Edges(true)) {
       if (e.to_port == kOrderPort) continue;
       if (arch.IsFolded(work.op(e.from).opcode)) continue;
-      const int fa = compact[static_cast<size_t>(e.from)];
-      const int ta = compact[static_cast<size_t>(e.to)];
-      a.AddEdge(fa, ta);
-      a_edges.push_back(
-          AEdge{fa, ta,
-                times[static_cast<size_t>(e.to)] + ii * e.distance -
-                    times[static_cast<size_t>(e.from)]});
+      a.AddEdge(compact[static_cast<size_t>(e.from)],
+                compact[static_cast<size_t>(e.to)]);
     }
 
-    // Graph B: one node per (cell, slot); edge p->q when a value
-    // produced on p can be read by q after a wait-or-one-hop transfer
-    // (the restricted-routing relation).
-    const int cells = arch.num_cells();
-    Digraph b(cells * ii);
-    auto bnode = [&](int cell, int slot) { return cell * ii + slot; };
-    for (int p = 0; p < cells; ++p) {
-      for (int sp = 0; sp < ii; ++sp) {
-        for (int q = 0; q < cells; ++q) {
-          const auto& readable = arch.ReadableFrom(q);
-          const bool direct =
-              std::find(readable.begin(), readable.end(), p) != readable.end();
-          if (!direct) continue;
-          for (int sq = 0; sq < ii; ++sq) {
-            b.AddEdge(bnode(p, sp), bnode(q, sq));
-          }
-        }
-      }
-    }
-
-    // Compatibility: capability + slot agreement with the schedule.
-    McsOptions mcs;
-    mcs.deadline = options.deadline.RemainingSeconds() > 2.0
-                       ? Deadline::AfterSeconds(2.0)
-                       : options.deadline;
-    mcs.require_edge_preservation = true;
-    mcs.node_compatible = [&](NodeId va, NodeId vb) {
-      const OpId op = mappable[static_cast<size_t>(va)];
-      const int cell = vb / ii;
-      const int slot = vb % ii;
-      const int want = ((times[static_cast<size_t>(op)] % ii) + ii) % ii;
-      return slot == want && arch.CanExecute(cell, work.op(op));
-    };
-    const auto match = MaxCommonSubgraph(a, b, mcs);
-    if (match.size() != mappable.size()) {
-      return Error::Unmappable("MCS embedding left ops unmapped");
+    EmbedLimits limits;
+    limits.deadline = options.deadline.RemainingSeconds() > 2.0
+                          ? Deadline::AfterSeconds(2.0)
+                          : options.deadline;
+    limits.stop = options.stop;
+    const auto match = FirstEmbedding(a, domains, reads, limits);
+    if (!match) {
+      return Error::Unmappable("no full embedding of the scheduled ops");
     }
 
     // Realize with the real router at the matched cells/times.
     PlaceRouteState state(work, arch, mrrg, ii);
     std::vector<std::pair<OpId, int>> placement;  // (op, cell)
-    for (const auto& [va, vb] : match) {
-      placement.push_back({mappable[static_cast<size_t>(va)], vb / ii});
+    for (const auto& [va, cell] : *match) {
+      placement.push_back({mappable[static_cast<size_t>(va)], cell});
     }
     std::sort(placement.begin(), placement.end(), [&](const auto& x, const auto& y) {
       return times[static_cast<size_t>(x.first)] < times[static_cast<size_t>(y.first)];
     });
     for (const auto& [op, cell] : placement) {
       if (!state.TryPlace(op, cell, times[static_cast<size_t>(op)])) {
-        return Error::Unmappable("MCS embedding not routable");
+        return Error::Unmappable("embedding not routable");
       }
     }
     Mapping full = state.Finalize();

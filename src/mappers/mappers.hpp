@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "mapping/mapper.hpp"
@@ -48,5 +49,28 @@ std::unique_ptr<Mapper> MakeThrowingMapper();           ///< throws from Map()
 std::unique_ptr<Mapper> MakeSegvMapper();               ///< SIGSEGVs in Map()
 std::unique_ptr<Mapper> MakeSpinMapper();               ///< never returns
 std::unique_ptr<Mapper> MakeAllocBombMapper();          ///< allocates forever
+
+// Test-only visibility into the annealers' incremental cost and their
+// capacity-blind route memo (src/mappers/annealing.cpp).
+namespace annealing_internal {
+
+struct CostCheck {
+  int cost_checks = 0;       ///< incremental cost compared with a recount
+  int cost_mismatches = 0;
+  int route_checks = 0;      ///< memoised routes compared with the router
+  int route_mismatches = 0;
+};
+
+/// Runs `moves` seeded annealer moves at `ii` on (dfg, arch), undoing
+/// each with probability 1/2; times move freely, or stay fixed at the
+/// modulo-ASAP schedule when `fixed_times`. After the initial
+/// assignment and after every Mutate and Undo, compares the incremental
+/// cost with a full recount, and the moved op's memoised routes (every
+/// op's after the initial assignment) with fresh blind RouteValue calls
+/// for the same request and for it shifted by +1 and by +ii cycles.
+CostCheck CheckIncrementalCost(const Dfg& dfg, const Architecture& arch, int ii,
+                               bool fixed_times, std::uint64_t seed, int moves);
+
+}  // namespace annealing_internal
 
 }  // namespace cgra

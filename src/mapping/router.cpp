@@ -373,6 +373,14 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
 
 }  // namespace
 
+bool WithinReach(const Mrrg& mrrg, const RouteRequest& request) {
+  const int start_time = request.from_time + 1;
+  return start_time <= request.to_time &&
+         GoalWithinHops(mrrg, mrrg.HoldNode(request.from_cell),
+                        mrrg.ReadableHolds(request.to_cell),
+                        request.to_time - start_time);
+}
+
 Result<Route> RouteValue(const Mrrg& mrrg, ResourceTracker& tracker,
                          const RouteRequest& request,
                          const RouterOptions& options) {

@@ -60,6 +60,12 @@ struct RouterOptions {
   bool use_heuristic = false;
 };
 
+/// False when `request` fails before any search, whatever the mode and
+/// the tracker: the consumer issues before the producer's latch, or its
+/// window is hop-infeasible (see RouterOptions). RouteValue answers
+/// such a request with kUnmappable.
+bool WithinReach(const Mrrg& mrrg, const RouteRequest& request);
+
 /// On success the returned route's steps are already recorded in the
 /// tracker (call ReleaseRoute to undo). Fails with kUnmappable when no
 /// capacity-respecting path of the exact required latency exists; a

@@ -2,13 +2,17 @@
 // can handle must (a) pass the validator and (b) execute bit-exactly
 // on the simulator. This is the §II-C invariant enforced wholesale.
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "api/request.hpp"
 #include "engine/trace.hpp"
 #include "ir/kernels.hpp"
 #include "mappers/common.hpp"
@@ -17,6 +21,7 @@
 #include "mapping/validator.hpp"
 #include "sim/harness.hpp"
 #include "support/rng.hpp"
+#include "support/stop_token.hpp"
 #include "support/timer.hpp"
 
 namespace cgra {
@@ -277,6 +282,113 @@ TEST(MapperRegistryTest, ByTechniqueAndByKindPartitionTheCatalogue) {
     }
   }
   EXPECT_EQ(by_kind, registry.size());
+}
+
+// ---- deadline and stop contract -----------------------------------------------
+// Every mapper returns within 1.5x its budget, the grace the end-to-end
+// benchmark grants; a budget-bound mapper reports kResourceLimit.
+
+constexpr double kSweepBudget = 0.5;
+
+void ExpectReturnsWithinGrace(const Mapper& mapper, const Kernel& kernel,
+                              const Architecture& arch) {
+  MapperOptions opts;
+  opts.deadline = Deadline::AfterSeconds(kSweepBudget);
+  WallTimer timer;
+  const auto r = mapper.Map(kernel.dfg, arch, opts);
+  const double seconds = timer.Seconds();
+  EXPECT_LE(seconds, 1.5 * kSweepBudget)
+      << mapper.name() << " on " << kernel.name << "@" << arch.params().name;
+  if (!r.ok() && seconds >= kSweepBudget) {
+    EXPECT_EQ(r.error().code, Error::Code::kResourceLimit)
+        << mapper.name() << ": " << r.error().message;
+  }
+}
+
+class DeadlineSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(DeadlineSweep, Big8x8ComplexMul) {
+  const Mapper& mapper =
+      MapperRegistry::Global().at(static_cast<size_t>(GetParam()));
+  const std::optional<Kernel> kernel = api::KernelByName("complex_mul", 32, 1);
+  ASSERT_TRUE(kernel.has_value());
+  ExpectReturnsWithinGrace(mapper, *kernel, Architecture::Big8x8());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMappers, DeadlineSweep,
+    ::testing::Range(0, static_cast<int>(MapperRegistry::Global().size())),
+    [](const ::testing::TestParamInfo<int>& info) {
+      std::string name =
+          MapperRegistry::Global().at(static_cast<size_t>(info.param)).name();
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+// The largest fabric only for epimap: its embedding search is the one
+// that has to notice the deadline (smt overruns it here, ROADMAP item 1).
+TEST(DeadlineSweepMega, EpimapOnMega16x16WideDot8) {
+  const Mapper* epimap = MapperRegistry::Global().Find("epimap");
+  ASSERT_NE(epimap, nullptr);
+  const std::optional<Kernel> kernel = api::KernelByName("wide_dot_8", 32, 1);
+  ASSERT_TRUE(kernel.has_value());
+  ExpectReturnsWithinGrace(*epimap, *kernel, Architecture::Mega16x16());
+}
+
+TEST(DeadlineSweepMega, EpimapHonoursStopWithoutDeadline) {
+  const Mapper* epimap = MapperRegistry::Global().Find("epimap");
+  ASSERT_NE(epimap, nullptr);
+  const std::optional<Kernel> kernel = api::KernelByName("wide_dot_8", 32, 1);
+  ASSERT_TRUE(kernel.has_value());
+  const Architecture arch = Architecture::Mega16x16();
+  StopSource source;
+  MapperOptions opts;
+  opts.stop = source.token();
+  std::thread stopper([&source] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    source.RequestStop();
+  });
+  WallTimer timer;
+  const auto r = epimap->Map(kernel->dfg, arch, opts);
+  const double seconds = timer.Seconds();
+  stopper.join();
+  EXPECT_LE(seconds, 0.5);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, Error::Code::kResourceLimit) << r.error().message;
+}
+
+// ---- annealer incremental cost and blind-route memo --------------------------
+
+void ExpectIncrementalCostHolds(const Architecture& arch, const char* name,
+                                int ii) {
+  const std::optional<Kernel> kernel = api::KernelByName(name, 32, 1);
+  ASSERT_TRUE(kernel.has_value()) << name;
+  for (const bool fixed_times : {false, true}) {
+    const annealing_internal::CostCheck check =
+        annealing_internal::CheckIncrementalCost(kernel->dfg, arch, ii,
+                                                 fixed_times, 7, 1500);
+    const std::string where = std::string(name) + "@" + arch.params().name +
+                              (fixed_times ? " fixed times" : " free times");
+    EXPECT_GT(check.cost_checks, 1500) << where;
+    EXPECT_EQ(check.cost_mismatches, 0) << where;
+    EXPECT_GT(check.route_checks, 0) << where;
+    EXPECT_EQ(check.route_mismatches, 0) << where;
+  }
+}
+
+TEST(AnnealerCost, IncrementalCostAndMemoMatchRecountAdres4x4) {
+  const Architecture arch = Architecture::Adres4x4();
+  ExpectIncrementalCostHolds(arch, "butterfly", 2);
+  ExpectIncrementalCostHolds(arch, "histogram8", 3);
+  ExpectIncrementalCostHolds(arch, "fir4", 2);
+}
+
+TEST(AnnealerCost, IncrementalCostAndMemoMatchRecountBig8x8) {
+  const Architecture arch = Architecture::Big8x8();
+  ExpectIncrementalCostHolds(arch, "complex_mul", 3);
+  ExpectIncrementalCostHolds(arch, "histogram8", 3);
 }
 
 // ---- MII bounds ---------------------------------------------------------------

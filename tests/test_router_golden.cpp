@@ -225,6 +225,16 @@ TEST(RouterGolden, DeterministicMappersAdres4x4) {
           {"dresc-sa", "dot_product", 0x7f96901013b516f2ull},
           {"crimson", "vecadd", 0x8d3dba1a913af0faull},
           {"crimson", "relu_scale", 0xd457f9b5dfab8096ull},
+          {"spr-sa", "vecadd", 0xce61433ed9df8b8bull},
+          {"spr-sa", "dot_product", 0x99f200b4977d3123ull},
+          {"spr-sa", "saxpy", 0xd7cbfd4bd5422dcdull},
+          {"spr-sa", "relu_scale", 0x7f4c82a7e6e64f0dull},
+          {"spr-sa", "butterfly", 0x6cca02b15b32dd1cull},
+          {"sa-spatial", "vecadd", 0x0f30ee283d69d58aull},
+          {"sa-spatial", "dot_product", 0x7f96901013b516f2ull},
+          {"sa-spatial", "saxpy", 0x6d38cb8fed22c96full},
+          {"sa-spatial", "relu_scale", 0x58e33b97b928a331ull},
+          {"sa-spatial", "butterfly", 0xc13b788406c0cc40ull},
       });
 }
 
@@ -241,6 +251,15 @@ TEST(RouterGolden, DeterministicMappersHetero4x4) {
           {"epimap", "dot_product", 0xfe05cc5d17fa2ccdull},
           {"dresc-sa", "butterfly", 0x8d7ebfda42e5c74dull},
           {"crimson", "saxpy", 0xadbfc8b8bbadd24bull},
+          {"spr-sa", "vecadd", 0xce61433ed9df8b8bull},
+          {"spr-sa", "dot_product", 0x2bc6a0ddffdbfce5ull},
+          {"spr-sa", "saxpy", 0xc1494ea5a12bbc2bull},
+          {"spr-sa", "relu_scale", 0x05e306511ff65d6dull},
+          {"spr-sa", "butterfly", 0x73e4ef2d9c02429eull},
+          {"sa-spatial", "vecadd", 0x0f30ee283d69d58aull},
+          {"sa-spatial", "dot_product", 0xb778773b90067644ull},
+          {"sa-spatial", "saxpy", 0x159c4792d6f8ebbcull},
+          {"sa-spatial", "relu_scale", 0x21aab3b67c518faeull},
       });
 }
 
@@ -288,6 +307,38 @@ TEST(RouterGolden, DeterministicExactMappers) {
                         << ": " << m.error().message;
     EXPECT_EQ(MappingDigest(*m), g.digest)
         << g.mapper << "/" << g.kernel << "/" << g.fabric;
+  }
+}
+
+// ---- golden big8x8 digests --------------------------------------------------
+// epimap's embedding search and the annealers' blind-route memo do the
+// most work on the larger fabric. Captured with the McGregor common-
+// subgraph binder and the re-route-every-move annealer; each search
+// finishes well inside epimap's per-bind cap, so the digests depend on
+// the search order alone.
+
+TEST(RouterGolden, DeterministicMappersBig8x8) {
+  const ExactGolden goldens[] = {
+      {"epimap", "fir4", "big8x8", 0xc3b1536bb1863ae7ull},
+      {"epimap", "gemm_mac", "big8x8", 0x9a6ae4fda2bf735eull},
+      {"epimap", "alpha_blend", "big8x8", 0x3b4cc74b2b974fe5ull},
+      {"dresc-sa", "complex_mul", "big8x8", 0xd76036e1f9f266e4ull},
+      {"dresc-sa", "mavg3", "big8x8", 0xf09cef38aba606fdull},
+      {"dresc-sa", "histogram8", "big8x8", 0x6595a34756fd4fb0ull},
+  };
+  for (const ExactGolden& g : goldens) {
+    const Mapper* mapper = MapperRegistry::Global().Find(g.mapper);
+    ASSERT_NE(mapper, nullptr) << g.mapper;
+    const std::optional<Architecture> arch = api::FabricByName(g.fabric);
+    ASSERT_TRUE(arch.has_value()) << g.fabric;
+    const std::optional<Kernel> kernel = api::KernelByName(g.kernel, 16, 0x5EED);
+    ASSERT_TRUE(kernel.has_value()) << g.kernel;
+    MapperOptions opts;
+    opts.seed = 42;
+    auto m = mapper->Map(kernel->dfg, *arch, opts);
+    ASSERT_TRUE(m.ok()) << g.mapper << "/" << g.kernel << ": "
+                        << m.error().message;
+    EXPECT_EQ(MappingDigest(*m), g.digest) << g.mapper << "/" << g.kernel;
   }
 }
 
@@ -489,6 +540,48 @@ TEST(RouterArena, HopInfeasibleQueryDoesNotSearch) {
     ASSERT_TRUE(at_bound.ok()) << arch.params().name << ": "
                                << at_bound.error().message;
     EXPECT_GT(router_internal::CurrentScratchStats().epoch, stats_before.epoch);
+  }
+}
+
+// WithinReach is the router's pre-search exit as a predicate: callers
+// that skip the router when it is false (the annealers' blind-route
+// memo) must get exactly the router's answer.
+TEST(RouterProperty, WithinReachIsThePreSearchExit) {
+  FaultModel faults;
+  faults.KillCell(5);
+  for (const Architecture& arch :
+       {Architecture::Adres4x4(), Architecture::Big8x8(),
+        Architecture::Adres4x4().WithFaults(faults), Architecture::VliwLike4()}) {
+    const Mrrg mrrg(arch);
+    ResourceTracker tracker(mrrg, 2);
+    Rng rng(0x4EAC4ull);
+    int out_of_reach = 0, in_reach = 0;
+    for (int q = 0; q < 400; ++q) {
+      RouteRequest req;
+      req.from_cell =
+          static_cast<int>(rng.NextIndex(static_cast<size_t>(arch.num_cells())));
+      req.to_cell =
+          static_cast<int>(rng.NextIndex(static_cast<size_t>(arch.num_cells())));
+      req.from_time = static_cast<int>(rng.NextIndex(3));
+      req.to_time = req.from_time - 1 + static_cast<int>(rng.NextIndex(12));
+      req.value = static_cast<ValueId>(q);
+      for (const bool blind : {true, false}) {
+        RouterOptions options;
+        options.ignore_capacity = blind;
+        const std::uint32_t epoch = router_internal::CurrentScratchStats().epoch;
+        auto route = RouteValue(mrrg, tracker, req, options);
+        if (WithinReach(mrrg, req)) continue;
+        EXPECT_FALSE(route.ok()) << arch.params().name << " query " << q;
+        EXPECT_EQ(router_internal::CurrentScratchStats().epoch, epoch)
+            << arch.params().name << " query " << q << ": searched";
+      }
+      (WithinReach(mrrg, req) ? in_reach : out_of_reach) += 1;
+      tracker.Reset();
+    }
+    EXPECT_GT(in_reach, 0) << arch.params().name;
+    if (arch.params().rf_kind != RfKind::kShared) {
+      EXPECT_GT(out_of_reach, 0) << arch.params().name;
+    }
   }
 }
 
