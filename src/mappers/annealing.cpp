@@ -23,12 +23,11 @@
 namespace cgra {
 namespace {
 
-struct SaConfig {
-  bool move_time = true;   ///< DRESC moves slots too; binders do not
-  int iterations_per_op = 400;
-  double t0_scale = 2.0;
-  double cooling = 0.995;
-};
+// Annealing schedule: moves per DFG op, the start temperature as a
+// multiple of the initial cost, and the per-move cooling factor.
+constexpr int kIterationsPerOp = 400;
+constexpr double kT0Scale = 2.0;
+constexpr double kCooling = 0.995;
 
 // Capacity-blind routes by (from_cell, to_cell, to_time - from_time).
 // In blind mode the router never reads the tracker, indexes its states
@@ -426,21 +425,24 @@ class Annealer {
   std::vector<std::vector<Occupant>> occupants_;  ///< per value
 };
 
+// Anneals at `ii`. With `fixed_times` the schedule is given and only
+// binding moves (spr-sa); without it slots move too (DRESC, sa-spatial).
 Result<Mapping> AnnealAtIi(const Dfg& dfg, const Architecture& arch,
-                           const Mrrg& mrrg, int ii, const SaConfig& cfg,
+                           const Mrrg& mrrg, int ii,
                            const MapperOptions& options, Rng& rng,
                            const std::vector<int>* fixed_times) {
   const auto est = ModuloAsap(dfg, arch, ii);
   if (est.empty()) {
     return Error::Unmappable("recurrences infeasible at this II");
   }
+  const bool move_time = fixed_times == nullptr;
   Annealer annealer(dfg, arch, mrrg, ii, est, rng);
-  annealer.RandomInit(/*jitter_time=*/cfg.move_time);
+  annealer.RandomInit(/*jitter_time=*/move_time);
   if (fixed_times) annealer.SetTimesFixed(*fixed_times);
 
   double cost = annealer.Cost();
-  double temperature = std::max(1.0, cost * cfg.t0_scale);
-  const int total_iters = cfg.iterations_per_op * std::max(1, dfg.num_ops());
+  double temperature = std::max(1.0, cost * kT0Scale);
+  const int total_iters = kIterationsPerOp * std::max(1, dfg.num_ops());
   for (int iter = 0; iter < total_iters; ++iter) {
     if ((iter & 63) == 0 && ShouldAbort(options)) {
       return Error::ResourceLimit("SA deadline expired");
@@ -450,7 +452,7 @@ Result<Mapping> AnnealAtIi(const Dfg& dfg, const Architecture& arch,
       Result<Mapping> m = annealer.Realize();
       if (m.ok()) return m;
     }
-    const auto undo = annealer.Mutate(cfg.move_time && fixed_times == nullptr);
+    const auto undo = annealer.Mutate(move_time);
     const double next = annealer.Cost();
     const double delta = next - cost;
     if (delta <= 0 || rng.NextDouble() < std::exp(-delta / temperature)) {
@@ -458,7 +460,7 @@ Result<Mapping> AnnealAtIi(const Dfg& dfg, const Architecture& arch,
     } else {
       annealer.Undo(undo);
     }
-    temperature = std::max(0.01, temperature * cfg.cooling);
+    temperature = std::max(0.01, temperature * kCooling);
     // Energy-vs-iteration curve, decimated inside the log (iteration-
     // keyed, so repeated identical runs record identical curves).
     telemetry::SearchRecordCost(iter, cost);
@@ -487,10 +489,8 @@ class DrescAnnealingMapper final : public Mapper {
     const auto mrrg_ref = AcquireMrrg(arch, options);
     const Mrrg& mrrg = *mrrg_ref;
     Rng rng(options.seed);
-    SaConfig cfg;
-    cfg.move_time = true;
     return EscalateIi(*this, dfg, arch, options, [&](int ii) {
-      return AnnealAtIi(dfg, arch, mrrg, ii, cfg, options, rng, nullptr);
+      return AnnealAtIi(dfg, arch, mrrg, ii, options, rng, nullptr);
     });
   }
 };
@@ -512,8 +512,6 @@ class AnnealingBinder final : public Mapper {
     const auto mrrg_ref = AcquireMrrg(arch, options);
     const Mrrg& mrrg = *mrrg_ref;
     Rng rng(options.seed);
-    SaConfig cfg;
-    cfg.move_time = false;
     return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
       // Fixed schedule: modulo-ASAP times (the decoupled "scheduling
       // then binding" split of Table I's Binding row).
@@ -521,7 +519,7 @@ class AnnealingBinder final : public Mapper {
       if (times.empty()) {
         return Error::Unmappable("recurrences infeasible at this II");
       }
-      return AnnealAtIi(dfg, arch, mrrg, ii, cfg, options, rng, &times);
+      return AnnealAtIi(dfg, arch, mrrg, ii, options, rng, &times);
     });
   }
 };
@@ -543,9 +541,10 @@ class AnnealingSpatialMapper final : public Mapper {
     const Mrrg& mrrg = *mrrg_ref;
     Rng rng(options.seed);
     if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
-    SaConfig cfg;
-    cfg.move_time = true;  // pipeline stage may still slide in time
-    return AnnealAtIi(dfg, arch, mrrg, /*ii=*/1, cfg, options, rng, nullptr);
+    // Pipeline stages may still slide in time (no fixed schedule).
+    return ObservedAttempt(*this, options, /*ii=*/1, [&]() {
+      return AnnealAtIi(dfg, arch, mrrg, /*ii=*/1, options, rng, nullptr);
+    });
   }
 };
 

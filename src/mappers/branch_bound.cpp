@@ -57,15 +57,7 @@ class BranchBoundMapper final : public Mapper {
           return false;
         }
         const OpId op = order[depth];
-        int t0 = est[static_cast<size_t>(op)];
-        const auto edges = dfg.Edges(true);
-        for (const DfgEdge& e : edges) {
-          if (e.to != op || e.from == op) continue;
-          if (arch.IsFolded(dfg.op(e.from).opcode)) continue;
-          if (state.IsPlaced(e.from)) {
-            t0 = std::max(t0, state.placement(e.from).time + 1 - ii * e.distance);
-          }
-        }
+        const int t0 = state.EarliestStart(op, est[static_cast<size_t>(op)]);
         for (int t = t0; t <= horizon; ++t) {
           for (int cell : candidates[static_cast<size_t>(op)]) {
             if (state.TryPlace(op, cell, t)) {

@@ -84,6 +84,17 @@ Result<Mapping> BindAtFixedTimes(const Dfg& dfg, const Architecture& arch,
                                  const Deadline& deadline,
                                  const StopToken& stop = {});
 
+/// True when `consumer` can read `producer`'s register file over one
+/// direct link: the restricted-routing relation of the exact mappers.
+bool DirectlyReadable(const Architecture& arch, int producer, int consumer);
+
+/// Places every mappable op at the (cell, time) a solver pinned it to,
+/// in pin-time order, routing as it goes. The exact mappers' post-solve
+/// realization; kUnmappable when a pin cannot be placed or routed.
+Result<Mapping> RealizePinned(const Dfg& dfg, const Architecture& arch,
+                              const Mrrg& mrrg, int ii,
+                              const std::vector<Placement>& pins);
+
 /// Runs ObservedAttempt(ii) for ii from max(mii, 1) to min(max_ii,
 /// arch max), returning the first success. Checks options.stop /
 /// options.deadline before every attempt (this is how every escalating

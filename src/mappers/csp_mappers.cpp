@@ -15,32 +15,6 @@
 namespace cgra {
 namespace {
 
-bool DirectlyReadable(const Architecture& arch, int producer, int consumer) {
-  const auto& r = arch.ReadableFrom(consumer);
-  return std::find(r.begin(), r.end(), producer) != r.end();
-}
-
-// Shared post-solve realization.
-Result<Mapping> RealizePinned(const Dfg& dfg, const Architecture& arch,
-                              const Mrrg& mrrg, int ii,
-                              const std::vector<Placement>& pins) {
-  PlaceRouteState state(dfg, arch, mrrg, ii);
-  std::vector<OpId> order;
-  for (OpId op = 0; op < dfg.num_ops(); ++op) {
-    if (!arch.IsFolded(dfg.op(op).opcode)) order.push_back(op);
-  }
-  std::sort(order.begin(), order.end(), [&](OpId a, OpId b) {
-    return pins[static_cast<size_t>(a)].time < pins[static_cast<size_t>(b)].time;
-  });
-  for (OpId op : order) {
-    if (!state.TryPlace(op, pins[static_cast<size_t>(op)].cell,
-                        pins[static_cast<size_t>(op)].time)) {
-      return Error::Unmappable("solver assignment not realizable");
-    }
-  }
-  return state.Finalize();
-}
-
 // ---------------------------------------------------------------------------
 // CP: one finite-domain variable per op over (cell, time) pairs.
 // ---------------------------------------------------------------------------

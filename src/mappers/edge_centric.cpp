@@ -54,19 +54,11 @@ class EdgeCentricMapper final : public Mapper {
         return Error::Unmappable("recurrences infeasible at this II");
       }
       PlaceRouteState state(dfg, arch, mrrg, ii);
-      const auto edges = dfg.Edges(true);
       for (OpId op : order) {
         if (ShouldAbort(options)) {
           return Error::ResourceLimit("EMS deadline expired");
         }
-        int t0 = est[static_cast<size_t>(op)];
-        for (const DfgEdge& e : edges) {
-          if (e.to != op || e.from == op) continue;
-          if (arch.IsFolded(dfg.op(e.from).opcode)) continue;
-          if (state.IsPlaced(e.from)) {
-            t0 = std::max(t0, state.placement(e.from).time + 1 - ii * e.distance);
-          }
-        }
+        const int t0 = state.EarliestStart(op, est[static_cast<size_t>(op)]);
         // Exhaustive window scan; keep the cheapest-routing placement.
         // The window spans the II slots plus slack start cycles (at
         // II=1 a bare window would be a single candidate time).

@@ -81,85 +81,87 @@ class GeneticSpatialMapper final : public Mapper {
     if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
     const auto mrrg_ref = AcquireMrrg(arch, options);
     const Mrrg& mrrg = *mrrg_ref;
-    Rng rng(options.seed);
-    const int ii = 1;
-    const auto times = ModuloAsap(dfg, arch, ii);
-    if (times.empty()) return Error::Unmappable("recurrences infeasible at II=1");
-    const auto candidates = CandidateCellTable(dfg, arch);
-    const int n = dfg.num_ops();
-    PlaceRouteState state(dfg, arch, mrrg, ii);
+    return ObservedAttempt(*this, options, /*ii=*/1, [&]() -> Result<Mapping> {
+      Rng rng(options.seed);
+      const int ii = 1;
+      const auto times = ModuloAsap(dfg, arch, ii);
+      if (times.empty()) return Error::Unmappable("recurrences infeasible at II=1");
+      const auto candidates = CandidateCellTable(dfg, arch);
+      const int n = dfg.num_ops();
+      PlaceRouteState state(dfg, arch, mrrg, ii);
 
-    constexpr int kPopulation = 24;
-    constexpr int kGenerations = 60;
-    constexpr int kTournament = 3;
-    constexpr double kMutate = 0.15;
+      constexpr int kPopulation = 24;
+      constexpr int kGenerations = 60;
+      constexpr int kTournament = 3;
+      constexpr double kMutate = 0.15;
 
-    auto random_genome = [&] {
-      std::vector<int> g(static_cast<size_t>(n), -1);
-      for (OpId op = 0; op < n; ++op) {
-        const auto& cells = candidates[static_cast<size_t>(op)];
-        if (!cells.empty()) g[static_cast<size_t>(op)] = cells[rng.NextIndex(cells.size())];
-      }
-      return g;
-    };
-
-    std::vector<std::vector<int>> pop;
-    std::vector<GenomeEval> evals;
-    std::vector<double> fitness;
-    const int total_ops = [&] {
-      int k = 0;
-      for (OpId op = 0; op < n; ++op) {
-        if (!arch.IsFolded(dfg.op(op).opcode)) ++k;
-      }
-      return k;
-    }();
-
-    for (int i = 0; i < kPopulation; ++i) {
-      pop.push_back(random_genome());
-      evals.push_back(
-          EvaluateGenome(state, pop.back(), times, options.extra_slack));
-      if (evals.back().mapping) return *evals.back().mapping;
-      fitness.push_back(evals.back().Fitness(total_ops));
-    }
-
-    for (int gen = 0; gen < kGenerations; ++gen) {
-      if (ShouldAbort(options)) {
-        return Error::ResourceLimit("GA deadline expired");
-      }
-      auto tournament = [&]() -> const std::vector<int>& {
-        size_t best = rng.NextIndex(pop.size());
-        for (int k = 1; k < kTournament; ++k) {
-          const size_t j = rng.NextIndex(pop.size());
-          if (fitness[j] > fitness[best]) best = j;
+      auto random_genome = [&] {
+        std::vector<int> g(static_cast<size_t>(n), -1);
+        for (OpId op = 0; op < n; ++op) {
+          const auto& cells = candidates[static_cast<size_t>(op)];
+          if (!cells.empty()) g[static_cast<size_t>(op)] = cells[rng.NextIndex(cells.size())];
         }
-        return pop[best];
+        return g;
       };
-      // Elite survives; the rest is bred.
-      const size_t elite = static_cast<size_t>(
-          std::max_element(fitness.begin(), fitness.end()) - fitness.begin());
-      telemetry::SearchRecordCost(gen, fitness[elite]);
-      std::vector<std::vector<int>> next{pop[elite]};
-      while (next.size() < pop.size()) {
-        const auto& a = tournament();
-        const auto& b = tournament();
-        std::vector<int> child(a.size());
-        for (size_t g = 0; g < child.size(); ++g) {
-          child[g] = rng.NextBool() ? a[g] : b[g];
-          if (rng.NextDouble() < kMutate) {
-            const auto& cells = candidates[g];
-            if (!cells.empty()) child[g] = cells[rng.NextIndex(cells.size())];
-          }
+
+      std::vector<std::vector<int>> pop;
+      std::vector<GenomeEval> evals;
+      std::vector<double> fitness;
+      const int total_ops = [&] {
+        int k = 0;
+        for (OpId op = 0; op < n; ++op) {
+          if (!arch.IsFolded(dfg.op(op).opcode)) ++k;
         }
-        next.push_back(std::move(child));
+        return k;
+      }();
+
+      for (int i = 0; i < kPopulation; ++i) {
+        pop.push_back(random_genome());
+        evals.push_back(
+            EvaluateGenome(state, pop.back(), times, options.extra_slack));
+        if (evals.back().mapping) return *evals.back().mapping;
+        fitness.push_back(evals.back().Fitness(total_ops));
       }
-      pop = std::move(next);
-      for (size_t i = 0; i < pop.size(); ++i) {
-        evals[i] = EvaluateGenome(state, pop[i], times, options.extra_slack);
-        if (evals[i].mapping) return *evals[i].mapping;
-        fitness[i] = evals[i].Fitness(total_ops);
+
+      for (int gen = 0; gen < kGenerations; ++gen) {
+        if (ShouldAbort(options)) {
+          return Error::ResourceLimit("GA deadline expired");
+        }
+        auto tournament = [&]() -> const std::vector<int>& {
+          size_t best = rng.NextIndex(pop.size());
+          for (int k = 1; k < kTournament; ++k) {
+            const size_t j = rng.NextIndex(pop.size());
+            if (fitness[j] > fitness[best]) best = j;
+          }
+          return pop[best];
+        };
+        // Elite survives; the rest is bred.
+        const size_t elite = static_cast<size_t>(
+            std::max_element(fitness.begin(), fitness.end()) - fitness.begin());
+        telemetry::SearchRecordCost(gen, fitness[elite]);
+        std::vector<std::vector<int>> next{pop[elite]};
+        while (next.size() < pop.size()) {
+          const auto& a = tournament();
+          const auto& b = tournament();
+          std::vector<int> child(a.size());
+          for (size_t g = 0; g < child.size(); ++g) {
+            child[g] = rng.NextBool() ? a[g] : b[g];
+            if (rng.NextDouble() < kMutate) {
+              const auto& cells = candidates[g];
+              if (!cells.empty()) child[g] = cells[rng.NextIndex(cells.size())];
+            }
+          }
+          next.push_back(std::move(child));
+        }
+        pop = std::move(next);
+        for (size_t i = 0; i < pop.size(); ++i) {
+          evals[i] = EvaluateGenome(state, pop[i], times, options.extra_slack);
+          if (evals[i].mapping) return *evals[i].mapping;
+          fitness[i] = evals[i].Fitness(total_ops);
+        }
       }
-    }
-    return Error::Unmappable("GA exhausted its generations without a full mapping");
+      return Error::Unmappable("GA exhausted its generations without a full mapping");
+    });
   }
 };
 

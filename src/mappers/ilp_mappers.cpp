@@ -28,11 +28,6 @@
 namespace cgra {
 namespace {
 
-bool DirectlyReadable(const Architecture& arch, int producer, int consumer) {
-  const auto& r = arch.ReadableFrom(consumer);
-  return std::find(r.begin(), r.end(), producer) != r.end();
-}
-
 // Shared guard: the dense simplex underneath cannot take huge models.
 // Exact mappers refusing big instances *is the finding* the Table I
 // bench reports, so surface it as a resource limit, not a crash.
@@ -42,29 +37,6 @@ Status GuardModelSize(int vars, int rows) {
         "instance too large for the built-in exact solver");
   }
   return Status::Ok();
-}
-
-// Greedy realization used by all ILP mappers once placement (and
-// times) are fixed by the solver.
-Result<Mapping> RealizePinned(const Dfg& dfg, const Architecture& arch,
-                              const Mrrg& mrrg, int ii,
-                              const std::vector<Placement>& pins) {
-  PlaceRouteState state(dfg, arch, mrrg, ii);
-  std::vector<OpId> order;
-  for (OpId op = 0; op < dfg.num_ops(); ++op) {
-    if (!arch.IsFolded(dfg.op(op).opcode)) order.push_back(op);
-  }
-  std::sort(order.begin(), order.end(), [&](OpId a, OpId b) {
-    return pins[static_cast<size_t>(a)].time < pins[static_cast<size_t>(b)].time;
-  });
-  for (OpId op : order) {
-    if (!state.TryPlace(op, pins[static_cast<size_t>(op)].cell,
-                        pins[static_cast<size_t>(op)].time)) {
-      return Error::Unmappable(
-          "solver placement not realizable (register pressure)");
-    }
-  }
-  return state.Finalize();
 }
 
 class IlpSpatialMapper final : public Mapper {
@@ -81,124 +53,126 @@ class IlpSpatialMapper final : public Mapper {
     if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
     const auto mrrg_ref = AcquireMrrg(arch, options);
     const Mrrg& mrrg = *mrrg_ref;
-    const int ii = 1;
-    const auto est = ModuloAsap(dfg, arch, ii);
-    if (est.empty()) return Error::Unmappable("recurrences infeasible at II=1");
+    return ObservedAttempt(*this, options, /*ii=*/1, [&]() -> Result<Mapping> {
+      const int ii = 1;
+      const auto est = ModuloAsap(dfg, arch, ii);
+      if (est.empty()) return Error::Unmappable("recurrences infeasible at II=1");
 
-    std::vector<OpId> ops;
-    for (OpId op = 0; op < dfg.num_ops(); ++op) {
-      if (!arch.IsFolded(dfg.op(op).opcode)) ops.push_back(op);
-    }
-    const int cells = arch.num_cells();
+      std::vector<OpId> ops;
+      for (OpId op = 0; op < dfg.num_ops(); ++op) {
+        if (!arch.IsFolded(dfg.op(op).opcode)) ops.push_back(op);
+      }
+      const int cells = arch.num_cells();
 
-    IlpModel model;
-    // x[i][c]
-    std::vector<std::vector<int>> x(ops.size());
-    for (size_t i = 0; i < ops.size(); ++i) {
-      for (int c = 0; c < cells; ++c) x[i].push_back(model.AddBinary());
-    }
-    int rows = 0;
-    for (size_t i = 0; i < ops.size(); ++i) {
-      std::vector<LinearTerm> one;
+      IlpModel model;
+      // x[i][c]
+      std::vector<std::vector<int>> x(ops.size());
+      for (size_t i = 0; i < ops.size(); ++i) {
+        for (int c = 0; c < cells; ++c) x[i].push_back(model.AddBinary());
+      }
+      int rows = 0;
+      for (size_t i = 0; i < ops.size(); ++i) {
+        std::vector<LinearTerm> one;
+        for (int c = 0; c < cells; ++c) {
+          one.push_back({x[i][static_cast<size_t>(c)], 1.0});
+          if (!arch.CanExecute(c, dfg.op(ops[i]))) {
+            model.AddConstraint({{x[i][static_cast<size_t>(c)], 1.0}}, Rel::kEq, 0);
+            ++rows;
+          }
+        }
+        model.AddConstraint(std::move(one), Rel::kEq, 1);
+        ++rows;
+      }
       for (int c = 0; c < cells; ++c) {
-        one.push_back({x[i][static_cast<size_t>(c)], 1.0});
-        if (!arch.CanExecute(c, dfg.op(ops[i]))) {
-          model.AddConstraint({{x[i][static_cast<size_t>(c)], 1.0}}, Rel::kEq, 0);
+        std::vector<LinearTerm> cap;
+        for (size_t i = 0; i < ops.size(); ++i) cap.push_back({x[i][static_cast<size_t>(c)], 1.0});
+        model.AddConstraint(std::move(cap), Rel::kLe, 1);
+        ++rows;
+      }
+      // Dependence reach: [34] models the routing fabric, so an edge may
+      // span up to kMaxHops link hops (each extra hop costs a cycle
+      // through a neighbour's routing channel at realization time).
+      constexpr int kMaxHops = 2;
+      std::vector<int> compact(static_cast<size_t>(dfg.num_ops()), -1);
+      for (size_t i = 0; i < ops.size(); ++i) compact[static_cast<size_t>(ops[i])] = static_cast<int>(i);
+      for (const DfgEdge& e : dfg.Edges(true)) {
+        if (e.to_port == kOrderPort) continue;
+        if (arch.IsFolded(dfg.op(e.from).opcode)) continue;
+        const int u = compact[static_cast<size_t>(e.from)];
+        const int v = compact[static_cast<size_t>(e.to)];
+        if (u == v) continue;  // self loop: trivially readable
+        for (int p = 0; p < cells; ++p) {
+          // If u sits on p, v must sit within routing reach of p.
+          std::vector<LinearTerm> row{{x[static_cast<size_t>(u)][static_cast<size_t>(p)], -1.0}};
+          for (int q = 0; q < cells; ++q) {
+            const int hops = arch.HopDistance(p, q);
+            if (q != p && hops >= 0 && hops <= kMaxHops) {
+              row.push_back({x[static_cast<size_t>(v)][static_cast<size_t>(q)], 1.0});
+            }
+          }
+          model.AddConstraint(std::move(row), Rel::kGe, 0);
           ++rows;
         }
       }
-      model.AddConstraint(std::move(one), Rel::kEq, 1);
-      ++rows;
-    }
-    for (int c = 0; c < cells; ++c) {
-      std::vector<LinearTerm> cap;
-      for (size_t i = 0; i < ops.size(); ++i) cap.push_back({x[i][static_cast<size_t>(c)], 1.0});
-      model.AddConstraint(std::move(cap), Rel::kLe, 1);
-      ++rows;
-    }
-    // Dependence reach: [34] models the routing fabric, so an edge may
-    // span up to kMaxHops link hops (each extra hop costs a cycle
-    // through a neighbour's routing channel at realization time).
-    constexpr int kMaxHops = 2;
-    std::vector<int> compact(static_cast<size_t>(dfg.num_ops()), -1);
-    for (size_t i = 0; i < ops.size(); ++i) compact[static_cast<size_t>(ops[i])] = static_cast<int>(i);
-    for (const DfgEdge& e : dfg.Edges(true)) {
-      if (e.to_port == kOrderPort) continue;
-      if (arch.IsFolded(dfg.op(e.from).opcode)) continue;
-      const int u = compact[static_cast<size_t>(e.from)];
-      const int v = compact[static_cast<size_t>(e.to)];
-      if (u == v) continue;  // self loop: trivially readable
-      for (int p = 0; p < cells; ++p) {
-        // If u sits on p, v must sit within routing reach of p.
-        std::vector<LinearTerm> row{{x[static_cast<size_t>(u)][static_cast<size_t>(p)], -1.0}};
-        for (int q = 0; q < cells; ++q) {
-          const int hops = arch.HopDistance(p, q);
-          if (q != p && hops >= 0 && hops <= kMaxHops) {
-            row.push_back({x[static_cast<size_t>(v)][static_cast<size_t>(q)], 1.0});
+      if (Status s = GuardModelSize(model.num_vars(), rows); !s.ok()) return s.error();
+
+      IlpModel::SolveOptions so;
+      so.deadline = options.deadline;
+      so.stop = options.stop;
+      auto sol = model.Solve(so);
+      if (!sol.ok()) return sol.error();
+      CountSolverRun(sol->nodes_explored);
+
+      std::vector<int> cell_of(static_cast<size_t>(dfg.num_ops()), -1);
+      for (size_t i = 0; i < ops.size(); ++i) {
+        for (int c = 0; c < cells; ++c) {
+          if (sol->Int(x[i][static_cast<size_t>(c)]) == 1) {
+            cell_of[static_cast<size_t>(ops[i])] = c;
           }
         }
-        model.AddConstraint(std::move(row), Rel::kGe, 0);
-        ++rows;
       }
-    }
-    if (Status s = GuardModelSize(model.num_vars(), rows); !s.ok()) return s.error();
-
-    IlpModel::SolveOptions so;
-    so.deadline = options.deadline;
-    so.stop = options.stop;
-    auto sol = model.Solve(so);
-    if (!sol.ok()) return sol.error();
-    CountSolverRun(sol->nodes_explored);
-
-    std::vector<int> cell_of(static_cast<size_t>(dfg.num_ops()), -1);
-    for (size_t i = 0; i < ops.size(); ++i) {
-      for (int c = 0; c < cells; ++c) {
-        if (sol->Int(x[i][static_cast<size_t>(c)]) == 1) {
-          cell_of[static_cast<size_t>(ops[i])] = c;
+      // Realize: cells are fixed by the solver; search schedule offsets
+      // with backtracking (2-hop routes contend for routing channels, so
+      // a one-way greedy slide is not enough).
+      const auto topo = TopologicalOrder(dfg.ToDigraph(/*include_carried=*/false));
+      if (!topo) return Error::InvalidArgument("DFG has a same-iteration cycle");
+      std::vector<OpId> order;
+      for (OpId op : *topo) {
+        if (!arch.IsFolded(dfg.op(op).opcode)) order.push_back(op);
+      }
+      PlaceRouteState state(dfg, arch, mrrg, ii);
+      const auto edges = dfg.Edges(true);
+      int budget = 20000;
+      std::function<bool(size_t)> realize = [&](size_t depth) -> bool {
+        if (depth == order.size()) return true;
+        if (--budget <= 0 || ShouldAbort(options)) return false;
+        const OpId op = order[depth];
+        const int cell = cell_of[static_cast<size_t>(op)];
+        int t = est[static_cast<size_t>(op)];
+        for (const DfgEdge& e : edges) {
+          if (e.to != op || e.from == op) continue;
+          if (arch.IsFolded(dfg.op(e.from).opcode)) continue;
+          if (state.IsPlaced(e.from)) {
+            const Placement& pf = state.placement(e.from);
+            t = std::max(t, pf.time +
+                                std::max(1, arch.HopDistance(pf.cell, cell)) -
+                                ii * e.distance);
+          }
         }
-      }
-    }
-    // Realize: cells are fixed by the solver; search schedule offsets
-    // with backtracking (2-hop routes contend for routing channels, so
-    // a one-way greedy slide is not enough).
-    const auto topo = TopologicalOrder(dfg.ToDigraph(/*include_carried=*/false));
-    if (!topo) return Error::InvalidArgument("DFG has a same-iteration cycle");
-    std::vector<OpId> order;
-    for (OpId op : *topo) {
-      if (!arch.IsFolded(dfg.op(op).opcode)) order.push_back(op);
-    }
-    PlaceRouteState state(dfg, arch, mrrg, ii);
-    const auto edges = dfg.Edges(true);
-    int budget = 20000;
-    std::function<bool(size_t)> realize = [&](size_t depth) -> bool {
-      if (depth == order.size()) return true;
-      if (--budget <= 0 || ShouldAbort(options)) return false;
-      const OpId op = order[depth];
-      const int cell = cell_of[static_cast<size_t>(op)];
-      int t = est[static_cast<size_t>(op)];
-      for (const DfgEdge& e : edges) {
-        if (e.to != op || e.from == op) continue;
-        if (arch.IsFolded(dfg.op(e.from).opcode)) continue;
-        if (state.IsPlaced(e.from)) {
-          const Placement& pf = state.placement(e.from);
-          t = std::max(t, pf.time +
-                              std::max(1, arch.HopDistance(pf.cell, cell)) -
-                              ii * e.distance);
+        for (int dt = 0; dt <= options.extra_slack; ++dt) {
+          if (state.TryPlace(op, cell, t + dt)) {
+            if (realize(depth + 1)) return true;
+            state.Unplace(op);
+            if (budget <= 0) return false;
+          }
         }
+        return false;
+      };
+      if (!realize(0)) {
+        return Error::Unmappable("ILP spatial placement not routable");
       }
-      for (int dt = 0; dt <= options.extra_slack; ++dt) {
-        if (state.TryPlace(op, cell, t + dt)) {
-          if (realize(depth + 1)) return true;
-          state.Unplace(op);
-          if (budget <= 0) return false;
-        }
-      }
-      return false;
-    };
-    if (!realize(0)) {
-      return Error::Unmappable("ILP spatial placement not routable");
-    }
-    return state.Finalize();
+      return state.Finalize();
+    });
   }
 };
 

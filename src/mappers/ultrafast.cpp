@@ -44,13 +44,11 @@ class UltraFastScheduler final : public Mapper {
       const auto edges = dfg.Edges(true);
       for (OpId op : *topo) {
         if (arch.IsFolded(dfg.op(op).opcode)) continue;
-        int t = est[static_cast<size_t>(op)];
+        const int t = state.EarliestStart(op, est[static_cast<size_t>(op)]);
+        // Carried self-dependences cap how far the op may slide.
+        bool can_slide = true;
         for (const DfgEdge& e : edges) {
-          if (e.to != op || e.from == op) continue;
-          if (arch.IsFolded(dfg.op(e.from).opcode)) continue;
-          if (state.IsPlaced(e.from)) {
-            t = std::max(t, state.placement(e.from).time + 1 - ii * e.distance);
-          }
+          if (e.from == op && e.to == op && e.distance > 0) can_slide = false;
         }
         bool placed = false;
         // One window of II slots, first-fit cell; no second chances.
@@ -60,11 +58,6 @@ class UltraFastScheduler final : public Mapper {
               placed = true;
               break;
             }
-          }
-          // Carried self-dependences cap how far the op may slide.
-          bool can_slide = true;
-          for (const DfgEdge& e : edges) {
-            if (e.from == op && e.to == op && e.distance > 0) can_slide = false;
           }
           if (!can_slide) break;
         }

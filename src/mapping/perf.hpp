@@ -35,10 +35,11 @@ struct PerfCounters {
   }
 
   // Router (mapping/router.cpp).
-  std::uint64_t router_queries = 0;     ///< route queries (RouteValue + RouteFanout sinks)
+  std::uint64_t router_queries = 0;     ///< RouteValue calls
   std::uint64_t router_routed = 0;      ///< ... that returned a route
-  std::uint64_t fanout_batches = 0;     ///< RouteFanout calls (one per placed-op fanout set)
-  std::uint64_t fanout_batched_routes = 0;  ///< routes committed via those batches
+  /// Always 0: nothing batches routes any more. Outside
+  /// kPerfCounterFields; kept only for readers that still name it.
+  std::uint64_t fanout_batches = 0;
   std::uint64_t router_pushes = 0;      ///< priority-queue pushes
   std::uint64_t router_pops = 0;        ///< priority-queue pops
   std::uint64_t router_expansions = 0;  ///< states expanded (out-links walked)
@@ -84,8 +85,6 @@ struct PerfCounterField {
 inline constexpr PerfCounterField kPerfCounterFields[] = {
     {"router_queries", &PerfCounters::router_queries},
     {"router_routed", &PerfCounters::router_routed},
-    {"fanout_batches", &PerfCounters::fanout_batches},
-    {"fanout_batched_routes", &PerfCounters::fanout_batched_routes},
     {"router_pushes", &PerfCounters::router_pushes},
     {"router_pops", &PerfCounters::router_pops},
     {"router_expansions", &PerfCounters::router_expansions},

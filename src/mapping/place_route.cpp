@@ -86,7 +86,6 @@ bool PlaceRouteState::RouteEdge(int edge_index, const RouterOptions& options) {
     last_fail_ = FailReason::kRouteCongested;
     return false;
   }
-  FoldRouteSteps(*mrrg_, route.value());
   routes_[static_cast<size_t>(edge_index)] = std::move(route).value();
   return true;
 }
@@ -134,48 +133,8 @@ bool PlaceRouteState::TryPlace(OpId op, int cell, int time,
   }
 
   routed_.clear();
-  batch_edges_.clear();
-  batch_reqs_.clear();
   last_route_steps_ = 0;
   bool ok = true;
-  // Fanout edges of `op` that appear consecutively in edges_of_ share
-  // (source cell, source time, value == op), so each consecutive run
-  // is routed as ONE RouteFanout batch. Flushing the pending batch
-  // before any non-batchable edge keeps the router invocation order —
-  // and therefore the tracker evolution and tie-breaking — identical
-  // to the sequential RouteEdge loop this replaces (the golden mapper
-  // digests in tests/test_router_golden.cpp pin that equivalence).
-  const Placement& self = place_[static_cast<size_t>(op)];
-  auto flush_fanout = [&]() -> bool {
-    if (batch_edges_.empty()) return true;
-    std::size_t failed = 0;
-    auto routes = RouteFanout(*mrrg_, tracker_, batch_reqs_.data(),
-                              batch_reqs_.size(), router_options, &failed);
-    if (!routes.ok()) {
-      // Record what the sequential RouteEdge loop would have: the sinks
-      // before `failed` routed, `failed` is charged to its cell, and
-      // the ones after it were never tried. RouteFanout is atomic, so
-      // nothing from this batch is committed and no steps are folded.
-      for (std::size_t i = 0; i < failed; ++i) {
-        telemetry::SearchRecordRouteResult(true);
-      }
-      telemetry::SearchRecordRouteResult(false);
-      telemetry::SearchRecordCellCongested(batch_reqs_[failed].to_cell);
-      last_fail_ = FailReason::kRouteCongested;
-      return false;
-    }
-    for (size_t i = 0; i < batch_edges_.size(); ++i) {
-      const int e = batch_edges_[i];
-      telemetry::SearchRecordRouteResult(true);
-      FoldRouteSteps(*mrrg_, (*routes)[i]);
-      last_route_steps_ += static_cast<int>((*routes)[i].steps.size());
-      routes_[static_cast<size_t>(e)] = std::move((*routes)[i]);
-      routed_.push_back(e);
-    }
-    batch_edges_.clear();
-    batch_reqs_.clear();
-    return true;
-  };
   for (int e : edges_of_[static_cast<size_t>(op)]) {
     const DfgEdge& edge = edges_[static_cast<size_t>(e)];
     if (routes_[static_cast<size_t>(e)].has_value()) continue;  // self-loop routed once
@@ -183,30 +142,6 @@ bool PlaceRouteState::TryPlace(OpId op, int cell, int time,
     // Folded producers (constants / loop counter) need no route.
     if (arch_->IsFolded(dfg_->op(edge.from).opcode)) continue;
     if (other != op && !IsPlaced(other)) continue;
-    if (edge.from == op && edge.to_port != kOrderPort) {
-      const Placement& to = place_[static_cast<size_t>(edge.to)];
-      const int arrive = to.time + ii_ * edge.distance;
-      if (arrive < self.time + 1) {
-        // The edges queued ahead of this one still route first (and
-        // may themselves fail), exactly as the sequential loop would.
-        if (flush_fanout()) last_fail_ = FailReason::kTimingViolated;
-        ok = false;
-        break;
-      }
-      RouteRequest req;
-      req.from_cell = self.cell;
-      req.from_time = self.time;
-      req.to_cell = to.cell;
-      req.to_time = arrive;
-      req.value = edge.from;
-      batch_edges_.push_back(e);
-      batch_reqs_.push_back(req);
-      continue;
-    }
-    if (!flush_fanout()) {
-      ok = false;
-      break;
-    }
     if (!RouteEdge(e, router_options)) {
       ok = false;
       break;
@@ -215,7 +150,6 @@ bool PlaceRouteState::TryPlace(OpId op, int cell, int time,
         static_cast<int>(routes_[static_cast<size_t>(e)]->steps.size());
     routed_.push_back(e);
   }
-  if (ok && !flush_fanout()) ok = false;
 
   if (!ok) {
     for (int e : routed_) UnrouteEdge(e);
@@ -227,9 +161,22 @@ bool PlaceRouteState::TryPlace(OpId op, int cell, int time,
     telemetry::SearchRecordPlaceReject(static_cast<int>(last_fail_));
     return false;
   }
+  for (int e : routed_) FoldRouteSteps(*mrrg_, *routes_[static_cast<size_t>(e)]);
   ++placed_count_;
   telemetry::SearchRecordPlaceAccept();
   return true;
+}
+
+int PlaceRouteState::EarliestStart(OpId op, int floor) const {
+  for (int e : edges_of_[static_cast<size_t>(op)]) {
+    const DfgEdge& edge = edges_[static_cast<size_t>(e)];
+    if (edge.to != op || edge.from == op) continue;
+    if (arch_->IsFolded(dfg_->op(edge.from).opcode)) continue;
+    if (IsPlaced(edge.from)) {
+      floor = std::max(floor, placement(edge.from).time + 1 - ii_ * edge.distance);
+    }
+  }
+  return floor;
 }
 
 void PlaceRouteState::Unplace(OpId op) {

@@ -47,8 +47,10 @@ class PlaceRouteState {
   std::vector<int> CandidateCells(OpId op) const;
 
   /// Attempts to place `op` on `cell` at absolute `time`, routing every
-  /// data edge whose other endpoint is already placed and checking
-  /// ordering edges and bank ports. All-or-nothing.
+  /// data edge whose other endpoint is already placed (one RouteValue
+  /// per edge, in edges_of_ order) and checking ordering edges and bank
+  /// ports. All-or-nothing: a failure releases the routes this call
+  /// made, and only a committed placement's routes reach the search log.
   bool TryPlace(OpId op, int cell, int time,
                 const RouterOptions& router_options = {});
 
@@ -62,6 +64,14 @@ class PlaceRouteState {
 
   /// Number of ops currently placed.
   int placed_count() const { return placed_count_; }
+
+  /// The FU, register and route occupancy of the placed ops.
+  const ResourceTracker& tracker() const { return tracker_; }
+
+  /// The least start time >= `floor` for `op` that every placed
+  /// producer allows: t >= producer time + 1 - II * distance over its
+  /// incoming edges (self-loops and folded producers excluded).
+  int EarliestStart(OpId op, int floor) const;
 
   /// Total route steps created by the last successful TryPlace (the
   /// routing cost of that placement; used by cost-driven mappers).
@@ -106,10 +116,7 @@ class PlaceRouteState {
   std::vector<OpId> mappable_;
   FailReason last_fail_ = FailReason::kNone;
   int last_route_steps_ = 0;
-  // TryPlace's working lists, cleared per call (kept to reuse storage).
-  std::vector<int> routed_;                ///< edges routed by this call
-  std::vector<int> batch_edges_;           ///< pending fanout batch
-  std::vector<RouteRequest> batch_reqs_;   ///< ... and its requests
+  std::vector<int> routed_;  ///< edges routed by the current TryPlace
 };
 
 }  // namespace cgra

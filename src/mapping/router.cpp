@@ -6,7 +6,6 @@
 #include <queue>
 
 #include "mapping/perf.hpp"
-#include "support/str.hpp"
 
 namespace cgra {
 namespace {
@@ -51,34 +50,33 @@ class StateQueue
 };
 
 // Per-thread scratch arena: flat best/parent vectors indexed by the
-// packed (node, time - start, stay) state. Entries are epoch-stamped —
-// an entry belongs to the current query iff stamp == epoch — so reuse
+// packed (node, time - start, stay) state, plus per-node goal marks
+// and cached A* hop bounds. Every entry is stamped with the query epoch
+// — it belongs to the current query iff stamp == epoch — so reuse
 // across queries (and across II-escalation retries inside one mapper
-// run) needs no clearing and can never leak a stale parent chain into
-// a later route. The goal/hop caches carry their own epoch so a
-// RouteFanout batch can keep them warm across consecutive sinks on the
-// same consumer cell while the per-state stamps advance.
+// run) needs no clearing and can never leak a stale parent chain, goal
+// or bound into a later route.
 struct Scratch {
   std::vector<std::int32_t> best;         ///< cost (steps) of the best path
   std::vector<std::int32_t> parent;      ///< arena index of predecessor, -1 root
   std::vector<std::uint32_t> stamp;      ///< per-state epoch
-  std::vector<std::uint32_t> goal_stamp; ///< per-node: is a goal this goal-epoch
+  std::vector<std::uint32_t> goal_stamp; ///< per-node: a goal of this query
   std::vector<std::uint32_t> hop_stamp;  ///< per-node: hop_lb cache validity
   std::vector<std::int32_t> hop_lb;      ///< per-node cached hops-to-goal bound
   std::vector<State> heap_storage;
   std::uint32_t epoch = 0;
-  std::uint32_t goal_epoch = 0;
   std::uint64_t reuses = 0;
   std::uint64_t grows = 0;
 
-  /// Starts a query: bumps the state epoch (clearing all state stamps
-  /// on the rare uint32 wrap) and guarantees capacity for `states`
-  /// packed states and `nodes` per-node entries. Returns true when the
-  /// arena had to (re)allocate, false when the warm arrays were reused
-  /// as-is.
+  /// Starts a query: bumps the epoch (clearing every stamp on the rare
+  /// uint32 wrap) and guarantees capacity for `states` packed states
+  /// and `nodes` per-node entries. Returns true when the arena had to
+  /// (re)allocate, false when the warm arrays were reused as-is.
   bool Begin(std::size_t states, std::size_t nodes) {
     if (++epoch == 0) {
       std::fill(stamp.begin(), stamp.end(), 0u);
+      std::fill(goal_stamp.begin(), goal_stamp.end(), 0u);
+      std::fill(hop_stamp.begin(), hop_stamp.end(), 0u);
       epoch = 1;
     }
     bool grew = false;
@@ -97,16 +95,6 @@ struct Scratch {
       hop_lb.resize(nodes, 0);
     }
     return grew;
-  }
-
-  /// Invalidates the goal set and hop-bound caches (same wrap
-  /// discipline as the state stamps).
-  void BeginGoals() {
-    if (++goal_epoch == 0) {
-      std::fill(goal_stamp.begin(), goal_stamp.end(), 0u);
-      std::fill(hop_stamp.begin(), hop_stamp.end(), 0u);
-      goal_epoch = 1;
-    }
   }
 };
 
@@ -139,14 +127,19 @@ bool GoalWithinHops(const Mrrg& mrrg, int start_node,
   return false;
 }
 
-// One route query against the calling thread's arena. Exactly the
-// semantics RouteValue documents; RouteFanout calls it once per sink.
-// `new_goals` == false reuses the previous call's goal set and hop
-// cache — valid only when the consumer cell is unchanged (the caches
-// are functions of the goal set alone, not of time or tracker state).
-Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
-                       const RouteRequest& request,
-                       const RouterOptions& options, bool new_goals) {
+}  // namespace
+
+bool WithinReach(const Mrrg& mrrg, const RouteRequest& request) {
+  const int start_time = request.from_time + 1;
+  return start_time <= request.to_time &&
+         GoalWithinHops(mrrg, mrrg.HoldNode(request.from_cell),
+                        mrrg.ReadableHolds(request.to_cell),
+                        request.to_time - start_time);
+}
+
+Result<Route> RouteValue(const Mrrg& mrrg, ResourceTracker& tracker,
+                         const RouteRequest& request,
+                         const RouterOptions& options) {
   PerfCounters& perf = ThreadPerfCounters();
   ++perf.router_queries;
 
@@ -160,9 +153,9 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
       !tracker.CanOccupy(start_node, start_time, request.value)) {
     return Error::Unmappable("producer's register file is full at the latch cycle");
   }
-  // A query no goal can make in time fails without touching the arena,
-  // the goal stamps or the heap. Only queries that cannot succeed stop
-  // here, so every other query runs the identical search.
+  // A query no goal can make in time fails without touching the arena
+  // or the heap. Only queries that cannot succeed stop here, so every
+  // other query runs the identical search.
   const auto goals = mrrg.ReadableHolds(request.to_cell);
   if (!GoalWithinHops(mrrg, start_node, goals, request.to_time - start_time)) {
     return Error::Unmappable(kNoRoute);
@@ -202,13 +195,7 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
            static_cast<std::size_t>(stay);
   };
 
-  if (new_goals) {
-    scratch.BeginGoals();
-    for (int g : goals) {
-      scratch.goal_stamp[static_cast<std::size_t>(g)] = scratch.goal_epoch;
-    }
-  }
-  const std::uint32_t goal_epoch = scratch.goal_epoch;
+  for (int g : goals) scratch.goal_stamp[static_cast<std::size_t>(g)] = epoch;
 
   // ---- admissible A* bound -------------------------------------------------
   // Every remaining step costs kStepCost, every step advances time by
@@ -217,7 +204,7 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
   // Shared-RF nodes (cell < 0) contribute no hop bound.
   auto goal_hops = [&](int node) -> int {
     std::uint32_t& cached = scratch.hop_stamp[static_cast<std::size_t>(node)];
-    if (cached == goal_epoch) {
+    if (cached == epoch) {
       return scratch.hop_lb[static_cast<std::size_t>(node)];
     }
     int bound = 0;
@@ -235,7 +222,7 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
       }
       if (bound == INT_MAX) bound = 0;
     }
-    cached = goal_epoch;
+    cached = epoch;
     scratch.hop_lb[static_cast<std::size_t>(node)] = bound;
     return bound;
   };
@@ -289,7 +276,7 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
     const std::size_t k = index(s.node, s.time, s.stay);
     if (scratch.stamp[k] != epoch || scratch.best[k] < s.g) continue;
     if (s.time == request.to_time &&
-        scratch.goal_stamp[static_cast<std::size_t>(s.node)] == goal_epoch) {
+        scratch.goal_stamp[static_cast<std::size_t>(s.node)] == epoch) {
       goal_idx = static_cast<std::int64_t>(k);
       break;
     }
@@ -371,67 +358,6 @@ Result<Route> RouteOne(const Mrrg& mrrg, ResourceTracker& tracker,
   return route;
 }
 
-}  // namespace
-
-bool WithinReach(const Mrrg& mrrg, const RouteRequest& request) {
-  const int start_time = request.from_time + 1;
-  return start_time <= request.to_time &&
-         GoalWithinHops(mrrg, mrrg.HoldNode(request.from_cell),
-                        mrrg.ReadableHolds(request.to_cell),
-                        request.to_time - start_time);
-}
-
-Result<Route> RouteValue(const Mrrg& mrrg, ResourceTracker& tracker,
-                         const RouteRequest& request,
-                         const RouterOptions& options) {
-  return RouteOne(mrrg, tracker, request, options, /*new_goals=*/true);
-}
-
-Result<std::vector<Route>> RouteFanout(const Mrrg& mrrg,
-                                       ResourceTracker& tracker,
-                                       const RouteRequest* requests,
-                                       std::size_t num_requests,
-                                       const RouterOptions& options,
-                                       std::size_t* failed_sink) {
-  std::vector<Route> routes;
-  routes.reserve(num_requests);
-  for (std::size_t i = 1; i < num_requests; ++i) {
-    if (requests[i].from_cell != requests[0].from_cell ||
-        requests[i].from_time != requests[0].from_time ||
-        requests[i].value != requests[0].value) {
-      return Error::Internal(
-          "RouteFanout requests must share (from_cell, from_time, value)");
-    }
-  }
-
-  for (std::size_t i = 0; i < num_requests; ++i) {
-    // The goal set and hop-bound caches depend only on the consumer
-    // cell; consecutive sinks on the same consumer keep them warm.
-    const bool new_goals =
-        i == 0 || requests[i].to_cell != requests[i - 1].to_cell;
-    auto route = RouteOne(mrrg, tracker, requests[i], options, new_goals);
-    if (!route.ok()) {
-      // Atomic batch: un-commit every earlier sink before reporting.
-      if (!options.ignore_capacity) {
-        for (std::size_t j = routes.size(); j-- > 0;) {
-          ReleaseRoute(tracker, routes[j], requests[j].value);
-        }
-      }
-      if (failed_sink != nullptr) *failed_sink = i;
-      return Error::Unmappable(
-          StrFormat("fanout sink %d/%d unroutable: %s", static_cast<int>(i),
-                    static_cast<int>(num_requests),
-                    route.error().message.c_str()));
-    }
-    routes.push_back(std::move(route).value());
-  }
-
-  PerfCounters& perf = ThreadPerfCounters();
-  ++perf.fanout_batches;
-  perf.fanout_batched_routes += static_cast<std::uint64_t>(num_requests);
-  return routes;
-}
-
 void ReleaseRoute(ResourceTracker& tracker, const Route& route, ValueId value) {
   for (const RouteStep& step : route.steps) {
     tracker.Release(step.node, step.time, value);
@@ -452,10 +378,7 @@ ScratchStats CurrentScratchStats() {
 
 void ResetScratchForTest() { TlsScratch() = Scratch{}; }
 
-void SetEpochForTest(std::uint32_t epoch) {
-  TlsScratch().epoch = epoch;
-  TlsScratch().goal_epoch = epoch;
-}
+void SetEpochForTest(std::uint32_t epoch) { TlsScratch().epoch = epoch; }
 
 }  // namespace router_internal
 

@@ -7,17 +7,18 @@
 // Hold self-links let a value wait in a register, so any arrival cycle
 // >= producer+1 is reachable if capacity permits.
 //
-// The search state lives in a per-thread scratch arena: flat best-cost
-// / parent vectors indexed by the packed (node, time, stay) state and
-// stamped with a query epoch, so consecutive queries reuse the arrays
-// without clearing them. This is the hot path of every PathFinder-style
+// RouteValue is the only route query: a placer routes each data edge
+// with one call. The search state lives in a per-thread scratch arena:
+// flat best-cost / parent vectors indexed by the packed (node, time,
+// stay) state, plus per-node goal marks and A* hop bounds, all stamped
+// with one query epoch, so consecutive queries reuse the arrays without
+// clearing them. This is the hot path of every PathFinder-style
 // negotiated-routing mapper (DRESC [22], EMS [37]); see docs/PERF.md
 // for the measured effect of the flat rewrite.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "arch/mrrg.hpp"
 #include "mapping/mapping.hpp"
@@ -75,28 +76,6 @@ bool WithinReach(const Mrrg& mrrg, const RouteRequest& request);
 Result<Route> RouteValue(const Mrrg& mrrg, ResourceTracker& tracker,
                          const RouteRequest& request,
                          const RouterOptions& options = {});
-
-/// Batched multi-query routing: routes every fanout edge of one placed
-/// op — all requests MUST share (from_cell, from_time, value) — in one
-/// arena pass. Requests are served in order with semantics bit-identical
-/// to calling RouteValue sequentially (same tie-breaking, same tracker
-/// evolution; asserted by tests/test_router_golden.cpp), but the batch
-/// shares the scratch arena, the recycled heap storage, and — across
-/// consecutive sinks on the same consumer cell — the goal set and
-/// hop-bound caches, instead of paying per-query setup.
-///
-/// Atomic: on success every returned route is recorded in the tracker
-/// (routes[i] answers requests[i]); on failure NOTHING is recorded —
-/// routes committed before the failing sink are released again — and
-/// the error names the failing sink, whose index is also stored in
-/// `*failed_sink` when that is non-null (the sinks before it routed,
-/// the ones after it were never tried). See docs/MRRG.md §RouteFanout.
-Result<std::vector<Route>> RouteFanout(const Mrrg& mrrg,
-                                       ResourceTracker& tracker,
-                                       const RouteRequest* requests,
-                                       std::size_t num_requests,
-                                       const RouterOptions& options = {},
-                                       std::size_t* failed_sink = nullptr);
 
 /// Releases every step of `route` for `value`.
 void ReleaseRoute(ResourceTracker& tracker, const Route& route, ValueId value);

@@ -8,6 +8,7 @@
 #include "arch/mrrg.hpp"
 #include "ir/kernels.hpp"
 #include "mapping/mapping.hpp"
+#include "mapping/perf.hpp"
 #include "mapping/place_route.hpp"
 #include "mapping/router.hpp"
 #include "mapping/tracker.hpp"
@@ -229,6 +230,57 @@ TEST(PlaceRoute, TimingViolationRejectedAndRolledBack) {
   // And succeed at a legal time.
   EXPECT_TRUE(state.TryPlace(1, 4, 2));
   EXPECT_TRUE(state.TryPlace(2, 0, 3));
+}
+
+// Every (node, slot) load of `a` equals that of `b`.
+void ExpectSameLoads(const Mrrg& mrrg, const ResourceTracker& a,
+                     const ResourceTracker& b) {
+  for (int n = 0; n < mrrg.num_nodes(); ++n) {
+    for (int s = 0; s < a.ii(); ++s) {
+      ASSERT_EQ(a.Load(n, s), b.Load(n, s)) << "node " << n << " slot " << s;
+    }
+  }
+}
+
+TEST(PlaceRoute, FailedPlacementLeavesTrackerAsIfNeverTried) {
+  // Two placements whose first edge routes and whose second cannot:
+  // `a` on cell 1 fans out to `b` on the adjacent cell 5 and to `c` on
+  // the far corner cell 15, both one cycle later; `d = b + c` on cell 5
+  // reads `b` in place but cannot reach `c` in one cycle. Each failed
+  // placement must leave the tracker exactly as a state that never
+  // tried it.
+  const Architecture arch = Architecture::Adres4x4();
+  const Mrrg mrrg(arch);
+  Dfg dfg;
+  const OpId a = dfg.AddInput(0, "a");
+  const OpId b = dfg.AddUnary(Opcode::kNeg, a, "b");
+  const OpId c = dfg.AddUnary(Opcode::kNeg, a, "c");
+  const OpId d = dfg.AddBinary(Opcode::kAdd, b, c, "d");
+  const int ii = 4;
+  PlaceRouteState tried(dfg, arch, mrrg, ii);
+  PlaceRouteState untried(dfg, arch, mrrg, ii);
+  for (PlaceRouteState* state : {&tried, &untried}) {
+    ASSERT_TRUE(state->TryPlace(b, 5, 1));
+    ASSERT_TRUE(state->TryPlace(c, 15, 1));
+  }
+  const PerfCounters before = ThreadPerfCounters();
+  EXPECT_FALSE(tried.TryPlace(a, 1, 0));
+  EXPECT_FALSE(tried.TryPlace(d, 5, 2));
+  const PerfCounters spent = ThreadPerfCounters() - before;
+  EXPECT_EQ(spent.router_queries, 4u);
+  EXPECT_EQ(spent.router_routed, 2u);  // each try's first edge routed
+  EXPECT_EQ(tried.last_fail(), PlaceRouteState::FailReason::kRouteCongested);
+  EXPECT_EQ(tried.placed_count(), 2);
+  ExpectSameLoads(mrrg, tried.tracker(), untried.tracker());
+
+  // Both states still accept the same placements and end up alike.
+  for (PlaceRouteState* state : {&tried, &untried}) {
+    state->Unplace(c);
+    ASSERT_TRUE(state->TryPlace(c, 2, 1));
+    ASSERT_TRUE(state->TryPlace(a, 1, 0));
+    ASSERT_TRUE(state->TryPlace(d, 6, 2));
+  }
+  ExpectSameLoads(mrrg, tried.tracker(), untried.tracker());
 }
 
 TEST(PlaceRoute, UnplaceRestoresEverything) {

@@ -125,10 +125,17 @@ TEST(PlaceRouteProperty, FailedPlacementsLeaveNoResidue) {
       const int t = rng.NextInt(0, 5);
       if (a.TryPlace(op, cell, t)) placed.push_back({op, cell, t});
     }
-    // b: replay ONLY the successes; both states must accept identically.
+    // b: replay ONLY the successes; both states must accept identically
+    // and end with the same loads.
     for (const auto& [op, cell, t] : placed) {
       EXPECT_TRUE(b.TryPlace(op, cell, t))
           << "failed attempts on `a` must not consume resources";
+    }
+    for (int n = 0; n < mrrg.num_nodes(); ++n) {
+      for (int s = 0; s < 2; ++s) {
+        ASSERT_EQ(a.tracker().Load(n, s), b.tracker().Load(n, s))
+            << "trial " << trial << " node " << n << " slot " << s;
+      }
     }
   }
 }

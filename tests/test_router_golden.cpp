@@ -491,6 +491,45 @@ TEST(RouterArena, EpochWrapAroundStaysCorrect) {
   }
 }
 
+// Goal marks and A* hop bounds carry the query epoch too, so the wrap
+// must clear them with the state stamps: marks a query to another
+// consumer left at epoch 1 would otherwise pass for the goals and
+// bounds of the first query after the wrap, which also runs at 1.
+TEST(RouterArena, EpochWrapClearsGoalMarksAndHopBounds) {
+  const Architecture arch = Architecture::Adres4x4();
+  const Mrrg mrrg(arch);
+  ResourceTracker tracker(mrrg, 2);
+  RouteRequest req;
+  req.from_cell = 3;
+  req.to_cell = 12;
+  req.from_time = 1;
+  req.to_time = 2 + arch.HopDistance(3, 12);
+  req.value = 9;
+  RouteRequest other = req;
+  other.to_cell = 1;
+  other.value = 10;
+  for (const bool astar : {false, true}) {
+    RouterOptions opts;
+    opts.use_heuristic = astar;
+    router_internal::ResetScratchForTest();
+    auto expected = RouteValue(mrrg, tracker, req, opts);
+    ASSERT_TRUE(expected.ok());
+    ReleaseRoute(tracker, *expected, req.value);
+
+    router_internal::ResetScratchForTest();
+    auto first = RouteValue(mrrg, tracker, other, opts);
+    ASSERT_TRUE(first.ok());
+    ReleaseRoute(tracker, *first, other.value);
+    router_internal::SetEpochForTest(0xFFFFFFFFu);
+    auto wrapped = RouteValue(mrrg, tracker, req, opts);
+    ASSERT_TRUE(wrapped.ok()) << (astar ? "A*" : "Dijkstra");
+    EXPECT_EQ(RouteDigest(*wrapped), RouteDigest(*expected))
+        << (astar ? "A*" : "Dijkstra");
+    EXPECT_EQ(router_internal::CurrentScratchStats().epoch, 1u);
+    ReleaseRoute(tracker, *wrapped, req.value);
+  }
+}
+
 // ---- hop-feasibility exit ---------------------------------------------------
 
 // Fewest fabric hops from `from_cell` to any hold the consumer on
@@ -813,169 +852,6 @@ TEST(TrackerProperty, RefcountsSharedOccupancy) {
   EXPECT_EQ(tracker.Load(node, 0), 1);  // one reference still held
   tracker.Release(node, 6, 42);
   EXPECT_EQ(tracker.Load(node, 0), 0);
-}
-
-// ---- RouteFanout equivalence ------------------------------------------------
-// RouteFanout documents bit-identical semantics to the sequential
-// RouteValue loop it batches (same tie-breaking, same tracker
-// evolution) plus atomic all-or-nothing commitment. These tests hold
-// it to that over a randomized fanout-set stream and targeted edges.
-
-// Drives `rounds` random fanout sets (the bench's shape: a few
-// consumer cells, 1..3 edges each) through two trackers, one routed
-// with RouteFanout and one with the sequential loop + reverse-order
-// rollback, asserting identical routes and identical end loads.
-void CheckFanoutMatchesSequential(const Architecture& arch, int ii,
-                                  int rounds, bool use_heuristic,
-                                  std::uint64_t seed) {
-  const Mrrg mrrg(arch);
-  ResourceTracker batched(mrrg, ii);
-  ResourceTracker sequential(mrrg, ii);
-  Rng rng(seed);
-  RouterOptions opts;
-  opts.use_heuristic = use_heuristic;
-  int committed_batches = 0, failed_batches = 0;
-  for (int r = 0; r < rounds; ++r) {
-    if ((r & 15) == 0) {
-      batched.Reset();
-      sequential.Reset();
-    }
-    const int from_cell =
-        static_cast<int>(rng.NextIndex(static_cast<size_t>(arch.num_cells())));
-    const int from_time = static_cast<int>(rng.NextIndex(static_cast<size_t>(ii)));
-    const ValueId value = static_cast<ValueId>(r & 255);
-    std::vector<RouteRequest> reqs;
-    const int consumers = 1 + static_cast<int>(rng.NextIndex(2));
-    for (int c = 0; c < consumers; ++c) {
-      const int to_cell = static_cast<int>(
-          rng.NextIndex(static_cast<size_t>(arch.num_cells())));
-      const int hops = arch.HopDistance(from_cell, to_cell);
-      const int edges = 1 + static_cast<int>(rng.NextIndex(3));
-      for (int e = 0; e < edges; ++e) {
-        RouteRequest req;
-        req.from_cell = from_cell;
-        req.from_time = from_time;
-        req.to_cell = to_cell;
-        req.to_time =
-            from_time + 1 + hops + static_cast<int>(rng.NextIndex(4));
-        req.value = value;
-        reqs.push_back(req);
-      }
-    }
-
-    auto batch = RouteFanout(mrrg, batched, reqs.data(), reqs.size(), opts);
-
-    std::vector<Route> seq;
-    bool seq_ok = true;
-    for (const RouteRequest& req : reqs) {
-      auto route = RouteValue(mrrg, sequential, req, opts);
-      if (!route.ok()) {
-        seq_ok = false;
-        break;
-      }
-      seq.push_back(std::move(route).value());
-    }
-    if (!seq_ok) {
-      for (size_t i = seq.size(); i-- > 0;) {
-        ReleaseRoute(sequential, seq[i], value);
-      }
-    }
-
-    ASSERT_EQ(batch.ok(), seq_ok) << "round " << r;
-    if (batch.ok()) {
-      ++committed_batches;
-      ASSERT_EQ(batch->size(), seq.size()) << "round " << r;
-      for (size_t i = 0; i < seq.size(); ++i) {
-        EXPECT_EQ((*batch)[i].steps, seq[i].steps)
-            << "round " << r << " sink " << i;
-      }
-    } else {
-      ++failed_batches;
-    }
-    // Tracker evolution must match whether the batch committed or
-    // rolled back.
-    for (int n = 0; n < mrrg.num_nodes(); ++n) {
-      for (int s = 0; s < ii; ++s) {
-        ASSERT_EQ(batched.Load(n, s), sequential.Load(n, s))
-            << "round " << r << " node " << n << " slot " << s;
-      }
-    }
-  }
-  // The stream must exercise both the commit and the rollback path.
-  EXPECT_GT(committed_batches, rounds / 4);
-  EXPECT_GT(failed_batches, 0);
-}
-
-TEST(RouteFanout, MatchesSequentialAdres4x4) {
-  CheckFanoutMatchesSequential(Architecture::Adres4x4(), 2, 600,
-                               /*use_heuristic=*/false, 0xFA2201ull);
-}
-
-TEST(RouteFanout, MatchesSequentialAdres4x4AStar) {
-  CheckFanoutMatchesSequential(Architecture::Adres4x4(), 3, 600,
-                               /*use_heuristic=*/true, 0xFA2202ull);
-}
-
-TEST(RouteFanout, MatchesSequentialBig8x8) {
-  CheckFanoutMatchesSequential(Architecture::Big8x8(), 2, 150,
-                               /*use_heuristic=*/false, 0xFA2203ull);
-}
-
-TEST(RouteFanout, MatchesSequentialHetero4x4) {
-  CheckFanoutMatchesSequential(Architecture::Hetero4x4(), 4, 400,
-                               /*use_heuristic=*/false, 0xFA2204ull);
-}
-
-TEST(RouteFanout, AtomicRollbackLeavesTrackerUntouched) {
-  const Architecture arch = Architecture::Adres4x4();
-  const Mrrg mrrg(arch);
-  const int ii = 2;
-  ResourceTracker tracker(mrrg, ii);
-  // First sink trivially routable, second impossible (deadline before
-  // the producer latches): the whole batch must fail and release the
-  // first sink's committed steps.
-  RouteRequest good;
-  good.from_cell = 0;
-  good.from_time = 0;
-  good.to_cell = 1;
-  good.to_time = 1 + arch.HopDistance(0, 1);
-  good.value = 11;
-  RouteRequest bad = good;
-  bad.to_cell = arch.num_cells() - 1;
-  bad.to_time = 1;  // cannot cross the fabric in one cycle
-  const RouteRequest reqs[] = {good, bad};
-  auto result = RouteFanout(mrrg, tracker, reqs, 2);
-  ASSERT_FALSE(result.ok());
-  for (int n = 0; n < mrrg.num_nodes(); ++n) {
-    for (int s = 0; s < ii; ++s) {
-      ASSERT_EQ(tracker.Load(n, s), 0) << "node " << n << " slot " << s;
-    }
-  }
-  // The same batch with a feasible second sink commits every route.
-  bad.to_time = 1 + arch.HopDistance(0, bad.to_cell);
-  const RouteRequest fixed[] = {good, bad};
-  auto ok = RouteFanout(mrrg, tracker, fixed, 2);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok->size(), 2u);
-  EXPECT_GT(tracker.Load(mrrg.HoldNode(0), 1 % ii), 0);
-}
-
-TEST(RouteFanout, RejectsMixedSources) {
-  const Architecture arch = Architecture::Adres4x4();
-  const Mrrg mrrg(arch);
-  ResourceTracker tracker(mrrg, 2);
-  RouteRequest a;
-  a.from_cell = 0;
-  a.from_time = 0;
-  a.to_cell = 1;
-  a.to_time = 2;
-  a.value = 1;
-  RouteRequest b = a;
-  b.from_cell = 2;  // different producer cell: not a fanout set
-  const RouteRequest reqs[] = {a, b};
-  auto result = RouteFanout(mrrg, tracker, reqs, 2);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, Error::Code::kInternal);
 }
 
 // ---- word-parallel availability queries -------------------------------------

@@ -271,6 +271,35 @@ TEST(SearchCollection, FailedFanoutChargesOnlyTheFailingSink) {
   EXPECT_EQ(log.cell_congested[15], 1u);
 }
 
+TEST(SearchCollection, RolledBackIncomingRoutesAreNotFolded) {
+  // `c = a + b` is tried on cell 5 one cycle after its inputs: `a` on
+  // the adjacent cell 1 routes, `b` on the far corner cell 15 cannot.
+  // The placement rolls back, so the step `a`'s route took is not a
+  // committed step and must not reach the log.
+  const Architecture arch = Adres4x4();
+  const Mrrg mrrg(arch);
+  Dfg dfg;
+  const OpId a = dfg.AddInput(0, "a");
+  const OpId b = dfg.AddInput(1, "b");
+  const OpId c = dfg.AddBinary(Opcode::kAdd, a, b, "c");
+  SearchLog log;
+  {
+    ScopedSearchLog scoped(&log);
+    PlaceRouteState state(dfg, arch, mrrg, /*ii=*/4);
+    ASSERT_TRUE(state.TryPlace(a, 1, 0));
+    ASSERT_TRUE(state.TryPlace(b, 15, 0));
+    EXPECT_FALSE(state.TryPlace(c, 5, 1));
+    EXPECT_EQ(state.last_fail(), PlaceRouteState::FailReason::kRouteCongested);
+  }
+  EXPECT_EQ(log.route_attempts, 2u);
+  EXPECT_EQ(log.route_failures, 1u);
+  EXPECT_EQ(log.route_steps, 0u);
+  ASSERT_EQ(log.cell_routed.size(), 16u);
+  std::uint64_t routed = 0;
+  for (const std::uint32_t steps : log.cell_routed) routed += steps;
+  EXPECT_EQ(routed, 0u);
+}
+
 TEST(SearchCollection, BeamSurvivorReplayIsNotRecorded) {
   // bwd-beam tries each child on a scratch copy of its parent and
   // replays only the survivors of the pruning; the replays must not

@@ -91,6 +91,13 @@ bool ReadGrid(const Json& fabric, const char* key, std::size_t cells,
   return true;
 }
 
+/// `obj`'s integer member `key` as the long long %lld reads, 0 when
+/// absent.
+long long IntField(const Json& obj, const char* key) {
+  const Json* v = obj.Find(key);
+  return v ? static_cast<long long>(v->AsInt()) : 0;
+}
+
 void PrintGrid(const char* label, int rows, int cols,
                const std::vector<std::uint64_t>& vals) {
   std::uint64_t max = 0;
@@ -216,9 +223,8 @@ int InspectMapTrace(const Json& doc, bool as_json) {
     if (const Json* place = s->Find("place")) {
       std::printf(
           "  place: accepts=%lld rejects=%lld evictions=%lld\n",
-          place->Find("accepts") ? place->Find("accepts")->AsInt() : 0,
-          place->Find("rejects") ? place->Find("rejects")->AsInt() : 0,
-          place->Find("evictions") ? place->Find("evictions")->AsInt() : 0);
+          IntField(*place, "accepts"), IntField(*place, "rejects"),
+          IntField(*place, "evictions"));
       if (const Json* reasons = place->Find("reject_reasons")) {
         std::printf("    rejected:");
         for (const auto& [name, count] : reasons->members()) {
@@ -231,11 +237,8 @@ int InspectMapTrace(const Json& doc, bool as_json) {
     if (const Json* route = s->Find("route")) {
       std::printf(
           "  route: attempts=%lld failures=%lld steps=%lld shared_steps=%lld\n",
-          route->Find("attempts") ? route->Find("attempts")->AsInt() : 0,
-          route->Find("failures") ? route->Find("failures")->AsInt() : 0,
-          route->Find("steps") ? route->Find("steps")->AsInt() : 0,
-          route->Find("shared_steps") ? route->Find("shared_steps")->AsInt()
-                                      : 0);
+          IntField(*route, "attempts"), IntField(*route, "failures"),
+          IntField(*route, "steps"), IntField(*route, "shared_steps"));
     }
     if (const Json* fabric = s->Find("fabric")) {
       const int rows =
@@ -279,15 +282,13 @@ int InspectMapTrace(const Json& doc, bool as_json) {
       std::printf(
           "  solver: %zu sample(s), last: decisions=%lld conflicts=%lld "
           "restarts=%lld\n",
-          solver->items().size(),
-          last.Find("decisions") ? last.Find("decisions")->AsInt() : 0,
-          last.Find("conflicts") ? last.Find("conflicts")->AsInt() : 0,
-          last.Find("restarts") ? last.Find("restarts")->AsInt() : 0);
+          solver->items().size(), IntField(last, "decisions"),
+          IntField(last, "conflicts"), IntField(last, "restarts"));
     }
     if (const Json* obj = s->Find("objective")) {
       std::printf("  objective: %.6g after %lld node(s)\n",
                   obj->Find("value") ? obj->Find("value")->AsDouble() : 0.0,
-                  obj->Find("nodes") ? obj->Find("nodes")->AsInt() : 0);
+                  IntField(*obj, "nodes"));
     }
   }
   std::printf("%d attempt(s), %d with search log(s)\n", index, with_search);
@@ -432,14 +433,12 @@ int main(int argc, char** argv) {
   for (const auto& [name, s] : rows) total_self += s.self_us;
 
   if (const Json* other = doc->Find("otherData")) {
-    const std::int64_t dropped =
-        other->Find("dropped_spans") ? other->Find("dropped_spans")->AsInt()
-                                     : 0;
+    const long long dropped = IntField(*other, "dropped_spans");
     if (dropped > 0) {
       std::fprintf(stderr,
                    "cgra_trace: warning: trace lost %lld span(s) to ring "
                    "overflow\n",
-                   static_cast<long long>(dropped));
+                   dropped);
     }
   }
 
