@@ -238,8 +238,9 @@ int main(int argc, char** argv) {
         {"big8x8", Architecture::Big8x8()},
     };
     if (!small) fabrics.push_back({"mega16x16", Architecture::Mega16x16()});
-    const char* mapper_names[] = {"greedy-spatial", "dresc-sa", "ems", "ims",
-                                  "epimap",         "spr-sa",   "sa-spatial"};
+    const char* mapper_names[] = {"greedy-spatial", "dresc-sa", "ems",
+                                  "ims",            "epimap",   "spr-sa",
+                                  "sa-spatial",     "qea-bind", "ga-spatial"};
     const auto kernels = TinyKernelSuite();
     std::printf("== mapper suite ==\n");
     for (const Fabric& f : fabrics) {

@@ -128,10 +128,11 @@ Architecture Architecture::WithFaults(const FaultModel& faults) const {
   auto merged = std::make_shared<FaultModel>(faults);
   if (faults_) merged->Merge(*faults_);
 
-  // Rebuild a clean fabric from the params, then derate it: the
-  // constructor's capability/link/readable tables are the healthy
-  // baseline that ApplyFaults prunes.
-  Architecture derated(params_);
+  // Derating only removes, and the merged model contains the faults
+  // already applied, so pruning a copy of this fabric by the merged
+  // model gives the same tables as pruning the healthy one. The hop
+  // table is stale until ApplyFaults recomputes it: one BFS per call.
+  Architecture derated(*this);
   derated.faults_ = std::move(merged);
   derated.ApplyFaults();
   return derated;

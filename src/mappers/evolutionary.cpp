@@ -8,45 +8,53 @@
 //    vector per op over candidate cells is sampled ("observed") and
 //    rotated toward the best individual each generation.
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
-#include <optional>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "mappers/common.hpp"
 #include "mappers/mappers.hpp"
 #include "support/rng.hpp"
+#include "support/str.hpp"
 #include "telemetry/search_log.hpp"
 
 namespace cgra {
 namespace {
 
-// Scores a binding genome by greedy realization: ops are placed in
-// schedule order on their genome cells (sliding up to `slide_slack`
-// cycles when allowed); unplaceable ops are skipped so the fitness
-// stays informative ("how much of the DFG this genome maps"). `state`
-// is reset first, so one state serves every genome of an II.
-struct GenomeEval {
+// A binding genome's score under greedy realization: how much of the
+// DFG it maps and at what routing cost.
+struct GenomeScore {
   int placed = 0;
   int route_steps = 0;
-  std::optional<Mapping> mapping;
 
-  // Higher is better.
-  double Fitness(int total_ops) const {
-    return placed * 1000.0 - route_steps + (placed == total_ops ? 1e6 : 0.0);
-  }
+  // Higher is better. A genome that places every op ends the search
+  // before its fitness is read.
+  double Fitness() const { return placed * 1000.0 - route_steps; }
 };
 
-GenomeEval EvaluateGenome(PlaceRouteState& state,
-                          const std::vector<int>& cell_of_op,
-                          const std::vector<int>& times, int slide_slack) {
-  state.Reset();
+// The order greedy realization places ops in: schedule time, then id.
+std::vector<OpId> ScheduleOrder(const PlaceRouteState& state,
+                                const std::vector<int>& times) {
   std::vector<OpId> order = state.MappableOps();
   std::sort(order.begin(), order.end(), [&](OpId a, OpId b) {
     return times[static_cast<size_t>(a)] != times[static_cast<size_t>(b)]
                ? times[static_cast<size_t>(a)] < times[static_cast<size_t>(b)]
                : a < b;
   });
-  GenomeEval eval;
-  int steps = 0;
+  return order;
+}
+
+// Greedy realization: ops are placed in `order` on their genome cells
+// (sliding up to `slide_slack` cycles when allowed); unplaceable ops
+// are skipped so the score stays informative ("how much of the DFG
+// this genome maps"). `state` is reset first.
+GenomeScore Realize(PlaceRouteState& state, const std::vector<OpId>& order,
+                    const std::vector<int>& cell_of_op,
+                    const std::vector<int>& times, int slide_slack) {
+  state.Reset();
+  GenomeScore score;
   for (OpId op : order) {
     const int cell = cell_of_op[static_cast<size_t>(op)];
     bool placed = false;
@@ -54,16 +62,97 @@ GenomeEval EvaluateGenome(PlaceRouteState& state,
       placed = state.TryPlace(op, cell, times[static_cast<size_t>(op)] + dt);
     }
     if (placed) {
-      ++eval.placed;
-      steps += state.last_route_steps();
+      ++score.placed;
+      score.route_steps += state.last_route_steps();
     }
   }
-  eval.route_steps = steps;
-  if (eval.placed == static_cast<int>(state.MappableOps().size())) {
-    eval.mapping = state.Finalize();
-  }
-  return eval;
+  return score;
 }
+
+// Scores the genomes of one II. Realization starts from Reset(), so
+// with the state, schedule and slack fixed a score depends on the
+// genome alone: a genome scored before is answered from the memo and
+// touches neither the state, nor the router, nor the search log. The
+// memo keeps the distinct genomes back to back in one flat array
+// behind an open-addressing index, so scoring allocates no node per
+// genome.
+class GenomeScorer {
+ public:
+  GenomeScorer(const Dfg& dfg, const Architecture& arch, const Mrrg& mrrg,
+               int ii, const std::vector<int>& times, int slide_slack)
+      : state_(dfg, arch, mrrg, ii),
+        times_(times),
+        order_(ScheduleOrder(state_, times_)),
+        slide_slack_(slide_slack),
+        index_(size_t{1} << kInitialBits, kEmpty) {}
+
+  GenomeScore Score(const std::vector<int>& genome) {
+    assert(genome.size() == times_.size());
+    const size_t mask = index_.size() - 1;
+    size_t i = Home(genome.data());
+    for (; index_[i] != kEmpty; i = (i + 1) & mask) {
+      const auto seen = static_cast<size_t>(index_[i]);
+      if (std::equal(genome.begin(), genome.end(), Genes(seen))) {
+        // The first genome that places every op ends the search.
+        assert(!Complete(scores_[seen]));
+        return scores_[seen];
+      }
+    }
+    index_[i] = static_cast<std::int32_t>(scores_.size());
+    genes_.insert(genes_.end(), genome.begin(), genome.end());
+    scores_.push_back(Realize(state_, order_, genome, times_, slide_slack_));
+    if (2 * scores_.size() > index_.size()) Grow();
+    return scores_.back();
+  }
+
+  /// True when `score` placed every mappable op; Finalize() then
+  /// returns the mapping of the genome just scored.
+  bool Complete(const GenomeScore& score) const {
+    return score.placed == static_cast<int>(state_.MappableOps().size());
+  }
+  Mapping Finalize() const { return state_.Finalize(); }
+
+  /// Distinct genomes scored so far.
+  size_t distinct() const { return scores_.size(); }
+
+ private:
+  static constexpr int kInitialBits = 6;
+  static constexpr std::int32_t kEmpty = -1;
+
+  // A genome has one gene per op, as the schedule has one time per op.
+  const int* Genes(size_t entry) const {
+    return genes_.data() + entry * times_.size();
+  }
+
+  // FNV-1a over the genes, spread over the index by a Fibonacci multiply.
+  size_t Home(const int* genes) const {
+    std::uint64_t h = 1469598103934665603ull;
+    for (size_t g = 0; g < times_.size(); ++g) {
+      h = (h ^ static_cast<std::uint32_t>(genes[g])) * 1099511628211ull;
+    }
+    return static_cast<size_t>((h * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  void Grow() {
+    index_.assign(index_.size() * 2, kEmpty);
+    --shift_;
+    const size_t mask = index_.size() - 1;
+    for (size_t e = 0; e < scores_.size(); ++e) {
+      size_t i = Home(Genes(e));
+      while (index_[i] != kEmpty) i = (i + 1) & mask;
+      index_[i] = static_cast<std::int32_t>(e);
+    }
+  }
+
+  PlaceRouteState state_;
+  std::vector<int> times_;
+  std::vector<OpId> order_;
+  int slide_slack_;
+  std::vector<int> genes_;             ///< distinct genomes, back to back
+  std::vector<GenomeScore> scores_;    ///< one per distinct genome
+  std::vector<std::int32_t> index_;    ///< open addressing into scores_
+  int shift_ = 64 - kInitialBits;
+};
 
 class GeneticSpatialMapper final : public Mapper {
  public:
@@ -88,7 +177,7 @@ class GeneticSpatialMapper final : public Mapper {
       if (times.empty()) return Error::Unmappable("recurrences infeasible at II=1");
       const auto candidates = CandidateCellTable(dfg, arch);
       const int n = dfg.num_ops();
-      PlaceRouteState state(dfg, arch, mrrg, ii);
+      GenomeScorer scorer(dfg, arch, mrrg, ii, times, options.extra_slack);
 
       constexpr int kPopulation = 24;
       constexpr int kGenerations = 60;
@@ -105,22 +194,12 @@ class GeneticSpatialMapper final : public Mapper {
       };
 
       std::vector<std::vector<int>> pop;
-      std::vector<GenomeEval> evals;
       std::vector<double> fitness;
-      const int total_ops = [&] {
-        int k = 0;
-        for (OpId op = 0; op < n; ++op) {
-          if (!arch.IsFolded(dfg.op(op).opcode)) ++k;
-        }
-        return k;
-      }();
-
       for (int i = 0; i < kPopulation; ++i) {
         pop.push_back(random_genome());
-        evals.push_back(
-            EvaluateGenome(state, pop.back(), times, options.extra_slack));
-        if (evals.back().mapping) return *evals.back().mapping;
-        fitness.push_back(evals.back().Fitness(total_ops));
+        const GenomeScore score = scorer.Score(pop.back());
+        if (scorer.Complete(score)) return scorer.Finalize();
+        fitness.push_back(score.Fitness());
       }
 
       for (int gen = 0; gen < kGenerations; ++gen) {
@@ -154,10 +233,11 @@ class GeneticSpatialMapper final : public Mapper {
           next.push_back(std::move(child));
         }
         pop = std::move(next);
+        // The elite and any repeated child are memo lookups.
         for (size_t i = 0; i < pop.size(); ++i) {
-          evals[i] = EvaluateGenome(state, pop[i], times, options.extra_slack);
-          if (evals[i].mapping) return *evals[i].mapping;
-          fitness[i] = evals[i].Fitness(total_ops);
+          const GenomeScore score = scorer.Score(pop[i]);
+          if (scorer.Complete(score)) return scorer.Finalize();
+          fitness[i] = score.Fitness();
         }
       }
       return Error::Unmappable("GA exhausted its generations without a full mapping");
@@ -192,20 +272,16 @@ class QeaBinder final : public Mapper {
       if (times.empty()) {
         return Error::Unmappable("recurrences infeasible at this II");
       }
-      const int total_ops = [&] {
-        int k = 0;
-        for (OpId op = 0; op < n; ++op) {
-          if (!arch.IsFolded(dfg.op(op).opcode)) ++k;
-        }
-        return k;
-      }();
       // Quantum registers: probability per (op, candidate cell index).
       std::vector<std::vector<double>> q(static_cast<size_t>(n));
       for (OpId op = 0; op < n; ++op) {
         const size_t k = candidates[static_cast<size_t>(op)].size();
         if (k > 0) q[static_cast<size_t>(op)].assign(k, 1.0 / static_cast<double>(k));
       }
-      PlaceRouteState state(dfg, arch, mrrg, ii);
+      // A little slide slack lets the greedy realization repair local
+      // slot congestion the fixed modulo-ASAP schedule has. A converged
+      // register observes the same genome again: a memo lookup.
+      GenomeScorer scorer(dfg, arch, mrrg, ii, times, options.extra_slack);
       auto observe = [&] {
         std::vector<int> genome(static_cast<size_t>(n), -1);
         for (OpId op = 0; op < n; ++op) {
@@ -233,12 +309,9 @@ class QeaBinder final : public Mapper {
         }
         for (int o = 0; o < kObservations; ++o) {
           const auto genome = observe();
-          // A little slide slack lets the greedy realization repair
-          // local slot congestion the fixed modulo-ASAP schedule has.
-          const auto eval =
-              EvaluateGenome(state, genome, times, options.extra_slack);
-          if (eval.mapping) return *eval.mapping;
-          const double f = eval.Fitness(total_ops);
+          const GenomeScore score = scorer.Score(genome);
+          if (scorer.Complete(score)) return scorer.Finalize();
+          const double f = score.Fitness();
           if (f > best_fitness) {
             best_fitness = f;
             best_genome = genome;
@@ -266,6 +339,68 @@ class QeaBinder final : public Mapper {
 };
 
 }  // namespace
+
+namespace evolutionary_internal {
+
+MemoCheck CheckGenomeMemo(const Dfg& dfg, const Architecture& arch, int ii,
+                          std::uint64_t seed, int genomes) {
+  MemoCheck check;
+  const Mrrg mrrg(arch);
+  const auto candidates = CandidateCellTable(dfg, arch);
+  Rng rng(seed);
+  // Each genome is fresh, a repeat of an earlier one, or an earlier one
+  // with one gene drawn again.
+  std::vector<std::vector<int>> stream;
+  for (int i = 0; i < genomes; ++i) {
+    const size_t kind = stream.empty() ? 0 : rng.NextIndex(3);
+    std::vector<int> genome;
+    if (kind == 0) {
+      genome.assign(static_cast<size_t>(dfg.num_ops()), -1);
+      for (size_t op = 0; op < genome.size(); ++op) {
+        const auto& cells = candidates[op];
+        if (!cells.empty()) genome[op] = cells[rng.NextIndex(cells.size())];
+      }
+    } else {
+      genome = stream[rng.NextIndex(stream.size())];
+      if (kind == 2) {
+        const size_t op = rng.NextIndex(genome.size());
+        const auto& cells = candidates[op];
+        if (!cells.empty()) genome[op] = cells[rng.NextIndex(cells.size())];
+      }
+    }
+    stream.push_back(std::move(genome));
+  }
+
+  const int slack = MapperOptions{}.extra_slack;
+  for (const int at : {ii, ii + 1}) {
+    const auto times = ModuloAsap(dfg, arch, at);
+    if (times.empty()) continue;
+    GenomeScorer scorer(dfg, arch, mrrg, at, times, slack);
+    int scored = 0;
+    for (size_t i = 0; i < stream.size(); ++i) {
+      PlaceRouteState state(dfg, arch, mrrg, at);
+      const GenomeScore fresh =
+          Realize(state, ScheduleOrder(state, times), stream[i], times, slack);
+      // A full mapping ends the mappers' search: never scored again.
+      if (scorer.Complete(fresh)) continue;
+      const GenomeScore memo = scorer.Score(stream[i]);
+      ++scored;
+      if (check.mismatch.empty() && (memo.placed != fresh.placed ||
+                                     memo.route_steps != fresh.route_steps)) {
+        check.mismatch = StrFormat(
+            "genome %zu at II %d: scorer placed %d ops with %d route steps, "
+            "a fresh state %d with %d",
+            i, at, memo.placed, memo.route_steps, fresh.placed,
+            fresh.route_steps);
+      }
+    }
+    check.scored += scored;
+    check.hits += scored - static_cast<int>(scorer.distinct());
+  }
+  return check;
+}
+
+}  // namespace evolutionary_internal
 
 std::unique_ptr<Mapper> MakeGeneticSpatialMapper() {
   return std::make_unique<GeneticSpatialMapper>();

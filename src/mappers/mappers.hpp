@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "mapping/mapper.hpp"
 
@@ -72,5 +73,27 @@ CostCheck CheckIncrementalCost(const Dfg& dfg, const Architecture& arch, int ii,
                                bool fixed_times, std::uint64_t seed, int moves);
 
 }  // namespace annealing_internal
+
+// Test-only visibility into the population mappers' per-II genome memo
+// (src/mappers/evolutionary.cpp).
+namespace evolutionary_internal {
+
+struct MemoCheck {
+  int scored = 0;        ///< genomes scored through the memoising scorers
+  int hits = 0;          ///< of those, answered from the memo
+  std::string mismatch;  ///< the first disagreement; empty when none
+};
+
+/// Draws one seeded stream of `genomes` genomes over (dfg, arch) that
+/// repeats earlier genomes and redraws one gene of earlier genomes on
+/// purpose, and scores it at `ii` and at `ii + 1` through one memoising
+/// scorer per II, as ga-spatial and qea-bind keep them. Every genome is
+/// also realized on a fresh PlaceRouteState; `mismatch` names the first
+/// whose placed count or route steps differ. A genome that places every
+/// op ends the mappers' search, so it is left out of the scorers.
+MemoCheck CheckGenomeMemo(const Dfg& dfg, const Architecture& arch, int ii,
+                          std::uint64_t seed, int genomes);
+
+}  // namespace evolutionary_internal
 
 }  // namespace cgra

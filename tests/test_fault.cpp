@@ -4,7 +4,9 @@
 // 4x4 ADRES must still yield validating, bit-exact mappings through
 // MappingEngine::RunWithRepair.
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -173,6 +175,87 @@ TEST(WithFaults, SuccessiveApplicationsAccumulate) {
   EXPECT_FALSE(arch.CellAlive(12));
   ASSERT_NE(arch.faults(), nullptr);
   EXPECT_EQ(arch.faults()->dead_cells(), (std::vector<int>{3, 12}));
+}
+
+// Distances from `source` by a plain BFS over the fabric's LinksOut.
+std::vector<int> BfsHops(const Architecture& arch, int source) {
+  std::vector<int> dist(static_cast<size_t>(arch.num_cells()), -1);
+  std::vector<int> queue{source};
+  dist[static_cast<size_t>(source)] = 0;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const int v = queue[head];
+    for (const int w : arch.LinksOut(v)) {
+      if (dist[static_cast<size_t>(w)] < 0) {
+        dist[static_cast<size_t>(w)] = dist[static_cast<size_t>(v)] + 1;
+        queue.push_back(w);
+      }
+    }
+  }
+  return dist;
+}
+
+void ExpectHopTableIsBfs(const Architecture& arch, const std::string& where) {
+  for (int s = 0; s < arch.num_cells(); ++s) {
+    const std::vector<int> dist = BfsHops(arch, s);
+    for (int t = 0; t < arch.num_cells(); ++t) {
+      ASSERT_EQ(arch.HopDistance(s, t), dist[static_cast<size_t>(t)])
+          << where << ": " << s << " -> " << t;
+    }
+  }
+}
+
+void ExpectSameFabric(const Architecture& a, const Architecture& b,
+                      const std::string& where) {
+  ASSERT_EQ(a.num_cells(), b.num_cells()) << where;
+  for (int c = 0; c < a.num_cells(); ++c) {
+    const CellCaps& ca = a.caps(c);
+    const CellCaps& cb = b.caps(c);
+    EXPECT_EQ(std::tie(ca.alu, ca.mul, ca.mem, ca.bank, ca.io),
+              std::tie(cb.alu, cb.mul, cb.mem, cb.bank, cb.io))
+        << where << ": cell " << c;
+    EXPECT_EQ(a.CellAlive(c), b.CellAlive(c)) << where << ": cell " << c;
+    EXPECT_EQ(a.HoldCapacityAt(c), b.HoldCapacityAt(c)) << where << ": cell " << c;
+    EXPECT_EQ(a.LinksOut(c), b.LinksOut(c)) << where << ": cell " << c;
+    EXPECT_EQ(a.ReadableFrom(c), b.ReadableFrom(c)) << where << ": cell " << c;
+    for (int t = 0; t < a.num_cells(); ++t) {
+      ASSERT_EQ(a.HopDistance(c, t), b.HopDistance(c, t))
+          << where << ": " << c << " -> " << t;
+    }
+  }
+  ASSERT_NE(a.faults(), nullptr);
+  ASSERT_NE(b.faults(), nullptr);
+  EXPECT_EQ(*a.faults(), *b.faults()) << where;
+  EXPECT_EQ(a.Digest(), b.Digest()) << where;
+}
+
+TEST(WithFaults, HopTableIsBfsOverSurvivingLinks) {
+  const Architecture presets[] = {
+      Architecture::Small2x2(),   Architecture::Adres4x4(),
+      Architecture::Hetero4x4(),  Architecture::Spatial4x4(),
+      Architecture::Torus4x4(),   Architecture::Big8x8(),
+      Architecture::Mega16x16(),  Architecture::VliwLike4(),
+  };
+  for (const Architecture& healthy : presets) {
+    const std::string name = healthy.params().name;
+    ExpectHopTableIsBfs(healthy, name);
+    FaultModel::RandomSpec spec;
+    spec.dead_cells = std::max(1, healthy.num_cells() / 16);
+    spec.dead_links = std::max(1, healthy.num_cells() / 4);
+    spec.dead_rf_entries = 2;
+    spec.dead_context_slots = 2;
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const std::string where = name + " seed " + std::to_string(seed);
+      const FaultModel first = FaultModel::Random(healthy, spec, seed);
+      const FaultModel second = FaultModel::Random(healthy, spec, seed + 100);
+      FaultModel both = first;
+      both.Merge(second);
+      const Architecture once = healthy.WithFaults(first);
+      const Architecture twice = once.WithFaults(second);
+      ExpectHopTableIsBfs(once, where + " once");
+      ExpectHopTableIsBfs(twice, where + " twice");
+      ExpectSameFabric(twice, healthy.WithFaults(both), where);
+    }
+  }
 }
 
 // ---- MRRG pruning -----------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "api/request.hpp"
+#include "arch/fault.hpp"
 #include "engine/trace.hpp"
 #include "ir/kernels.hpp"
 #include "mappers/common.hpp"
@@ -400,6 +401,32 @@ TEST(AnnealerCost, IncrementalCostAndMemoMatchRecountBig8x8) {
   const Architecture arch = Architecture::Big8x8();
   ExpectIncrementalCostHolds(arch, "complex_mul", 3);
   ExpectIncrementalCostHolds(arch, "histogram8", 3);
+}
+
+// ---- population mappers' genome memo -----------------------------------------
+
+void ExpectMemoMatchesFreshScores(const Architecture& arch, const char* name,
+                                  int ii) {
+  const std::optional<Kernel> kernel = api::KernelByName(name, 32, 1);
+  ASSERT_TRUE(kernel.has_value()) << name;
+  const evolutionary_internal::MemoCheck check =
+      evolutionary_internal::CheckGenomeMemo(kernel->dfg, arch, ii, 11, 240);
+  const std::string where = std::string(name) + "@" + arch.params().name;
+  EXPECT_GT(check.scored, 240) << where;
+  EXPECT_GT(check.hits, 60) << where;
+  EXPECT_EQ(check.mismatch, "") << where;
+}
+
+TEST(GenomeMemo, HitsEqualFreshScores) {
+  ExpectMemoMatchesFreshScores(Architecture::Adres4x4(), "complex_mul", 1);
+  ExpectMemoMatchesFreshScores(Architecture::Adres4x4(), "gemm_mac", 2);
+  const Architecture big = Architecture::Big8x8();
+  ExpectMemoMatchesFreshScores(big, "fir4", 1);
+  FaultModel::RandomSpec spec;
+  spec.dead_cells = 6;
+  spec.dead_links = 12;
+  ExpectMemoMatchesFreshScores(big.WithFaults(FaultModel::Random(big, spec, 5)),
+                               "gemm_mac", 1);
 }
 
 // ---- MII bounds ---------------------------------------------------------------

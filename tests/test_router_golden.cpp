@@ -18,6 +18,7 @@
 //     with a naive reference model under random occupy/release traffic,
 //     including fault-gated SlotUsable and >kInlineOccupants spilling.
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -31,6 +32,7 @@
 #include "arch/arch.hpp"
 #include "arch/fault.hpp"
 #include "arch/mrrg.hpp"
+#include "engine/trace.hpp"
 #include "ir/kernels.hpp"
 #include "mappers/registry.hpp"
 #include "mapping/mapping.hpp"
@@ -38,6 +40,7 @@
 #include "mapping/router.hpp"
 #include "mapping/tracker.hpp"
 #include "support/rng.hpp"
+#include "telemetry/search_log.hpp"
 
 namespace cgra {
 namespace {
@@ -339,6 +342,74 @@ TEST(RouterGolden, DeterministicMappersBig8x8) {
     ASSERT_TRUE(m.ok()) << g.mapper << "/" << g.kernel << ": "
                         << m.error().message;
     EXPECT_EQ(MappingDigest(*m), g.digest) << g.mapper << "/" << g.kernel;
+  }
+}
+
+// ---- golden population-mapper digests and cost curves -----------------------
+// ga-spatial and qea-bind score one genome per individual. Each attempt's
+// cost curve records every generation's best fitness, so a genome scored
+// wrongly moves the curve even when the final mapping stays the same.
+// Captured before genome scores were memoised per II.
+
+std::uint64_t CurveDigest(const MapTrace& trace) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const MapTrace::Attempt& a : trace.Attempts()) {
+    h = HashU64(h, static_cast<std::uint64_t>(a.ii));
+    if (a.search == nullptr) continue;
+    h = HashU64(h, static_cast<std::uint64_t>(a.search->curve.size()));
+    for (const telemetry::SearchLog::CostSample& s : a.search->curve) {
+      h = HashU64(h, static_cast<std::uint64_t>(s.iteration));
+      h = HashU64(h, std::bit_cast<std::uint64_t>(s.cost));
+    }
+  }
+  return h;
+}
+
+TEST(RouterGolden, DeterministicPopulationMappers) {
+  struct PopulationGolden {
+    const char* mapper;
+    const char* kernel;
+    const char* fabric;
+    std::uint64_t digest;  ///< 0: no mapping (generations exhausted)
+    std::uint64_t curve;
+  };
+  const PopulationGolden goldens[] = {
+      {"qea-bind", "complex_mul", "adres4x4", 0xac5a38ede47405acull,
+       0x98e9588b173ed5ccull},
+      {"qea-bind", "dct4", "adres4x4", 0xa40e411db4cf7745ull,
+       0xcdda2acad92b4402ull},
+      {"qea-bind", "sobel_gx", "hetero4x4", 0x669d5950eae7486cull,
+       0xc4f47d36dbe38e9full},
+      {"ga-spatial", "fir4", "adres4x4", 0x3710463e77eb6dfbull,
+       0x22dfed5e86d1ee62ull},
+      {"ga-spatial", "butterfly", "hetero4x4", 0x971a5ffd46925c42ull,
+       0x4fbfe88bdc6b385cull},
+      {"ga-spatial", "dct4", "adres4x4", 0x0ull,
+       0x3232908175edab9eull},
+  };
+  for (const PopulationGolden& g : goldens) {
+    const std::string where =
+        std::string(g.mapper) + "/" + g.kernel + "/" + g.fabric;
+    const Mapper* mapper = MapperRegistry::Global().Find(g.mapper);
+    ASSERT_NE(mapper, nullptr) << g.mapper;
+    const std::optional<Architecture> arch = api::FabricByName(g.fabric);
+    ASSERT_TRUE(arch.has_value()) << g.fabric;
+    const std::optional<Kernel> kernel = api::KernelByName(g.kernel, 16, 0x5EED);
+    ASSERT_TRUE(kernel.has_value()) << g.kernel;
+    MapTrace trace;
+    MapperOptions opts;
+    opts.seed = 42;
+    opts.observer = &trace;
+    auto m = mapper->Map(kernel->dfg, *arch, opts);
+    const std::uint64_t curve = CurveDigest(trace);
+    EXPECT_EQ(curve, g.curve) << where << ": curve 0x" << std::hex << curve;
+    if (g.digest == 0) {
+      EXPECT_FALSE(m.ok()) << where;
+      continue;
+    }
+    ASSERT_TRUE(m.ok()) << where << ": " << m.error().message;
+    EXPECT_EQ(MappingDigest(*m), g.digest)
+        << where << ": digest 0x" << std::hex << MappingDigest(*m);
   }
 }
 
