@@ -1,25 +1,17 @@
-#include <cstddef>
 #include "graph/algos.hpp"
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <queue>
 
 namespace cgra {
 
 std::optional<std::vector<NodeId>> TopologicalOrder(const Digraph& g) {
-  return TopologicalOrderIgnoring(g, {});
-}
-
-std::optional<std::vector<NodeId>> TopologicalOrderIgnoring(
-    const Digraph& g, const std::vector<bool>& ignore_edge) {
   const int n = g.num_nodes();
   std::vector<int> indeg(static_cast<size_t>(n), 0);
-  auto ignored = [&](EdgeId e) {
-    return !ignore_edge.empty() && ignore_edge[static_cast<size_t>(e)];
-  };
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (!ignored(e)) ++indeg[static_cast<size_t>(g.edge(e).to)];
+    ++indeg[static_cast<size_t>(g.edge(e).to)];
   }
   std::queue<NodeId> ready;
   for (NodeId v = 0; v < n; ++v) {
@@ -32,7 +24,6 @@ std::optional<std::vector<NodeId>> TopologicalOrderIgnoring(
     ready.pop();
     order.push_back(v);
     for (EdgeId e : g.out_edges(v)) {
-      if (ignored(e)) continue;
       if (--indeg[static_cast<size_t>(g.edge(e).to)] == 0) {
         ready.push(g.edge(e).to);
       }
@@ -42,110 +33,14 @@ std::optional<std::vector<NodeId>> TopologicalOrderIgnoring(
   return order;
 }
 
-namespace {
-
-struct TarjanState {
-  const Digraph& g;
-  std::vector<int> index, lowlink, comp;
-  std::vector<bool> on_stack;
-  std::vector<NodeId> stack;
-  int next_index = 0;
-  int next_comp = 0;
-
-  explicit TarjanState(const Digraph& graph)
-      : g(graph),
-        index(static_cast<size_t>(graph.num_nodes()), -1),
-        lowlink(static_cast<size_t>(graph.num_nodes()), -1),
-        comp(static_cast<size_t>(graph.num_nodes()), -1),
-        on_stack(static_cast<size_t>(graph.num_nodes()), false) {}
-
-  // Iterative Tarjan (explicit stack) to stay safe on deep graphs.
-  void Run(NodeId root) {
-    struct Frame {
-      NodeId v;
-      size_t edge_ix;
-    };
-    std::vector<Frame> frames;
-    frames.push_back({root, 0});
-    index[static_cast<size_t>(root)] = lowlink[static_cast<size_t>(root)] = next_index++;
-    stack.push_back(root);
-    on_stack[static_cast<size_t>(root)] = true;
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      const auto& outs = g.out_edges(f.v);
-      if (f.edge_ix < outs.size()) {
-        const NodeId w = g.edge(outs[f.edge_ix++]).to;
-        if (index[static_cast<size_t>(w)] < 0) {
-          index[static_cast<size_t>(w)] = lowlink[static_cast<size_t>(w)] = next_index++;
-          stack.push_back(w);
-          on_stack[static_cast<size_t>(w)] = true;
-          frames.push_back({w, 0});
-        } else if (on_stack[static_cast<size_t>(w)]) {
-          lowlink[static_cast<size_t>(f.v)] =
-              std::min(lowlink[static_cast<size_t>(f.v)], index[static_cast<size_t>(w)]);
-        }
-      } else {
-        const NodeId v = f.v;
-        frames.pop_back();
-        if (!frames.empty()) {
-          const NodeId parent = frames.back().v;
-          lowlink[static_cast<size_t>(parent)] =
-              std::min(lowlink[static_cast<size_t>(parent)], lowlink[static_cast<size_t>(v)]);
-        }
-        if (lowlink[static_cast<size_t>(v)] == index[static_cast<size_t>(v)]) {
-          for (;;) {
-            const NodeId w = stack.back();
-            stack.pop_back();
-            on_stack[static_cast<size_t>(w)] = false;
-            comp[static_cast<size_t>(w)] = next_comp;
-            if (w == v) break;
-          }
-          ++next_comp;
-        }
-      }
-    }
-  }
-};
-
-}  // namespace
-
-std::vector<int> StronglyConnectedComponents(const Digraph& g, int* num_components) {
-  TarjanState state(g);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (state.index[static_cast<size_t>(v)] < 0) state.Run(v);
-  }
-  if (num_components) *num_components = state.next_comp;
-  return state.comp;
-}
-
-std::vector<std::int64_t> DagLongestPathFromSources(
-    const Digraph& g, const std::vector<std::int64_t>& edge_weight,
-    const std::vector<bool>* ignore_edge) {
-  auto order = TopologicalOrderIgnoring(g, ignore_edge ? *ignore_edge : std::vector<bool>{});
-  assert(order.has_value() && "graph must be acyclic modulo ignored edges");
-  std::vector<std::int64_t> dist(static_cast<size_t>(g.num_nodes()), 0);
-  for (NodeId v : *order) {
-    for (EdgeId e : g.out_edges(v)) {
-      if (ignore_edge && !ignore_edge->empty() && (*ignore_edge)[static_cast<size_t>(e)]) continue;
-      const NodeId w = g.edge(e).to;
-      dist[static_cast<size_t>(w)] = std::max(
-          dist[static_cast<size_t>(w)],
-          dist[static_cast<size_t>(v)] + edge_weight[static_cast<size_t>(e)]);
-    }
-  }
-  return dist;
-}
-
 std::vector<std::int64_t> DagLongestPathToSinks(
-    const Digraph& g, const std::vector<std::int64_t>& edge_weight,
-    const std::vector<bool>* ignore_edge) {
-  auto order = TopologicalOrderIgnoring(g, ignore_edge ? *ignore_edge : std::vector<bool>{});
-  assert(order.has_value() && "graph must be acyclic modulo ignored edges");
+    const Digraph& g, const std::vector<std::int64_t>& edge_weight) {
+  auto order = TopologicalOrder(g);
+  assert(order.has_value() && "graph must be acyclic");
   std::vector<std::int64_t> dist(static_cast<size_t>(g.num_nodes()), 0);
   for (auto it = order->rbegin(); it != order->rend(); ++it) {
     const NodeId v = *it;
     for (EdgeId e : g.out_edges(v)) {
-      if (ignore_edge && !ignore_edge->empty() && (*ignore_edge)[static_cast<size_t>(e)]) continue;
       const NodeId w = g.edge(e).to;
       dist[static_cast<size_t>(v)] = std::max(
           dist[static_cast<size_t>(v)],
@@ -153,140 +48,6 @@ std::vector<std::int64_t> DagLongestPathToSinks(
     }
   }
   return dist;
-}
-
-std::vector<int> BfsDistances(const Digraph& g, NodeId source) {
-  std::vector<int> dist(static_cast<size_t>(g.num_nodes()), -1);
-  std::queue<NodeId> q;
-  dist[static_cast<size_t>(source)] = 0;
-  q.push(source);
-  while (!q.empty()) {
-    const NodeId v = q.front();
-    q.pop();
-    for (EdgeId e : g.out_edges(v)) {
-      const NodeId w = g.edge(e).to;
-      if (dist[static_cast<size_t>(w)] < 0) {
-        dist[static_cast<size_t>(w)] = dist[static_cast<size_t>(v)] + 1;
-        q.push(w);
-      }
-    }
-  }
-  return dist;
-}
-
-ShortestPaths Dijkstra(const Digraph& g, NodeId source,
-                       const std::function<std::int64_t(EdgeId)>& edge_cost) {
-  ShortestPaths sp;
-  sp.dist.assign(static_cast<size_t>(g.num_nodes()), -1);
-  sp.pred_edge.assign(static_cast<size_t>(g.num_nodes()), -1);
-  using Item = std::pair<std::int64_t, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  sp.dist[static_cast<size_t>(source)] = 0;
-  pq.push({0, source});
-  while (!pq.empty()) {
-    auto [d, v] = pq.top();
-    pq.pop();
-    if (d != sp.dist[static_cast<size_t>(v)]) continue;
-    for (EdgeId e : g.out_edges(v)) {
-      const std::int64_t c = edge_cost(e);
-      if (c < 0) continue;  // negative cost marks a disabled edge
-      const NodeId w = g.edge(e).to;
-      const std::int64_t nd = d + c;
-      if (sp.dist[static_cast<size_t>(w)] < 0 || nd < sp.dist[static_cast<size_t>(w)]) {
-        sp.dist[static_cast<size_t>(w)] = nd;
-        sp.pred_edge[static_cast<size_t>(w)] = e;
-        pq.push({nd, w});
-      }
-    }
-  }
-  return sp;
-}
-
-std::vector<bool> Reachable(const Digraph& g, NodeId source) {
-  std::vector<bool> seen(static_cast<size_t>(g.num_nodes()), false);
-  std::vector<NodeId> stack{source};
-  seen[static_cast<size_t>(source)] = true;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (EdgeId e : g.out_edges(v)) {
-      const NodeId w = g.edge(e).to;
-      if (!seen[static_cast<size_t>(w)]) {
-        seen[static_cast<size_t>(w)] = true;
-        stack.push_back(w);
-      }
-    }
-  }
-  return seen;
-}
-
-bool WeaklyConnected(const Digraph& g) {
-  const int n = g.num_nodes();
-  if (n == 0) return true;
-  std::vector<bool> seen(static_cast<size_t>(n), false);
-  std::vector<NodeId> stack{0};
-  seen[0] = true;
-  int count = 1;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    auto visit = [&](NodeId w) {
-      if (!seen[static_cast<size_t>(w)]) {
-        seen[static_cast<size_t>(w)] = true;
-        ++count;
-        stack.push_back(w);
-      }
-    };
-    for (EdgeId e : g.out_edges(v)) visit(g.edge(e).to);
-    for (EdgeId e : g.in_edges(v)) visit(g.edge(e).from);
-  }
-  return count == n;
-}
-
-namespace {
-
-// Feasibility test for candidate II: the constraint system
-//   t_to - t_from >= latency(e) - II * distance(e)
-// has a solution iff the graph has no positive-weight cycle under
-// weight w(e) = latency(e) - II*distance(e). We detect this with
-// Bellman-Ford on longest paths (relax upward, bounded passes).
-bool IiFeasible(const Digraph& g, const std::vector<int>& lat,
-                const std::vector<int>& dist, int ii) {
-  const int n = g.num_nodes();
-  std::vector<std::int64_t> t(static_cast<size_t>(n), 0);
-  for (int pass = 0; pass < n; ++pass) {
-    bool changed = false;
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      const auto& ed = g.edge(e);
-      const std::int64_t w = lat[static_cast<size_t>(e)] -
-                             static_cast<std::int64_t>(ii) * dist[static_cast<size_t>(e)];
-      if (t[static_cast<size_t>(ed.from)] + w > t[static_cast<size_t>(ed.to)]) {
-        t[static_cast<size_t>(ed.to)] = t[static_cast<size_t>(ed.from)] + w;
-        changed = true;
-      }
-    }
-    if (!changed) return true;
-  }
-  return false;  // still relaxing after n passes => positive cycle
-}
-
-}  // namespace
-
-int RecurrenceMii(const Digraph& g, const std::vector<int>& edge_latency,
-                  const std::vector<int>& edge_distance, int max_ii) {
-  assert(static_cast<int>(edge_latency.size()) == g.num_edges());
-  assert(static_cast<int>(edge_distance.size()) == g.num_edges());
-  int lo = 1, hi = max_ii;
-  if (!IiFeasible(g, edge_latency, edge_distance, hi)) return max_ii + 1;
-  while (lo < hi) {
-    const int mid = lo + (hi - lo) / 2;
-    if (IiFeasible(g, edge_latency, edge_distance, mid)) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
 }
 
 }  // namespace cgra

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -10,56 +9,13 @@
 
 namespace cgra {
 
-/// Topological order of a DAG; empty optional if the graph has a cycle.
+/// Topological order of a DAG (Kahn's algorithm, ready nodes in FIFO
+/// order); empty optional if the graph has a cycle.
 std::optional<std::vector<NodeId>> TopologicalOrder(const Digraph& g);
 
-/// Topological order ignoring a set of edges (used for loop-carried
-/// dependence edges, which close cycles in a modulo-scheduled DFG).
-std::optional<std::vector<NodeId>> TopologicalOrderIgnoring(
-    const Digraph& g, const std::vector<bool>& ignore_edge);
-
-/// Strongly connected components (Tarjan). Returns component id per
-/// node; ids are assigned in reverse topological order of the SCC DAG.
-std::vector<int> StronglyConnectedComponents(const Digraph& g, int* num_components);
-
-/// Longest path lengths from sources in a DAG with per-edge weights
-/// (ASAP levels when weights are 1). Precondition: acyclic w.r.t. the
-/// non-ignored edges.
-std::vector<std::int64_t> DagLongestPathFromSources(
-    const Digraph& g, const std::vector<std::int64_t>& edge_weight,
-    const std::vector<bool>* ignore_edge = nullptr);
-
-/// Longest path lengths to sinks (ALAP-style, mirror of the above).
+/// Longest path lengths to sinks in a DAG with per-edge weights (the
+/// height of each node when weights are 1). Precondition: acyclic.
 std::vector<std::int64_t> DagLongestPathToSinks(
-    const Digraph& g, const std::vector<std::int64_t>& edge_weight,
-    const std::vector<bool>* ignore_edge = nullptr);
-
-/// Unweighted single-source shortest hop counts (-1 if unreachable).
-std::vector<int> BfsDistances(const Digraph& g, NodeId source);
-
-/// Dijkstra with non-negative edge costs supplied by a callback.
-/// Returns (distance, predecessor-edge) per node; distance -1 if
-/// unreachable.
-struct ShortestPaths {
-  std::vector<std::int64_t> dist;
-  std::vector<EdgeId> pred_edge;
-};
-ShortestPaths Dijkstra(const Digraph& g, NodeId source,
-                       const std::function<std::int64_t(EdgeId)>& edge_cost);
-
-/// All nodes reachable from `source`.
-std::vector<bool> Reachable(const Digraph& g, NodeId source);
-
-/// True if the graph (treated as undirected) is connected; vacuously
-/// true for the empty graph.
-bool WeaklyConnected(const Digraph& g);
-
-/// Minimum initiation interval lower bounds for modulo scheduling.
-/// ResMII = ceil(#ops / #fus); RecMII = max over cycles of
-/// ceil(latency(cycle) / distance(cycle)), with `edge_distance` > 0 on
-/// loop-carried edges. Uses an incremental binary-search over II with
-/// Bellman-Ford feasibility (standard formulation).
-int RecurrenceMii(const Digraph& g, const std::vector<int>& edge_latency,
-                  const std::vector<int>& edge_distance, int max_ii);
+    const Digraph& g, const std::vector<std::int64_t>& edge_weight);
 
 }  // namespace cgra

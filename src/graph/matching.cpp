@@ -2,67 +2,9 @@
 #include "graph/matching.hpp"
 
 #include <cassert>
-#include <functional>
 #include <limits>
-#include <queue>
 
 namespace cgra {
-
-std::vector<int> MaxBipartiteMatching(const std::vector<std::vector<int>>& adj,
-                                      int n_right) {
-  const int n_left = static_cast<int>(adj.size());
-  std::vector<int> match_l(static_cast<size_t>(n_left), -1);
-  std::vector<int> match_r(static_cast<size_t>(n_right), -1);
-  std::vector<int> dist(static_cast<size_t>(n_left));
-  constexpr int kInf = std::numeric_limits<int>::max();
-
-  auto bfs = [&]() -> bool {
-    std::queue<int> q;
-    for (int l = 0; l < n_left; ++l) {
-      if (match_l[static_cast<size_t>(l)] < 0) {
-        dist[static_cast<size_t>(l)] = 0;
-        q.push(l);
-      } else {
-        dist[static_cast<size_t>(l)] = kInf;
-      }
-    }
-    bool found = false;
-    while (!q.empty()) {
-      const int l = q.front();
-      q.pop();
-      for (int r : adj[static_cast<size_t>(l)]) {
-        const int l2 = match_r[static_cast<size_t>(r)];
-        if (l2 < 0) {
-          found = true;
-        } else if (dist[static_cast<size_t>(l2)] == kInf) {
-          dist[static_cast<size_t>(l2)] = dist[static_cast<size_t>(l)] + 1;
-          q.push(l2);
-        }
-      }
-    }
-    return found;
-  };
-
-  std::function<bool(int)> dfs = [&](int l) -> bool {
-    for (int r : adj[static_cast<size_t>(l)]) {
-      const int l2 = match_r[static_cast<size_t>(r)];
-      if (l2 < 0 || (dist[static_cast<size_t>(l2)] == dist[static_cast<size_t>(l)] + 1 && dfs(l2))) {
-        match_l[static_cast<size_t>(l)] = r;
-        match_r[static_cast<size_t>(r)] = l;
-        return true;
-      }
-    }
-    dist[static_cast<size_t>(l)] = kInf;
-    return false;
-  };
-
-  while (bfs()) {
-    for (int l = 0; l < n_left; ++l) {
-      if (match_l[static_cast<size_t>(l)] < 0) dfs(l);
-    }
-  }
-  return match_l;
-}
 
 std::vector<int> HungarianAssign(
     const std::vector<std::vector<std::int64_t>>& cost) {

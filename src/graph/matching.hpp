@@ -1,22 +1,14 @@
-// Bipartite matching and assignment.
+// Minimum-cost bipartite assignment.
 //
-// Used by binding-stage mappers: compatibility between operations and
-// cells is a bipartite relation; a maximum matching certifies that a
-// time step's operations can all be bound (Hall-condition check), and
-// the Hungarian algorithm finds a minimum-cost binding when cells have
-// placement costs (e.g. routing-distance estimates).
+// Binding is a bipartite relation between operations and cells; the
+// Hungarian algorithm finds a minimum-cost binding when cells have
+// placement costs (graph-drawing legalises its layout with it).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 namespace cgra {
-
-/// Maximum-cardinality bipartite matching (Hopcroft-Karp).
-/// `adj[l]` lists the right-side vertices compatible with left vertex l.
-/// Returns match_of_left (size n_left, -1 if unmatched).
-std::vector<int> MaxBipartiteMatching(const std::vector<std::vector<int>>& adj,
-                                      int n_right);
 
 /// Minimum-cost perfect assignment on an n_left x n_right cost matrix
 /// (n_left <= n_right). cost[l][r] = kInfeasibleAssign forbids the pair.

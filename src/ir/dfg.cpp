@@ -1,7 +1,6 @@
 #include <cstddef>
 #include "ir/dfg.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "graph/algos.hpp"
@@ -138,33 +137,6 @@ std::vector<int> Dfg::FanOut() const {
   std::vector<int> fan(static_cast<size_t>(num_ops()), 0);
   for (const DfgEdge& e : Edges()) ++fan[static_cast<size_t>(e.from)];
   return fan;
-}
-
-std::vector<int> Dfg::AsapLevels() const {
-  const Digraph g = ToDigraph(/*include_carried=*/false);
-  std::vector<std::int64_t> w(static_cast<size_t>(g.num_edges()), 1);
-  const auto dist = DagLongestPathFromSources(g, w);
-  std::vector<int> levels(dist.size());
-  std::transform(dist.begin(), dist.end(), levels.begin(),
-                 [](std::int64_t d) { return static_cast<int>(d); });
-  return levels;
-}
-
-std::vector<int> Dfg::AlapLevels(int length) const {
-  const Digraph g = ToDigraph(/*include_carried=*/false);
-  std::vector<std::int64_t> w(static_cast<size_t>(g.num_edges()), 1);
-  const auto to_sink = DagLongestPathToSinks(g, w);
-  std::vector<int> levels(to_sink.size());
-  for (size_t i = 0; i < to_sink.size(); ++i) {
-    levels[i] = length - 1 - static_cast<int>(to_sink[i]);
-  }
-  return levels;
-}
-
-int Dfg::CriticalPathLength() const {
-  if (num_ops() == 0) return 0;
-  const auto asap = AsapLevels();
-  return *std::max_element(asap.begin(), asap.end()) + 1;
 }
 
 Status Dfg::Verify() const {

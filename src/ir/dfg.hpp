@@ -104,14 +104,6 @@ class Dfg {
   /// Number of consumers of each op's value (same-iteration + carried).
   std::vector<int> FanOut() const;
 
-  // ---- analyses ----------------------------------------------------------
-  /// ASAP level per op over same-iteration edges, unit latency.
-  std::vector<int> AsapLevels() const;
-  /// ALAP level per op for a given schedule length (>= critical path).
-  std::vector<int> AlapLevels(int length) const;
-  /// Critical path length in ops (max ASAP + 1); 0 for the empty DFG.
-  int CriticalPathLength() const;
-
   // ---- validation / export ------------------------------------------------
   /// Structural checks: arities, operand validity, acyclicity of the
   /// same-iteration subgraph, slot/array presence on I/O and memory ops,

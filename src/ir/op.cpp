@@ -88,23 +88,6 @@ bool IsIoOp(Opcode op) {
          op == Opcode::kVarIn || op == Opcode::kVarOut;
 }
 
-bool IsCommutative(Opcode op) {
-  switch (op) {
-    case Opcode::kAdd:
-    case Opcode::kMul:
-    case Opcode::kAnd:
-    case Opcode::kOr:
-    case Opcode::kXor:
-    case Opcode::kMin:
-    case Opcode::kMax:
-    case Opcode::kCmpEq:
-    case Opcode::kCmpNe:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::int64_t EvalAlu(Opcode op, std::int64_t a, std::int64_t b, std::int64_t c) {
   switch (op) {
     case Opcode::kNeg: return -a;

@@ -67,9 +67,6 @@ bool IsMemoryOp(Opcode op);
 /// the architecture distinguishes them).
 bool IsIoOp(Opcode op);
 
-/// True if operands can be swapped without changing the result.
-bool IsCommutative(Opcode op);
-
 /// Scalar semantics; `a`,`b`,`c` are operand values (unused ones
 /// ignored). Memory and I/O opcodes are handled by the interpreter,
 /// not here.

@@ -240,17 +240,9 @@ class Annealer {
   /// Tries to rebuild the current assignment with hard capacities.
   Result<Mapping> Realize() const {
     PlaceRouteState state(dfg_, arch_, mrrg_, ii_);
-    // Place in time order so producers tend to precede consumers.
-    std::vector<OpId> order;
-    for (OpId op = 0; op < dfg_.num_ops(); ++op) {
-      if (!arch_.IsFolded(dfg_.op(op).opcode)) order.push_back(op);
-    }
-    std::sort(order.begin(), order.end(), [&](OpId a, OpId b) {
-      const int ta = place_[static_cast<size_t>(a)].time;
-      const int tb = place_[static_cast<size_t>(b)].time;
-      return ta != tb ? ta < tb : a < b;
-    });
-    for (OpId op : order) {
+    std::vector<int> times(place_.size());
+    for (size_t op = 0; op < place_.size(); ++op) times[op] = place_[op].time;
+    for (const OpId op : ScheduleOrder(state.MappableOps(), times)) {
       const Placement& p = place_[static_cast<size_t>(op)];
       if (!state.TryPlace(op, p.cell, p.time)) {
         return Error::Unmappable("hard-capacity realization failed");

@@ -77,7 +77,6 @@ class BackwardBeamMapper final : public Mapper {
       PlaceRouteState trial(dfg, arch, mrrg, ii);
       std::vector<Child> next;
 
-      const auto edges = dfg.Edges(true);
       for (OpId op : order) {
         if (ShouldAbort(options)) {
           return Error::ResourceLimit("beam search deadline expired");
@@ -87,7 +86,8 @@ class BackwardBeamMapper final : public Mapper {
           const State& s = beam[p];
           // Time window: below every placed consumer, above ASAP.
           int hi = horizon;
-          for (const DfgEdge& e : edges) {
+          for (const int ei : s.prs.IncidentEdges(op)) {
+            const DfgEdge& e = s.prs.edge(ei);
             if (e.from != op || e.to == op) continue;
             if (s.prs.IsPlaced(e.to)) {
               hi = std::min(hi, s.prs.placement(e.to).time - 1 + ii * e.distance);

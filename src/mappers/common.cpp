@@ -50,16 +50,6 @@ void ObserveAttemptMetrics(bool ok, int ii, double seconds,
   m.router_queries.Observe(static_cast<double>(perf.router_queries));
 }
 
-// Dependence edges that constrain timing (edges from folded producers
-// do not: immediates are available at every cycle).
-std::vector<DfgEdge> TimingEdges(const Dfg& dfg, const Architecture& arch) {
-  std::vector<DfgEdge> out;
-  for (const DfgEdge& e : dfg.Edges(/*include_pred=*/true)) {
-    if (!arch.IsFolded(dfg.op(e.from).opcode)) out.push_back(e);
-  }
-  return out;
-}
-
 }  // namespace
 
 MiiBounds ComputeMii(const Dfg& dfg, const Architecture& arch, int max_ii) {
@@ -101,21 +91,34 @@ MiiBounds ComputeMii(const Dfg& dfg, const Architecture& arch, int max_ii) {
                         class_mii(n_mem_ops + n_io_ops + n_mul_ops + n_alu_ops,
                                   arch.num_cells())});
 
-  // Recurrence MII over timing edges.
-  const auto edges = TimingEdges(dfg, arch);
-  Digraph g(dfg.num_ops());
-  std::vector<int> lat, dist;
-  for (const DfgEdge& e : edges) {
-    g.AddEdge(e.from, e.to);
-    lat.push_back(1);
-    dist.push_back(e.distance);
+  // Recurrence MII: the least II in [1, max_ii] whose modulo schedule
+  // exists, by binary search with ModuloAsap as the feasibility test;
+  // max_ii + 1 when max_ii itself admits none.
+  auto feasible = [&](int ii) { return !ModuloAsap(dfg, arch, ii).empty(); };
+  if (!feasible(max_ii)) {
+    b.rec_mii = max_ii + 1;
+    return b;
   }
-  b.rec_mii = RecurrenceMii(g, lat, dist, max_ii);
+  int lo = 1, hi = max_ii;
+  while (lo < hi) {
+    const int mid = lo + (hi - lo) / 2;
+    if (feasible(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  b.rec_mii = lo;
   return b;
 }
 
 std::vector<int> ModuloAsap(const Dfg& dfg, const Architecture& arch, int ii) {
-  const auto edges = TimingEdges(dfg, arch);
+  // Dependence edges that constrain timing (edges from folded producers
+  // do not: immediates are available at every cycle).
+  std::vector<DfgEdge> edges = dfg.Edges(/*include_pred=*/true);
+  std::erase_if(edges, [&](const DfgEdge& e) {
+    return arch.IsFolded(dfg.op(e.from).opcode);
+  });
   const int n = dfg.num_ops();
   std::vector<int> t(static_cast<size_t>(n), 0);
   for (int pass = 0; pass <= n; ++pass) {
@@ -143,10 +146,7 @@ std::vector<OpId> HeightPriorityOrder(const Dfg& dfg, const Architecture& arch) 
     w.push_back(1);
   }
   const auto height = DagLongestPathToSinks(g, w);
-  std::vector<OpId> order;
-  for (OpId op = 0; op < dfg.num_ops(); ++op) {
-    if (!arch.IsFolded(dfg.op(op).opcode)) order.push_back(op);
-  }
+  std::vector<OpId> order = MappableOps(dfg, arch);
   std::sort(order.begin(), order.end(), [&](OpId a, OpId b) {
     if (height[static_cast<size_t>(a)] != height[static_cast<size_t>(b)]) {
       return height[static_cast<size_t>(a)] > height[static_cast<size_t>(b)];
@@ -154,6 +154,16 @@ std::vector<OpId> HeightPriorityOrder(const Dfg& dfg, const Architecture& arch) 
     return a < b;
   });
   return order;
+}
+
+std::vector<OpId> ScheduleOrder(std::vector<OpId> ops,
+                                const std::vector<int>& times) {
+  std::sort(ops.begin(), ops.end(), [&](OpId a, OpId b) {
+    return times[static_cast<size_t>(a)] != times[static_cast<size_t>(b)]
+               ? times[static_cast<size_t>(a)] < times[static_cast<size_t>(b)]
+               : a < b;
+  });
+  return ops;
 }
 
 std::vector<std::vector<int>> CandidateCellTable(const Dfg& dfg,
@@ -235,15 +245,6 @@ Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
   };
   for (OpId op : order) enqueue(op);
 
-  const std::vector<DfgEdge> edges = dfg.Edges(true);
-  std::vector<std::vector<int>> edges_of(static_cast<size_t>(dfg.num_ops()));
-  for (size_t e = 0; e < edges.size(); ++e) {
-    edges_of[static_cast<size_t>(edges[e].from)].push_back(static_cast<int>(e));
-    if (edges[e].to != edges[e].from) {
-      edges_of[static_cast<size_t>(edges[e].to)].push_back(static_cast<int>(e));
-    }
-  }
-
   int budget = options.eviction_budget_factor * static_cast<int>(order.size()) + 16;
   // Per-op "schedule no earlier than" floor, advanced on repeated failure.
   std::vector<int> floor_time(est.begin(), est.end());
@@ -263,8 +264,8 @@ Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
     int t0 = floor_time[static_cast<size_t>(op)];
     int ub = 1 << 30;
     std::vector<OpId> upper_blockers;
-    for (int ei : edges_of[static_cast<size_t>(op)]) {
-      const DfgEdge& e = edges[static_cast<size_t>(ei)];
+    for (int ei : state.IncidentEdges(op)) {
+      const DfgEdge& e = state.edge(ei);
       if (e.to == op && e.from != op && state.IsPlaced(e.from) &&
           !arch.IsFolded(dfg.op(e.from).opcode)) {
         t0 = std::max(t0, state.placement(e.from).time + 1 - ii * e.distance);
@@ -281,27 +282,14 @@ Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
       // Affinity-ordered candidate cells.
       std::vector<int> cells = candidates[static_cast<size_t>(op)];
       if (options.rng) options.rng->Shuffle(cells);
-      std::vector<long long> affinity(cells.size(), 0);
-      for (size_t i = 0; i < cells.size(); ++i) {
-        for (int ei : edges_of[static_cast<size_t>(op)]) {
-          const DfgEdge& e = edges[static_cast<size_t>(ei)];
-          const OpId other = e.from == op ? e.to : e.from;
-          if (other != op && state.IsPlaced(other)) {
-            affinity[i] += arch.HopDistance(cells[i], state.placement(other).cell);
-          }
-        }
-      }
-      std::vector<size_t> idx(cells.size());
-      for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-      std::stable_sort(idx.begin(), idx.end(),
-                       [&](size_t a, size_t b) { return affinity[a] < affinity[b]; });
+      cells = state.ByAffinity(op, std::move(cells));
 
       // Window: the classic II slots plus slack start cycles — routing
       // and spatial (II=1) fabrics need room to slide before evicting.
       const int window_end = std::min(ub, t0 + ii - 1 + options.extra_slack);
       for (int t = t0; t <= window_end && !placed; ++t) {
-        for (size_t i : idx) {
-          if (state.TryPlace(op, cells[i], t)) {
+        for (const int cell : cells) {
+          if (state.TryPlace(op, cell, t)) {
             placed = true;
             break;
           }
@@ -317,8 +305,8 @@ Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
       // Evict the placed neighbours (and upper-bound blockers) that box
       // this op in, then retry; if nothing to evict, slide the window.
       std::vector<OpId> evict = upper_blockers;
-      for (int ei : edges_of[static_cast<size_t>(op)]) {
-        const DfgEdge& e = edges[static_cast<size_t>(ei)];
+      for (int ei : state.IncidentEdges(op)) {
+        const DfgEdge& e = state.edge(ei);
         const OpId other = e.from == op ? e.to : e.from;
         if (other != op && state.IsPlaced(other) &&
             !arch.IsFolded(dfg.op(other).opcode)) {
@@ -358,14 +346,8 @@ Result<Mapping> BindAtFixedTimes(const Dfg& dfg, const Architecture& arch,
                                  const StopToken& stop) {
   telemetry::Span phase_span("phase.bind");
   PlaceRouteState state(dfg, arch, mrrg, ii);
-  std::vector<OpId> order = state.MappableOps();
-  std::sort(order.begin(), order.end(), [&](OpId a, OpId b) {
-    return times[static_cast<size_t>(a)] != times[static_cast<size_t>(b)]
-               ? times[static_cast<size_t>(a)] < times[static_cast<size_t>(b)]
-               : a < b;
-  });
+  const std::vector<OpId> order = ScheduleOrder(state.MappableOps(), times);
   const auto candidates = CandidateCellTable(dfg, arch);
-  const auto edges = dfg.Edges(true);
   int budget = 20000;  // search nodes
   bool timed_out = false;
 
@@ -377,25 +359,9 @@ Result<Mapping> BindAtFixedTimes(const Dfg& dfg, const Architecture& arch,
     }
     const OpId op = order[depth];
     // Affinity order: cells near already-placed neighbours first.
-    std::vector<int> cells = candidates[static_cast<size_t>(op)];
-    std::vector<long long> affinity(cells.size(), 0);
-    for (size_t i = 0; i < cells.size(); ++i) {
-      for (const DfgEdge& e : edges) {
-        OpId other = kNoOp;
-        if (e.from == op && e.to != op) other = e.to;
-        if (e.to == op && e.from != op) other = e.from;
-        if (other == kNoOp) continue;
-        if (state.IsPlaced(other)) {
-          affinity[i] += arch.HopDistance(cells[i], state.placement(other).cell);
-        }
-      }
-    }
-    std::vector<size_t> idx(cells.size());
-    for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-    std::stable_sort(idx.begin(), idx.end(),
-                     [&](size_t a, size_t b) { return affinity[a] < affinity[b]; });
-    for (size_t i : idx) {
-      if (state.TryPlace(op, cells[i], times[static_cast<size_t>(op)])) {
+    for (const int cell :
+         state.ByAffinity(op, candidates[static_cast<size_t>(op)])) {
+      if (state.TryPlace(op, cell, times[static_cast<size_t>(op)])) {
         if (dfs(depth + 1)) return true;
         state.Unplace(op);
         if (timed_out) return false;
@@ -420,17 +386,14 @@ Result<Mapping> RealizePinned(const Dfg& dfg, const Architecture& arch,
                               const Mrrg& mrrg, int ii,
                               const std::vector<Placement>& pins) {
   PlaceRouteState state(dfg, arch, mrrg, ii);
-  std::vector<OpId> order;
-  for (OpId op = 0; op < dfg.num_ops(); ++op) {
-    if (!arch.IsFolded(dfg.op(op).opcode)) order.push_back(op);
-  }
+  std::vector<OpId> order = state.MappableOps();
   std::sort(order.begin(), order.end(), [&](OpId a, OpId b) {
     return pins[static_cast<size_t>(a)].time < pins[static_cast<size_t>(b)].time;
   });
   for (OpId op : order) {
     if (!state.TryPlace(op, pins[static_cast<size_t>(op)].cell,
                         pins[static_cast<size_t>(op)].time)) {
-      return Error::Unmappable("solver placement not realizable");
+      return Error::Unmappable("pinned placement not realizable");
     }
   }
   return state.Finalize();

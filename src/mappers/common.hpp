@@ -48,6 +48,11 @@ std::vector<int> ModuloAsap(const Dfg& dfg, const Architecture& arch, int ii);
 /// (classic IMS ordering). Ties broken by op id for determinism.
 std::vector<OpId> HeightPriorityOrder(const Dfg& dfg, const Architecture& arch);
 
+/// `ops` sorted by (times[op], op): the order the fixed-schedule
+/// binders place ops in, so producers tend to precede consumers.
+std::vector<OpId> ScheduleOrder(std::vector<OpId> ops,
+                                const std::vector<int>& times);
+
 /// Cells allowed for each op (capability filter), optionally
 /// restricted to `region` (HiMap-style sub-arrays).
 std::vector<std::vector<int>> CandidateCellTable(
@@ -88,9 +93,13 @@ Result<Mapping> BindAtFixedTimes(const Dfg& dfg, const Architecture& arch,
 /// direct link: the restricted-routing relation of the exact mappers.
 bool DirectlyReadable(const Architecture& arch, int producer, int consumer);
 
-/// Places every mappable op at the (cell, time) a solver pinned it to,
-/// in pin-time order, routing as it goes. The exact mappers' post-solve
-/// realization; kUnmappable when a pin cannot be placed or routed.
+/// Places every mappable op at the (cell, time) it is pinned to, in
+/// pin-time order (std::sort of the ops in id order on time alone),
+/// routing as it goes: the exact mappers' post-solve realization,
+/// epimap's embedding realization, and epimap's and RAMP's projection
+/// of a route-node-transformed mapping onto the original DFG (`pins`
+/// may run past the DFG's ops). kUnmappable when a pin cannot be placed
+/// or routed.
 Result<Mapping> RealizePinned(const Dfg& dfg, const Architecture& arch,
                               const Mrrg& mrrg, int ii,
                               const std::vector<Placement>& pins);

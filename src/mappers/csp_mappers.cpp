@@ -40,10 +40,7 @@ class CpTemporalMapper final : public Mapper {
       const int cells = arch.num_cells();
       auto encode = [&](int cell, int t) { return cell * T + t; };
 
-      std::vector<OpId> ops;
-      for (OpId op = 0; op < dfg.num_ops(); ++op) {
-        if (!arch.IsFolded(dfg.op(op).opcode)) ops.push_back(op);
-      }
+      const std::vector<OpId> ops = MappableOps(dfg, arch);
       CpModel model;
       std::vector<CpVar> var(static_cast<size_t>(dfg.num_ops()), -1);
       for (OpId op : ops) {
@@ -57,8 +54,7 @@ class CpTemporalMapper final : public Mapper {
         if (domain.empty()) {
           return Error::Unmappable("an op has an empty placement domain");
         }
-        var[static_cast<size_t>(op)] = model.AddVarWithDomain(std::move(domain),
-                                                              dfg.op(op).name);
+        var[static_cast<size_t>(op)] = model.AddVarWithDomain(std::move(domain));
       }
       // FU exclusivity: pairwise (cell, slot) difference.
       for (size_t i = 0; i < ops.size(); ++i) {
@@ -132,10 +128,7 @@ class SatTemporalMapper final : public Mapper {
       }
       const int T = *std::max_element(est.begin(), est.end()) + std::min(3, ii) + 1;
       const int cells = arch.num_cells();
-      std::vector<OpId> ops;
-      for (OpId op = 0; op < dfg.num_ops(); ++op) {
-        if (!arch.IsFolded(dfg.op(op).opcode)) ops.push_back(op);
-      }
+      const std::vector<OpId> ops = MappableOps(dfg, arch);
 
       SatSolver solver;
       const int base = solver.NewVars(static_cast<int>(ops.size()) * cells * T);
@@ -269,10 +262,7 @@ class SmtTemporalMapper final : public Mapper {
                             const Mrrg& mrrg, int len,
                             const MapperOptions& options) const {
     const int cells = arch.num_cells();
-    std::vector<OpId> ops;
-    for (OpId op = 0; op < dfg.num_ops(); ++op) {
-      if (!arch.IsFolded(dfg.op(op).opcode)) ops.push_back(op);
-    }
+    const std::vector<OpId> ops = MappableOps(dfg, arch);
 
     SmtSolver smt;
     const int zero = smt.NewTerm();  // reference point (time 0)

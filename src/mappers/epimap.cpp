@@ -13,9 +13,7 @@
 // DFG is transformed the EPIMap way — a kRoute node is inserted to
 // stretch the failing edge — and the process repeats (the
 // "epimorphism" iteration).
-#include <algorithm>
 #include <cstddef>
-#include <map>
 
 #include "graph/embed.hpp"
 #include "mappers/common.hpp"
@@ -82,10 +80,10 @@ class EpimapStyleMapper final : public Mapper {
   }
 
  private:
-  // One embed attempt for the (possibly transformed) DFG `work`. The
-  // result is projected onto `original` if `work` == `original` in op
-  // prefix (synthetic routes are appended, so original placements are
-  // a prefix); we re-pin-and-route the original ops.
+  // One embed attempt for the (possibly transformed) DFG `work`. When
+  // `work` has route nodes the result is projected onto `original`:
+  // synthetic routes are appended, so the original ops' placements are
+  // a prefix, re-pinned and routed on their own.
   Result<Mapping> TryBind(const Dfg& work, const Dfg& original,
                           const Architecture& arch, const Mrrg& mrrg,
                           const CellReads& reads, int ii,
@@ -97,14 +95,12 @@ class EpimapStyleMapper final : public Mapper {
 
     // Pattern: mappable scheduled ops with their dependence edges, each
     // op restricted to the cells that can execute it at its slot.
-    std::vector<OpId> mappable;
+    const std::vector<OpId> mappable = MappableOps(work, arch);
     std::vector<int> compact(static_cast<size_t>(work.num_ops()), -1);
     EmbedDomains domains;
     domains.ii = ii;
-    for (OpId op = 0; op < work.num_ops(); ++op) {
-      if (arch.IsFolded(work.op(op).opcode)) continue;
-      compact[static_cast<size_t>(op)] = static_cast<int>(mappable.size());
-      mappable.push_back(op);
+    for (const OpId op : mappable) {
+      compact[static_cast<size_t>(op)] = static_cast<int>(domains.slot.size());
       domains.slot.push_back(((times[static_cast<size_t>(op)] % ii) + ii) % ii);
       std::vector<int>& cells = domains.cells.emplace_back();
       for (int cell = 0; cell < arch.num_cells(); ++cell) {
@@ -129,40 +125,16 @@ class EpimapStyleMapper final : public Mapper {
       return Error::Unmappable("no full embedding of the scheduled ops");
     }
 
-    // Realize with the real router at the matched cells/times.
-    PlaceRouteState state(work, arch, mrrg, ii);
-    std::vector<std::pair<OpId, int>> placement;  // (op, cell)
+    // Realize with the real router at the matched cells and times.
+    std::vector<Placement> pins(static_cast<size_t>(work.num_ops()));
     for (const auto& [va, cell] : *match) {
-      placement.push_back({mappable[static_cast<size_t>(va)], cell});
+      const OpId op = mappable[static_cast<size_t>(va)];
+      pins[static_cast<size_t>(op)] = Placement{cell, times[static_cast<size_t>(op)]};
     }
-    std::sort(placement.begin(), placement.end(), [&](const auto& x, const auto& y) {
-      return times[static_cast<size_t>(x.first)] < times[static_cast<size_t>(y.first)];
-    });
-    for (const auto& [op, cell] : placement) {
-      if (!state.TryPlace(op, cell, times[static_cast<size_t>(op)])) {
-        return Error::Unmappable("embedding not routable");
-      }
-    }
-    Mapping full = state.Finalize();
-    if (work.num_ops() == original.num_ops()) return full;
-
+    Result<Mapping> full = RealizePinned(work, arch, mrrg, ii, pins);
+    if (!full.ok() || work.num_ops() == original.num_ops()) return full;
     // Project the transformed mapping back onto the original DFG.
-    PlaceRouteState pinned(original, arch, mrrg, ii);
-    std::vector<OpId> by_time;
-    for (OpId op = 0; op < original.num_ops(); ++op) {
-      if (!arch.IsFolded(original.op(op).opcode)) by_time.push_back(op);
-    }
-    std::sort(by_time.begin(), by_time.end(), [&](OpId x, OpId y) {
-      return full.place[static_cast<size_t>(x)].time <
-             full.place[static_cast<size_t>(y)].time;
-    });
-    for (OpId op : by_time) {
-      const Placement& p = full.place[static_cast<size_t>(op)];
-      if (!pinned.TryPlace(op, p.cell, p.time)) {
-        return Error::Unmappable("projection of transformed mapping failed");
-      }
-    }
-    return pinned.Finalize();
+    return RealizePinned(original, arch, mrrg, ii, full->place);
   }
 };
 

@@ -34,22 +34,10 @@ struct GenomeScore {
   double Fitness() const { return placed * 1000.0 - route_steps; }
 };
 
-// The order greedy realization places ops in: schedule time, then id.
-std::vector<OpId> ScheduleOrder(const PlaceRouteState& state,
-                                const std::vector<int>& times) {
-  std::vector<OpId> order = state.MappableOps();
-  std::sort(order.begin(), order.end(), [&](OpId a, OpId b) {
-    return times[static_cast<size_t>(a)] != times[static_cast<size_t>(b)]
-               ? times[static_cast<size_t>(a)] < times[static_cast<size_t>(b)]
-               : a < b;
-  });
-  return order;
-}
-
-// Greedy realization: ops are placed in `order` on their genome cells
-// (sliding up to `slide_slack` cycles when allowed); unplaceable ops
-// are skipped so the score stays informative ("how much of the DFG
-// this genome maps"). `state` is reset first.
+// Greedy realization: ops are placed in `order` (ScheduleOrder) on
+// their genome cells (sliding up to `slide_slack` cycles when allowed);
+// unplaceable ops are skipped so the score stays informative ("how much
+// of the DFG this genome maps"). `state` is reset first.
 GenomeScore Realize(PlaceRouteState& state, const std::vector<OpId>& order,
                     const std::vector<int>& cell_of_op,
                     const std::vector<int>& times, int slide_slack) {
@@ -82,7 +70,7 @@ class GenomeScorer {
                int ii, const std::vector<int>& times, int slide_slack)
       : state_(dfg, arch, mrrg, ii),
         times_(times),
-        order_(ScheduleOrder(state_, times_)),
+        order_(ScheduleOrder(state_.MappableOps(), times_)),
         slide_slack_(slide_slack),
         index_(size_t{1} << kInitialBits, kEmpty) {}
 
@@ -380,7 +368,8 @@ MemoCheck CheckGenomeMemo(const Dfg& dfg, const Architecture& arch, int ii,
     for (size_t i = 0; i < stream.size(); ++i) {
       PlaceRouteState state(dfg, arch, mrrg, at);
       const GenomeScore fresh =
-          Realize(state, ScheduleOrder(state, times), stream[i], times, slack);
+          Realize(state, ScheduleOrder(state.MappableOps(), times), stream[i],
+                  times, slack);
       // A full mapping ends the mappers' search: never scored again.
       if (scorer.Complete(fresh)) continue;
       const GenomeScore memo = scorer.Score(stream[i]);

@@ -6,7 +6,6 @@
 // (Hungarian), with per-pair costs mixing geometric distance and
 // capability feasibility. Scheduling is ASAP; routing uses the real
 // router. Retries with fresh layouts on failure.
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
@@ -35,10 +34,7 @@ class GraphDrawingMapper final : public Mapper {
     const Mrrg& mrrg = *mrrg_ref;
     Rng rng(options.seed);
 
-    std::vector<OpId> mappable;
-    for (OpId op = 0; op < dfg.num_ops(); ++op) {
-      if (!arch.IsFolded(dfg.op(op).opcode)) mappable.push_back(op);
-    }
+    const std::vector<OpId> mappable = MappableOps(dfg, arch);
     if (static_cast<int>(mappable.size()) > arch.num_cells()) {
       return Error::Unmappable("more ops than cells: spatial mapping impossible");
     }
@@ -55,6 +51,7 @@ class GraphDrawingMapper final : public Mapper {
 
     const auto est = ModuloAsap(dfg, arch, /*ii=*/1);
     if (est.empty()) return Error::Unmappable("recurrences infeasible at II=1");
+    const std::vector<OpId> order = ScheduleOrder(mappable, est);
 
     // All layout restarts are one II=1 attempt from the trace's point
     // of view.
@@ -94,24 +91,11 @@ class GraphDrawingMapper final : public Mapper {
 
       // Place in ASAP order on the assigned cells and route for real.
       PlaceRouteState state(dfg, arch, mrrg, /*ii=*/1);
-      std::vector<OpId> order = mappable;
-      std::sort(order.begin(), order.end(), [&](OpId a, OpId b) {
-        return est[static_cast<size_t>(a)] != est[static_cast<size_t>(b)]
-                   ? est[static_cast<size_t>(a)] < est[static_cast<size_t>(b)]
-                   : a < b;
-      });
       bool ok = true;
       for (OpId op : order) {
         const int cell = assign[static_cast<size_t>(compact[static_cast<size_t>(op)])];
         // Earliest time compatible with already-placed producers.
-        int t = est[static_cast<size_t>(op)];
-        for (const DfgEdge& e : dfg.Edges(true)) {
-          if (e.to != op || e.from == op) continue;
-          if (arch.IsFolded(dfg.op(e.from).opcode)) continue;
-          if (state.IsPlaced(e.from)) {
-            t = std::max(t, state.placement(e.from).time + 1 - e.distance);
-          }
-        }
+        const int t = state.EarliestStart(op, est[static_cast<size_t>(op)]);
         bool placed = false;
         for (int dt = 0; dt <= options.extra_slack && !placed; ++dt) {
           placed = state.TryPlace(op, cell, t + dt);

@@ -58,10 +58,7 @@ class IlpSpatialMapper final : public Mapper {
       const auto est = ModuloAsap(dfg, arch, ii);
       if (est.empty()) return Error::Unmappable("recurrences infeasible at II=1");
 
-      std::vector<OpId> ops;
-      for (OpId op = 0; op < dfg.num_ops(); ++op) {
-        if (!arch.IsFolded(dfg.op(op).opcode)) ops.push_back(op);
-      }
+      const std::vector<OpId> ops = MappableOps(dfg, arch);
       const int cells = arch.num_cells();
 
       IlpModel model;
@@ -141,7 +138,6 @@ class IlpSpatialMapper final : public Mapper {
         if (!arch.IsFolded(dfg.op(op).opcode)) order.push_back(op);
       }
       PlaceRouteState state(dfg, arch, mrrg, ii);
-      const auto edges = dfg.Edges(true);
       int budget = 20000;
       std::function<bool(size_t)> realize = [&](size_t depth) -> bool {
         if (depth == order.size()) return true;
@@ -149,7 +145,8 @@ class IlpSpatialMapper final : public Mapper {
         const OpId op = order[depth];
         const int cell = cell_of[static_cast<size_t>(op)];
         int t = est[static_cast<size_t>(op)];
-        for (const DfgEdge& e : edges) {
+        for (const int ei : state.IncidentEdges(op)) {
+          const DfgEdge& e = state.edge(ei);
           if (e.to != op || e.from == op) continue;
           if (arch.IsFolded(dfg.op(e.from).opcode)) continue;
           if (state.IsPlaced(e.from)) {
@@ -196,10 +193,7 @@ class IlpTemporalMapper final : public Mapper {
       }
       const int horizon =
           *std::max_element(est.begin(), est.end()) + std::min(3, ii) + 1;
-      std::vector<OpId> ops;
-      for (OpId op = 0; op < dfg.num_ops(); ++op) {
-        if (!arch.IsFolded(dfg.op(op).opcode)) ops.push_back(op);
-      }
+      const std::vector<OpId> ops = MappableOps(dfg, arch);
       const int cells = arch.num_cells();
       const int T = horizon + 1;
 
@@ -325,10 +319,7 @@ class IlpBinder final : public Mapper {
       if (times.empty()) {
         return Error::Unmappable("recurrences infeasible at this II");
       }
-      std::vector<OpId> ops;
-      for (OpId op = 0; op < dfg.num_ops(); ++op) {
-        if (!arch.IsFolded(dfg.op(op).opcode)) ops.push_back(op);
-      }
+      const std::vector<OpId> ops = MappableOps(dfg, arch);
       const int cells = arch.num_cells();
 
       IlpModel model;
@@ -427,10 +418,7 @@ class IlpScheduler final : public Mapper {
         return Error::Unmappable("recurrences infeasible at this II");
       }
       const int T = *std::max_element(est.begin(), est.end()) + ii + 1;
-      std::vector<OpId> ops;
-      for (OpId op = 0; op < dfg.num_ops(); ++op) {
-        if (!arch.IsFolded(dfg.op(op).opcode)) ops.push_back(op);
-      }
+      const std::vector<OpId> ops = MappableOps(dfg, arch);
 
       IlpModel model;
       int rows = 0;

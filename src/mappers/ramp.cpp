@@ -10,7 +10,6 @@
 //      dedicated forwarding cell;
 //   4. give up and raise the II.
 // The PlaceRouteState failure taxonomy feeds the decision.
-#include <algorithm>
 #include <cstddef>
 
 #include "mappers/common.hpp"
@@ -111,24 +110,8 @@ class RampMapper final : public Mapper {
           // route ops' cells/cycles become part of the edge routes. We
           // conservatively re-route the original DFG pinned to the
           // projected placement; if that fails, fall through to II+1.
-          PlaceRouteState pinned(dfg, arch, mrrg, ii);
-          std::vector<OpId> by_time;
-          for (OpId op = 0; op < dfg.num_ops(); ++op) {
-            if (!arch.IsFolded(dfg.op(op).opcode)) by_time.push_back(op);
-          }
-          std::sort(by_time.begin(), by_time.end(), [&](OpId a, OpId b) {
-            return tr->place[static_cast<size_t>(a)].time <
-                   tr->place[static_cast<size_t>(b)].time;
-          });
-          bool ok = true;
-          for (OpId op : by_time) {
-            const Placement& p = tr->place[static_cast<size_t>(op)];
-            if (!pinned.TryPlace(op, p.cell, p.time)) {
-              ok = false;
-              break;
-            }
-          }
-          if (ok) return pinned.Finalize();
+          Result<Mapping> pinned = RealizePinned(dfg, arch, mrrg, ii, tr->place);
+          if (pinned.ok()) return pinned;
         }
       }
       return Error::Unmappable("all RAMP strategies failed at this II");

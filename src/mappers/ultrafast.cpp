@@ -41,14 +41,16 @@ class UltraFastScheduler final : public Mapper {
         return Error::Unmappable("recurrences infeasible at this II");
       }
       PlaceRouteState state(dfg, arch, mrrg, ii);
-      const auto edges = dfg.Edges(true);
       for (OpId op : *topo) {
         if (arch.IsFolded(dfg.op(op).opcode)) continue;
         const int t = state.EarliestStart(op, est[static_cast<size_t>(op)]);
         // Carried self-dependences cap how far the op may slide.
         bool can_slide = true;
-        for (const DfgEdge& e : edges) {
-          if (e.from == op && e.to == op && e.distance > 0) can_slide = false;
+        for (const int e : state.IncidentEdges(op)) {
+          const DfgEdge& edge = state.edge(e);
+          if (edge.from == op && edge.to == op && edge.distance > 0) {
+            can_slide = false;
+          }
         }
         bool placed = false;
         // One window of II slots, first-fit cell; no second chances.

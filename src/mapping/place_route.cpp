@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "telemetry/search_log.hpp"
 
@@ -20,6 +21,14 @@ void FoldRouteSteps(const Mrrg& mrrg, const Route& route) {
 
 }  // namespace
 
+std::vector<OpId> MappableOps(const Dfg& dfg, const Architecture& arch) {
+  std::vector<OpId> ops;
+  for (OpId op = 0; op < dfg.num_ops(); ++op) {
+    if (!arch.IsFolded(dfg.op(op).opcode)) ops.push_back(op);
+  }
+  return ops;
+}
+
 PlaceRouteState::PlaceRouteState(const Dfg& dfg, const Architecture& arch,
                                  const Mrrg& mrrg, int ii)
     : dfg_(&dfg),
@@ -32,28 +41,18 @@ PlaceRouteState::PlaceRouteState(const Dfg& dfg, const Architecture& arch,
       routes_(edges_.size()),
       edges_of_(static_cast<size_t>(dfg.num_ops())),
       bank_load_(static_cast<size_t>(std::max(1, arch.params().num_banks)),
-                 std::vector<int>(static_cast<size_t>(ii), 0)) {
+                 std::vector<int>(static_cast<size_t>(ii), 0)),
+      mappable_(cgra::MappableOps(dfg, arch)) {
   for (size_t e = 0; e < edges_.size(); ++e) {
     edges_of_[static_cast<size_t>(edges_[e].from)].push_back(static_cast<int>(e));
     if (edges_[e].to != edges_[e].from) {
       edges_of_[static_cast<size_t>(edges_[e].to)].push_back(static_cast<int>(e));
     }
   }
-  for (OpId op = 0; op < dfg.num_ops(); ++op) {
-    if (!arch.IsFolded(dfg.op(op).opcode)) mappable_.push_back(op);
-  }
   telemetry::SearchRecordGrid(arch.rows(), arch.cols());
 }
 
-std::vector<int> PlaceRouteState::CandidateCells(OpId op) const {
-  std::vector<int> cells;
-  for (int c = 0; c < arch_->num_cells(); ++c) {
-    if (arch_->CanExecute(c, dfg_->op(op))) cells.push_back(c);
-  }
-  return cells;
-}
-
-bool PlaceRouteState::RouteEdge(int edge_index, const RouterOptions& options) {
+bool PlaceRouteState::RouteEdge(int edge_index) {
   const DfgEdge& e = edges_[static_cast<size_t>(edge_index)];
   const Placement& from = place_[static_cast<size_t>(e.from)];
   const Placement& to = place_[static_cast<size_t>(e.to)];
@@ -79,7 +78,7 @@ bool PlaceRouteState::RouteEdge(int edge_index, const RouterOptions& options) {
   req.to_cell = to.cell;
   req.to_time = arrive;
   req.value = e.from;
-  auto route = RouteValue(*mrrg_, tracker_, req, options);
+  auto route = RouteValue(*mrrg_, tracker_, req);
   telemetry::SearchRecordRouteResult(route.ok());
   if (!route.ok()) {
     telemetry::SearchRecordCellCongested(req.to_cell);
@@ -97,8 +96,7 @@ void PlaceRouteState::UnrouteEdge(int edge_index) {
   route.reset();
 }
 
-bool PlaceRouteState::TryPlace(OpId op, int cell, int time,
-                               const RouterOptions& router_options) {
+bool PlaceRouteState::TryPlace(OpId op, int cell, int time) {
   assert(!IsPlaced(op));
   last_fail_ = FailReason::kNone;
   const Op& o = dfg_->op(op);
@@ -142,7 +140,7 @@ bool PlaceRouteState::TryPlace(OpId op, int cell, int time,
     // Folded producers (constants / loop counter) need no route.
     if (arch_->IsFolded(dfg_->op(edge.from).opcode)) continue;
     if (other != op && !IsPlaced(other)) continue;
-    if (!RouteEdge(e, router_options)) {
+    if (!RouteEdge(e)) {
       ok = false;
       break;
     }
@@ -177,6 +175,28 @@ int PlaceRouteState::EarliestStart(OpId op, int floor) const {
     }
   }
   return floor;
+}
+
+std::vector<int> PlaceRouteState::ByAffinity(OpId op,
+                                             std::vector<int> cells) const {
+  std::vector<std::pair<long long, int>> keyed;  // (affinity, cell)
+  keyed.reserve(cells.size());
+  for (const int cell : cells) {
+    long long affinity = 0;
+    for (int e : edges_of_[static_cast<size_t>(op)]) {
+      const DfgEdge& edge = edges_[static_cast<size_t>(e)];
+      const OpId other = edge.from == op ? edge.to : edge.from;
+      if (other != op && IsPlaced(other)) {
+        affinity += arch_->HopDistance(cell, placement(other).cell);
+      }
+    }
+    keyed.emplace_back(affinity, cell);
+  }
+  std::stable_sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  for (size_t i = 0; i < cells.size(); ++i) cells[i] = keyed[i].second;
+  return cells;
 }
 
 void PlaceRouteState::Unplace(OpId op) {

@@ -23,6 +23,10 @@
 
 namespace cgra {
 
+/// The ops a mapping places, in id order: every op but the folded ones
+/// (constants, and the loop counter on fabrics with a hardware loop).
+std::vector<OpId> MappableOps(const Dfg& dfg, const Architecture& arch);
+
 class PlaceRouteState {
  public:
   /// `mrrg` must outlive the state. `ii` >= 1.
@@ -40,19 +44,24 @@ class PlaceRouteState {
     return place_[static_cast<size_t>(op)];
   }
 
-  /// Ops that must be placed (folded constants excluded).
+  /// Ops that must be placed: MappableOps(dfg, arch).
   const std::vector<OpId>& MappableOps() const { return mappable_; }
 
-  /// Cells whose FU can execute `op` at all (capability only).
-  std::vector<int> CandidateCells(OpId op) const;
+  /// Edge `e` of the DFG, indexed in Dfg::Edges(true) order.
+  const DfgEdge& edge(int e) const { return edges_[static_cast<size_t>(e)]; }
+
+  /// Indices of the edges incident to `op`, in Dfg::Edges(true) order;
+  /// a self-loop is listed once.
+  const std::vector<int>& IncidentEdges(OpId op) const {
+    return edges_of_[static_cast<size_t>(op)];
+  }
 
   /// Attempts to place `op` on `cell` at absolute `time`, routing every
   /// data edge whose other endpoint is already placed (one RouteValue
-  /// per edge, in edges_of_ order) and checking ordering edges and bank
-  /// ports. All-or-nothing: a failure releases the routes this call
+  /// per edge, in IncidentEdges order) and checking ordering edges and
+  /// bank ports. All-or-nothing: a failure releases the routes this call
   /// made, and only a committed placement's routes reach the search log.
-  bool TryPlace(OpId op, int cell, int time,
-                const RouterOptions& router_options = {});
+  bool TryPlace(OpId op, int cell, int time);
 
   /// Removes `op`, releasing its FU slot, bank port and incident routes.
   void Unplace(OpId op);
@@ -72,6 +81,11 @@ class PlaceRouteState {
   /// producer allows: t >= producer time + 1 - II * distance over its
   /// incoming edges (self-loops and folded producers excluded).
   int EarliestStart(OpId op, int floor) const;
+
+  /// `cells` stably sorted by affinity: the summed hop distance from
+  /// each cell to the placed other ends of `op`'s non-self edges, least
+  /// first (a neighbour on two edges counts twice).
+  std::vector<int> ByAffinity(OpId op, std::vector<int> cells) const;
 
   /// Total route steps created by the last successful TryPlace (the
   /// routing cost of that placement; used by cost-driven mappers).
@@ -94,11 +108,7 @@ class PlaceRouteState {
   Mapping Finalize() const;
 
  private:
-  struct EdgeRef {
-    int edge_index;  ///< into edges_
-  };
-
-  bool RouteEdge(int edge_index, const RouterOptions& options);
+  bool RouteEdge(int edge_index);
   void UnrouteEdge(int edge_index);
   int BankOf(int cell) const { return arch_->caps(cell).bank; }
 

@@ -87,17 +87,16 @@ class AllDifferentImpl : public CpConstraint {
 
 }  // namespace
 
-CpVar CpModel::AddVar(int lo, int hi, std::string name) {
+CpVar CpModel::AddVar(int lo, int hi) {
   assert(lo <= hi);
   std::vector<int> values(static_cast<size_t>(hi - lo + 1));
   std::iota(values.begin(), values.end(), lo);
-  return AddVarWithDomain(std::move(values), std::move(name));
+  return AddVarWithDomain(std::move(values));
 }
 
-CpVar CpModel::AddVarWithDomain(std::vector<int> values, std::string name) {
+CpVar CpModel::AddVarWithDomain(std::vector<int> values) {
   assert(!values.empty());
   domains_.push_back(std::move(values));
-  names_.push_back(std::move(name));
   constraints_of_.emplace_back();
   return static_cast<CpVar>(domains_.size()) - 1;
 }

@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "support/status.hpp"
@@ -37,9 +36,9 @@ class CpConstraint {
 class CpModel {
  public:
   /// Adds a variable with domain [lo, hi]; returns its handle.
-  CpVar AddVar(int lo, int hi, std::string name = {});
+  CpVar AddVar(int lo, int hi);
   /// Adds a variable with an explicit domain.
-  CpVar AddVarWithDomain(std::vector<int> values, std::string name = {});
+  CpVar AddVarWithDomain(std::vector<int> values);
 
   int num_vars() const { return static_cast<int>(domains_.size()); }
   const std::vector<int>& Domain(CpVar v) const {
@@ -91,7 +90,6 @@ class CpModel {
   void UndoTo(size_t mark);
 
   std::vector<std::vector<int>> domains_;
-  std::vector<std::string> names_;
   std::vector<std::unique_ptr<CpConstraint>> constraints_;
   std::vector<std::vector<int>> constraints_of_;  // var -> constraint idx
   std::vector<TrailEntry> trail_;

@@ -9,11 +9,10 @@
 
 namespace cgra {
 
-int IlpModel::AddVar(double lo, double hi, bool integer, std::string name) {
+int IlpModel::AddVar(double lo, double hi, bool integer) {
   lo_.push_back(lo);
   hi_.push_back(hi);
   integer_.push_back(integer);
-  names_.push_back(std::move(name));
   return static_cast<int>(lo_.size()) - 1;
 }
 
@@ -28,11 +27,9 @@ void IlpModel::SetObjective(std::vector<double> coeffs, bool maximize) {
 
 namespace {
 
-struct BranchNode {
-  // Extra bounds imposed along this branch: var -> (lo, hi).
-  std::vector<std::pair<int, std::pair<double, double>>> bounds;
-  double parent_bound;  // LP bound of the parent (for best-first pruning)
-};
+// A relaxation value within this of an integer counts as integral, and
+// a relaxation bound must beat the incumbent by more than this.
+constexpr double kIntTolerance = 1e-6;
 
 }  // namespace
 
@@ -109,13 +106,13 @@ Result<IlpModel::Solution> IlpModel::Solve(const SolveOptions& options) const {
     if (relax.status == LpStatus::kUnbounded) {
       return Error::InvalidArgument("ILP relaxation is unbounded");
     }
-    if (have_incumbent && relax.objective <= best_obj + options.int_tolerance) {
+    if (have_incumbent && relax.objective <= best_obj + kIntTolerance) {
       continue;  // bound
     }
 
     // Most-fractional branching variable.
     int frac_var = -1;
-    double frac_score = options.int_tolerance;
+    double frac_score = kIntTolerance;
     for (int j = 0; j < n; ++j) {
       if (!integer_[static_cast<size_t>(j)]) continue;
       const double v = relax.x[static_cast<size_t>(j)];

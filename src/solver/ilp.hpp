@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "solver/lp.hpp"
@@ -23,8 +22,8 @@ namespace cgra {
 class IlpModel {
  public:
   /// Adds a variable with inclusive bounds; returns its index.
-  int AddVar(double lo, double hi, bool integer, std::string name = {});
-  int AddBinary(std::string name = {}) { return AddVar(0, 1, true, std::move(name)); }
+  int AddVar(double lo, double hi, bool integer);
+  int AddBinary() { return AddVar(0, 1, true); }
 
   void AddConstraint(std::vector<LinearTerm> terms, Rel rel, double rhs);
 
@@ -38,7 +37,6 @@ class IlpModel {
     Deadline deadline;
     StopToken stop;  ///< cooperative cancellation (kResourceLimit)
     int max_nodes = 1 << 20;
-    double int_tolerance = 1e-6;
   };
 
   struct Solution {
@@ -60,7 +58,6 @@ class IlpModel {
  private:
   std::vector<double> lo_, hi_;
   std::vector<bool> integer_;
-  std::vector<std::string> names_;
   std::vector<LinearConstraint> rows_;
   std::vector<double> objective_;
   bool maximize_ = true;

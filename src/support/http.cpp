@@ -163,13 +163,6 @@ telemetry::Counter& QueueFullCounter() {
 
 }  // namespace
 
-const std::string* HttpRequest::FindHeader(std::string_view name) const {
-  for (const auto& [k, v] : headers) {
-    if (IEquals(k, name)) return &v;
-  }
-  return nullptr;
-}
-
 std::string_view HttpStatusReason(int status) {
   switch (status) {
     case 200: return "OK";

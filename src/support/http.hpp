@@ -49,9 +49,6 @@ struct HttpRequest {
   std::string query;    ///< e.g. "pretty=1"
   std::vector<std::pair<std::string, std::string>> headers;
   std::string body;
-
-  /// Case-insensitive header lookup; nullptr when absent.
-  const std::string* FindHeader(std::string_view name) const;
 };
 
 struct HttpResponse {

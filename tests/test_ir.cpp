@@ -79,22 +79,6 @@ TEST(Dfg, VerifyRejectsMissingSlot) {
   EXPECT_FALSE(d.Verify().ok());
 }
 
-TEST(Dfg, AsapLevelsOfDiamond) {
-  Dfg d;
-  const OpId a = d.AddInput(0);
-  const OpId l = d.AddUnary(Opcode::kNeg, a);
-  const OpId r = d.AddUnary(Opcode::kAbs, a);
-  const OpId j = d.AddBinary(Opcode::kAdd, l, r);
-  const auto asap = d.AsapLevels();
-  EXPECT_EQ(asap[static_cast<size_t>(a)], 0);
-  EXPECT_EQ(asap[static_cast<size_t>(l)], 1);
-  EXPECT_EQ(asap[static_cast<size_t>(j)], 2);
-  EXPECT_EQ(d.CriticalPathLength(), 3);
-  const auto alap = d.AlapLevels(3);
-  EXPECT_EQ(alap[static_cast<size_t>(j)], 2);
-  EXPECT_EQ(alap[static_cast<size_t>(r)], 1);
-}
-
 TEST(Dfg, EdgesIncludePredAndOrder) {
   Dfg d;
   const OpId c = d.AddInput(0);

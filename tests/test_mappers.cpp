@@ -460,5 +460,89 @@ TEST(Mii, ModuloAsapRespectsCarriedLatency) {
   EXPECT_TRUE(est1.empty()) << "II=1 infeasible for the 2-cycle recurrence";
 }
 
+// (res_mii, rec_mii) of 8 presets × 21 catalog kernels × 200 seeded
+// random kernels × max_ii, folded into one FNV-1a hash. The benchmark's
+// ii_over_mii divides by these bounds, so any change to either one —
+// including the max_ii + 1 answer when no II up to max_ii qualifies —
+// shows here. The fabric and kernel lists are spelled out, so a preset
+// or kernel added to the catalog leaves the hash alone.
+TEST(Mii, GoldenOverPresetsAndKernels) {
+  const char* const kFabrics[] = {"small2x2", "adres4x4",  "hetero4x4",
+                                  "spatial4x4", "torus4x4", "big8x8",
+                                  "mega16x16", "vliw4"};
+  const char* const kKernels[] = {
+      "dot_product", "vecadd",      "saxpy",      "fir4",
+      "iir1",        "mavg3",       "sobel_gx",   "sad",
+      "butterfly",   "matvec_row",  "gemm_mac",   "histogram8",
+      "relu_scale",  "maxpool_run", "mac2",       "complex_mul",
+      "alpha_blend", "dct4",        "wide_dot_4", "wide_dot_8",
+      "wide_dot_16"};
+  std::vector<Kernel> kernels;
+  for (const char* name : kKernels) {
+    kernels.push_back(*api::KernelByName(name, 16, 0x5EED));
+  }
+  Rng rng(0x3117);
+  for (int i = 0; i < 200; ++i) {
+    RandomDfgOptions o;
+    o.num_ops = 3 + i % 18;
+    o.carried_fraction = 0.1 + 0.05 * (i % 7);
+    o.max_distance = 1 + i % 3;
+    o.allow_memory = i % 2 == 1;
+    kernels.push_back(MakeRandomKernel(rng, o, 8));
+  }
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](int x) {
+    h ^= static_cast<std::uint64_t>(static_cast<std::int64_t>(x));
+    h *= 1099511628211ull;
+  };
+  int capped = 0;
+  for (const char* fabric : kFabrics) {
+    const Architecture arch = *api::FabricByName(fabric);
+    for (const Kernel& k : kernels) {
+      for (const int max_ii : {0, 1, 2, 3, 4, 8, 16, 32}) {
+        const MiiBounds b = ComputeMii(k.dfg, arch, max_ii);
+        mix(b.res_mii);
+        mix(b.rec_mii);
+        if (b.rec_mii == max_ii + 1 && max_ii > 0) ++capped;
+      }
+    }
+  }
+  EXPECT_GT(capped, 0) << "no case reached the max_ii + 1 answer";
+  EXPECT_EQ(h, 0xa253b22af404dba3ull) << "hash 0x" << std::hex << h;
+}
+
+// The recurrence bound on hand-built loop bodies: the least II whose
+// modulo schedule exists, or max_ii + 1 when none up to max_ii does.
+TEST(RecMii, SelfLoopDistanceOne) {
+  // acc = acc@1 + x: latency 1 over distance 1.
+  Dfg d;
+  const OpId x = d.AddInput(0);
+  const OpId acc = d.AddBinary(Opcode::kAdd, Operand{x, 0}, Operand{d.num_ops(), 1});
+  d.AddOutput(acc, 0);
+  EXPECT_EQ(ComputeMii(d, Architecture::Adres4x4(), 16).rec_mii, 1);
+}
+
+TEST(RecMii, TwoOpCycle) {
+  // a = x + b@1, b = a * x: cycle latency 2 over distance 1.
+  Dfg d;
+  const OpId x = d.AddInput(0);
+  const OpId a = d.AddBinary(Opcode::kAdd, Operand{x, 0}, Operand{d.num_ops() + 1, 1});
+  const OpId b = d.AddBinary(Opcode::kMul, a, x);
+  d.AddOutput(b, 0);
+  EXPECT_EQ(ComputeMii(d, Architecture::Adres4x4(), 16).rec_mii, 2);
+}
+
+TEST(RecMii, InfeasibleCycleReturnsAboveMax) {
+  // A five-op cycle over distance 1 needs II 5; allow at most 3.
+  Dfg d;
+  const OpId x = d.AddInput(0);
+  OpId v = d.AddBinary(Opcode::kAdd, Operand{x, 0}, Operand{d.num_ops() + 4, 1});
+  for (int i = 0; i < 4; ++i) v = d.AddBinary(Opcode::kAdd, v, x);
+  d.AddOutput(v, 0);
+  const Architecture arch = Architecture::Adres4x4();
+  EXPECT_EQ(ComputeMii(d, arch, 3).rec_mii, 4);
+  EXPECT_EQ(ComputeMii(d, arch, 5).rec_mii, 5);
+}
+
 }  // namespace
 }  // namespace cgra

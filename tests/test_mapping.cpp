@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/arch.hpp"
+#include "arch/fault.hpp"
 #include "arch/mrrg.hpp"
 #include "ir/kernels.hpp"
 #include "mapping/mapping.hpp"
@@ -13,6 +14,7 @@
 #include "mapping/router.hpp"
 #include "mapping/tracker.hpp"
 #include "mapping/validator.hpp"
+#include "support/rng.hpp"
 
 namespace cgra {
 namespace {
@@ -295,6 +297,73 @@ TEST(PlaceRoute, UnplaceRestoresEverything) {
   EXPECT_EQ(state.placed_count(), 2);
   // Re-placing at the same spot must succeed (resources were freed).
   EXPECT_TRUE(state.TryPlace(2, arch.CellAt(0, 1), 1));
+}
+
+// ByAffinity against a scan of every DFG edge: random partial
+// placements of random kernels (self-loops, carried and duplicate
+// edges included) on fabrics where a hop distance can be -1.
+TEST(PlaceRoute, ByAffinityMatchesEdgeScan) {
+  const Architecture adres = Architecture::Adres4x4();
+  const Architecture big = Architecture::Big8x8();
+  FaultModel::RandomSpec spec;
+  spec.dead_cells = 6;
+  spec.dead_links = 40;
+  const Architecture faulted = big.WithFaults(FaultModel::Random(big, spec, 3));
+  int unreachable = 0;
+  for (int a = 0; a < faulted.num_cells(); ++a) {
+    for (int b = 0; b < faulted.num_cells(); ++b) {
+      if (faulted.HopDistance(a, b) < 0) ++unreachable;
+    }
+  }
+  ASSERT_GT(unreachable, 0) << "the faulted fabric should split some pairs";
+
+  Rng rng(0xAFF1);
+  int checks = 0, placed_neighbours = 0;
+  for (const Architecture* arch : {&adres, &big, &faulted}) {
+    const Mrrg mrrg(*arch);
+    for (int trial = 0; trial < 12; ++trial) {
+      RandomDfgOptions o;
+      o.num_ops = 6 + trial;
+      o.carried_fraction = 0.3;
+      const Kernel k = MakeRandomKernel(rng, o, 8);
+      const Dfg& dfg = k.dfg;
+      const std::vector<DfgEdge> edges = dfg.Edges(true);
+      PlaceRouteState state(dfg, *arch, mrrg, 2);
+      std::vector<int> all(static_cast<size_t>(arch->num_cells()));
+      for (int c = 0; c < arch->num_cells(); ++c) all[static_cast<size_t>(c)] = c;
+      for (const OpId op : state.MappableOps()) {
+        for (int tries = 0; tries < 4 && !state.IsPlaced(op); ++tries) {
+          const int cell = static_cast<int>(rng.NextIndex(all.size()));
+          state.TryPlace(op, cell, static_cast<int>(rng.NextIndex(8)));
+        }
+      }
+      for (const OpId op : state.MappableOps()) {
+        std::vector<int> cells = all;
+        rng.Shuffle(cells);
+        std::vector<long long> sum(static_cast<size_t>(arch->num_cells()), 0);
+        for (const DfgEdge& e : edges) {
+          OpId other = kNoOp;
+          if (e.from == op && e.to != op) other = e.to;
+          if (e.to == op && e.from != op) other = e.from;
+          if (other == kNoOp || !state.IsPlaced(other)) continue;
+          ++placed_neighbours;
+          for (int c = 0; c < arch->num_cells(); ++c) {
+            sum[static_cast<size_t>(c)] +=
+                arch->HopDistance(c, state.placement(other).cell);
+          }
+        }
+        std::vector<int> expected = cells;
+        std::stable_sort(expected.begin(), expected.end(), [&](int a, int b) {
+          return sum[static_cast<size_t>(a)] < sum[static_cast<size_t>(b)];
+        });
+        EXPECT_EQ(state.ByAffinity(op, cells), expected)
+            << arch->params().name << " trial " << trial << " op " << op;
+        ++checks;
+      }
+    }
+  }
+  EXPECT_GT(checks, 300);
+  EXPECT_GT(placed_neighbours, 300);
 }
 
 TEST(PlaceRoute, BankPortsEnforced) {

@@ -413,6 +413,84 @@ TEST(RouterGolden, DeterministicPopulationMappers) {
   }
 }
 
+// ---- golden digests for paths the goldens above do not reach ----------------
+// epimap's route-node transform with its projection back onto the
+// original DFG, RAMP's route-insertion projection, graph-drawing, and
+// himap's quadrant split. Captured before the pinned realizations, the
+// affinity order and the schedule order each got one shared copy.
+
+std::uint64_t MapDigest(const char* mapper, const Dfg& dfg,
+                        const Architecture& arch) {
+  const Mapper* m = MapperRegistry::Global().Find(mapper);
+  if (m == nullptr) return 0;
+  MapperOptions opts;
+  opts.seed = 42;
+  const auto r = m->Map(dfg, arch, opts);
+  return r.ok() ? MappingDigest(*r) : 0;
+}
+
+TEST(MapperGolden, EpimapTransformPath) {
+  // Each of these inserts a route node and projects back; each binds in
+  // milliseconds, far inside epimap's per-bind cap.
+  const ExactGolden goldens[] = {
+      {"epimap", "complex_mul", "adres4x4", 0x31dd5bfc2446142aull},
+      {"epimap", "dct4", "adres4x4", 0x44c25d6abc421384ull},
+      {"epimap", "complex_mul", "hetero4x4", 0x06ab2e85bfcc9990ull},
+  };
+  for (const ExactGolden& g : goldens) {
+    const std::optional<Architecture> arch = api::FabricByName(g.fabric);
+    ASSERT_TRUE(arch.has_value()) << g.fabric;
+    const std::optional<Kernel> kernel = api::KernelByName(g.kernel, 16, 0x5EED);
+    ASSERT_TRUE(kernel.has_value()) << g.kernel;
+    const std::uint64_t digest = MapDigest(g.mapper, kernel->dfg, *arch);
+    EXPECT_EQ(digest, g.digest) << g.mapper << "/" << g.kernel << "/" << g.fabric
+                                << ": digest 0x" << std::hex << digest;
+  }
+}
+
+TEST(MapperGolden, RampRouteInsertionProjection) {
+  // No catalog kernel reaches RAMP's third strategy; this random stream
+  // does (on adres4x4 at i = 4, 41, 47 and 76). One hash over the first
+  // 100 kernels per fabric, 0 standing for an unmapped kernel.
+  const std::pair<const char*, std::uint64_t> goldens[] = {
+      {"adres4x4", 0xeef55b53e848be9cull},
+      {"hetero4x4", 0x83b7ff01b92ef874ull},
+  };
+  for (const auto& [fabric, golden] : goldens) {
+    const std::optional<Architecture> arch = api::FabricByName(fabric);
+    ASSERT_TRUE(arch.has_value()) << fabric;
+    Rng rng(99);
+    std::uint64_t h = 1469598103934665603ull;
+    for (int i = 0; i < 100; ++i) {
+      const Kernel k = MakeRandomKernel(rng, RandomDfgOptions{}, 6 + i % 14);
+      h = HashU64(h, MapDigest("ramp", k.dfg, *arch));
+    }
+    EXPECT_EQ(h, golden) << "ramp stream on " << fabric << ": 0x" << std::hex
+                         << h;
+  }
+}
+
+TEST(MapperGolden, GraphDrawingAndHimap) {
+  const ExactGolden goldens[] = {
+      {"graph-drawing", "vecadd", "adres4x4", 0xf40fd8a3909f64a9ull},
+      {"graph-drawing", "saxpy", "adres4x4", 0xafa3f90e26dd4221ull},
+      {"graph-drawing", "butterfly", "hetero4x4", 0xe385e0cebf19ec9cull},
+      // big8x8 makes himap split the DFG over quadrant regions.
+      {"himap", "complex_mul", "big8x8", 0xa797028f1a06e1faull},
+      {"himap", "fir4", "big8x8", 0xae96e5701fa4e9b1ull},
+      {"himap", "dct4", "big8x8", 0x406fd3d55ee84b03ull},
+  };
+  for (const ExactGolden& g : goldens) {
+    const std::optional<Architecture> arch = api::FabricByName(g.fabric);
+    ASSERT_TRUE(arch.has_value()) << g.fabric;
+    const std::optional<Kernel> kernel = api::KernelByName(g.kernel, 16, 0x5EED);
+    ASSERT_TRUE(kernel.has_value()) << g.kernel;
+    const std::uint64_t digest = MapDigest(g.mapper, kernel->dfg, *arch);
+    EXPECT_EQ(digest, g.digest) << g.mapper << "/" << g.kernel << "/" << g.fabric
+                                << ": digest 0x" << std::hex << digest;
+  }
+}
+
 // ---- A* heuristic equivalence -----------------------------------------------
 // The heuristic may return a *different* route among equal-cost
 // alternatives, but it must never change feasibility or route cost.
