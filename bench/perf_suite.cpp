@@ -1,7 +1,7 @@
 // perf_suite: the machine-readable performance benchmark behind
 // docs/PERF.md.
 //
-// Two sections, emitted together as BENCH_perf.json:
+// Three sections, emitted together as BENCH_perf.json:
 //   * router_micro — the deterministic route-query stream the flat
 //     arena rewrite was measured against (plain Dijkstra and the A*
 //     variant), with route-stream digests so a speedup can never be
@@ -13,7 +13,12 @@
 //     the tiny kernel suite on
 //     4x4 -> 16x16 fabrics, with per-II-attempt wall time and the
 //     router/tracker counters the attempt burned (MapTrace::Attempt).
-//     A row's wall time is the fastest of three Map() calls.
+//     A row's wall time is the fastest of three Map() calls;
+//   * serve_hit — the daemon's warm-cache path: one row per serve_mix
+//     hot kernel (ims on adres4x4, 32 iterations, request seed 1),
+//     timed as the fastest of 2000 MappingService::Handle calls that
+//     the in-memory mapping cache answers (parse, fabric lookup, cache
+//     key, validate-on-hit, response), with the answer's digest.
 //
 // `perf_suite --small` runs a reduced preset sized for CI (seconds,
 // not minutes); `--out FILE` redirects the JSON (default
@@ -24,10 +29,15 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "api/request.hpp"
+#include "api/response.hpp"
+#include "api/service.hpp"
 #include "arch/arch.hpp"
 #include "arch/mrrg.hpp"
+#include "cache/mapping_cache.hpp"
 #include "engine/trace.hpp"
 #include "ir/kernels.hpp"
 #include "mappers/registry.hpp"
@@ -35,6 +45,7 @@
 #include "mapping/perf.hpp"
 #include "mapping/router.hpp"
 #include "mapping/tracker.hpp"
+#include "support/http.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/str.hpp"
@@ -161,6 +172,59 @@ MicroResult RouterMicro(const Architecture& arch, int ii, int rounds,
   }
   out.seconds = timer.Seconds();
   out.perf = ThreadPerfCounters() - before;
+  return out;
+}
+
+// ---- serve hit path ---------------------------------------------------------
+
+/// The kernels serve_mix keeps hot: every kernel ims maps on adres4x4.
+const char* const kServeHotKernels[] = {
+    "alpha_blend", "butterfly",  "complex_mul", "dct4",        "dot_product",
+    "fir4",        "gemm_mac",   "histogram8",  "iir1",        "mac2",
+    "matvec_row",  "mavg3",      "maxpool_run", "relu_scale",  "sad",
+    "saxpy",       "sobel_gx",   "vecadd",      "wide_dot_16", "wide_dot_4",
+    "wide_dot_8"};
+constexpr int kHitCalls = 2000;
+
+struct HitResult {
+  bool ok = false;  ///< mapped, and every timed call was a hit on it
+  int ii = -1;
+  std::string digest;
+  double seconds = 0;  ///< fastest timed call
+};
+
+/// One cold call maps `kernel` into the service's cache; the row is the
+/// fastest of the kHitCalls warm calls after it.
+HitResult ServeHit(api::MappingService& service, const char* kernel) {
+  api::MapRequest r;
+  r.name = std::string("hot-") + kernel;
+  r.fabric = "adres4x4";
+  r.kernel = kernel;
+  r.mappers = {"ims"};
+  r.deadline_seconds = 2.0;
+  r.seed = 1;
+  r.iterations = 32;
+  HttpRequest http;
+  http.method = "POST";
+  http.path = "/v1/map";
+  http.body = api::ToJson(r);
+
+  HitResult out;
+  const Result<api::MapResponse> cold =
+      api::ParseMapResponseText(service.Handle(http).body);
+  if (!cold.ok() || !cold->ok) return out;
+  out.ok = true;
+  out.ii = cold->ii;
+  out.digest = cold->mapping_digest;
+  out.seconds = 1e9;
+  for (int i = 0; i < kHitCalls; ++i) {
+    WallTimer timer;
+    const HttpResponse warm = service.Handle(http);
+    out.seconds = std::min(out.seconds, timer.Seconds());
+    const Result<api::MapResponse> hit = api::ParseMapResponseText(warm.body);
+    out.ok = out.ok && hit.ok() && hit->ok && hit->cache_hit &&
+             hit->mapping_digest == out.digest;
+  }
   return out;
 }
 
@@ -319,12 +383,32 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::vector<std::string> hit_rows;
+  {
+    MappingCache cache(MappingCacheOptions{});
+    api::ServiceOptions so;
+    so.cache = &cache;
+    api::MappingService service(std::move(so));
+    std::printf("== serve hit (fastest of %d warm calls) ==\n", kHitCalls);
+    for (const char* kernel : kServeHotKernels) {
+      const HitResult h = ServeHit(service, kernel);
+      std::printf("adres4x4   ims            %-12s %s ii=%d %.1f us\n", kernel,
+                  h.ok ? "ok  " : "FAIL", h.ii, h.seconds * 1e6);
+      hit_rows.push_back(StrFormat(
+          "{\"fabric\":\"adres4x4\",\"mapper\":\"ims\",\"kernel\":\"%s\","
+          "\"ok\":%s,\"ii\":%d,\"calls\":%d,\"hit_seconds\":%.9f,"
+          "\"mapping_digest\":\"%s\"}",
+          kernel, h.ok ? "true" : "false", h.ii, kHitCalls, h.seconds,
+          h.digest.c_str()));
+    }
+  }
+
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (!out) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(out, "{\n  \"schema_version\": 3,\n  \"preset\": \"%s\",\n",
+  std::fprintf(out, "{\n  \"schema_version\": 4,\n  \"preset\": \"%s\",\n",
                small ? "small" : "full");
   std::fprintf(out, "  \"router_micro\": [\n");
   for (size_t i = 0; i < micro_rows.size(); ++i) {
@@ -335,6 +419,11 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < suite_rows.size(); ++i) {
     std::fprintf(out, "    %s%s\n", suite_rows[i].c_str(),
                  i + 1 < suite_rows.size() ? "," : "");
+  }
+  std::fprintf(out, "  ],\n  \"serve_hit\": [\n");
+  for (size_t i = 0; i < hit_rows.size(); ++i) {
+    std::fprintf(out, "    %s%s\n", hit_rows[i].c_str(),
+                 i + 1 < hit_rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

@@ -25,7 +25,7 @@ using namespace cgra;
 
 namespace {
 
-Architecture Fabric(int n) {
+Architecture SquareFabric(int n) {
   ArchParams p;
   p.rows = p.cols = n;
   p.rf_kind = RfKind::kRotating;
@@ -88,7 +88,7 @@ int main() {
   {
     const Kernel k = MakeWideDotProduct(8, 16, 0x5CA1);
     for (int n : {4, 8, 16}) {
-      const Architecture arch = Fabric(n);
+      const Architecture arch = SquareFabric(n);
       Run(*ims, k, arch, table, "fabric");
       Run(*himap, k, arch, table, "fabric");
       if (n <= 8) Run(*bnb, k, arch, table, "fabric");
@@ -97,7 +97,7 @@ int main() {
   }
   // Sweep 2: growing workloads on the 16x16.
   {
-    const Architecture arch = Fabric(16);
+    const Architecture arch = SquareFabric(16);
     for (int lanes : {4, 8, 16, 24}) {
       const Kernel k = MakeWideDotProduct(lanes, 16, 0x5CA2);
       Run(*ims, k, arch, table, "workload");

@@ -1,27 +1,31 @@
 #!/usr/bin/env python3
 """Validate a BENCH_perf.json emitted by bench/perf_suite.
 
-Schema version 3 — documented in docs/PERF.md. Stdlib only, so CI can
+Schema version 4 — documented in docs/PERF.md. Stdlib only, so CI can
 run it on a bare runner. Exit 0 when valid, 1 with a pointed message
-when not. v3 has two sections, router_micro and mapper_suite; the
-route_fanout section of v2 went with the batched routing API it
-measured.
+when not. v4 has three sections: router_micro, mapper_suite and
+serve_hit (v4 added serve_hit; the route_fanout section of v2 went
+with the batched routing API it measured).
 
 With --compare the file is additionally gated against a committed
 baseline (bench/baselines/) of the same preset: router_micro rows are
 matched on (scenario, heuristic) and their queries_per_sec must not
 fall more than --tolerance-pct below the baseline; mapper_suite rows
-are matched on (fabric, mapper, kernel) and their wall_seconds must
-not rise more than --tolerance-pct above it. Rows present in the baseline but absent
-from the candidate are failures (a silently dropped benchmark is a
-regression too); new candidate rows are fine. Only rows ok in both
-files race the clock.
+are matched on (fabric, mapper, kernel) and their wall_seconds, and
+serve_hit rows on the same key and their hit_seconds, must not rise
+more than --tolerance-pct above it. Rows present in the baseline but
+absent from the candidate are failures (a silently dropped benchmark
+is a regression too); new candidate rows are fine. Only rows ok in
+both files race the clock.
 
-The digests are the contract that perf work does not change results
-(docs/PERF.md), so --compare also fails when a router_micro
-route_digest, or the mapping_digest of a mapper_suite row ok on both
-sides, differs from the baseline's. A change that moves
-them on purpose re-pins the baseline and says why.
+The digests and the search counters are the contract that perf work
+does not change results (docs/PERF.md), so --compare also fails when
+a router_micro route_digest, or the mapping_digest of a mapper_suite
+or serve_hit row ok on both sides, differs from the baseline's; and
+when a search counter (GATED_COUNTERS) of a router_micro row, or of a
+mapper_suite row ok on both sides (its totals and each attempt, whose
+(ii, ok) must match too), differs. Every differing field is reported.
+A change that moves them on purpose re-pins the baseline and says why.
 
 usage: check_perf_json.py BENCH_perf.json
        check_perf_json.py BENCH_perf.json --compare BASELINE \
@@ -46,6 +50,14 @@ COUNTER_KEYS = {
     "tracker_occupies": int,
     "tracker_releases": int,
 }
+
+# The counters a search reproduces exactly. arena_reuses/arena_grows
+# depend on what the thread ran before, and rates on the clock.
+GATED_COUNTERS = (
+    "router_queries", "router_routed", "router_pushes", "router_pops",
+    "router_expansions", "tracker_checks", "tracker_check_hits",
+    "tracker_occupies", "tracker_releases",
+)
 
 errors = []
 
@@ -115,6 +127,24 @@ def compare_to_baseline(path, doc, base_path, baseline, tolerance_pct):
             fail(where, f"{key} {crow.get(key)} differs from the baseline's "
                  f"{brow.get(key)}: the change moved results")
 
+    def same_counters(where, bcounters, ccounters):
+        for key in GATED_COUNTERS:
+            if ccounters.get(key) != bcounters.get(key):
+                fail(where, f"{key} {ccounters.get(key)} differs from the "
+                     f"baseline's {bcounters.get(key)}")
+
+    def same_attempts(where, battempts, cattempts):
+        if len(cattempts) != len(battempts):
+            fail(where, f"{len(cattempts)} attempts differ from the "
+                 f"baseline's {len(battempts)}")
+        for j, (ba, ca) in enumerate(zip(battempts, cattempts)):
+            awhere = f"{where}.attempts[{j}]"
+            for key in ("ii", "ok"):
+                if ca.get(key) != ba.get(key):
+                    fail(awhere, f"{key} {ca.get(key)} differs from the "
+                         f"baseline's {ba.get(key)}")
+            same_counters(awhere + ".perf", ba["perf"], ca["perf"])
+
     base_micro = {(r["scenario"], r["heuristic"]): r
                   for r in baseline.get("router_micro", [])}
     cand_micro = {(r.get("scenario"), r.get("heuristic")): r
@@ -126,6 +156,7 @@ def compare_to_baseline(path, doc, base_path, baseline, tolerance_pct):
             fail(where, f"present in baseline {base_path} but missing here")
             continue
         same_digest(where, "route_digest", brow, crow)
+        same_counters(where + ".counters", brow["counters"], crow["counters"])
         base_qps, qps = brow["queries_per_sec"], crow.get("queries_per_sec")
         if isinstance(qps, (int, float)) and qps < rate_floor(base_qps):
             fail(where,
@@ -148,11 +179,36 @@ def compare_to_baseline(path, doc, base_path, baseline, tolerance_pct):
             fail(where, "ok in baseline but failed here")
             continue
         same_digest(where, "mapping_digest", brow, crow)
+        same_attempts(where, brow["attempts"], crow["attempts"])
+        same_counters(where + ".totals", brow["totals"], crow["totals"])
         base_wall, wall = brow["wall_seconds"], crow.get("wall_seconds")
         if isinstance(wall, (int, float)) and wall > time_ceiling(base_wall):
             fail(where,
                  f"wall_seconds regressed: {wall:.4f} > {base_wall:.4f} "
                  f"+ {tolerance_pct}% (ceiling {time_ceiling(base_wall):.4f})")
+
+    base_hits = {(r["fabric"], r["mapper"], r["kernel"]): r
+                 for r in baseline.get("serve_hit", [])}
+    cand_hits = {(r.get("fabric"), r.get("mapper"), r.get("kernel")): r
+                 for r in doc.get("serve_hit", [])}
+    for key, brow in sorted(base_hits.items()):
+        where = f"serve_hit[{'/'.join(map(str, key))}]"
+        crow = cand_hits.get(key)
+        if crow is None:
+            fail(where, f"present in baseline {base_path} but missing here")
+            continue
+        if not brow.get("ok"):
+            continue
+        if not crow.get("ok"):
+            fail(where, "ok in baseline but failed here")
+            continue
+        same_digest(where, "mapping_digest", brow, crow)
+        base_hit, hit = brow["hit_seconds"], crow.get("hit_seconds")
+        if isinstance(hit, (int, float)) and hit > time_ceiling(base_hit):
+            fail(where,
+                 f"hit_seconds regressed: {hit * 1e6:.1f} us > "
+                 f"{base_hit * 1e6:.1f} us + {tolerance_pct}% (ceiling "
+                 f"{time_ceiling(base_hit) * 1e6:.1f} us)")
 
 
 def main():
@@ -173,16 +229,17 @@ def main():
         print(f"{path}: {e}", file=sys.stderr)
         return 1
 
-    check_field("top", doc, "schema_version", int, lambda v: v == 3, "!= 3")
+    check_field("top", doc, "schema_version", int, lambda v: v == 4, "!= 4")
     check_field("top", doc, "preset", str, lambda v: v in ("full", "small"),
                 "not 'full'/'small'")
     micro = check_field("top", doc, "router_micro", list, lambda v: v,
                         "is empty")
     suite = check_field("top", doc, "mapper_suite", list, lambda v: v,
                         "is empty")
+    hits = check_field("top", doc, "serve_hit", list, lambda v: v, "is empty")
     for key in doc:
         if key not in ("schema_version", "preset", "router_micro",
-                       "mapper_suite"):
+                       "mapper_suite", "serve_hit"):
             fail("top", f"unknown key '{key}'")
 
     for i, row in enumerate(micro or []):
@@ -230,6 +287,20 @@ def main():
         else:
             fail(where, "missing 'totals'")
 
+    for i, row in enumerate(hits or []):
+        where = f"serve_hit[{i}]"
+        check_field(where, row, "fabric", str, lambda v: v, "is empty")
+        check_field(where, row, "mapper", str, lambda v: v, "is empty")
+        check_field(where, row, "kernel", str, lambda v: v, "is empty")
+        ok = check_field(where, row, "ok", bool)
+        check_field(where, row, "ii", int)
+        check_field(where, row, "calls", int, lambda v: v > 0, "<= 0")
+        check_field(where, row, "hit_seconds", (int, float), lambda v: v >= 0,
+                    "< 0")
+        digest = check_field(where, row, "mapping_digest", str)
+        if ok and isinstance(digest, str) and not is_hex_digest(digest):
+            fail(where, f"ok row has bad mapping_digest {digest!r}")
+
     compared = ""
     if args.compare and not errors:
         try:
@@ -240,8 +311,8 @@ def main():
             return 1
         compare_to_baseline(path, doc, args.compare, baseline,
                             args.tolerance_pct)
-        compared = (f", same digests and within {args.tolerance_pct:g}% "
-                    f"of {args.compare}")
+        compared = (f", same digests and counters and within "
+                    f"{args.tolerance_pct:g}% of {args.compare}")
 
     if errors:
         for e in errors:
@@ -250,8 +321,9 @@ def main():
         return 1
     n_micro = len(micro or [])
     n_suite = len(suite or [])
-    print(f"{path}: valid (schema 3, {n_micro} micro rows, "
-          f"{n_suite} suite rows{compared})")
+    n_hits = len(hits or [])
+    print(f"{path}: valid (schema 4, {n_micro} micro rows, "
+          f"{n_suite} suite rows, {n_hits} serve-hit rows{compared})")
     return 0
 
 

@@ -2,10 +2,12 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 
 #include "arch/fault.hpp"
 #include "mappers/registry.hpp"
 #include "support/str.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace cgra::api {
 
@@ -64,6 +66,25 @@ std::optional<Architecture> FabricByName(const std::string& name) {
   const FabricPreset* preset = FindFabricPreset(name);
   if (preset == nullptr) return std::nullopt;
   return preset->make();
+}
+
+FabricStore::FabricStore() : slots_(std::size(kFabricPresets)) {}
+
+std::shared_ptr<const Fabric> FabricStore::Get(const std::string& name) {
+  const FabricPreset* preset = FindFabricPreset(name);
+  if (preset == nullptr) return nullptr;
+  Slot& slot = slots_[static_cast<size_t>(preset - kFabricPresets)];
+  std::call_once(slot.built, [&] {
+    telemetry::Span span("arch.fabric", preset->name);
+    slot.fabric = std::make_shared<const Fabric>(preset->make());
+  });
+  return slot.fabric;
+}
+
+FabricStore& FabricStore::Global() {
+  // Never destroyed: a request still running at exit keeps its fabric.
+  static FabricStore* const store = new FabricStore();
+  return *store;
 }
 
 bool IsKnownFabric(const std::string& name) {
@@ -254,8 +275,8 @@ Status ValidateMapRequest(const MapRequest& r) {
 }
 
 Result<ResolvedRequest> ResolveMapRequest(const MapRequest& r) {
-  std::optional<Architecture> arch = FabricByName(r.fabric);
-  if (!arch) {
+  std::shared_ptr<const Fabric> fabric = FabricStore::Global().Get(r.fabric);
+  if (!fabric) {
     return FieldError("fabric", "unknown fabric \"" + r.fabric + "\"");
   }
   std::optional<Kernel> kernel = KernelByName(r.kernel, r.iterations, r.seed);
@@ -265,10 +286,10 @@ Result<ResolvedRequest> ResolveMapRequest(const MapRequest& r) {
   if (!r.dead_cells.empty()) {
     FaultModel fm;
     for (const int c : r.dead_cells) fm.KillCell(c);
-    if (Status s = fm.Validate(*arch); !s.ok()) {
+    if (Status s = fm.Validate(fabric->arch); !s.ok()) {
       return FieldError("dead_cells", s.error().message);
     }
-    arch = arch->WithFaults(fm);
+    fabric = std::make_shared<const Fabric>(fabric->arch.WithFaults(fm));
   }
   EngineOptions eo;
   eo.deadline = Deadline::AfterSeconds(r.deadline_seconds);
@@ -276,7 +297,7 @@ Result<ResolvedRequest> ResolveMapRequest(const MapRequest& r) {
   eo.min_ii = r.min_ii;
   eo.max_ii = r.max_ii;
   eo.extra_slack = r.extra_slack;
-  return ResolvedRequest{std::move(*arch), std::move(*kernel), std::move(eo)};
+  return ResolvedRequest{std::move(fabric), std::move(*kernel), std::move(eo)};
 }
 
 std::string ToJson(const MapRequest& r) {

@@ -26,11 +26,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "arch/arch.hpp"
+#include "arch/mrrg.hpp"
 #include "engine/engine.hpp"
 #include "ir/kernels.hpp"
 #include "support/json.hpp"
@@ -69,8 +72,35 @@ struct MapRequest {
 // The names a request may reference, shared by every front-end (these
 // used to live inside cgra_batch.cpp).
 
-/// Architecture preset by name; nullopt for unknown names.
+/// Architecture preset by name, freshly built; nullopt for unknown
+/// names.
 std::optional<Architecture> FabricByName(const std::string& name);
+
+/// The fault-free preset fabrics, each built with its MRRG on first
+/// use and never changed or freed after: one slot per preset, so a
+/// store holds at most KnownFabricNames().size() fabrics. Global() is
+/// the process-wide store ResolveMapRequest serves; it lives as long as
+/// the process, so the address of one of its fabrics names that fabric
+/// for good.
+class FabricStore {
+ public:
+  FabricStore();
+  FabricStore(const FabricStore&) = delete;
+  FabricStore& operator=(const FabricStore&) = delete;
+
+  /// The preset `name`; nullptr for unknown names. Thread-safe:
+  /// concurrent first uses of a preset build it once.
+  std::shared_ptr<const Fabric> Get(const std::string& name);
+
+  static FabricStore& Global();
+
+ private:
+  struct Slot {
+    std::once_flag built;
+    std::shared_ptr<const Fabric> fabric;
+  };
+  std::vector<Slot> slots_;
+};
 
 /// Kernel by catalog name ("dot_product", ..., "wide_dot_<lanes>");
 /// nullopt for unknown names.
@@ -106,12 +136,14 @@ Result<MapRequest> ParseMapRequestText(std::string_view text,
 Status ValidateMapRequest(const MapRequest& request);
 
 /// What a validated request resolves to, for every front-end: the
-/// fabric with the request's dead cells killed, the kernel, and engine
-/// options carrying the request's deadline, seed, II window and slack.
-/// Each front-end adds its own policy (race, observer, cache,
-/// isolation) to `engine`.
+/// fabric with its MRRG, the kernel, and engine options carrying the
+/// request's deadline, seed, II window and slack. Without dead cells
+/// the fabric is FabricStore::Global()'s preset; with them it is a
+/// private derated copy that maps and validates on its own MRRG. Each
+/// front-end adds its own policy (race, observer, cache, isolation) to
+/// `engine`.
 struct ResolvedRequest {
-  Architecture arch;
+  std::shared_ptr<const Fabric> fabric;
   Kernel kernel;
   EngineOptions engine;
 };

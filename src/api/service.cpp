@@ -289,7 +289,8 @@ HttpResponse MappingService::HandleMap(const HttpRequest& http) {
   if (request.stats) eo.observer = &trace;
 
   const Result<EngineResult> result =
-      MappingEngine(eo).Run(job->kernel.dfg, job->arch, request.mappers);
+      MappingEngine(eo).Run(job->kernel.dfg, job->fabric->mrrg,
+                            request.mappers);
   const double wall = timer.Seconds();
   metrics.seconds.Observe(wall);
   if (result.ok()) {

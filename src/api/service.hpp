@@ -14,9 +14,10 @@
 //     cannot pin a worker for longer than the operator allows.
 //   * a shared warm MappingCache across every request — the whole
 //     point of serving from a daemon instead of forking a batch compile
-//     per request. MRRGs are not shared: MrrgCache keys on the
-//     Architecture's address, and each request builds its fabric on
-//     the stack, so every engine run builds its own.
+//     per request. Each preset fabric and its MRRG are built once, on
+//     the first request that names it (api::FabricStore), and every
+//     later request maps and validates on them; a request with dead
+//     cells maps on a private derated copy with its own MRRG.
 //   * request-scoped telemetry: every mapping request runs under a
 //     "serve.request" span with a fresh correlation id that is echoed
 //     in the response body ("corr") and the X-Correlation-Id header.

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
+
+#include "telemetry/metrics.hpp"
 
 namespace cgra {
 
@@ -11,6 +14,10 @@ namespace cgra {
 // preserving the exact per-node ordering the router's tie-breaking
 // depends on.
 Mrrg::Mrrg(const Architecture& arch) : arch_(&arch) {
+  static telemetry::Counter& builds =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "cgra_mrrg_builds_total", "MRRGs built (one per fabric object)");
+  builds.Add();
   const int n = arch.num_cells();
   fu_of_.assign(static_cast<size_t>(n), -1);
   hold_of_.assign(static_cast<size_t>(n), -1);
@@ -103,6 +110,15 @@ Mrrg::Mrrg(const Architecture& arch) : arch_(&arch) {
         static_cast<std::uint32_t>(rh.size());
     readable_holds_.insert(readable_holds_.end(), rh.begin(), rh.end());
   }
+}
+
+Fabric::Fabric(Architecture fabric) : arch(std::move(fabric)), mrrg(arch) {
+  static telemetry::Counter& builds =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "cgra_fabric_builds_total",
+          "Fabrics built with their MRRG: each preset once per process, "
+          "plus one per request with dead cells");
+  builds.Add();
 }
 
 }  // namespace cgra

@@ -143,4 +143,19 @@ class Mrrg {
   std::vector<std::int32_t> readable_holds_;
 };
 
+/// A fabric and the one MRRG built on it. The MRRG depends only on the
+/// fabric, so every kernel mapped there, and every validation, can
+/// share it. `mrrg` refers to `arch` by address, so a Fabric is never
+/// copied or moved: it lives behind a pointer for as long as anything
+/// maps on it (api::FabricStore keeps each preset for the life of the
+/// process; a request with dead cells owns a private one).
+struct Fabric {
+  explicit Fabric(Architecture fabric);
+  Fabric(const Fabric&) = delete;
+  Fabric& operator=(const Fabric&) = delete;
+
+  const Architecture arch;
+  const Mrrg mrrg;  ///< built on `arch`
+};
+
 }  // namespace cgra

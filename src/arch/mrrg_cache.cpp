@@ -3,34 +3,14 @@
 namespace cgra {
 
 std::shared_ptr<const Mrrg> MrrgCache::Get(const Architecture& arch) {
-  // Double-checked pattern is deliberately avoided: construction is the
-  // expensive path and contention on the mutex is negligible next to
-  // the mapping search it guards. Build under the lock so concurrent
-  // first requests for the same fabric do the work once.
+  // Build under the lock so concurrent first requests for the same
+  // fabric do the work once.
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(&arch);
-  if (it != entries_.end()) {
-    ++hits_;
-    return it->second;
-  }
+  if (it != entries_.end()) return it->second;
   auto mrrg = std::make_shared<const Mrrg>(arch);
   entries_.emplace(&arch, mrrg);
   return mrrg;
-}
-
-std::size_t MrrgCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-std::size_t MrrgCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-void MrrgCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
 }
 
 }  // namespace cgra

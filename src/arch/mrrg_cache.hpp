@@ -1,21 +1,14 @@
-// Thread-safe memoisation of MRRG construction.
-//
-// Racing temporal mappers all start by time-extending the same fabric
-// (§II-C: "the time extended CGRA"); building that graph afresh in
-// every mapper on every II attempt is pure waste once a portfolio runs
-// 20+ mappers concurrently. This cache memoises Mrrg construction per
-// architecture. (In this codebase the Mrrg is II-independent — the
-// ResourceTracker applies the modulo-II folding — so one entry per
-// fabric covers every (Architecture, II) pair a race touches.)
+// Address-keyed memo of MRRG construction, kept only for the benchmark
+// runner (e2ebench/runner.cpp builds one per job and hands it to the
+// engine through EngineOptions::mrrg_cache). It goes when the runner
+// resolves requests through api::ResolveMapRequest (ROADMAP item 3);
+// everything else maps on an api::FabricStore fabric or on the one MRRG
+// MappingEngine::Run builds.
 //
 // Entries are keyed by architecture identity (address); callers must
 // keep each Architecture alive for as long as the cache may serve it.
-// The portfolio engine owns one cache per race, which satisfies that
-// trivially. Returned values are shared_ptr so a mapper can outlive an
-// eviction (Clear) without dangling.
 #pragma once
 
-#include <cstddef>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -34,17 +27,9 @@ class MrrgCache {
   /// call from any number of threads.
   std::shared_ptr<const Mrrg> Get(const Architecture& arch);
 
-  /// Number of distinct fabrics cached.
-  std::size_t size() const;
-  /// Total Get() calls answered from the cache (for bench reporting).
-  std::size_t hits() const;
-
-  void Clear();
-
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::map<const Architecture*, std::shared_ptr<const Mrrg>> entries_;
-  std::size_t hits_ = 0;
 };
 
 }  // namespace cgra

@@ -189,7 +189,7 @@ std::optional<MappingCache::Entry> MappingCache::ReadDisk(
 
 std::optional<MappingCache::Entry> MappingCache::Get(const std::string& key,
                                                      const Dfg& dfg,
-                                                     const Architecture& arch,
+                                                     const Mrrg& mrrg,
                                                      LookupInfo* info) {
   telemetry::Span span("cache.probe");
   const std::uint64_t probe_start =
@@ -221,7 +221,7 @@ std::optional<MappingCache::Entry> MappingCache::Get(const std::string& key,
   }
 
   if (options_.validate_on_hit) {
-    if (Status s = ValidateMapping(dfg, arch, candidate->mapping); !s.ok()) {
+    if (Status s = ValidateMapping(dfg, mrrg, candidate->mapping); !s.ok()) {
       // A cached entry the target fabric rejects is poison, not data:
       // evict it everywhere and report a miss.
       EraseEverywhere(key);

@@ -21,7 +21,7 @@
 // pre-fault entry.
 //
 // Integrity: a hit is re-validated with ValidateMapping against the
-// caller's (dfg, arch) before it is returned (validate_on_hit), and
+// caller's dfg and MRRG before it is returned (validate_on_hit), and
 // the on-disk blobs are versioned and checksummed — a stale, corrupt,
 // truncated or version-skewed entry degrades to a miss and is evicted,
 // never returned as a wrong mapping.
@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "arch/arch.hpp"
+#include "arch/mrrg.hpp"
 #include "ir/dfg.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/mapping.hpp"
@@ -128,11 +129,11 @@ class MappingCache {
 
   /// Looks `key` up in memory, then on disk. A disk hit is promoted to
   /// the memory tier. When validate_on_hit, the candidate must pass
-  /// ValidateMapping(dfg, arch, ...) or it is evicted from BOTH tiers
-  /// and the lookup reports a miss. Thread-safe.
+  /// ValidateMapping(dfg, mrrg, ...) against the caller's MRRG (and the
+  /// fabric it was built on) or it is evicted from BOTH tiers and the
+  /// lookup reports a miss. Thread-safe.
   std::optional<Entry> Get(const std::string& key, const Dfg& dfg,
-                           const Architecture& arch,
-                           LookupInfo* info = nullptr);
+                           const Mrrg& mrrg, LookupInfo* info = nullptr);
 
   /// Inserts/overwrites `key` in the memory tier and, when configured,
   /// persists it to disk (atomic rename; a failed write only bumps

@@ -69,7 +69,7 @@ constexpr int kRepairIiStep = 2;
 constexpr double kMinRoundSeconds = 0.25;
 
 MapperOptions EntryOptions(const EngineOptions& eo, std::size_t i,
-                           StopToken stop, MrrgCache* cache) {
+                           StopToken stop, const Mrrg& mrrg) {
   MapperOptions mo;
   mo.min_ii = eo.min_ii;
   mo.max_ii = eo.max_ii;
@@ -78,8 +78,23 @@ MapperOptions EntryOptions(const EngineOptions& eo, std::size_t i,
   mo.seed = eo.seed + static_cast<std::uint64_t>(i);
   mo.stop = std::move(stop);
   mo.observer = eo.observer;
-  mo.mrrg_cache = cache;
+  mo.mrrg = &mrrg;
   return mo;
+}
+
+/// The portfolio `names` resolves to in MapperRegistry::Global().
+Result<std::vector<const Mapper*>> LookupPortfolio(
+    const std::vector<std::string>& names) {
+  std::vector<const Mapper*> portfolio;
+  portfolio.reserve(names.size());
+  for (const std::string& name : names) {
+    const Mapper* m = MapperRegistry::Global().Find(name);
+    if (m == nullptr) {
+      return Error::InvalidArgument("engine: unknown mapper \"" + name + "\"");
+    }
+    portfolio.push_back(m);
+  }
+  return portfolio;
 }
 
 void EmitMapperStart(MapObserver* obs, const Mapper& mapper) {
@@ -380,6 +395,16 @@ MappingEngine::MappingEngine(EngineOptions options)
 Result<EngineResult> MappingEngine::Run(
     const Dfg& dfg, const Architecture& arch,
     const std::vector<const Mapper*>& portfolio) const {
+  const std::shared_ptr<const Mrrg> mrrg =
+      options_.mrrg_cache ? options_.mrrg_cache->Get(arch)
+                          : std::make_shared<const Mrrg>(arch);
+  return Run(dfg, *mrrg, portfolio);
+}
+
+Result<EngineResult> MappingEngine::Run(
+    const Dfg& dfg, const Mrrg& mrrg,
+    const std::vector<const Mapper*>& portfolio) const {
+  const Architecture& arch = mrrg.arch();
   if (portfolio.empty()) {
     return Error::InvalidArgument("engine: empty portfolio");
   }
@@ -399,7 +424,7 @@ Result<EngineResult> MappingEngine::Run(
                                 PortfolioCacheName(portfolio));
     MappingCache::LookupInfo info;
     std::optional<MappingCache::Entry> entry =
-        options_.cache->Get(cache_key, dfg, arch, &info);
+        options_.cache->Get(cache_key, dfg, mrrg, &info);
     MapEvent e;
     e.kind = MapEvent::Kind::kCacheLookup;
     e.message = cache_key;
@@ -428,14 +453,12 @@ Result<EngineResult> MappingEngine::Run(
     }
   }
 
-  MrrgCache local_cache;
-  MrrgCache& cache = options_.mrrg_cache ? *options_.mrrg_cache : local_cache;
   telemetry::Span run_span(
       "engine.run",
       telemetry::Enabled() ? StrFormat("%zu mappers", portfolio.size()) : "");
   Result<EngineResult> r = (!options_.race || portfolio.size() == 1)
-                               ? RunSequential(dfg, arch, portfolio, cache)
-                               : RunRacing(dfg, arch, portfolio, cache);
+                               ? RunSequential(dfg, mrrg, portfolio)
+                               : RunRacing(dfg, mrrg, portfolio);
   if (r.ok() && options_.cache) {
     r->cache_key = cache_key;
     options_.cache->Put(cache_key, r->mapping, r->winner);
@@ -444,18 +467,19 @@ Result<EngineResult> MappingEngine::Run(
 }
 
 Result<EngineResult> MappingEngine::Run(
+    const Dfg& dfg, const Mrrg& mrrg,
+    const std::vector<std::string>& mapper_names) const {
+  Result<std::vector<const Mapper*>> portfolio = LookupPortfolio(mapper_names);
+  if (!portfolio.ok()) return portfolio.error();
+  return Run(dfg, mrrg, *portfolio);
+}
+
+Result<EngineResult> MappingEngine::Run(
     const Dfg& dfg, const Architecture& arch,
     const std::vector<std::string>& mapper_names) const {
-  std::vector<const Mapper*> portfolio;
-  portfolio.reserve(mapper_names.size());
-  for (const std::string& name : mapper_names) {
-    const Mapper* m = MapperRegistry::Global().Find(name);
-    if (m == nullptr) {
-      return Error::InvalidArgument("engine: unknown mapper \"" + name + "\"");
-    }
-    portfolio.push_back(m);
-  }
-  return Run(dfg, arch, portfolio);
+  Result<std::vector<const Mapper*>> portfolio = LookupPortfolio(mapper_names);
+  if (!portfolio.ok()) return portfolio.error();
+  return Run(dfg, arch, *portfolio);
 }
 
 Result<RepairResult> MappingEngine::RunWithRepair(
@@ -604,21 +628,14 @@ Result<RepairResult> MappingEngine::RunWithRepair(
     const Dfg& dfg, const Architecture& arch, const FaultModel& known_faults,
     const std::vector<std::string>& mapper_names,
     const RepairOptions& repair) const {
-  std::vector<const Mapper*> portfolio;
-  portfolio.reserve(mapper_names.size());
-  for (const std::string& name : mapper_names) {
-    const Mapper* m = MapperRegistry::Global().Find(name);
-    if (m == nullptr) {
-      return Error::InvalidArgument("engine: unknown mapper \"" + name + "\"");
-    }
-    portfolio.push_back(m);
-  }
-  return RunWithRepair(dfg, arch, known_faults, portfolio, repair);
+  Result<std::vector<const Mapper*>> portfolio = LookupPortfolio(mapper_names);
+  if (!portfolio.ok()) return portfolio.error();
+  return RunWithRepair(dfg, arch, known_faults, *portfolio, repair);
 }
 
 Result<EngineResult> MappingEngine::RunRacing(
-    const Dfg& dfg, const Architecture& arch,
-    const std::vector<const Mapper*>& portfolio, MrrgCache& cache) const {
+    const Dfg& dfg, const Mrrg& mrrg,
+    const std::vector<const Mapper*>& portfolio) const {
   const std::size_t n = portfolio.size();
   WallTimer total;
 
@@ -643,8 +660,9 @@ Result<EngineResult> MappingEngine::RunRacing(
   for (std::size_t i = 0; i < n; ++i) {
     futures.push_back(pool.Async([&, i]() {
       const Mapper& mapper = *portfolio[i];
-      MapperOptions mo = EntryOptions(options_, i, race_stop.token(), &cache);
-      EntryOutcome outcome = ExecuteEntry(options_, mapper, dfg, arch, mo);
+      MapperOptions mo = EntryOptions(options_, i, race_stop.token(), mrrg);
+      EntryOutcome outcome =
+          ExecuteEntry(options_, mapper, dfg, mrrg.arch(), mo);
       const bool won = outcome.result.ok();
       results[i] = std::move(outcome);
       if (won) race_stop.RequestStop();
@@ -678,8 +696,8 @@ Result<EngineResult> MappingEngine::RunRacing(
 }
 
 Result<EngineResult> MappingEngine::RunSequential(
-    const Dfg& dfg, const Architecture& arch,
-    const std::vector<const Mapper*>& portfolio, MrrgCache& cache) const {
+    const Dfg& dfg, const Mrrg& mrrg,
+    const std::vector<const Mapper*>& portfolio) const {
   WallTimer total;
   EngineResult out;
   std::vector<EntryOutcome> results;
@@ -688,8 +706,9 @@ Result<EngineResult> MappingEngine::RunSequential(
     if (options_.stop.StopRequested()) break;
     if (options_.deadline.Expired() && !out.attempts.empty()) break;
     const Mapper& mapper = *portfolio[i];
-    MapperOptions mo = EntryOptions(options_, i, options_.stop, &cache);
-    EntryOutcome outcome = ExecuteEntry(options_, mapper, dfg, arch, mo);
+    MapperOptions mo = EntryOptions(options_, i, options_.stop, mrrg);
+    EntryOutcome outcome =
+        ExecuteEntry(options_, mapper, dfg, mrrg.arch(), mo);
     out.attempts.push_back(MakeAttempt(mapper, outcome));
     const bool ok = outcome.result.ok();
     results.push_back(std::move(outcome));

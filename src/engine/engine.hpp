@@ -15,8 +15,9 @@
 //     annealers, B&B, the SAT/SMT/CP/ILP inner loops — bails out with
 //     Error::Code::kResourceLimit. Entries that succeed before they see
 //     the stop compete on II (lowest wins, ties by portfolio order).
-//   * MRRG construction is memoised in a thread-safe MrrgCache so the
-//     racers don't rebuild the same resource graph N times.
+//   * Every entry maps on one MRRG of the fabric, the caller's or one
+//     Run builds, and a cache hit is validated against the same graph,
+//     so the racers never rebuild the resource graph.
 //   * Every attempt is reported to the caller's MapObserver (use a
 //     MapTrace to get a JSON post-mortem), bracketed by engine-emitted
 //     kMapperStart / kMapperDone events.
@@ -55,7 +56,7 @@ enum class IsolationMode {
   kCrashyOnly,
   /// Every attempt runs in a fork()ed, rlimit-capped child
   /// (SandboxedMap). The safe default for serving untrusted portfolios;
-  /// costs one fork + a private MRRG build per attempt.
+  /// costs one fork per attempt (the child reads the parent's MRRG).
   kAll,
 };
 
@@ -87,8 +88,10 @@ struct EngineOptions {
   /// nullptr. Must be thread-safe when race=true.
   MapObserver* observer = nullptr;
 
-  /// MRRG memoisation shared across entries; nullptr = engine-owned
-  /// per-Run cache.
+  /// Where Run(dfg, arch, ...) takes its MRRG from; nullptr = it builds
+  /// one. Kept for the benchmark runner only (e2ebench/runner.cpp), and
+  /// deleted with MrrgCache once the runner resolves its requests
+  /// through api::ResolveMapRequest (ROADMAP item 3).
   MrrgCache* mrrg_cache = nullptr;
 
   /// Optional result memoisation (src/cache): before racing, Run()
@@ -205,15 +208,25 @@ class MappingEngine {
   explicit MappingEngine(EngineOptions options = {});
 
   /// Race `portfolio` (non-owning mapper pointers, e.g. from
-  /// MapperRegistry) on `dfg` x `arch`. Returns the winning mapping or,
-  /// when every entry fails, an aggregate error: kResourceLimit if any
-  /// entry ran out of time/was cancelled (the budget, not the problem,
-  /// was the binding constraint), else kUnmappable.
+  /// MapperRegistry) on `dfg` x `mrrg.arch()`. Every entry maps on
+  /// `mrrg`, and a cache hit is validated against it; the caller keeps
+  /// it (and its fabric) alive for the call. Returns the winning
+  /// mapping or, when every entry fails, an aggregate error:
+  /// kResourceLimit if any entry ran out of time/was cancelled (the
+  /// budget, not the problem, was the binding constraint), else
+  /// kUnmappable.
+  Result<EngineResult> Run(const Dfg& dfg, const Mrrg& mrrg,
+                           const std::vector<const Mapper*>& portfolio) const;
+
+  /// The same on `arch`, with one MRRG built for this run (or taken
+  /// from options().mrrg_cache).
   Result<EngineResult> Run(const Dfg& dfg, const Architecture& arch,
                            const std::vector<const Mapper*>& portfolio) const;
 
   /// Convenience: look the portfolio up by name in MapperRegistry::
   /// Global(). Unknown names are an error.
+  Result<EngineResult> Run(const Dfg& dfg, const Mrrg& mrrg,
+                           const std::vector<std::string>& mapper_names) const;
   Result<EngineResult> Run(const Dfg& dfg, const Architecture& arch,
                            const std::vector<std::string>& mapper_names) const;
 
@@ -243,12 +256,12 @@ class MappingEngine {
   const EngineOptions& options() const { return options_; }
 
  private:
-  Result<EngineResult> RunRacing(const Dfg& dfg, const Architecture& arch,
-                                 const std::vector<const Mapper*>& portfolio,
-                                 MrrgCache& cache) const;
+  Result<EngineResult> RunRacing(
+      const Dfg& dfg, const Mrrg& mrrg,
+      const std::vector<const Mapper*>& portfolio) const;
   Result<EngineResult> RunSequential(
-      const Dfg& dfg, const Architecture& arch,
-      const std::vector<const Mapper*>& portfolio, MrrgCache& cache) const;
+      const Dfg& dfg, const Mrrg& mrrg,
+      const std::vector<const Mapper*>& portfolio) const;
 
   EngineOptions options_;
 };

@@ -158,12 +158,9 @@ SandboxedMapResult SandboxedMap(const Mapper& mapper, const Dfg& dfg,
                                 const SandboxLimits& limits) {
   // The child's copy of these options must not reach back into parent
   // state whose locks other threads may hold at the fork instant: the
-  // observer and the shared MrrgCache both lock internally. Nulling
-  // them costs the child a private MRRG rebuild — the price of the
-  // process boundary.
+  // observer locks internally.
   MapperOptions child_options = options;
   child_options.observer = nullptr;
-  child_options.mrrg_cache = nullptr;
 
   SandboxedMapResult out;
   out.outcome = RunInSandbox(

@@ -87,11 +87,12 @@ std::string SandboxLabel(const SandboxOutcome& outcome);
 /// by the parent-side watchdog — the child's copy of the token is a
 /// fork()ed snapshot that never sees the parent's flag flip, so
 /// cancellation arrives as a kill, not a cooperative bail-out.
-/// The child nulls out options.observer and options.mrrg_cache before
-/// mapping: both are shared with other parent threads whose locks may
-/// be mid-flight at the fork instant (per-attempt events from inside
-/// the child are therefore absent; the engine synthesises one summary
-/// attempt event from the shipped record in the parent instead).
+/// The child nulls out options.observer before mapping: it is shared
+/// with other parent threads whose locks may be mid-flight at the fork
+/// instant (per-attempt events from inside the child are therefore
+/// absent; the engine synthesises one summary attempt event from the
+/// shipped record in the parent instead). The borrowed options.mrrg
+/// takes no lock, so the child maps on its fork()ed copy of it.
 SandboxedMapResult SandboxedMap(const Mapper& mapper, const Dfg& dfg,
                                 const Architecture& arch,
                                 const MapperOptions& options,

@@ -88,20 +88,28 @@ bool IsIoOp(Opcode op) {
          op == Opcode::kVarIn || op == Opcode::kVarOut;
 }
 
+// The datapath is a 64-bit two's-complement ALU: add, sub, mul, neg,
+// abs and shl wrap, computed through uint64_t so C++ defines them, and
+// INT64_MIN / -1 wraps to INT64_MIN instead of trapping.
 std::int64_t EvalAlu(Opcode op, std::int64_t a, std::int64_t b, std::int64_t c) {
+  using U = std::uint64_t;
+  const auto wrap = [](U v) { return static_cast<std::int64_t>(v); };
   switch (op) {
-    case Opcode::kNeg: return -a;
+    case Opcode::kNeg: return wrap(U{0} - static_cast<U>(a));
     case Opcode::kNot: return ~a;
-    case Opcode::kAbs: return a < 0 ? -a : a;
+    case Opcode::kAbs: return a < 0 ? wrap(U{0} - static_cast<U>(a)) : a;
     case Opcode::kRoute: return a;
-    case Opcode::kAdd: return a + b;
-    case Opcode::kSub: return a - b;
-    case Opcode::kMul: return a * b;
-    case Opcode::kDiv: return b == 0 ? 0 : a / b;
+    case Opcode::kAdd: return wrap(static_cast<U>(a) + static_cast<U>(b));
+    case Opcode::kSub: return wrap(static_cast<U>(a) - static_cast<U>(b));
+    case Opcode::kMul: return wrap(static_cast<U>(a) * static_cast<U>(b));
+    case Opcode::kDiv:
+      if (b == 0) return 0;
+      if (b == -1) return wrap(U{0} - static_cast<U>(a));
+      return a / b;
     case Opcode::kAnd: return a & b;
     case Opcode::kOr: return a | b;
     case Opcode::kXor: return a ^ b;
-    case Opcode::kShl: return a << (b & 63);
+    case Opcode::kShl: return wrap(static_cast<U>(a) << (b & 63));
     case Opcode::kShr: return static_cast<std::int64_t>(
         static_cast<std::uint64_t>(a) >> (b & 63));
     case Opcode::kMin: return a < b ? a : b;

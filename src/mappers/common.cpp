@@ -401,7 +401,10 @@ Result<Mapping> RealizePinned(const Dfg& dfg, const Architecture& arch,
 
 std::shared_ptr<const Mrrg> AcquireMrrg(const Architecture& arch,
                                         const MapperOptions& options) {
-  if (options.mrrg_cache) return options.mrrg_cache->Get(arch);
+  if (options.mrrg != nullptr && &options.mrrg->arch() == &arch) {
+    return std::shared_ptr<const Mrrg>(std::shared_ptr<const Mrrg>(),
+                                       options.mrrg);
+  }
   return std::make_shared<const Mrrg>(arch);
 }
 

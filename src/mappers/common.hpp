@@ -8,7 +8,6 @@
 
 #include "arch/arch.hpp"
 #include "arch/mrrg.hpp"
-#include "arch/mrrg_cache.hpp"
 #include "ir/dfg.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/place_route.hpp"
@@ -17,11 +16,11 @@
 
 namespace cgra {
 
-/// The time-extended resource graph for `arch`: served from
-/// options.mrrg_cache when the portfolio engine shares one, freshly
-/// built otherwise. Mappers hold the returned pointer for the duration
-/// of Map() so a cache Clear() cannot pull the graph out from under a
-/// running search.
+/// The time-extended resource graph for `arch`: options.mrrg, not
+/// owned, when it was built on this very Architecture object (a lent
+/// graph never serves another object, not even an equal copy); freshly
+/// built and owned otherwise. Mappers hold the returned pointer for the
+/// duration of Map().
 std::shared_ptr<const Mrrg> AcquireMrrg(const Architecture& arch,
                                         const MapperOptions& options);
 

@@ -1,18 +1,20 @@
 #include "mapping/validator.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <cstddef>
 #include <tuple>
 #include <vector>
 
 #include "mapping/tracker.hpp"
 #include "support/str.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace cgra {
 
-Status ValidateMapping(const Dfg& dfg, const Architecture& arch,
-                       const Mapping& m) {
+namespace {
+
+// The checks that need the fabric but no MRRG.
+Status CheckShape(const Dfg& dfg, const Architecture& arch, const Mapping& m) {
   if (Status s = dfg.Verify(); !s.ok()) return s;
   if (Status s = arch.Validate(); !s.ok()) return s;
   if (m.ii < 1) return Error::InvalidArgument("II must be >= 1");
@@ -23,13 +25,20 @@ Status ValidateMapping(const Dfg& dfg, const Architecture& arch,
   if (static_cast<int>(m.place.size()) != dfg.num_ops()) {
     return Error::InvalidArgument("placement vector size mismatch");
   }
+  return Status::Ok();
+}
 
-  const Mrrg mrrg(arch);
-  auto slot_of = [&](int time) { return ((time % m.ii) + m.ii) % m.ii; };
+// Checks (1)-(5) once CheckShape has passed. Occupancy is counted in
+// flat arrays indexed by (cell, slot), (bank, slot) and (node, slot).
+Status CheckAgainst(const Dfg& dfg, const Mrrg& mrrg, const Mapping& m) {
+  const Architecture& arch = mrrg.arch();
+  const int ii = m.ii;
+  auto slot_of = [&](int time) { return ((time % ii) + ii) % ii; };
 
   // (1) + (2): placements and FU exclusivity.
-  std::map<std::pair<int, int>, OpId> fu_busy;  // (cell, slot) -> op
-  std::map<std::pair<int, int>, int> bank_use;  // (bank, slot) -> count
+  std::vector<OpId> fu_busy(static_cast<size_t>(arch.num_cells()) * ii, -1);
+  std::vector<int> bank_use(
+      static_cast<size_t>(std::max(1, arch.params().num_banks)) * ii, 0);
   for (OpId op = 0; op < dfg.num_ops(); ++op) {
     const Op& o = dfg.op(op);
     const Placement& p = m.place[static_cast<size_t>(op)];
@@ -57,26 +66,27 @@ Status ValidateMapping(const Dfg& dfg, const Architecture& arch,
       return Error::InvalidArgument(
           StrFormat("op %s bound to incompatible cell %d", o.name.c_str(), p.cell));
     }
-    if (arch.ContextSlotFaulted(p.cell, slot_of(p.time))) {
+    const int slot = slot_of(p.time);
+    if (arch.ContextSlotFaulted(p.cell, slot)) {
       return Error::InvalidArgument(StrFormat(
           "op %s scheduled in faulted context slot %d of cell %d",
-          o.name.c_str(), slot_of(p.time), p.cell));
+          o.name.c_str(), slot, p.cell));
     }
-    const auto key = std::make_pair(p.cell, slot_of(p.time));
-    auto [it, inserted] = fu_busy.emplace(key, op);
-    if (!inserted) {
+    OpId& holder = fu_busy[static_cast<size_t>(p.cell) * ii + slot];
+    if (holder >= 0) {
       return Error::InvalidArgument(StrFormat(
           "ops %s and %s share cell %d in slot %d",
-          dfg.op(it->second).name.c_str(), o.name.c_str(), p.cell, key.second));
+          dfg.op(holder).name.c_str(), o.name.c_str(), p.cell, slot));
     }
+    holder = op;
     if (IsMemoryOp(o.opcode)) {
       const int bank = arch.caps(p.cell).bank;
       if (bank >= 0) {
-        const int use = ++bank_use[{bank, slot_of(p.time)}];
+        const int use = ++bank_use[static_cast<size_t>(bank) * ii + slot];
         if (use > arch.params().bank_ports) {
           return Error::InvalidArgument(StrFormat(
               "bank %d oversubscribed in slot %d (%d > %d ports)", bank,
-              slot_of(p.time), use, arch.params().bank_ports));
+              slot, use, arch.params().bank_ports));
         }
       }
     }
@@ -89,8 +99,8 @@ Status ValidateMapping(const Dfg& dfg, const Architecture& arch,
         StrFormat("route vector has %zu entries for %zu edges", m.routes.size(),
                   edges.size()));
   }
-  // Occupancy sets for (5): distinct (value, node, abs-time).
-  std::set<std::tuple<ValueId, int, int>> occupancy;
+  // Every (value, node, abs-time) a route holds, for (5).
+  std::vector<std::tuple<ValueId, int, int>> occupancy;
 
   for (size_t e = 0; e < edges.size(); ++e) {
     const DfgEdge& edge = edges[e];
@@ -101,7 +111,7 @@ Status ValidateMapping(const Dfg& dfg, const Architecture& arch,
 
     if (edge.to_port == kOrderPort) {
       if (arch.IsFolded(from_op.opcode) || arch.IsFolded(to_op.opcode)) continue;
-      if (pt.time + m.ii * edge.distance < pf.time + 1) {
+      if (pt.time + ii * edge.distance < pf.time + 1) {
         return Error::InvalidArgument(StrFormat(
             "ordering edge %s -> %s violated", from_op.name.c_str(),
             to_op.name.c_str()));
@@ -117,7 +127,7 @@ Status ValidateMapping(const Dfg& dfg, const Architecture& arch,
       continue;
     }
 
-    const int arrive = pt.time + m.ii * edge.distance;
+    const int arrive = pt.time + ii * edge.distance;
     if (arrive < pf.time + 1) {
       return Error::InvalidArgument(StrFormat(
           "edge %s -> %s needs latency %d (< 1 cycle)", from_op.name.c_str(),
@@ -174,15 +184,22 @@ Status ValidateMapping(const Dfg& dfg, const Architecture& arch,
             from_op.name.c_str(), to_op.name.c_str(), slot_of(step.time),
             cell));
       }
-      occupancy.insert({edge.from, step.node, step.time});
+      occupancy.emplace_back(edge.from, step.node, step.time);
     }
   }
 
-  // (5): capacities per (node, slot).
-  std::map<std::pair<int, int>, int> load;
+  // (5): capacities per (node, slot). A value routed to the same node
+  // and cycle by two edges (net sharing) holds it once; the same value
+  // at two cycles of one slot (modulo self-overlap) holds it twice.
+  // Counting in (value, node, time) order keeps the reported slot the
+  // one a sorted walk reaches first.
+  std::sort(occupancy.begin(), occupancy.end());
+  occupancy.erase(std::unique(occupancy.begin(), occupancy.end()),
+                  occupancy.end());
+  std::vector<int> load(static_cast<size_t>(mrrg.num_nodes()) * ii, 0);
   for (const auto& [value, node, time] : occupancy) {
-    (void)value;
-    const int use = ++load[{node, slot_of(time)}];
+    const int slot = slot_of(time);
+    const int use = ++load[static_cast<size_t>(node) * ii + slot];
     if (use > mrrg.capacity(node)) {
       const Mrrg::Kind k = mrrg.kind(node);
       const char* kind = k == Mrrg::Kind::kHold ? "register file"
@@ -190,10 +207,25 @@ Status ValidateMapping(const Dfg& dfg, const Architecture& arch,
                                                 : "FU";
       return Error::InvalidArgument(StrFormat(
           "%s of cell %d oversubscribed in slot %d (%d > %d)", kind,
-          mrrg.cell(node), slot_of(time), use, mrrg.capacity(node)));
+          mrrg.cell(node), slot, use, mrrg.capacity(node)));
     }
   }
   return Status::Ok();
+}
+
+}  // namespace
+
+Status ValidateMapping(const Dfg& dfg, const Mrrg& mrrg, const Mapping& m) {
+  telemetry::Span span("mapping.validate");
+  if (Status s = CheckShape(dfg, mrrg.arch(), m); !s.ok()) return s;
+  return CheckAgainst(dfg, mrrg, m);
+}
+
+Status ValidateMapping(const Dfg& dfg, const Architecture& arch,
+                       const Mapping& m) {
+  telemetry::Span span("mapping.validate");
+  if (Status s = CheckShape(dfg, arch, m); !s.ok()) return s;
+  return CheckAgainst(dfg, Mrrg(arch), m);
 }
 
 }  // namespace cgra

@@ -25,6 +25,13 @@
 
 namespace cgra {
 
+/// Checks `mapping` of `dfg` against `mrrg` and the fabric it was
+/// built on (mrrg.arch()). The first failed check decides the error.
+Status ValidateMapping(const Dfg& dfg, const Mrrg& mrrg,
+                       const Mapping& mapping);
+
+/// The same checks against a fresh MRRG of `arch`, built only once
+/// the checks that need no MRRG have passed.
 Status ValidateMapping(const Dfg& dfg, const Architecture& arch,
                        const Mapping& mapping);
 

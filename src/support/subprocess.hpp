@@ -20,8 +20,8 @@
 // survives, and another thread may hold a malloc/mutex lock at the
 // fork instant. glibc reinitialises its allocator locks across fork,
 // and the closure must not touch caller-provided locks that other
-// parent threads use (the engine nulls out the shared MrrgCache and
-// observer before entering the child). The watchdog's SIGKILL is the
+// parent threads use (the engine nulls out the observer before
+// entering the child). The watchdog's SIGKILL is the
 // backstop: a child that deadlocks anyway is classified kTimeout, not
 // hung forever.
 #pragma once

@@ -5,8 +5,11 @@
 #include <cctype>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,9 +19,11 @@
 #include "engine/quarantine.hpp"
 #include "engine/trace.hpp"
 #include "ir/kernels.hpp"
+#include "mappers/common.hpp"
 #include "mappers/registry.hpp"
 #include "mapping/mapping.hpp"
 #include "mapping/validator.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace cgra {
 namespace {
@@ -219,20 +224,85 @@ TEST(MappingEngine, TraceNamesEveryMapperAndAttempt) {
   EXPECT_NE(json.find("\"greedy-spatial\""), std::string::npos);
 }
 
-TEST(MappingEngine, MrrgCacheIsSharedAcrossEntries) {
+// Records the MRRG the engine lends each call, then fails so that a
+// sequential sweep runs every entry.
+class MrrgProbe final : public Mapper {
+ public:
+  explicit MrrgProbe(std::string name) : name_(std::move(name)) {}
+  std::string name() const override { return name_; }
+  TechniqueClass technique() const override { return TechniqueClass::kHeuristic; }
+  MappingKind kind() const override { return MappingKind::kTemporal; }
+  std::string lineage() const override { return "test fixture"; }
+
+  Result<Mapping> Map(const Dfg&, const Architecture& arch,
+                      const MapperOptions& options) const override {
+    const bool lent_on_arch = options.mrrg && &options.mrrg->arch() == &arch;
+    const Mrrg* acquired = AcquireMrrg(arch, options).get();
+    std::lock_guard<std::mutex> lock(mu_);
+    seen.push_back({options.mrrg, &arch, acquired, lent_on_arch});
+    return Error::Unmappable("probe");
+  }
+
+  // Pointers only: a graph the Run built is gone once Run returns.
+  struct Seen {
+    const Mrrg* lent;
+    const Architecture* arch;
+    const Mrrg* acquired;
+    bool lent_on_arch;
+  };
+  mutable std::vector<Seen> seen;
+
+ private:
+  std::string name_;
+  mutable std::mutex mu_;
+};
+
+std::uint64_t MrrgBuilds() {
+  return telemetry::MetricsRegistry::Global()
+      .GetCounter("cgra_mrrg_builds_total")
+      .Value();
+}
+
+TEST(MappingEngine, EveryEntryOfOneRunSeesOneMrrg) {
   const Architecture arch = Rotating4x4();
   const Kernel k = MakeDotProduct(8, 7);
+  const Mrrg mrrg(arch);
+  for (const bool race : {false, true}) {
+    for (const bool lend : {false, true}) {
+      const MrrgProbe a("probe-a"), b("probe-b"), c("probe-c");
+      EngineOptions opts;
+      opts.race = race;
+      opts.deadline = Deadline::AfterSeconds(30);
+      const std::vector<const Mapper*> portfolio = {&a, &b, &c};
+      const std::uint64_t before = MrrgBuilds();
+      const auto r = lend ? MappingEngine(opts).Run(k.dfg, mrrg, portfolio)
+                          : MappingEngine(opts).Run(k.dfg, arch, portfolio);
+      EXPECT_FALSE(r.ok());
+      EXPECT_EQ(MrrgBuilds() - before, lend ? 0u : 1u)
+          << "race=" << race << " lend=" << lend;
+      const Mrrg* one = a.seen.empty() ? nullptr : a.seen.front().lent;
+      ASSERT_NE(one, nullptr);
+      if (lend) {
+        EXPECT_EQ(one, &mrrg);
+      }
+      for (const MrrgProbe* p : {&a, &b, &c}) {
+        ASSERT_EQ(p->seen.size(), 1u) << p->name();
+        EXPECT_EQ(p->seen.front().lent, one) << p->name();
+        EXPECT_EQ(p->seen.front().acquired, one) << p->name();
+        EXPECT_EQ(p->seen.front().arch, &arch) << p->name();
+        EXPECT_TRUE(p->seen.front().lent_on_arch) << p->name();
+      }
+    }
+  }
 
-  MrrgCache cache;
+  // Real mappers racing on one fabric build its MRRG once between them.
   EngineOptions opts;
-  opts.mrrg_cache = &cache;
   opts.deadline = Deadline::AfterSeconds(30);
-  const MappingEngine engine(opts);
-  const auto r = engine.Run(k.dfg, arch, {"greedy-spatial", "ims", "ultrafast"});
+  const std::uint64_t before = MrrgBuilds();
+  const auto r = MappingEngine(opts).Run(k.dfg, arch,
+                                         {"greedy-spatial", "ims", "ultrafast"});
   ASSERT_TRUE(r.ok()) << r.error().message;
-  // One build, everyone else hits.
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_GE(cache.hits(), 1);
+  EXPECT_EQ(MrrgBuilds() - before, 1u);
 }
 
 // ---- crash isolation --------------------------------------------------------

@@ -1,6 +1,8 @@
 // Tests for the IR: DFG structure, reference interpreter, CDFG walker,
 // kernel library invariants.
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,6 +38,25 @@ TEST(Op, EvalAluBasics) {
   EXPECT_EQ(EvalAlu(Opcode::kAbs, -9, 0, 0), 9);
   EXPECT_EQ(EvalAlu(Opcode::kShr, -1, 32, 0),
             static_cast<std::int64_t>(0xFFFFFFFFull));
+}
+
+// The ALU is 64-bit two's complement: results wrap instead of being
+// undefined, and INT64_MIN / -1 wraps to INT64_MIN instead of trapping.
+TEST(Alu, WrapsLikeTwosComplement) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(EvalAlu(Opcode::kAdd, kMax, 1, 0), kMin);
+  EXPECT_EQ(EvalAlu(Opcode::kSub, kMin, 1, 0), kMax);
+  EXPECT_EQ(EvalAlu(Opcode::kMul, kMax, 2, 0), -2);
+  // Cdfg.ClampIteBothFormsAgree's product: 9223372036854775778 * 3.
+  EXPECT_EQ(EvalAlu(Opcode::kMul, 9223372036854775778, 3, 0),
+            9223372036854775718);
+  EXPECT_EQ(EvalAlu(Opcode::kNeg, kMin, 0, 0), kMin);
+  EXPECT_EQ(EvalAlu(Opcode::kAbs, kMin, 0, 0), kMin);
+  EXPECT_EQ(EvalAlu(Opcode::kDiv, kMin, -1, 0), kMin);
+  EXPECT_EQ(EvalAlu(Opcode::kDiv, 7, -1, 0), -7);
+  EXPECT_EQ(EvalAlu(Opcode::kShl, -1, 63, 0), kMin);
+  EXPECT_EQ(EvalAlu(Opcode::kShl, 3, 64 + 1, 0), 6) << "shift count mod 64";
 }
 
 TEST(Dfg, VerifyAcceptsWellFormed) {

@@ -1,6 +1,11 @@
 // Tests for the mapping core: resource tracker, time-extended router,
 // incremental place-and-route, validator, stats.
 #include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +13,7 @@
 #include "arch/fault.hpp"
 #include "arch/mrrg.hpp"
 #include "ir/kernels.hpp"
+#include "mappers/registry.hpp"
 #include "mapping/mapping.hpp"
 #include "mapping/perf.hpp"
 #include "mapping/place_route.hpp"
@@ -434,6 +440,216 @@ TEST(Validator, CatchesFuDoubleBooking) {
   Mapping bad = state.Finalize();
   bad.place[1] = bad.place[0];  // two inputs on one (cell, slot)
   EXPECT_FALSE(ValidateMapping(k.dfg, arch, bad).ok());
+}
+
+// ---- the validator's diagnostic corpus --------------------------------------
+// ims maps two kernels on each of the 8 presets and on one faulted
+// big8x8. Every valid mapping then meets seeded corruptions (an op moved
+// to an incompatible or faulted cell, two ops in one slot, two memory
+// ops on one bank in one slot, a shifted or cut route step) and the
+// fabrics it does not fit: one with a single
+// register per file, one with fewer route channels or bank ports than
+// the fabric it was mapped on, and, for big8x8, the faulted copy.
+
+struct ValidationCase {
+  const Dfg* dfg;
+  const Architecture* arch;
+  Mapping mapping;
+};
+
+struct ValidatorCorpus {
+  std::deque<Kernel> kernels;
+  std::deque<Architecture> archs;
+  std::vector<ValidationCase> cases;
+};
+
+std::optional<Mapping> MapWithIms(const Dfg& dfg, const Architecture& arch) {
+  MapperOptions mo;
+  mo.seed = 1;
+  mo.deadline = Deadline::AfterSeconds(10);
+  const Result<Mapping> r = MapperRegistry::Global().Find("ims")->Map(dfg, arch, mo);
+  if (!r.ok()) return std::nullopt;
+  return *r;
+}
+
+std::vector<OpId> PlacedOps(const Dfg& dfg, const Mapping& m) {
+  std::vector<OpId> ops;
+  for (OpId op = 0; op < dfg.num_ops(); ++op) {
+    if (m.place[static_cast<size_t>(op)].cell >= 0) ops.push_back(op);
+  }
+  return ops;
+}
+
+/// One seeded corruption of a valid mapping.
+Mapping Corrupt(const Dfg& dfg, const Architecture& arch, const Mapping& good,
+                Rng& rng) {
+  Mapping m = good;
+  const std::vector<OpId> ops = PlacedOps(dfg, m);
+  std::vector<size_t> routed;
+  for (size_t e = 0; e < m.routes.size(); ++e) {
+    if (!m.routes[e].steps.empty()) routed.push_back(e);
+  }
+  const int kind = static_cast<int>(rng.NextIndex(5));
+  if (kind == 4) {
+    // A memory op moved next to another one on the same bank, in the
+    // same slot, so the bank needs one port more than it has.
+    std::vector<OpId> mem;
+    for (const OpId op : ops) {
+      if (IsMemoryOp(dfg.op(op).opcode)) mem.push_back(op);
+    }
+    if (mem.size() >= 2) {
+      const OpId a = mem[rng.NextIndex(mem.size())];
+      OpId b = mem[rng.NextIndex(mem.size() - 1)];
+      if (b == a) b = mem.back();
+      const Placement pa = m.place[static_cast<size_t>(a)];
+      std::vector<int> cells;
+      for (int c = 0; c < arch.num_cells(); ++c) {
+        if (c != pa.cell && arch.caps(c).bank == arch.caps(pa.cell).bank &&
+            arch.CellAlive(c) && arch.CanExecute(c, dfg.op(b))) {
+          cells.push_back(c);
+        }
+      }
+      if (!cells.empty()) {
+        m.place[static_cast<size_t>(b)] = {cells[rng.NextIndex(cells.size())],
+                                           pa.time};
+        return m;
+      }
+    }
+  }
+  if (kind == 0 || (kind >= 2 && kind < 4 && routed.empty())) {
+    // An op on a cell that cannot host it, else on any other cell.
+    const OpId op = ops[rng.NextIndex(ops.size())];
+    std::vector<int> bad;
+    for (int c = 0; c < arch.num_cells(); ++c) {
+      if (!arch.CellAlive(c) || !arch.CanExecute(c, dfg.op(op))) bad.push_back(c);
+    }
+    Placement& p = m.place[static_cast<size_t>(op)];
+    p.cell = bad.empty() ? (p.cell + 1 + static_cast<int>(rng.NextIndex(
+                                             static_cast<size_t>(arch.num_cells() - 1)))) %
+                               arch.num_cells()
+                         : bad[rng.NextIndex(bad.size())];
+  } else if (kind == 1 || kind == 4) {
+    // Two ops in one (cell, slot).
+    const OpId a = ops[rng.NextIndex(ops.size())];
+    const OpId b = ops[rng.NextIndex(ops.size())];
+    m.place[static_cast<size_t>(b)].cell = m.place[static_cast<size_t>(a)].cell;
+    if (a == b) m.place[static_cast<size_t>(b)].time += m.ii;
+    else m.place[static_cast<size_t>(b)].time = m.place[static_cast<size_t>(a)].time;
+  } else if (kind == 2) {
+    // A step shifted in time or moved to another node.
+    std::vector<RouteStep>& steps = m.routes[routed[rng.NextIndex(routed.size())]].steps;
+    RouteStep& s = steps[rng.NextIndex(steps.size())];
+    if (rng.NextBool()) {
+      s.time += rng.NextBool() ? 1 : -1;
+    } else {
+      s.node = (s.node + 1) % Mrrg(arch).num_nodes();
+    }
+  } else {
+    // A step cut out of the route.
+    std::vector<RouteStep>& steps = m.routes[routed[rng.NextIndex(routed.size())]].steps;
+    steps.erase(steps.begin() + static_cast<std::ptrdiff_t>(rng.NextIndex(steps.size())));
+  }
+  return m;
+}
+
+ValidatorCorpus BuildValidatorCorpus() {
+  ValidatorCorpus c;
+  FaultModel faults;
+  for (const int cell : {9, 18, 27, 36}) faults.KillCell(cell);
+  faults.KillContextSlot(10, 1);
+  faults.KillContextSlot(20, 0);
+  c.archs = {Architecture::Small2x2(), Architecture::Adres4x4(),
+             Architecture::Hetero4x4(), Architecture::Spatial4x4(),
+             Architecture::Torus4x4(),  Architecture::Big8x8(),
+             Architecture::Mega16x16(), Architecture::VliwLike4(),
+             Architecture::Big8x8().WithFaults(faults)};
+  const size_t num_fabrics = c.archs.size();
+  const Architecture* healthy_big = &c.archs[5];
+  const Architecture* faulted_big = &c.archs[8];
+  c.kernels = {MakeGemmMac(8, 1), MakeVecAdd(8, 1), MakeFir4(8, 1),
+               MakeSad(8, 1), MakeDotProduct(8, 1)};
+  // A variant of `base` with different capacities, carrying its faults.
+  const auto variant = [&](const Architecture& base, auto&& edit) {
+    ArchParams p = base.params();
+    edit(p);
+    Architecture a(p);
+    if (base.faults()) a = a.WithFaults(*base.faults());
+    c.archs.push_back(std::move(a));
+    return &c.archs.back();
+  };
+  for (size_t f = 0; f < num_fabrics; ++f) {
+    const Architecture* arch = &c.archs[f];
+    const Architecture* one_register =
+        variant(*arch, [](ArchParams& p) { p.rf_size = 1; });
+    const Architecture* roomy = variant(*arch, [](ArchParams& p) {
+      if (p.route_channels > 0) p.route_channels = 2;
+      p.bank_ports = 2;
+    });
+    int mapped = 0;
+    for (size_t k = 0; k < c.kernels.size() && mapped < 2; ++k) {
+      const Dfg* dfg = &c.kernels[k].dfg;
+      const std::optional<Mapping> good = MapWithIms(*dfg, *arch);
+      if (!good) continue;
+      ++mapped;
+      c.cases.push_back({dfg, arch, *good});
+      Rng rng(0xD1A6 + 97 * f + k);
+      for (int i = 0; i < 24; ++i) {
+        c.cases.push_back({dfg, arch, Corrupt(*dfg, *arch, *good, rng)});
+      }
+      c.cases.push_back({dfg, one_register, *good});
+      if (arch == healthy_big) c.cases.push_back({dfg, faulted_big, *good});
+      // Mapped where each channel and bank port is doubled, checked
+      // where it is not.
+      if (const std::optional<Mapping> wide = MapWithIms(*dfg, *roomy)) {
+        c.cases.push_back({dfg, arch, *wide});
+      }
+    }
+    EXPECT_EQ(mapped, 2) << arch->params().name;
+  }
+  return c;
+}
+
+// (ok, message) of every corpus case, folded into one FNV-1a hash. The
+// first diagnostic is part of the validator's contract: a rewrite must
+// reject the same mappings with the same words, naming the same op,
+// cell, node and slot.
+TEST(Validator, GoldenDiagnostics) {
+  const ValidatorCorpus corpus = BuildValidatorCorpus();
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::string_view bytes) {
+    for (const char ch : bytes) {
+      h ^= static_cast<std::uint8_t>(ch);
+      h *= 1099511628211ull;
+    }
+    h ^= 0xff;
+    h *= 1099511628211ull;
+  };
+  int ok = 0, fu = 0, bank = 0, hold = 0, channel = 0, faulted = 0, route = 0;
+  for (const ValidationCase& v : corpus.cases) {
+    const Status s = ValidateMapping(*v.dfg, *v.arch, v.mapping);
+    mix(s.ok() ? "ok" : s.error().message);
+    if (s.ok()) {
+      ++ok;
+      continue;
+    }
+    const std::string& msg = s.error().message;
+    if (msg.find("share cell") != std::string::npos) ++fu;
+    if (msg.find("bank ") == 0) ++bank;
+    if (msg.find("register file of cell") == 0) ++hold;
+    if (msg.find("route channel of cell") == 0) ++channel;
+    if (msg.find("faulted") != std::string::npos) ++faulted;
+    if (msg.find("route step") != std::string::npos) ++route;
+  }
+  // Every diagnostic family the corpus is meant to reach shows up.
+  EXPECT_GE(ok, 18);
+  EXPECT_GE(fu, 1);
+  EXPECT_GE(bank, 1);
+  EXPECT_GE(hold, 1);
+  EXPECT_GE(channel, 1);
+  EXPECT_GE(faulted, 1);
+  EXPECT_GE(route, 1);
+  EXPECT_EQ(corpus.cases.size(), 488u);
+  EXPECT_EQ(h, 0x302d9cdec5e23ba3ull) << std::hex << h;
 }
 
 TEST(Stats, ComputedFromMapping) {

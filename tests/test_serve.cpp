@@ -14,21 +14,33 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <mutex>
+#include <new>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/request.hpp"
 #include "api/response.hpp"
 #include "api/service.hpp"
+#include "arch/fault.hpp"
+#include "arch/mrrg.hpp"
+#include "arch/mrrg_cache.hpp"
 #include "cache/mapping_cache.hpp"
 #include "engine/engine.hpp"
+#include "mappers/common.hpp"
+#include "mappers/registry.hpp"
+#include "mapping/validator.hpp"
 #include "support/http.hpp"
 #include "support/json.hpp"
 #include "support/stop_token.hpp"
 #include "support/str.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace cgra {
@@ -526,14 +538,20 @@ TEST(Serve, SigtermDrainCompletesInflightAndExitsZero) {
 }
 
 /// The digest an in-process engine run gives `body`, configured as the
-/// service configures its engines.
+/// service configures its engines, on a fabric built outside the store
+/// with the request's dead cells killed.
 std::string InProcessDigest(const std::string& body) {
   const Result<api::MapRequest> req = api::ParseMapRequestText(body);
   if (!req.ok()) return "unparseable request";
-  const std::optional<Architecture> arch = api::FabricByName(req->fabric);
+  std::optional<Architecture> arch = api::FabricByName(req->fabric);
   const std::optional<Kernel> kernel =
       api::KernelByName(req->kernel, req->iterations, req->seed);
   if (!arch || !kernel) return "unknown fabric or kernel";
+  if (!req->dead_cells.empty()) {
+    FaultModel fm;
+    for (const int c : req->dead_cells) fm.KillCell(c);
+    arch = arch->WithFaults(fm);
+  }
   EngineOptions eo;
   eo.race = false;
   eo.seed = req->seed;
@@ -569,6 +587,278 @@ TEST(Serve, DaemonMapsEachFabricOnItsOwnResourceGraph) {
   int wstatus = 0;
   ASSERT_EQ(waitpid(d.pid, &wstatus, 0), d.pid);
   EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0) << wstatus;
+}
+
+// ---- the preset fabric store --------------------------------------------
+
+std::uint64_t CounterValue(const char* name) {
+  return telemetry::MetricsRegistry::Global().GetCounter(name).Value();
+}
+
+TEST(FabricStore, OnePerPreset) {
+  api::FabricStore store;
+  const std::vector<std::string>& names = api::KnownFabricNames();
+  const std::uint64_t fabrics = CounterValue("cgra_fabric_builds_total");
+  const std::uint64_t mrrgs = CounterValue("cgra_mrrg_builds_total");
+  // 8 threads race the first use of every preset, each starting at a
+  // different one.
+  std::vector<std::vector<const Fabric*>> seen(8, std::vector<const Fabric*>(
+                                                      names.size(), nullptr));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < names.size(); ++i) {
+        const std::size_t n = (i + t) % names.size();
+        seen[t][n] = store.Get(names[n]).get();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(CounterValue("cgra_fabric_builds_total") - fabrics, names.size());
+  EXPECT_EQ(CounterValue("cgra_mrrg_builds_total") - mrrgs, names.size());
+
+  for (std::size_t n = 0; n < names.size(); ++n) {
+    const Fabric* f = seen[0][n];
+    ASSERT_NE(f, nullptr) << names[n];
+    for (const std::vector<const Fabric*>& s : seen) EXPECT_EQ(s[n], f);
+    EXPECT_EQ(&f->mrrg.arch(), &f->arch);
+    EXPECT_FALSE(f->arch.HasFaults());
+    EXPECT_EQ(f->arch.Digest(), api::FabricByName(names[n])->Digest());
+    EXPECT_EQ(store.Get(names[n]).get(), f) << "a later use is the same fabric";
+    for (std::size_t m = 0; m < n; ++m) EXPECT_NE(seen[0][m], f);
+  }
+  EXPECT_EQ(store.Get("nope9x9"), nullptr);
+  EXPECT_EQ(CounterValue("cgra_fabric_builds_total") - fabrics, names.size());
+}
+
+TEST(Serve, WarmHitBuildsNothing) {
+  MappingCache cache(MappingCacheOptions{});
+  api::ServiceOptions so;
+  so.cache = &cache;
+  api::MappingService service(std::move(so));
+  HttpRequest http;
+  http.method = "POST";
+  http.path = "/v1/map";
+  http.body = MapBody("fir4", 0, 11);
+  const HttpResponse cold = service.Handle(http);
+  ASSERT_EQ(cold.status, 200) << cold.body;
+  const Result<api::MapResponse> c = api::ParseMapResponseText(cold.body);
+  ASSERT_TRUE(c.ok() && c->ok) << cold.body;
+
+  const std::uint64_t fabrics = CounterValue("cgra_fabric_builds_total");
+  const std::uint64_t mrrgs = CounterValue("cgra_mrrg_builds_total");
+  for (int i = 0; i < 100; ++i) {
+    const HttpResponse warm = service.Handle(http);
+    const Result<api::MapResponse> w = api::ParseMapResponseText(warm.body);
+    ASSERT_TRUE(w.ok() && w->ok) << warm.body;
+    EXPECT_TRUE(w->cache_hit);
+    EXPECT_EQ(w->mapping_digest, c->mapping_digest);
+  }
+  EXPECT_EQ(CounterValue("cgra_fabric_builds_total"), fabrics);
+  EXPECT_EQ(CounterValue("cgra_mrrg_builds_total"), mrrgs);
+  EXPECT_EQ(cache.stats().validate_failures, 0u);
+}
+
+TEST(Serve, FaultedRequestsGetPrivateFabrics) {
+  api::MapRequest r;
+  r.fabric = "adres4x4";
+  r.kernel = "dot_product";
+  r.mappers = {"ims"};
+  const std::shared_ptr<const Fabric> preset =
+      api::FabricStore::Global().Get("adres4x4");
+  const std::string preset_digest = preset->arch.Digest();
+
+  // Kill two cells the healthy mapping uses.
+  const Result<api::ResolvedRequest> job = api::ResolveMapRequest(r);
+  ASSERT_TRUE(job.ok());
+  const Result<EngineResult> healthy_map = MappingEngine(job->engine).Run(
+      job->kernel.dfg, job->fabric->mrrg, r.mappers);
+  ASSERT_TRUE(healthy_map.ok());
+  for (const Placement& p : healthy_map->mapping.place) {
+    if (p.cell >= 0 && r.dead_cells.size() < 2) r.dead_cells.push_back(p.cell);
+  }
+  ASSERT_EQ(r.dead_cells.size(), 2u);
+  const int dead0 = r.dead_cells[0], dead1 = r.dead_cells[1];
+  const std::uint64_t fabrics = CounterValue("cgra_fabric_builds_total");
+  const std::uint64_t mrrgs = CounterValue("cgra_mrrg_builds_total");
+  const Result<api::ResolvedRequest> a = api::ResolveMapRequest(r);
+  const Result<api::ResolvedRequest> b = api::ResolveMapRequest(r);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(CounterValue("cgra_fabric_builds_total") - fabrics, 2u);
+  EXPECT_EQ(CounterValue("cgra_mrrg_builds_total") - mrrgs, 2u);
+  for (const api::ResolvedRequest* job : {&*a, &*b}) {
+    EXPECT_NE(job->fabric, preset);
+    EXPECT_EQ(&job->fabric->mrrg.arch(), &job->fabric->arch);
+    EXPECT_FALSE(job->fabric->arch.CellAlive(dead0));
+    EXPECT_FALSE(job->fabric->arch.CellAlive(dead1));
+    EXPECT_EQ(job->fabric->mrrg.capacity(job->fabric->mrrg.FuNode(dead0)), 0);
+  }
+  EXPECT_NE(a->fabric, b->fabric);
+  // The stored preset is untouched.
+  EXPECT_FALSE(preset->arch.HasFaults());
+  EXPECT_EQ(preset->arch.Digest(), preset_digest);
+  r.dead_cells.clear();
+  EXPECT_EQ(api::ResolveMapRequest(r)->fabric, preset);
+
+  // Served in either order, a faulted and a healthy request each answer
+  // what a fresh fabric answers.
+  api::MappingService service(api::ServiceOptions{});
+  HttpRequest http;
+  http.method = "POST";
+  http.path = "/v1/map";
+  r.dead_cells = {dead0, dead1};
+  const std::string faulted = api::ToJson(r);
+  r.dead_cells.clear();
+  const std::string healthy = api::ToJson(r);
+  for (const std::string* body : {&faulted, &healthy, &faulted}) {
+    http.body = *body;
+    const HttpResponse resp = service.Handle(http);
+    const Result<api::MapResponse> m = api::ParseMapResponseText(resp.body);
+    ASSERT_TRUE(m.ok() && m->ok) << resp.body;
+    EXPECT_EQ(m->mapping_digest, InProcessDigest(*body)) << *body;
+  }
+  EXPECT_NE(InProcessDigest(faulted), InProcessDigest(healthy));
+}
+
+// Delegates to a registered mapper and records, for each call, the
+// fabric, the MRRG the engine lent, and the dead cells each of them
+// shows.
+class RecordingMapper final : public Mapper {
+ public:
+  explicit RecordingMapper(const char* inner)
+      : inner_(*MapperRegistry::Global().Find(inner)) {}
+  std::string name() const override { return inner_.name(); }
+  TechniqueClass technique() const override { return inner_.technique(); }
+  MappingKind kind() const override { return inner_.kind(); }
+  std::string lineage() const override { return inner_.lineage(); }
+
+  Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
+                      const MapperOptions& options) const override {
+    Call call{&arch, options.mrrg};
+    for (int c = 0; c < arch.num_cells(); ++c) {
+      if (!arch.CellAlive(c)) ++call.dead_cells;
+      if (options.mrrg && options.mrrg->capacity(options.mrrg->FuNode(c)) == 0) {
+        ++call.dead_fus;
+      }
+    }
+    call.mrrg_on_arch = options.mrrg && &options.mrrg->arch() == &arch;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      calls.push_back(call);
+    }
+    return inner_.Map(dfg, arch, options);
+  }
+
+  struct Call {
+    const Architecture* arch;
+    const Mrrg* mrrg;
+    bool mrrg_on_arch = false;
+    int dead_cells = 0;
+    int dead_fus = 0;
+  };
+  mutable std::vector<Call> calls;
+
+ private:
+  const Mapper& inner_;
+  mutable std::mutex mu_;
+};
+
+TEST(MappingEngine, RepairRoundsBuildTheirOwnMrrg) {
+  const std::shared_ptr<const Fabric> fabric =
+      api::FabricStore::Global().Get("adres4x4");
+  const Kernel k = *api::KernelByName("dot_product", 16, 42);
+  // An address-keyed memo primed with the healthy fabric's graph: a
+  // round that took it would map a derated fabric on healthy resources.
+  MrrgCache memo;
+  memo.Get(fabric->arch);
+  EngineOptions opts;
+  opts.race = false;
+  opts.deadline = Deadline::AfterSeconds(30);
+  opts.mrrg_cache = &memo;
+  int victim = -1;
+  RepairOptions repair;
+  repair.verifier = [&victim](const Architecture&, const Mapping& m,
+                              FaultModel& fm) -> Status {
+    if (victim >= 0) return Status::Ok();
+    for (const Placement& p : m.place) {
+      if (p.cell >= 0) {
+        victim = p.cell;
+        break;
+      }
+    }
+    fm.KillCell(victim);
+    return Error::Internal("injected self-test miscompare");
+  };
+  const RecordingMapper ims("ims");
+  const std::uint64_t mrrgs = CounterValue("cgra_mrrg_builds_total");
+  const auto r = MappingEngine(opts).RunWithRepair(
+      k.dfg, fabric->arch, FaultModel{}, {&ims}, repair);
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  ASSERT_EQ(r->rounds, 2);
+  ASSERT_EQ(ims.calls.size(), 2u);
+  EXPECT_GE(CounterValue("cgra_mrrg_builds_total") - mrrgs, 2u);
+  for (int round = 0; round < 2; ++round) {
+    const RecordingMapper::Call& call = ims.calls[static_cast<size_t>(round)];
+    EXPECT_NE(call.arch, &fabric->arch) << "each round maps its own copy";
+    EXPECT_NE(call.mrrg, &fabric->mrrg);
+    EXPECT_TRUE(call.mrrg_on_arch) << "... on that copy's own graph";
+    EXPECT_EQ(call.dead_cells, round);
+    EXPECT_EQ(call.dead_fus, round) << "a graph of this round's fabric";
+  }
+  EXPECT_TRUE(ValidateMapping(k.dfg, *r->arch, r->result.mapping).ok());
+  for (const Placement& p : r->result.mapping.place) EXPECT_NE(p.cell, victim);
+
+  // A graph lent for one fabric object is never used for another.
+  MapperOptions lent;
+  lent.mrrg = &fabric->mrrg;
+  const Architecture copy = fabric->arch;
+  EXPECT_EQ(AcquireMrrg(fabric->arch, lent).get(), &fabric->mrrg);
+  const std::uint64_t before = CounterValue("cgra_mrrg_builds_total");
+  const std::shared_ptr<const Mrrg> own = AcquireMrrg(copy, lent);
+  EXPECT_NE(own.get(), &fabric->mrrg);
+  EXPECT_EQ(&own->arch(), &copy);
+  EXPECT_EQ(CounterValue("cgra_mrrg_builds_total") - before, 1u);
+}
+
+// Two fabrics at one address, one after the other: the second must map
+// as a fresh fabric does, whatever the first left behind in a shared
+// mapping cache.
+TEST(FabricStore, SecondFabricAtARecycledAddressMapsFresh) {
+  MappingCache cache(MappingCacheOptions{});
+  EngineOptions opts;
+  opts.race = false;
+  opts.deadline = Deadline::AfterSeconds(30);
+  opts.cache = &cache;
+  const Kernel k = *api::KernelByName("wide_dot_8", 16, 42);
+  const auto digest = [&](const Mrrg& mrrg) {
+    const Result<EngineResult> r =
+        MappingEngine(opts).Run(k.dfg, mrrg, {"ims"});
+    return r.ok() ? MappingDigestHex(r->mapping) : r.error().message;
+  };
+  const auto fresh = [&](const Architecture& arch) {
+    EngineOptions o = opts;
+    o.cache = nullptr;
+    const Result<EngineResult> r = MappingEngine(o).Run(k.dfg, arch, {"ims"});
+    return r.ok() ? MappingDigestHex(r->mapping) : r.error().message;
+  };
+
+  alignas(Fabric) unsigned char storage[sizeof(Fabric)];
+  Fabric* first = new (storage) Fabric(Architecture::Adres4x4());
+  const std::string first_digest = digest(first->mrrg);
+  first->~Fabric();
+  Fabric* second = new (storage) Fabric(Architecture::Big8x8());
+  ASSERT_EQ(static_cast<void*>(first), static_cast<void*>(second));
+  const std::string second_digest = digest(second->mrrg);
+  second->~Fabric();
+  Fabric* third = new (storage) Fabric(Architecture::Adres4x4());
+  const std::string third_digest = digest(third->mrrg);
+  third->~Fabric();
+
+  EXPECT_EQ(first_digest, fresh(Architecture::Adres4x4()));
+  EXPECT_EQ(second_digest, fresh(Architecture::Big8x8()));
+  EXPECT_EQ(third_digest, first_digest);
+  EXPECT_NE(first_digest, second_digest);
+  EXPECT_EQ(cache.stats().mem_hits, 1u) << "only the third run hits";
 }
 
 }  // namespace

@@ -97,7 +97,8 @@ api::MapResponse RunJob(const api::MapRequest& request, MappingCache* cache,
   eo.sandbox_limits = isolation.limits;
 
   const Result<EngineResult> r =
-      MappingEngine(eo).Run(job->kernel.dfg, job->arch, request.mappers);
+      MappingEngine(eo).Run(job->kernel.dfg, job->fabric->mrrg,
+                            request.mappers);
   api::MapResponse out = api::BuildMapResponse(request, r, timer.Seconds());
 
   {
