@@ -28,7 +28,6 @@ int main() {
     p.rows = p.cols = 4;
     p.rf_kind = RfKind::kRotating;
     const Architecture arch(p);
-    const Mrrg mrrg(arch);
     const auto suite = StandardKernelSuite(8, 0xAB1);
     TextTable table({"evict budget", "slack", "mapped", "avg II", "ms total"});
     for (const int budget : {0, 2, 8}) {
@@ -44,7 +43,7 @@ int main() {
             ImsOptions opts;
             opts.eviction_budget_factor = budget;
             opts.extra_slack = slack;
-            const auto r = ImsPlaceRoute(k.dfg, arch, mrrg, ii, order, opts);
+            const auto r = ImsPlaceRoute(k.dfg, arch, ii, order, opts);
             if (r.ok()) {
               ok = true;
               ++mapped;

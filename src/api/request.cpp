@@ -7,6 +7,7 @@
 #include "arch/fault.hpp"
 #include "mappers/registry.hpp"
 #include "support/str.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace cgra::api {
@@ -60,6 +61,15 @@ const FabricPreset* FindFabricPreset(const std::string& name) {
   return nullptr;
 }
 
+telemetry::Counter& FabricBuilds() {
+  static telemetry::Counter& builds =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "cgra_fabric_builds_total",
+          "Fabrics built to map requests on: each preset once per process, "
+          "plus one per request with dead cells");
+  return builds;
+}
+
 }  // namespace
 
 std::optional<Architecture> FabricByName(const std::string& name) {
@@ -70,13 +80,16 @@ std::optional<Architecture> FabricByName(const std::string& name) {
 
 FabricStore::FabricStore() : slots_(std::size(kFabricPresets)) {}
 
-std::shared_ptr<const Fabric> FabricStore::Get(const std::string& name) {
+std::shared_ptr<const Architecture> FabricStore::Get(const std::string& name) {
   const FabricPreset* preset = FindFabricPreset(name);
   if (preset == nullptr) return nullptr;
   Slot& slot = slots_[static_cast<size_t>(preset - kFabricPresets)];
   std::call_once(slot.built, [&] {
     telemetry::Span span("arch.fabric", preset->name);
-    slot.fabric = std::make_shared<const Fabric>(preset->make());
+    auto fabric = std::make_shared<const Architecture>(preset->make());
+    fabric->mrrg();
+    FabricBuilds().Add();
+    slot.fabric = std::move(fabric);
   });
   return slot.fabric;
 }
@@ -275,7 +288,8 @@ Status ValidateMapRequest(const MapRequest& r) {
 }
 
 Result<ResolvedRequest> ResolveMapRequest(const MapRequest& r) {
-  std::shared_ptr<const Fabric> fabric = FabricStore::Global().Get(r.fabric);
+  std::shared_ptr<const Architecture> fabric =
+      FabricStore::Global().Get(r.fabric);
   if (!fabric) {
     return FieldError("fabric", "unknown fabric \"" + r.fabric + "\"");
   }
@@ -286,10 +300,11 @@ Result<ResolvedRequest> ResolveMapRequest(const MapRequest& r) {
   if (!r.dead_cells.empty()) {
     FaultModel fm;
     for (const int c : r.dead_cells) fm.KillCell(c);
-    if (Status s = fm.Validate(fabric->arch); !s.ok()) {
+    if (Status s = fm.Validate(*fabric); !s.ok()) {
       return FieldError("dead_cells", s.error().message);
     }
-    fabric = std::make_shared<const Fabric>(fabric->arch.WithFaults(fm));
+    fabric = std::make_shared<const Architecture>(fabric->WithFaults(fm));
+    FabricBuilds().Add();
   }
   EngineOptions eo;
   eo.deadline = Deadline::AfterSeconds(r.deadline_seconds);

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "arch/arch.hpp"
-#include "arch/mrrg.hpp"
 #include "engine/engine.hpp"
 #include "ir/kernels.hpp"
 #include "support/json.hpp"
@@ -79,9 +78,7 @@ std::optional<Architecture> FabricByName(const std::string& name);
 /// The fault-free preset fabrics, each built with its MRRG on first
 /// use and never changed or freed after: one slot per preset, so a
 /// store holds at most KnownFabricNames().size() fabrics. Global() is
-/// the process-wide store ResolveMapRequest serves; it lives as long as
-/// the process, so the address of one of its fabrics names that fabric
-/// for good.
+/// the process-wide store ResolveMapRequest serves.
 class FabricStore {
  public:
   FabricStore();
@@ -90,14 +87,14 @@ class FabricStore {
 
   /// The preset `name`; nullptr for unknown names. Thread-safe:
   /// concurrent first uses of a preset build it once.
-  std::shared_ptr<const Fabric> Get(const std::string& name);
+  std::shared_ptr<const Architecture> Get(const std::string& name);
 
   static FabricStore& Global();
 
  private:
   struct Slot {
     std::once_flag built;
-    std::shared_ptr<const Fabric> fabric;
+    std::shared_ptr<const Architecture> fabric;
   };
   std::vector<Slot> slots_;
 };
@@ -136,14 +133,14 @@ Result<MapRequest> ParseMapRequestText(std::string_view text,
 Status ValidateMapRequest(const MapRequest& request);
 
 /// What a validated request resolves to, for every front-end: the
-/// fabric with its MRRG, the kernel, and engine options carrying the
-/// request's deadline, seed, II window and slack. Without dead cells
-/// the fabric is FabricStore::Global()'s preset; with them it is a
-/// private derated copy that maps and validates on its own MRRG. Each
-/// front-end adds its own policy (race, observer, cache, isolation) to
-/// `engine`.
+/// fabric, the kernel, and engine options carrying the request's
+/// deadline, seed, II window and slack. Without dead cells the fabric
+/// is FabricStore::Global()'s preset, its MRRG already built; with them
+/// it is a private derated copy that builds its own MRRG when first
+/// mapped. Each front-end adds its own policy (race, observer, cache,
+/// isolation) to `engine`.
 struct ResolvedRequest {
-  std::shared_ptr<const Fabric> fabric;
+  std::shared_ptr<const Architecture> fabric;
   Kernel kernel;
   EngineOptions engine;
 };

@@ -289,8 +289,7 @@ HttpResponse MappingService::HandleMap(const HttpRequest& http) {
   if (request.stats) eo.observer = &trace;
 
   const Result<EngineResult> result =
-      MappingEngine(eo).Run(job->kernel.dfg, job->fabric->mrrg,
-                            request.mappers);
+      MappingEngine(eo).Run(job->kernel.dfg, *job->fabric, request.mappers);
   const double wall = timer.Seconds();
   metrics.seconds.Observe(wall);
   if (result.ok()) {

@@ -12,9 +12,11 @@
 // a concrete topology is hard-coded in any mapper.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,7 @@ namespace cgra {
 
 class FaultModel;  // arch/fault.hpp
 class ByteWriter;  // support/bytes.hpp
+class Mrrg;        // arch/mrrg.hpp
 
 /// Interconnect shapes (point-to-point neighbourhoods).
 enum class Topology {
@@ -195,6 +198,14 @@ class Architecture {
   /// component of the mapping-cache key (src/cache).
   std::string Digest() const;
 
+  /// This fabric's MRRG (arch/mrrg.hpp), built on first use and kept
+  /// for the object's life; concurrent first calls build it once, and
+  /// &mrrg().arch() == this. A copy, a moved-to object and a
+  /// WithFaults() result start without one and build their own, so a
+  /// graph never serves another fabric object. Assigning to the
+  /// Architecture frees its graph, as it would any member.
+  const Mrrg& mrrg() const;
+
   /// Fig. 2(a)-style ASCII rendering of the array with capability tags.
   std::string ToAscii() const;
 
@@ -211,6 +222,23 @@ class Architecture {
   static Architecture VliwLike4();     ///< 1x4 row, shared RF only (VLIW foil)
 
  private:
+  // The lazily built graph behind mrrg(): published through an atomic
+  // pointer, built under the mutex. Copying or assigning a slot yields
+  // an empty one (assignment frees the old graph).
+  class MrrgSlot {
+   public:
+    MrrgSlot() = default;
+    MrrgSlot(const MrrgSlot&) noexcept {}
+    MrrgSlot& operator=(const MrrgSlot& other) noexcept;
+    ~MrrgSlot();
+
+    const Mrrg& Get(const Architecture& arch);
+
+   private:
+    std::atomic<const Mrrg*> built_{nullptr};
+    std::mutex mu_;
+  };
+
   void RecomputeHopDistances();
   void ApplyFaults();
 
@@ -226,6 +254,8 @@ class Architecture {
   std::vector<int> hold_capacity_;
   std::vector<std::uint64_t> rf_fault_mask_;
   std::vector<std::uint64_t> slot_fault_mask_;
+
+  mutable MrrgSlot mrrg_;
 };
 
 }  // namespace cgra

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <utility>
+#include <mutex>
 
 #include "telemetry/metrics.hpp"
 
@@ -16,7 +16,8 @@ namespace cgra {
 Mrrg::Mrrg(const Architecture& arch) : arch_(&arch) {
   static telemetry::Counter& builds =
       telemetry::MetricsRegistry::Global().GetCounter(
-          "cgra_mrrg_builds_total", "MRRGs built (one per fabric object)");
+          "cgra_mrrg_builds_total",
+          "MRRGs built (one per Architecture object, on first use)");
   builds.Add();
   const int n = arch.num_cells();
   fu_of_.assign(static_cast<size_t>(n), -1);
@@ -112,13 +113,25 @@ Mrrg::Mrrg(const Architecture& arch) : arch_(&arch) {
   }
 }
 
-Fabric::Fabric(Architecture fabric) : arch(std::move(fabric)), mrrg(arch) {
-  static telemetry::Counter& builds =
-      telemetry::MetricsRegistry::Global().GetCounter(
-          "cgra_fabric_builds_total",
-          "Fabrics built with their MRRG: each preset once per process, "
-          "plus one per request with dead cells");
-  builds.Add();
+const Mrrg& Architecture::mrrg() const { return mrrg_.Get(*this); }
+
+Architecture::MrrgSlot& Architecture::MrrgSlot::operator=(
+    const MrrgSlot& other) noexcept {
+  if (this != &other) delete built_.exchange(nullptr);
+  return *this;
+}
+
+Architecture::MrrgSlot::~MrrgSlot() { delete built_.load(); }
+
+const Mrrg& Architecture::MrrgSlot::Get(const Architecture& arch) {
+  if (const Mrrg* built = built_.load()) return *built;
+  std::lock_guard<std::mutex> lock(mu_);
+  const Mrrg* built = built_.load();
+  if (built == nullptr) {
+    built = new Mrrg(arch);
+    built_.store(built);
+  }
+  return *built;
 }
 
 }  // namespace cgra

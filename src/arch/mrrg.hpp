@@ -56,6 +56,9 @@ class Mrrg {
     std::int32_t latency;  ///< cycles consumed by traversing this link
   };
 
+  /// A graph of `arch`, which must outlive it. Everything in src/ maps
+  /// on arch.mrrg(), the one graph each Architecture builds and owns;
+  /// a standalone graph is for tests and benches.
   explicit Mrrg(const Architecture& arch);
 
   const Architecture& arch() const { return *arch_; }
@@ -141,21 +144,6 @@ class Mrrg {
   // CSR readable-hold sets per cell.
   std::vector<std::uint32_t> readable_offset_;
   std::vector<std::int32_t> readable_holds_;
-};
-
-/// A fabric and the one MRRG built on it. The MRRG depends only on the
-/// fabric, so every kernel mapped there, and every validation, can
-/// share it. `mrrg` refers to `arch` by address, so a Fabric is never
-/// copied or moved: it lives behind a pointer for as long as anything
-/// maps on it (api::FabricStore keeps each preset for the life of the
-/// process; a request with dead cells owns a private one).
-struct Fabric {
-  explicit Fabric(Architecture fabric);
-  Fabric(const Fabric&) = delete;
-  Fabric& operator=(const Fabric&) = delete;
-
-  const Architecture arch;
-  const Mrrg mrrg;  ///< built on `arch`
 };
 
 }  // namespace cgra

@@ -189,7 +189,7 @@ std::optional<MappingCache::Entry> MappingCache::ReadDisk(
 
 std::optional<MappingCache::Entry> MappingCache::Get(const std::string& key,
                                                      const Dfg& dfg,
-                                                     const Mrrg& mrrg,
+                                                     const Architecture& arch,
                                                      LookupInfo* info) {
   telemetry::Span span("cache.probe");
   const std::uint64_t probe_start =
@@ -220,18 +220,16 @@ std::optional<MappingCache::Entry> MappingCache::Get(const std::string& key,
     return std::nullopt;
   }
 
-  if (options_.validate_on_hit) {
-    if (Status s = ValidateMapping(dfg, mrrg, candidate->mapping); !s.ok()) {
-      // A cached entry the target fabric rejects is poison, not data:
-      // evict it everywhere and report a miss.
-      EraseEverywhere(key);
-      Metrics().misses.Add(1);
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.validate_failures;
-      ++stats_.misses;
-      if (info) info->validate_failed = true;
-      return std::nullopt;
-    }
+  if (Status s = ValidateMapping(dfg, arch, candidate->mapping); !s.ok()) {
+    // A cached entry the target fabric rejects is poison, not data:
+    // evict it everywhere and report a miss.
+    EraseEverywhere(key);
+    Metrics().misses.Add(1);
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.validate_failures;
+    ++stats_.misses;
+    if (info) info->validate_failed = true;
+    return std::nullopt;
   }
 
   if (tier == Tier::kDisk) PutMemory(key, *candidate);

@@ -20,11 +20,11 @@
 // repair loop re-mapping a derated fabric can never be served the
 // pre-fault entry.
 //
-// Integrity: a hit is re-validated with ValidateMapping against the
-// caller's dfg and MRRG before it is returned (validate_on_hit), and
-// the on-disk blobs are versioned and checksummed — a stale, corrupt,
-// truncated or version-skewed entry degrades to a miss and is evicted,
-// never returned as a wrong mapping.
+// Integrity: every hit is re-validated with ValidateMapping against
+// the caller's dfg and fabric before it is returned, and the on-disk
+// blobs are versioned and checksummed — a stale, corrupt, truncated or
+// version-skewed entry degrades to a miss and is evicted, never
+// returned as a wrong mapping.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "arch/arch.hpp"
-#include "arch/mrrg.hpp"
 #include "ir/dfg.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/mapping.hpp"
@@ -74,11 +73,6 @@ struct MappingCacheOptions {
   /// small), written to a temp file then renamed so readers never see
   /// a partial write.
   std::string disk_dir;
-
-  /// Re-run ValidateMapping on every hit before returning it. Costs
-  /// microseconds, guarantees a poisoned entry cannot escape; leave on
-  /// outside microbenchmarks.
-  bool validate_on_hit = true;
 };
 
 /// Monotonic counters; snapshot via MappingCache::stats(). Invariant:
@@ -128,12 +122,12 @@ class MappingCache {
   };
 
   /// Looks `key` up in memory, then on disk. A disk hit is promoted to
-  /// the memory tier. When validate_on_hit, the candidate must pass
-  /// ValidateMapping(dfg, mrrg, ...) against the caller's MRRG (and the
-  /// fabric it was built on) or it is evicted from BOTH tiers and the
-  /// lookup reports a miss. Thread-safe.
+  /// the memory tier. Every candidate must pass ValidateMapping(dfg,
+  /// arch, ...) against the caller's fabric (on arch.mrrg()) or it is
+  /// evicted from BOTH tiers and the lookup reports a miss. Thread-safe.
   std::optional<Entry> Get(const std::string& key, const Dfg& dfg,
-                           const Mrrg& mrrg, LookupInfo* info = nullptr);
+                           const Architecture& arch,
+                           LookupInfo* info = nullptr);
 
   /// Inserts/overwrites `key` in the memory tier and, when configured,
   /// persists it to disk (atomic rename; a failed write only bumps

@@ -69,7 +69,7 @@ constexpr int kRepairIiStep = 2;
 constexpr double kMinRoundSeconds = 0.25;
 
 MapperOptions EntryOptions(const EngineOptions& eo, std::size_t i,
-                           StopToken stop, const Mrrg& mrrg) {
+                           StopToken stop) {
   MapperOptions mo;
   mo.min_ii = eo.min_ii;
   mo.max_ii = eo.max_ii;
@@ -78,7 +78,6 @@ MapperOptions EntryOptions(const EngineOptions& eo, std::size_t i,
   mo.seed = eo.seed + static_cast<std::uint64_t>(i);
   mo.stop = std::move(stop);
   mo.observer = eo.observer;
-  mo.mrrg = &mrrg;
   return mo;
 }
 
@@ -395,16 +394,6 @@ MappingEngine::MappingEngine(EngineOptions options)
 Result<EngineResult> MappingEngine::Run(
     const Dfg& dfg, const Architecture& arch,
     const std::vector<const Mapper*>& portfolio) const {
-  const std::shared_ptr<const Mrrg> mrrg =
-      options_.mrrg_cache ? options_.mrrg_cache->Get(arch)
-                          : std::make_shared<const Mrrg>(arch);
-  return Run(dfg, *mrrg, portfolio);
-}
-
-Result<EngineResult> MappingEngine::Run(
-    const Dfg& dfg, const Mrrg& mrrg,
-    const std::vector<const Mapper*>& portfolio) const {
-  const Architecture& arch = mrrg.arch();
   if (portfolio.empty()) {
     return Error::InvalidArgument("engine: empty portfolio");
   }
@@ -413,6 +402,10 @@ Result<EngineResult> MappingEngine::Run(
       return Error::InvalidArgument("engine: null mapper in portfolio");
     }
   }
+  // Build the fabric's graph now, on this thread: a sandboxed entry
+  // forks, and its child must find the graph built, never take the
+  // slot's lock.
+  arch.mrrg();
   // Mapping-cache fast path: a validated hit answers the whole race
   // without spinning up a single mapper. Only successful mappings are
   // ever stored, so a prior failure never pins a (dfg, arch) pair.
@@ -424,7 +417,7 @@ Result<EngineResult> MappingEngine::Run(
                                 PortfolioCacheName(portfolio));
     MappingCache::LookupInfo info;
     std::optional<MappingCache::Entry> entry =
-        options_.cache->Get(cache_key, dfg, mrrg, &info);
+        options_.cache->Get(cache_key, dfg, arch, &info);
     MapEvent e;
     e.kind = MapEvent::Kind::kCacheLookup;
     e.message = cache_key;
@@ -457,21 +450,13 @@ Result<EngineResult> MappingEngine::Run(
       "engine.run",
       telemetry::Enabled() ? StrFormat("%zu mappers", portfolio.size()) : "");
   Result<EngineResult> r = (!options_.race || portfolio.size() == 1)
-                               ? RunSequential(dfg, mrrg, portfolio)
-                               : RunRacing(dfg, mrrg, portfolio);
+                               ? RunSequential(dfg, arch, portfolio)
+                               : RunRacing(dfg, arch, portfolio);
   if (r.ok() && options_.cache) {
     r->cache_key = cache_key;
     options_.cache->Put(cache_key, r->mapping, r->winner);
   }
   return r;
-}
-
-Result<EngineResult> MappingEngine::Run(
-    const Dfg& dfg, const Mrrg& mrrg,
-    const std::vector<std::string>& mapper_names) const {
-  Result<std::vector<const Mapper*>> portfolio = LookupPortfolio(mapper_names);
-  if (!portfolio.ok()) return portfolio.error();
-  return Run(dfg, mrrg, *portfolio);
 }
 
 Result<EngineResult> MappingEngine::Run(
@@ -510,17 +495,14 @@ Result<RepairResult> MappingEngine::RunWithRepair(
 
   for (int round = 0; round < kRepairRounds; ++round) {
     const std::string digest = fm.Digest();
-    // Per-round fabric. Each round's Architecture dies with the round,
-    // so the address-keyed MrrgCache must not be shared across rounds
-    // (a recycled heap address would alias a stale resource graph):
-    // every round builds its own graphs.
+    // Per-round fabric: it owns the MRRG the round maps, validates and
+    // is compiled on.
     auto arch_r = std::make_shared<Architecture>(arch.WithFaults(fm));
 
     RoundStamper stamper(options_.observer, round, digest);
 
     EngineOptions eo = options_;
     eo.observer = &stamper;
-    eo.mrrg_cache = nullptr;
     // Escalating II window: a derated fabric often needs more
     // time-sharing than the healthy ceiling allowed.
     eo.max_ii = std::min(arch_r->MaxIi(),
@@ -634,7 +616,7 @@ Result<RepairResult> MappingEngine::RunWithRepair(
 }
 
 Result<EngineResult> MappingEngine::RunRacing(
-    const Dfg& dfg, const Mrrg& mrrg,
+    const Dfg& dfg, const Architecture& arch,
     const std::vector<const Mapper*>& portfolio) const {
   const std::size_t n = portfolio.size();
   WallTimer total;
@@ -660,9 +642,8 @@ Result<EngineResult> MappingEngine::RunRacing(
   for (std::size_t i = 0; i < n; ++i) {
     futures.push_back(pool.Async([&, i]() {
       const Mapper& mapper = *portfolio[i];
-      MapperOptions mo = EntryOptions(options_, i, race_stop.token(), mrrg);
-      EntryOutcome outcome =
-          ExecuteEntry(options_, mapper, dfg, mrrg.arch(), mo);
+      MapperOptions mo = EntryOptions(options_, i, race_stop.token());
+      EntryOutcome outcome = ExecuteEntry(options_, mapper, dfg, arch, mo);
       const bool won = outcome.result.ok();
       results[i] = std::move(outcome);
       if (won) race_stop.RequestStop();
@@ -696,7 +677,7 @@ Result<EngineResult> MappingEngine::RunRacing(
 }
 
 Result<EngineResult> MappingEngine::RunSequential(
-    const Dfg& dfg, const Mrrg& mrrg,
+    const Dfg& dfg, const Architecture& arch,
     const std::vector<const Mapper*>& portfolio) const {
   WallTimer total;
   EngineResult out;
@@ -706,9 +687,8 @@ Result<EngineResult> MappingEngine::RunSequential(
     if (options_.stop.StopRequested()) break;
     if (options_.deadline.Expired() && !out.attempts.empty()) break;
     const Mapper& mapper = *portfolio[i];
-    MapperOptions mo = EntryOptions(options_, i, options_.stop, mrrg);
-    EntryOutcome outcome =
-        ExecuteEntry(options_, mapper, dfg, mrrg.arch(), mo);
+    MapperOptions mo = EntryOptions(options_, i, options_.stop);
+    EntryOutcome outcome = ExecuteEntry(options_, mapper, dfg, arch, mo);
     out.attempts.push_back(MakeAttempt(mapper, outcome));
     const bool ok = outcome.result.ok();
     results.push_back(std::move(outcome));

@@ -15,9 +15,11 @@
 //     annealers, B&B, the SAT/SMT/CP/ILP inner loops — bails out with
 //     Error::Code::kResourceLimit. Entries that succeed before they see
 //     the stop compete on II (lowest wins, ties by portfolio order).
-//   * Every entry maps on one MRRG of the fabric, the caller's or one
-//     Run builds, and a cache hit is validated against the same graph,
-//     so the racers never rebuild the resource graph.
+//   * Every entry maps on the fabric's one MRRG (Architecture::mrrg(),
+//     built before the cache probe and before any entry runs), and a
+//     cache hit is validated against the same graph, so the racers
+//     never rebuild the resource graph and a sandboxed child only ever
+//     reads a built one.
 //   * Every attempt is reported to the caller's MapObserver (use a
 //     MapTrace to get a JSON post-mortem), bracketed by engine-emitted
 //     kMapperStart / kMapperDone events.
@@ -56,7 +58,8 @@ enum class IsolationMode {
   kCrashyOnly,
   /// Every attempt runs in a fork()ed, rlimit-capped child
   /// (SandboxedMap). The safe default for serving untrusted portfolios;
-  /// costs one fork per attempt (the child reads the parent's MRRG).
+  /// costs one fork per attempt (the child reads the fabric's MRRG,
+  /// which the parent built before forking).
   kAll,
 };
 
@@ -88,10 +91,10 @@ struct EngineOptions {
   /// nullptr. Must be thread-safe when race=true.
   MapObserver* observer = nullptr;
 
-  /// Where Run(dfg, arch, ...) takes its MRRG from; nullptr = it builds
-  /// one. Kept for the benchmark runner only (e2ebench/runner.cpp), and
-  /// deleted with MrrgCache once the runner resolves its requests
-  /// through api::ResolveMapRequest (ROADMAP item 3).
+  /// Unread: every Run maps on arch.mrrg(). Kept only because the
+  /// benchmark runner (e2ebench/runner.cpp) still sets it; it goes with
+  /// MrrgCache once the runner resolves its requests through
+  /// api::ResolveMapRequest (ROADMAP item 3).
   MrrgCache* mrrg_cache = nullptr;
 
   /// Optional result memoisation (src/cache): before racing, Run()
@@ -208,35 +211,28 @@ class MappingEngine {
   explicit MappingEngine(EngineOptions options = {});
 
   /// Race `portfolio` (non-owning mapper pointers, e.g. from
-  /// MapperRegistry) on `dfg` x `mrrg.arch()`. Every entry maps on
-  /// `mrrg`, and a cache hit is validated against it; the caller keeps
-  /// it (and its fabric) alive for the call. Returns the winning
+  /// MapperRegistry) on `dfg` x `arch`. Every entry maps on
+  /// arch.mrrg(), and a cache hit is validated against it; a second
+  /// Run on the same Architecture builds no graph. Returns the winning
   /// mapping or, when every entry fails, an aggregate error:
   /// kResourceLimit if any entry ran out of time/was cancelled (the
   /// budget, not the problem, was the binding constraint), else
   /// kUnmappable.
-  Result<EngineResult> Run(const Dfg& dfg, const Mrrg& mrrg,
-                           const std::vector<const Mapper*>& portfolio) const;
-
-  /// The same on `arch`, with one MRRG built for this run (or taken
-  /// from options().mrrg_cache).
   Result<EngineResult> Run(const Dfg& dfg, const Architecture& arch,
                            const std::vector<const Mapper*>& portfolio) const;
 
   /// Convenience: look the portfolio up by name in MapperRegistry::
   /// Global(). Unknown names are an error.
-  Result<EngineResult> Run(const Dfg& dfg, const Mrrg& mrrg,
-                           const std::vector<std::string>& mapper_names) const;
   Result<EngineResult> Run(const Dfg& dfg, const Architecture& arch,
                            const std::vector<std::string>& mapper_names) const;
 
   /// Fault-tolerant mapping with a bounded repair loop of at most 4
   /// rounds. Each round derates `arch` with the accumulated FaultModel
   /// (starting from `known_faults` plus whatever `arch` already
-  /// carries), races the portfolio on the derated fabric with an equal
-  /// share (at least 0.25 s) of the remaining deadline and an II
-  /// ceiling that grows by 2 per round, validates the winner, and hands
-  /// it to `repair.verifier`. A verifier miscompare that diagnoses new
+  /// carries) into a fresh Architecture with its own MRRG, races the
+  /// portfolio on it with an equal share (at least 0.25 s) of the
+  /// remaining deadline and an II ceiling that grows by 2 per round,
+  /// validates the winner, and hands it to `repair.verifier`. A verifier miscompare that diagnoses new
   /// faults triggers the next round; mappers that crashed
   /// (kInternal) are dropped from later rounds. Every event of round k
   /// reaches the observer with repair_round = k and the round's fault
@@ -257,10 +253,10 @@ class MappingEngine {
 
  private:
   Result<EngineResult> RunRacing(
-      const Dfg& dfg, const Mrrg& mrrg,
+      const Dfg& dfg, const Architecture& arch,
       const std::vector<const Mapper*>& portfolio) const;
   Result<EngineResult> RunSequential(
-      const Dfg& dfg, const Mrrg& mrrg,
+      const Dfg& dfg, const Architecture& arch,
       const std::vector<const Mapper*>& portfolio) const;
 
   EngineOptions options_;

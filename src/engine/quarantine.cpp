@@ -106,11 +106,6 @@ std::vector<QuarantineTracker::Snapshot> QuarantineTracker::Dump() {
   return out;
 }
 
-void QuarantineTracker::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  states_.clear();
-}
-
 QuarantineTracker& QuarantineTracker::Global() {
   static QuarantineTracker* tracker = new QuarantineTracker();
   return *tracker;

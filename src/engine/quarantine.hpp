@@ -71,9 +71,6 @@ class QuarantineTracker {
   };
   std::vector<Snapshot> Dump();
 
-  /// Forget everything (test isolation).
-  void Reset();
-
   const QuarantinePolicy& policy() const { return policy_; }
 
   /// The process-wide tracker shared by cgra_serve request engines.

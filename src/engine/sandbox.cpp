@@ -161,6 +161,9 @@ SandboxedMapResult SandboxedMap(const Mapper& mapper, const Dfg& dfg,
   // observer locks internally.
   MapperOptions child_options = options;
   child_options.observer = nullptr;
+  // Nor may it build the fabric's graph: another parent thread could
+  // hold the graph slot's lock at the fork instant.
+  arch.mrrg();
 
   SandboxedMapResult out;
   out.outcome = RunInSandbox(

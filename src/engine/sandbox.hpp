@@ -91,8 +91,9 @@ std::string SandboxLabel(const SandboxOutcome& outcome);
 /// with other parent threads whose locks may be mid-flight at the fork
 /// instant (per-attempt events from inside the child are therefore
 /// absent; the engine synthesises one summary attempt event from the
-/// shipped record in the parent instead). The borrowed options.mrrg
-/// takes no lock, so the child maps on its fork()ed copy of it.
+/// shipped record in the parent instead). arch.mrrg() is built before
+/// the fork, so the child only reads its fork()ed copy of the graph and
+/// never takes the slot's lock.
 SandboxedMapResult SandboxedMap(const Mapper& mapper, const Dfg& dfg,
                                 const Architecture& arch,
                                 const MapperOptions& options,

@@ -142,9 +142,4 @@ std::string MapTrace::ToJson() const {
   return w.Take();
 }
 
-void MapTrace::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.clear();
-}
-
 }  // namespace cgra

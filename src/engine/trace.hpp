@@ -93,8 +93,6 @@ class MapTrace final : public MapObserver {
   /// Serialisation goes through support/json's JsonWriter.
   std::string ToJson() const;
 
-  void Clear();
-
  private:
   mutable std::mutex mu_;
   std::vector<MapEvent> events_;

@@ -77,16 +77,6 @@ std::vector<int> Band::Vars() const {
   return vars;
 }
 
-std::vector<int> Band::LoopsOf(int v) const {
-  std::vector<int> out;
-  if (v < 0 || v >= static_cast<int>(recover.size())) return out;
-  const Affine& r = recover[static_cast<size_t>(v)];
-  for (const Loop& l : loops) {
-    if (r.Coeff(l.id) != 0) out.push_back(l.id);
-  }
-  return out;
-}
-
 std::int64_t Band::DomainSize() const {
   std::int64_t total = 1;
   for (const Loop& l : loops) {

@@ -126,8 +126,6 @@ struct Band {
 
   /// Variables this band recovers (ids with nonzero recover support).
   std::vector<int> Vars() const;
-  /// Loop ids feeding variable v, in loop order.
-  std::vector<int> LoopsOf(int v) const;
   std::int64_t DomainSize() const;
 };
 

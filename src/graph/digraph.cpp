@@ -11,12 +11,6 @@ void Digraph::Resize(int num_nodes) {
   in_.resize(static_cast<size_t>(num_nodes));
 }
 
-NodeId Digraph::AddNode() {
-  out_.emplace_back();
-  in_.emplace_back();
-  return static_cast<NodeId>(out_.size() - 1);
-}
-
 EdgeId Digraph::AddEdge(NodeId from, NodeId to) {
   assert(from >= 0 && from < num_nodes());
   assert(to >= 0 && to < num_nodes());

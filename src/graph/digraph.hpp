@@ -30,9 +30,6 @@ class Digraph {
   /// Grows the node set to `num_nodes` (never shrinks).
   void Resize(int num_nodes);
 
-  /// Appends a fresh node and returns its id.
-  NodeId AddNode();
-
   /// Adds a directed edge; parallel edges are allowed.
   EdgeId AddEdge(NodeId from, NodeId to);
 

@@ -126,22 +126,22 @@ class BlindRouteMemo {
 // their routes again; Recount rebuilds every term from scratch.
 class Annealer {
  public:
-  Annealer(const Dfg& dfg, const Architecture& arch, const Mrrg& mrrg, int ii,
+  Annealer(const Dfg& dfg, const Architecture& arch, int ii,
            const std::vector<int>& est, Rng& rng)
       : dfg_(dfg),
         arch_(arch),
-        mrrg_(mrrg),
+        mrrg_(arch.mrrg()),
         ii_(ii),
         est_(est),
         rng_(rng),
-        memo_(mrrg, ii),
+        memo_(mrrg_, ii),
         candidates_(CandidateCellTable(dfg, arch)),
         place_(static_cast<size_t>(dfg.num_ops())),
         edges_of_(static_cast<size_t>(dfg.num_ops())),
         fu_use_(static_cast<size_t>(arch.num_cells()) * static_cast<size_t>(ii)),
         bank_use_(static_cast<size_t>(std::max(1, arch.params().num_banks)) *
                   static_cast<size_t>(ii)),
-        route_use_(static_cast<size_t>(mrrg.num_nodes()) *
+        route_use_(static_cast<size_t>(mrrg_.num_nodes()) *
                    static_cast<size_t>(ii)),
         occupants_(static_cast<size_t>(dfg.num_ops())) {
     edges_ = dfg_.Edges(true);
@@ -239,7 +239,7 @@ class Annealer {
 
   /// Tries to rebuild the current assignment with hard capacities.
   Result<Mapping> Realize() const {
-    PlaceRouteState state(dfg_, arch_, mrrg_, ii_);
+    PlaceRouteState state(dfg_, arch_, ii_);
     std::vector<int> times(place_.size());
     for (size_t op = 0; op < place_.size(); ++op) times[op] = place_[op].time;
     for (const OpId op : ScheduleOrder(state.MappableOps(), times)) {
@@ -419,8 +419,7 @@ class Annealer {
 
 // Anneals at `ii`. With `fixed_times` the schedule is given and only
 // binding moves (spr-sa); without it slots move too (DRESC, sa-spatial).
-Result<Mapping> AnnealAtIi(const Dfg& dfg, const Architecture& arch,
-                           const Mrrg& mrrg, int ii,
+Result<Mapping> AnnealAtIi(const Dfg& dfg, const Architecture& arch, int ii,
                            const MapperOptions& options, Rng& rng,
                            const std::vector<int>* fixed_times) {
   const auto est = ModuloAsap(dfg, arch, ii);
@@ -428,7 +427,7 @@ Result<Mapping> AnnealAtIi(const Dfg& dfg, const Architecture& arch,
     return Error::Unmappable("recurrences infeasible at this II");
   }
   const bool move_time = fixed_times == nullptr;
-  Annealer annealer(dfg, arch, mrrg, ii, est, rng);
+  Annealer annealer(dfg, arch, ii, est, rng);
   annealer.RandomInit(/*jitter_time=*/move_time);
   if (fixed_times) annealer.SetTimesFixed(*fixed_times);
 
@@ -478,11 +477,9 @@ class DrescAnnealingMapper final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     Rng rng(options.seed);
     return EscalateIi(*this, dfg, arch, options, [&](int ii) {
-      return AnnealAtIi(dfg, arch, mrrg, ii, options, rng, nullptr);
+      return AnnealAtIi(dfg, arch, ii, options, rng, nullptr);
     });
   }
 };
@@ -501,8 +498,6 @@ class AnnealingBinder final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     Rng rng(options.seed);
     return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
       // Fixed schedule: modulo-ASAP times (the decoupled "scheduling
@@ -511,7 +506,7 @@ class AnnealingBinder final : public Mapper {
       if (times.empty()) {
         return Error::Unmappable("recurrences infeasible at this II");
       }
-      return AnnealAtIi(dfg, arch, mrrg, ii, options, rng, &times);
+      return AnnealAtIi(dfg, arch, ii, options, rng, &times);
     });
   }
 };
@@ -529,13 +524,11 @@ class AnnealingSpatialMapper final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     Rng rng(options.seed);
     if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
     // Pipeline stages may still slide in time (no fixed schedule).
     return ObservedAttempt(*this, options, /*ii=*/1, [&]() {
-      return AnnealAtIi(dfg, arch, mrrg, /*ii=*/1, options, rng, nullptr);
+      return AnnealAtIi(dfg, arch, /*ii=*/1, options, rng, nullptr);
     });
   }
 };
@@ -547,15 +540,14 @@ namespace annealing_internal {
 CostCheck CheckIncrementalCost(const Dfg& dfg, const Architecture& arch, int ii,
                                bool fixed_times, std::uint64_t seed, int moves) {
   CostCheck check;
-  const Mrrg mrrg(arch);
   const auto est = ModuloAsap(dfg, arch, ii);
   if (est.empty()) return check;
   Rng rng(seed);
   Rng coin(seed + 1);
-  Annealer annealer(dfg, arch, mrrg, ii, est, rng);
+  Annealer annealer(dfg, arch, ii, est, rng);
   annealer.RandomInit(/*jitter_time=*/!fixed_times);
   if (fixed_times) annealer.SetTimesFixed(est);
-  ResourceTracker blind(mrrg, ii);
+  ResourceTracker blind(arch.mrrg(), ii);
   auto compare_cost = [&] {
     const double incremental = annealer.Cost();
     annealer.Recount();

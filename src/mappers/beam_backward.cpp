@@ -34,8 +34,6 @@ class BackwardBeamMapper final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     Rng rng(options.seed);
     const auto candidates = CandidateCellTable(dfg, arch);
     constexpr int kBeamWidth = 6;
@@ -73,8 +71,8 @@ class BackwardBeamMapper final : public Mapper {
         int route_steps;
       };
       std::vector<State> beam;
-      beam.push_back(State{PlaceRouteState(dfg, arch, mrrg, ii), 0});
-      PlaceRouteState trial(dfg, arch, mrrg, ii);
+      beam.push_back(State{PlaceRouteState(dfg, arch, ii), 0});
+      PlaceRouteState trial(dfg, arch, ii);
       std::vector<Child> next;
 
       for (OpId op : order) {

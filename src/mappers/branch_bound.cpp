@@ -29,8 +29,6 @@ class BranchBoundMapper final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     const auto candidates = CandidateCellTable(dfg, arch);
     const auto topo = TopologicalOrder(dfg.ToDigraph(/*include_carried=*/false));
     if (!topo) return Error::InvalidArgument("DFG has a same-iteration cycle");
@@ -46,7 +44,7 @@ class BranchBoundMapper final : public Mapper {
       }
       const int horizon = *std::max_element(est.begin(), est.end()) +
                           std::min(options.extra_slack, ii + 2);
-      PlaceRouteState state(dfg, arch, mrrg, ii);
+      PlaceRouteState state(dfg, arch, ii);
       bool timed_out = false;
 
       // Depth-first with explicit recursion over `order`.

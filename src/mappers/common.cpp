@@ -214,8 +214,7 @@ Status CheckMappable(const Dfg& dfg, const Architecture& arch) {
 }
 
 Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
-                              const Mrrg& mrrg, int ii,
-                              const std::vector<OpId>& order,
+                              int ii, const std::vector<OpId>& order,
                               const ImsOptions& options) {
   telemetry::Span phase_span("phase.place_route");
   const std::vector<int> est = [&] {
@@ -225,7 +224,7 @@ Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
   if (est.empty()) {
     return Error::Unmappable(StrFormat("recurrences infeasible at II=%d", ii));
   }
-  PlaceRouteState state(dfg, arch, mrrg, ii);
+  PlaceRouteState state(dfg, arch, ii);
   const auto candidates = options.candidate_cells
                               ? *options.candidate_cells
                               : CandidateCellTable(dfg, arch);
@@ -340,12 +339,11 @@ Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
 }
 
 Result<Mapping> BindAtFixedTimes(const Dfg& dfg, const Architecture& arch,
-                                 const Mrrg& mrrg, int ii,
-                                 const std::vector<int>& times,
+                                 int ii, const std::vector<int>& times,
                                  const Deadline& deadline,
                                  const StopToken& stop) {
   telemetry::Span phase_span("phase.bind");
-  PlaceRouteState state(dfg, arch, mrrg, ii);
+  PlaceRouteState state(dfg, arch, ii);
   const std::vector<OpId> order = ScheduleOrder(state.MappableOps(), times);
   const auto candidates = CandidateCellTable(dfg, arch);
   int budget = 20000;  // search nodes
@@ -383,9 +381,8 @@ bool DirectlyReadable(const Architecture& arch, int producer, int consumer) {
 }
 
 Result<Mapping> RealizePinned(const Dfg& dfg, const Architecture& arch,
-                              const Mrrg& mrrg, int ii,
-                              const std::vector<Placement>& pins) {
-  PlaceRouteState state(dfg, arch, mrrg, ii);
+                              int ii, const std::vector<Placement>& pins) {
+  PlaceRouteState state(dfg, arch, ii);
   std::vector<OpId> order = state.MappableOps();
   std::sort(order.begin(), order.end(), [&](OpId a, OpId b) {
     return pins[static_cast<size_t>(a)].time < pins[static_cast<size_t>(b)].time;
@@ -397,15 +394,6 @@ Result<Mapping> RealizePinned(const Dfg& dfg, const Architecture& arch,
     }
   }
   return state.Finalize();
-}
-
-std::shared_ptr<const Mrrg> AcquireMrrg(const Architecture& arch,
-                                        const MapperOptions& options) {
-  if (options.mrrg != nullptr && &options.mrrg->arch() == &arch) {
-    return std::shared_ptr<const Mrrg>(std::shared_ptr<const Mrrg>(),
-                                       options.mrrg);
-  }
-  return std::make_shared<const Mrrg>(arch);
 }
 
 Result<Mapping> EscalateIi(const Mapper& self, const Dfg& dfg,

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "arch/arch.hpp"
@@ -15,14 +14,6 @@
 #include "support/status.hpp"
 
 namespace cgra {
-
-/// The time-extended resource graph for `arch`: options.mrrg, not
-/// owned, when it was built on this very Architecture object (a lent
-/// graph never serves another object, not even an equal copy); freshly
-/// built and owned otherwise. Mappers hold the returned pointer for the
-/// duration of Map().
-std::shared_ptr<const Mrrg> AcquireMrrg(const Architecture& arch,
-                                        const MapperOptions& options);
 
 /// True when options.stop or options.deadline says to give up; the
 /// standard poll long loops pair with their iteration checks.
@@ -73,8 +64,7 @@ struct ImsOptions {
   StopToken stop;                  ///< cooperative cancellation
 };
 Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
-                              const Mrrg& mrrg, int ii,
-                              const std::vector<OpId>& order,
+                              int ii, const std::vector<OpId>& order,
                               const ImsOptions& options);
 
 /// Binds ops to cells under an externally fixed schedule: depth-first
@@ -83,8 +73,7 @@ Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
 /// scheduling, CP realizations) whose "binding is someone else's
 /// problem".
 Result<Mapping> BindAtFixedTimes(const Dfg& dfg, const Architecture& arch,
-                                 const Mrrg& mrrg, int ii,
-                                 const std::vector<int>& times,
+                                 int ii, const std::vector<int>& times,
                                  const Deadline& deadline,
                                  const StopToken& stop = {});
 
@@ -100,8 +89,7 @@ bool DirectlyReadable(const Architecture& arch, int producer, int consumer);
 /// may run past the DFG's ops). kUnmappable when a pin cannot be placed
 /// or routed.
 Result<Mapping> RealizePinned(const Dfg& dfg, const Architecture& arch,
-                              const Mrrg& mrrg, int ii,
-                              const std::vector<Placement>& pins);
+                              int ii, const std::vector<Placement>& pins);
 
 /// Runs ObservedAttempt(ii) for ii from max(mii, 1) to min(max_ii,
 /// arch max), returning the first success. Checks options.stop /

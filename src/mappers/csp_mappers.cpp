@@ -29,8 +29,6 @@ class CpTemporalMapper final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
       const auto est = ModuloAsap(dfg, arch, ii);
       if (est.empty()) {
@@ -100,7 +98,7 @@ class CpTemporalMapper final : public Mapper {
         const int v = (*sol)[static_cast<size_t>(var[static_cast<size_t>(op)])];
         pins[static_cast<size_t>(op)] = Placement{v / T, v % T};
       }
-      return RealizePinned(dfg, arch, mrrg, ii, pins);
+      return RealizePinned(dfg, arch, ii, pins);
     });
   }
 };
@@ -119,8 +117,6 @@ class SatTemporalMapper final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
       const auto est = ModuloAsap(dfg, arch, ii);
       if (est.empty()) {
@@ -207,7 +203,7 @@ class SatTemporalMapper final : public Mapper {
           }
         }
       }
-      return RealizePinned(dfg, arch, mrrg, ii, pins);
+      return RealizePinned(dfg, arch, ii, pins);
     });
   }
 };
@@ -229,8 +225,6 @@ class SmtTemporalMapper final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
     // Non-pipelined: II == schedule length L; escalate L.
     const auto est0 = ModuloAsap(dfg, arch, arch.MaxIi());
@@ -249,7 +243,7 @@ class SmtTemporalMapper final : public Mapper {
       // The SMT mapper escalates schedule length rather than II, so it
       // brackets each length itself (EscalateIi does this for the rest).
       Result<Mapping> r = ObservedAttempt(*this, options, len, [&] {
-        return TryLength(dfg, arch, mrrg, len, options);
+        return TryLength(dfg, arch, len, options);
       });
       if (r.ok()) return r;
       last = r.error();
@@ -259,8 +253,7 @@ class SmtTemporalMapper final : public Mapper {
 
  private:
   Result<Mapping> TryLength(const Dfg& dfg, const Architecture& arch,
-                            const Mrrg& mrrg, int len,
-                            const MapperOptions& options) const {
+                            int len, const MapperOptions& options) const {
     const int cells = arch.num_cells();
     const std::vector<OpId> ops = MappableOps(dfg, arch);
 
@@ -347,7 +340,7 @@ class SmtTemporalMapper final : public Mapper {
       pins[static_cast<size_t>(ops[i])] =
           Placement{cell, smt.TermValue(t_term[static_cast<size_t>(ops[i])]) - t0};
     }
-    return RealizePinned(dfg, arch, mrrg, len, pins);
+    return RealizePinned(dfg, arch, len, pins);
   }
 };
 

@@ -27,8 +27,6 @@ class EdgeCentricMapper final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     const auto candidates = CandidateCellTable(dfg, arch);
     // Criticality order: height first, fan-out as tie-break (edges of
     // high-fan-out ops are the hardest nets to route).
@@ -53,7 +51,7 @@ class EdgeCentricMapper final : public Mapper {
       if (est.empty()) {
         return Error::Unmappable("recurrences infeasible at this II");
       }
-      PlaceRouteState state(dfg, arch, mrrg, ii);
+      PlaceRouteState state(dfg, arch, ii);
       for (OpId op : order) {
         if (ShouldAbort(options)) {
           return Error::ResourceLimit("EMS deadline expired");

@@ -35,8 +35,6 @@ class EpimapStyleMapper final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     // A dependence p -> q binds when q reads p's cell directly.
     CellReads reads(arch.num_cells());
     for (int q = 0; q < arch.num_cells(); ++q) {
@@ -48,7 +46,7 @@ class EpimapStyleMapper final : public Mapper {
         if (ShouldAbort(options)) {
           return Error::ResourceLimit("EPIMap deadline expired");
         }
-        Result<Mapping> r = TryBind(work, dfg, arch, mrrg, reads, ii, options);
+        Result<Mapping> r = TryBind(work, dfg, arch, reads, ii, options);
         if (r.ok()) return r;
         // Transform: stretch the longest same-iteration edge of the
         // highest-fanout op with a route node, then retry.
@@ -85,9 +83,8 @@ class EpimapStyleMapper final : public Mapper {
   // synthetic routes are appended, so the original ops' placements are
   // a prefix, re-pinned and routed on their own.
   Result<Mapping> TryBind(const Dfg& work, const Dfg& original,
-                          const Architecture& arch, const Mrrg& mrrg,
-                          const CellReads& reads, int ii,
-                          const MapperOptions& options) const {
+                          const Architecture& arch, const CellReads& reads,
+                          int ii, const MapperOptions& options) const {
     const auto times = ModuloAsap(work, arch, ii);
     if (times.empty()) {
       return Error::Unmappable("recurrences infeasible at this II");
@@ -131,10 +128,10 @@ class EpimapStyleMapper final : public Mapper {
       const OpId op = mappable[static_cast<size_t>(va)];
       pins[static_cast<size_t>(op)] = Placement{cell, times[static_cast<size_t>(op)]};
     }
-    Result<Mapping> full = RealizePinned(work, arch, mrrg, ii, pins);
+    Result<Mapping> full = RealizePinned(work, arch, ii, pins);
     if (!full.ok() || work.num_ops() == original.num_ops()) return full;
     // Project the transformed mapping back onto the original DFG.
-    return RealizePinned(original, arch, mrrg, ii, full->place);
+    return RealizePinned(original, arch, ii, full->place);
   }
 };
 

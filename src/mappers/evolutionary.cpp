@@ -66,9 +66,9 @@ GenomeScore Realize(PlaceRouteState& state, const std::vector<OpId>& order,
 // genome.
 class GenomeScorer {
  public:
-  GenomeScorer(const Dfg& dfg, const Architecture& arch, const Mrrg& mrrg,
-               int ii, const std::vector<int>& times, int slide_slack)
-      : state_(dfg, arch, mrrg, ii),
+  GenomeScorer(const Dfg& dfg, const Architecture& arch, int ii,
+               const std::vector<int>& times, int slide_slack)
+      : state_(dfg, arch, ii),
         times_(times),
         order_(ScheduleOrder(state_.MappableOps(), times_)),
         slide_slack_(slide_slack),
@@ -156,8 +156,6 @@ class GeneticSpatialMapper final : public Mapper {
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     return ObservedAttempt(*this, options, /*ii=*/1, [&]() -> Result<Mapping> {
       Rng rng(options.seed);
       const int ii = 1;
@@ -165,7 +163,7 @@ class GeneticSpatialMapper final : public Mapper {
       if (times.empty()) return Error::Unmappable("recurrences infeasible at II=1");
       const auto candidates = CandidateCellTable(dfg, arch);
       const int n = dfg.num_ops();
-      GenomeScorer scorer(dfg, arch, mrrg, ii, times, options.extra_slack);
+      GenomeScorer scorer(dfg, arch, ii, times, options.extra_slack);
 
       constexpr int kPopulation = 24;
       constexpr int kGenerations = 60;
@@ -246,8 +244,6 @@ class QeaBinder final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     Rng rng(options.seed);
     const auto candidates = CandidateCellTable(dfg, arch);
     const int n = dfg.num_ops();
@@ -269,7 +265,7 @@ class QeaBinder final : public Mapper {
       // A little slide slack lets the greedy realization repair local
       // slot congestion the fixed modulo-ASAP schedule has. A converged
       // register observes the same genome again: a memo lookup.
-      GenomeScorer scorer(dfg, arch, mrrg, ii, times, options.extra_slack);
+      GenomeScorer scorer(dfg, arch, ii, times, options.extra_slack);
       auto observe = [&] {
         std::vector<int> genome(static_cast<size_t>(n), -1);
         for (OpId op = 0; op < n; ++op) {
@@ -333,7 +329,6 @@ namespace evolutionary_internal {
 MemoCheck CheckGenomeMemo(const Dfg& dfg, const Architecture& arch, int ii,
                           std::uint64_t seed, int genomes) {
   MemoCheck check;
-  const Mrrg mrrg(arch);
   const auto candidates = CandidateCellTable(dfg, arch);
   Rng rng(seed);
   // Each genome is fresh, a repeat of an earlier one, or an earlier one
@@ -363,10 +358,10 @@ MemoCheck CheckGenomeMemo(const Dfg& dfg, const Architecture& arch, int ii,
   for (const int at : {ii, ii + 1}) {
     const auto times = ModuloAsap(dfg, arch, at);
     if (times.empty()) continue;
-    GenomeScorer scorer(dfg, arch, mrrg, at, times, slack);
+    GenomeScorer scorer(dfg, arch, at, times, slack);
     int scored = 0;
     for (size_t i = 0; i < stream.size(); ++i) {
-      PlaceRouteState state(dfg, arch, mrrg, at);
+      PlaceRouteState state(dfg, arch, at);
       const GenomeScore fresh =
           Realize(state, ScheduleOrder(state.MappableOps(), times), stream[i],
                   times, slack);

@@ -30,8 +30,6 @@ class GraphDrawingMapper final : public Mapper {
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     Rng rng(options.seed);
 
     const std::vector<OpId> mappable = MappableOps(dfg, arch);
@@ -90,7 +88,7 @@ class GraphDrawingMapper final : public Mapper {
       }
 
       // Place in ASAP order on the assigned cells and route for real.
-      PlaceRouteState state(dfg, arch, mrrg, /*ii=*/1);
+      PlaceRouteState state(dfg, arch, /*ii=*/1);
       bool ok = true;
       for (OpId op : order) {
         const int cell = assign[static_cast<size_t>(compact[static_cast<size_t>(op)])];

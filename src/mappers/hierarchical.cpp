@@ -30,8 +30,6 @@ class HierarchicalMapper final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     const auto order = HeightPriorityOrder(dfg, arch);
     Rng rng(options.seed);
 
@@ -77,13 +75,13 @@ class HierarchicalMapper final : public Mapper {
       ims.stop = options.stop;
       ims.extra_slack = options.extra_slack;
       if (split) ims.candidate_cells = &restricted;
-      Result<Mapping> r = ImsPlaceRoute(dfg, arch, mrrg, ii, order, ims);
+      Result<Mapping> r = ImsPlaceRoute(dfg, arch, ii, order, ims);
       if (r.ok() || !split) return r;
       // HiMap "terminates when a valid mapping is found": if the
       // hierarchical restriction was too tight at this II, retry flat
       // before escalating.
       ims.candidate_cells = nullptr;
-      return ImsPlaceRoute(dfg, arch, mrrg, ii, order, ims);
+      return ImsPlaceRoute(dfg, arch, ii, order, ims);
     });
   }
 };

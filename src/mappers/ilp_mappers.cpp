@@ -51,8 +51,6 @@ class IlpSpatialMapper final : public Mapper {
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     return ObservedAttempt(*this, options, /*ii=*/1, [&]() -> Result<Mapping> {
       const int ii = 1;
       const auto est = ModuloAsap(dfg, arch, ii);
@@ -137,7 +135,7 @@ class IlpSpatialMapper final : public Mapper {
       for (OpId op : *topo) {
         if (!arch.IsFolded(dfg.op(op).opcode)) order.push_back(op);
       }
-      PlaceRouteState state(dfg, arch, mrrg, ii);
+      PlaceRouteState state(dfg, arch, ii);
       int budget = 20000;
       std::function<bool(size_t)> realize = [&](size_t depth) -> bool {
         if (depth == order.size()) return true;
@@ -184,8 +182,6 @@ class IlpTemporalMapper final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
       const auto est = ModuloAsap(dfg, arch, ii);
       if (est.empty()) {
@@ -296,7 +292,7 @@ class IlpTemporalMapper final : public Mapper {
           }
         }
       }
-      return RealizePinned(dfg, arch, mrrg, ii, pins);
+      return RealizePinned(dfg, arch, ii, pins);
     });
   }
 };
@@ -312,8 +308,6 @@ class IlpBinder final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
       const auto times = ModuloAsap(dfg, arch, ii);
       if (times.empty()) {
@@ -394,7 +388,7 @@ class IlpBinder final : public Mapper {
           }
         }
       }
-      return RealizePinned(dfg, arch, mrrg, ii, pins);
+      return RealizePinned(dfg, arch, ii, pins);
     });
   }
 };
@@ -410,8 +404,6 @@ class IlpScheduler final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
       const auto est = ModuloAsap(dfg, arch, ii);
       if (est.empty()) {
@@ -505,7 +497,7 @@ class IlpScheduler final : public Mapper {
           }
         }
       }
-      return BindAtFixedTimes(dfg, arch, mrrg, ii, solved_times,
+      return BindAtFixedTimes(dfg, arch, ii, solved_times,
                               options.deadline, options.stop);
     });
   }

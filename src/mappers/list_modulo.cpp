@@ -31,15 +31,13 @@ class IterativeModuloScheduler final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     const auto order = HeightPriorityOrder(dfg, arch);
     return EscalateIi(*this, dfg, arch, options, [&](int ii) {
       ImsOptions ims;
       ims.deadline = options.deadline;
       ims.stop = options.stop;
       ims.extra_slack = options.extra_slack;
-      return ImsPlaceRoute(dfg, arch, mrrg, ii, order, ims);
+      return ImsPlaceRoute(dfg, arch, ii, order, ims);
     });
   }
 };
@@ -55,8 +53,6 @@ class CrimsonScheduler final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     Rng rng(options.seed);
     const auto base_order = HeightPriorityOrder(dfg, arch);
     constexpr int kRestartsPerIi = 6;
@@ -80,7 +76,7 @@ class CrimsonScheduler final : public Mapper {
         ims.stop = options.stop;
         ims.extra_slack = options.extra_slack;
         ims.rng = &attempt_rng;
-        Result<Mapping> r = ImsPlaceRoute(dfg, arch, mrrg, ii, order, ims);
+        Result<Mapping> r = ImsPlaceRoute(dfg, arch, ii, order, ims);
         if (r.ok()) return r;
         last = r.error();
       }

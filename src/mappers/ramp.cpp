@@ -71,8 +71,6 @@ class RampMapper final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     const auto order = HeightPriorityOrder(dfg, arch);
 
     return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
@@ -82,7 +80,7 @@ class RampMapper final : public Mapper {
       tight.stop = options.stop;
       tight.eviction_budget_factor = 2;
       tight.extra_slack = options.extra_slack;
-      Result<Mapping> r = ImsPlaceRoute(dfg, arch, mrrg, ii, order, tight);
+      Result<Mapping> r = ImsPlaceRoute(dfg, arch, ii, order, tight);
       if (r.ok()) return r;
 
       // Strategy 2: full-budget IMS with extra schedule slack (helps
@@ -92,7 +90,7 @@ class RampMapper final : public Mapper {
       wide.stop = options.stop;
       wide.eviction_budget_factor = 12;
       wide.extra_slack = options.extra_slack + ii;
-      r = ImsPlaceRoute(dfg, arch, mrrg, ii, order, wide);
+      r = ImsPlaceRoute(dfg, arch, ii, order, wide);
       if (r.ok()) return r;
 
       // Strategy 3: insert routing nodes on congested (high-fanout)
@@ -104,13 +102,13 @@ class RampMapper final : public Mapper {
       if (transformed.dfg.num_ops() > transformed.synthetic_from) {
         const auto t_order = HeightPriorityOrder(transformed.dfg, arch);
         Result<Mapping> tr =
-            ImsPlaceRoute(transformed.dfg, arch, mrrg, ii, t_order, wide);
+            ImsPlaceRoute(transformed.dfg, arch, ii, t_order, wide);
         if (tr.ok()) {
           // Project back: keep original ops' placements; the synthetic
           // route ops' cells/cycles become part of the edge routes. We
           // conservatively re-route the original DFG pinned to the
           // projected placement; if that fails, fall through to II+1.
-          Result<Mapping> pinned = RealizePinned(dfg, arch, mrrg, ii, tr->place);
+          Result<Mapping> pinned = RealizePinned(dfg, arch, ii, tr->place);
           if (pinned.ok()) return pinned;
         }
       }

@@ -29,8 +29,6 @@ class SpatialGreedyMapper final : public Mapper {
     if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
     // Spatial mapping is modulo scheduling at II = 1: each cell hosts
     // exactly one op and is busy every cycle.
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     // Dependence-first order (topological over same-iteration edges),
     // so affinity information exists when each op is placed.
     const auto topo = TopologicalOrder(dfg.ToDigraph(/*include_carried=*/false));
@@ -44,7 +42,7 @@ class SpatialGreedyMapper final : public Mapper {
     ims.stop = options.stop;
     ims.extra_slack = options.extra_slack;
     return ObservedAttempt(*this, options, /*ii=*/1, [&]() {
-      return ImsPlaceRoute(dfg, arch, mrrg, /*ii=*/1, order, ims);
+      return ImsPlaceRoute(dfg, arch, /*ii=*/1, order, ims);
     });
   }
 };

@@ -28,8 +28,6 @@ class UltraFastScheduler final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    const auto mrrg_ref = AcquireMrrg(arch, options);
-    const Mrrg& mrrg = *mrrg_ref;
     const auto candidates = CandidateCellTable(dfg, arch);
     // Dependence order (not height priority: cheapest possible order).
     const auto topo = TopologicalOrder(dfg.ToDigraph(/*include_carried=*/false));
@@ -40,7 +38,7 @@ class UltraFastScheduler final : public Mapper {
       if (est.empty()) {
         return Error::Unmappable("recurrences infeasible at this II");
       }
-      PlaceRouteState state(dfg, arch, mrrg, ii);
+      PlaceRouteState state(dfg, arch, ii);
       for (OpId op : *topo) {
         if (arch.IsFolded(dfg.op(op).opcode)) continue;
         const int t = state.EarliestStart(op, est[static_cast<size_t>(op)]);

@@ -25,7 +25,6 @@
 namespace cgra {
 
 class ByteWriter;  // support/bytes.hpp
-class Mrrg;        // arch/mrrg.hpp
 
 /// Table I taxonomy coordinates.
 enum class TechniqueClass {
@@ -68,18 +67,11 @@ struct MapperOptions {
   /// included.
   MapObserver* observer = nullptr;
 
-  /// Optional borrowed MRRG, immutable and alive for the whole Map()
-  /// call: the portfolio engine hands every entry the one graph of its
-  /// fabric. A mapper uses it only when it was built on the very
-  /// Architecture object being mapped (AcquireMrrg checks the address);
-  /// otherwise, or when null, the mapper builds its own.
-  const Mrrg* mrrg = nullptr;
-
   /// Canonical byte encoding of the SEMANTIC fields only — min_ii,
-  /// max_ii, extra_slack, seed. The deadline, stop token, observer and
-  /// borrowed MRRG steer *how long* a mapper searches, not *which problem* it
-  /// solves; none of them belong in a content-addressed cache key
-  /// (docs/CACHE.md spells out the resulting staleness contract).
+  /// max_ii, extra_slack, seed. The deadline, stop token and observer
+  /// steer *how long* a mapper searches, not *which problem* it solves;
+  /// none of them belong in a content-addressed cache key (docs/CACHE.md
+  /// spells out the resulting staleness contract).
   /// Layout carries a version tag.
   void AppendCanonicalBytes(ByteWriter& w) const;
 

@@ -30,12 +30,11 @@ std::vector<OpId> MappableOps(const Dfg& dfg, const Architecture& arch) {
 }
 
 PlaceRouteState::PlaceRouteState(const Dfg& dfg, const Architecture& arch,
-                                 const Mrrg& mrrg, int ii)
+                                 int ii)
     : dfg_(&dfg),
       arch_(&arch),
-      mrrg_(&mrrg),
       ii_(ii),
-      tracker_(mrrg, ii),
+      tracker_(arch.mrrg(), ii),
       place_(static_cast<size_t>(dfg.num_ops())),
       edges_(dfg.Edges(/*include_pred=*/true)),
       routes_(edges_.size()),
@@ -78,7 +77,7 @@ bool PlaceRouteState::RouteEdge(int edge_index) {
   req.to_cell = to.cell;
   req.to_time = arrive;
   req.value = e.from;
-  auto route = RouteValue(*mrrg_, tracker_, req);
+  auto route = RouteValue(tracker_.mrrg(), tracker_, req);
   telemetry::SearchRecordRouteResult(route.ok());
   if (!route.ok()) {
     telemetry::SearchRecordCellCongested(req.to_cell);
@@ -105,7 +104,7 @@ bool PlaceRouteState::TryPlace(OpId op, int cell, int time) {
     telemetry::SearchRecordPlaceReject(static_cast<int>(last_fail_));
     return false;
   }
-  const int fu = mrrg_->FuNode(cell);
+  const int fu = tracker_.mrrg().FuNode(cell);
   if (!tracker_.CanOccupy(fu, time, op)) {
     last_fail_ = FailReason::kFuBusy;
     telemetry::SearchRecordPlaceReject(static_cast<int>(last_fail_));
@@ -159,7 +158,9 @@ bool PlaceRouteState::TryPlace(OpId op, int cell, int time) {
     telemetry::SearchRecordPlaceReject(static_cast<int>(last_fail_));
     return false;
   }
-  for (int e : routed_) FoldRouteSteps(*mrrg_, *routes_[static_cast<size_t>(e)]);
+  for (int e : routed_) {
+    FoldRouteSteps(tracker_.mrrg(), *routes_[static_cast<size_t>(e)]);
+  }
   ++placed_count_;
   telemetry::SearchRecordPlaceAccept();
   return true;
@@ -205,7 +206,7 @@ void PlaceRouteState::Unplace(OpId op) {
   for (int e : edges_of_[static_cast<size_t>(op)]) {
     UnrouteEdge(e);
   }
-  tracker_.Release(mrrg_->FuNode(p.cell), p.time, op);
+  tracker_.Release(tracker_.mrrg().FuNode(p.cell), p.time, op);
   if (IsMemoryOp(dfg_->op(op).opcode) && BankOf(p.cell) >= 0) {
     const int slot = ((p.time % ii_) + ii_) % ii_;
     --bank_load_[static_cast<size_t>(BankOf(p.cell))][static_cast<size_t>(slot)];

@@ -29,9 +29,9 @@ std::vector<OpId> MappableOps(const Dfg& dfg, const Architecture& arch);
 
 class PlaceRouteState {
  public:
-  /// `mrrg` must outlive the state. `ii` >= 1.
-  PlaceRouteState(const Dfg& dfg, const Architecture& arch, const Mrrg& mrrg,
-                  int ii);
+  /// Routes on arch.mrrg(); `dfg` and `arch` must outlive the state.
+  /// `ii` >= 1.
+  PlaceRouteState(const Dfg& dfg, const Architecture& arch, int ii);
 
   const Dfg& dfg() const { return *dfg_; }
   const Architecture& arch() const { return *arch_; }
@@ -114,7 +114,6 @@ class PlaceRouteState {
 
   const Dfg* dfg_;
   const Architecture* arch_;
-  const Mrrg* mrrg_;
   int ii_;
   ResourceTracker tracker_;
   std::vector<Placement> place_;

@@ -215,17 +215,11 @@ Status CheckAgainst(const Dfg& dfg, const Mrrg& mrrg, const Mapping& m) {
 
 }  // namespace
 
-Status ValidateMapping(const Dfg& dfg, const Mrrg& mrrg, const Mapping& m) {
-  telemetry::Span span("mapping.validate");
-  if (Status s = CheckShape(dfg, mrrg.arch(), m); !s.ok()) return s;
-  return CheckAgainst(dfg, mrrg, m);
-}
-
 Status ValidateMapping(const Dfg& dfg, const Architecture& arch,
                        const Mapping& m) {
   telemetry::Span span("mapping.validate");
   if (Status s = CheckShape(dfg, arch, m); !s.ok()) return s;
-  return CheckAgainst(dfg, Mrrg(arch), m);
+  return CheckAgainst(dfg, arch.mrrg(), m);
 }
 
 }  // namespace cgra

@@ -18,20 +18,15 @@
 #include <cstddef>
 
 #include "arch/arch.hpp"
-#include "arch/mrrg.hpp"
 #include "ir/dfg.hpp"
 #include "mapping/mapping.hpp"
 #include "support/status.hpp"
 
 namespace cgra {
 
-/// Checks `mapping` of `dfg` against `mrrg` and the fabric it was
-/// built on (mrrg.arch()). The first failed check decides the error.
-Status ValidateMapping(const Dfg& dfg, const Mrrg& mrrg,
-                       const Mapping& mapping);
-
-/// The same checks against a fresh MRRG of `arch`, built only once
-/// the checks that need no MRRG have passed.
+/// Checks `mapping` of `dfg` against `arch` and its MRRG
+/// (arch.mrrg(), built on first use only once the checks that need no
+/// MRRG have passed). The first failed check decides the error.
 Status ValidateMapping(const Dfg& dfg, const Architecture& arch,
                        const Mapping& mapping);
 

@@ -88,8 +88,9 @@ bool UnitsCollide(const LiveUnit& u, int ru, const LiveUnit& w, int rw, int ii,
 // Greedy allocation. Static RFs: circular-arc colouring, live range
 // must fit within II. Rotating: iteration-0 physical indices chosen so
 // no two units' iteration copies collide.
-Result<RegAlloc> AllocateRegisters(const Mrrg& mrrg, const Mapping& m,
-                                   const Dfg& dfg, const Architecture& arch) {
+Result<RegAlloc> AllocateRegisters(const Mapping& m, const Dfg& dfg,
+                                   const Architecture& arch) {
+  const Mrrg& mrrg = arch.mrrg();
   RegAlloc alloc;
   alloc.rotating = arch.params().rf_kind == RfKind::kRotating;
   alloc.ii = m.ii;
@@ -215,11 +216,11 @@ int ReadableIndexOf(const Architecture& arch, int reader_cell, int source_cell) 
 
 Result<ConfigImage> CompileToContexts(const Dfg& dfg, const Architecture& arch,
                                       const Mapping& m) {
-  const Mrrg mrrg(arch);
+  const Mrrg& mrrg = arch.mrrg();
   const int R = arch.HoldCapacity();
   const bool shared = arch.params().rf_kind == RfKind::kShared;
 
-  auto alloc_or = AllocateRegisters(mrrg, m, dfg, arch);
+  auto alloc_or = AllocateRegisters(m, dfg, arch);
   if (!alloc_or.ok()) return alloc_or.error();
   const RegAlloc& alloc = *alloc_or;
   if (Status s = VerifyAllocation(alloc, mrrg, R, dfg); !s.ok()) return s.error();

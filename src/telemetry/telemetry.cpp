@@ -51,10 +51,6 @@ std::uint64_t NewCorrelation() {
 
 std::uint64_t CurrentCorrelation() { return tl_correlation; }
 
-std::uint32_t CurrentThreadId() {
-  return TraceSink::Global().LocalRing().tid;
-}
-
 TraceSink::TraceSink() {
   SteadyAnchor();
   wall_anchor_micros_ =

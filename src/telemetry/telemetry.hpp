@@ -62,9 +62,6 @@ std::uint64_t NewCorrelation();
 /// (0 when none). Used to stamp MapEvents emitted inside a span.
 std::uint64_t CurrentCorrelation();
 
-/// The calling thread's dense telemetry thread index.
-std::uint32_t CurrentThreadId();
-
 /// The process-wide collector. Each thread's first span registers a
 /// ring buffer here; Drain() snapshots every ring's unread records
 /// (safe to call while other threads keep emitting — each ring is

@@ -208,10 +208,10 @@ TEST(ApiResolve, DeadCellsDerateTheFabricAndRequestFillsTheEngine) {
   r.extra_slack = 3;
   const Result<api::ResolvedRequest> job = api::ResolveMapRequest(r);
   ASSERT_TRUE(job.ok()) << job.error().message;
-  EXPECT_EQ(job->fabric->arch.params().name, "adres4x4");
-  EXPECT_FALSE(job->fabric->arch.CellAlive(1));
-  EXPECT_FALSE(job->fabric->arch.CellAlive(5));
-  EXPECT_TRUE(job->fabric->arch.CellAlive(0));
+  EXPECT_EQ(job->fabric->params().name, "adres4x4");
+  EXPECT_FALSE(job->fabric->CellAlive(1));
+  EXPECT_FALSE(job->fabric->CellAlive(5));
+  EXPECT_TRUE(job->fabric->CellAlive(0));
   EXPECT_EQ(job->kernel.name, "dot_product");
   EXPECT_EQ(job->engine.seed, 99u);
   EXPECT_EQ(job->engine.min_ii, 2);

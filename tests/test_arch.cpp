@@ -1,7 +1,12 @@
 // Tests for the architecture model, MRRG, and the configuration
 // encode/decode contract.
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +15,7 @@
 #include "arch/fault.hpp"
 #include "arch/mrrg.hpp"
 #include "support/rng.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace cgra {
 namespace {
@@ -112,6 +118,69 @@ TEST(Arch, ValidateRejectsBadParams) {
   q.style = ExecutionStyle::kSpatial;
   q.context_depth = 4;
   EXPECT_FALSE(Architecture{q}.Validate().ok());
+}
+
+std::uint64_t MrrgBuilds() {
+  return telemetry::MetricsRegistry::Global()
+      .GetCounter("cgra_mrrg_builds_total")
+      .Value();
+}
+
+TEST(Arch, OwnsItsMrrg) {
+  const Architecture arch = Architecture::Adres4x4();
+  std::uint64_t before = MrrgBuilds();
+  const Mrrg& mrrg = arch.mrrg();
+  EXPECT_EQ(MrrgBuilds() - before, 1u);
+  EXPECT_EQ(&mrrg.arch(), &arch);
+  before = MrrgBuilds();
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(&arch.mrrg(), &mrrg);
+  EXPECT_EQ(MrrgBuilds() - before, 0u) << "repeated calls build nothing";
+
+  // A copy, a copy-assigned, a moved-to and a derated Architecture each
+  // start without a graph and build their own on first use.
+  Architecture source = arch;
+  source.mrrg();  // built, so a move could carry it
+  Architecture assigned = Architecture::Small2x2();
+  assigned.mrrg();  // the assignment frees it
+  FaultModel fm;
+  fm.KillCell(5);
+  before = MrrgBuilds();
+  const Architecture copy = arch;
+  assigned = arch;
+  const Architecture moved = std::move(source);
+  const Architecture derated = arch.WithFaults(fm);
+  EXPECT_EQ(MrrgBuilds() - before, 0u) << "copying builds nothing";
+  for (const Architecture* x :
+       std::vector<const Architecture*>{&copy, &assigned, &moved, &derated}) {
+    before = MrrgBuilds();
+    const Mrrg& own = x->mrrg();
+    EXPECT_EQ(MrrgBuilds() - before, 1u);
+    EXPECT_EQ(&own.arch(), x);
+    EXPECT_NE(&own, &mrrg);
+    EXPECT_EQ(own.num_nodes(), mrrg.num_nodes());
+  }
+  EXPECT_EQ(derated.mrrg().capacity(derated.mrrg().FuNode(5)), 0);
+  EXPECT_EQ(mrrg.capacity(mrrg.FuNode(5)), 1) << "the healthy graph is intact";
+
+  // An Architecture that is never asked builds none.
+  before = MrrgBuilds();
+  {
+    const Architecture unasked = Architecture::Big8x8();
+    const Architecture unasked_derated = unasked.WithFaults(fm);
+  }
+  EXPECT_EQ(MrrgBuilds() - before, 0u);
+
+  // Threads racing the first use of one Architecture build one graph.
+  const Architecture raced = Architecture::Mega16x16();
+  std::vector<const Mrrg*> got(8, nullptr);
+  before = MrrgBuilds();
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] { got[t] = &raced.mrrg(); });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(MrrgBuilds() - before, 1u);
+  for (const Mrrg* g : got) EXPECT_EQ(g, &raced.mrrg());
 }
 
 TEST(Mrrg, NodeCountsMesh) {

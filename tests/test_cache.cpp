@@ -204,10 +204,10 @@ TEST(MappingCache, MemoryHitReturnsTheMapping) {
   MappingCache cache;
   const std::string key = MappingCacheKey(arch, k.dfg, MapperOptions{}, "ims");
 
-  EXPECT_FALSE(cache.Get(key, k.dfg, Mrrg(arch)).has_value());
+  EXPECT_FALSE(cache.Get(key, k.dfg, arch).has_value());
   cache.Put(key, m, "ims");
   MappingCache::LookupInfo info;
-  const auto hit = cache.Get(key, k.dfg, Mrrg(arch), &info);
+  const auto hit = cache.Get(key, k.dfg, arch, &info);
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(info.hit);
   EXPECT_EQ(info.tier, MappingCache::Tier::kMemory);
@@ -235,12 +235,12 @@ TEST(MappingCache, DiskTierSurvivesMemoryClearAndPromotes) {
   cache.Clear();  // simulates a process restart: only disk survives
   ASSERT_EQ(cache.size(), 0u);
   MappingCache::LookupInfo info;
-  const auto hit = cache.Get(key, k.dfg, Mrrg(arch), &info);
+  const auto hit = cache.Get(key, k.dfg, arch, &info);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(info.tier, MappingCache::Tier::kDisk);
   EXPECT_EQ(MappingDigestHex(hit->mapping), MappingDigestHex(m));
   // Promoted: the next lookup is a memory hit.
-  cache.Get(key, k.dfg, Mrrg(arch), &info);
+  cache.Get(key, k.dfg, arch, &info);
   EXPECT_EQ(info.tier, MappingCache::Tier::kMemory);
 }
 
@@ -268,12 +268,12 @@ TEST(MappingCache, CorruptedDiskEntryDegradesToMiss) {
   }
   cache.Clear();
   MappingCache::LookupInfo info;
-  EXPECT_FALSE(cache.Get(key, k.dfg, Mrrg(arch), &info).has_value());
+  EXPECT_FALSE(cache.Get(key, k.dfg, arch, &info).has_value());
   EXPECT_TRUE(info.decode_failed || info.validate_failed);
   EXPECT_EQ(cache.stats().misses, 1u);
   // The poisoned file was deleted or evicted; a re-Put works again.
   cache.Put(key, m, "ims");
-  EXPECT_TRUE(cache.Get(key, k.dfg, Mrrg(arch)).has_value());
+  EXPECT_TRUE(cache.Get(key, k.dfg, arch).has_value());
 }
 
 TEST(MappingCache, VersionSkewedDiskEntryDegradesToMiss) {
@@ -299,7 +299,7 @@ TEST(MappingCache, VersionSkewedDiskEntryDegradesToMiss) {
     std::fclose(f);
   }
   cache.Clear();
-  EXPECT_FALSE(cache.Get(key, k.dfg, Mrrg(arch)).has_value());
+  EXPECT_FALSE(cache.Get(key, k.dfg, arch).has_value());
   EXPECT_GE(cache.stats().decode_failures, 1u);
 }
 
@@ -330,12 +330,12 @@ TEST(MappingCache, ValidateOnHitRejectsAMappingForTheWrongFabric) {
   // Same key, wrong fabric (as if the encoding were buggy): the
   // validate-on-hit backstop must refuse to serve it...
   MappingCache::LookupInfo info;
-  EXPECT_FALSE(cache.Get(key, k.dfg, Mrrg(derated), &info).has_value());
+  EXPECT_FALSE(cache.Get(key, k.dfg, derated, &info).has_value());
   EXPECT_TRUE(info.validate_failed);
   EXPECT_GE(cache.stats().validate_failures, 1u);
   // ...and must have evicted it, so even the correct fabric now misses
   // (a poisoned entry is gone for good, not quarantined).
-  EXPECT_FALSE(cache.Get(key, k.dfg, Mrrg(healthy)).has_value());
+  EXPECT_FALSE(cache.Get(key, k.dfg, healthy).has_value());
 }
 
 TEST(MappingCache, LruEvictsBeyondCapacity) {
@@ -484,7 +484,7 @@ TEST(MappingCacheConcurrency, HammerSharedCacheAcrossThreads) {
         const std::string& key = keys[(t * 7 + i) % keys.size()];
         if ((t + i) % 3 == 0) {
           cache.Put(key, m, "ims");
-        } else if (auto hit = cache.Get(key, k.dfg, Mrrg(arch))) {
+        } else if (auto hit = cache.Get(key, k.dfg, arch)) {
           EXPECT_EQ(MappingDigestHex(hit->mapping), MappingDigestHex(m));
           served.fetch_add(1, std::memory_order_relaxed);
         }

@@ -19,7 +19,6 @@
 #include "engine/quarantine.hpp"
 #include "engine/trace.hpp"
 #include "ir/kernels.hpp"
-#include "mappers/common.hpp"
 #include "mappers/registry.hpp"
 #include "mapping/mapping.hpp"
 #include "mapping/validator.hpp"
@@ -224,7 +223,7 @@ TEST(MappingEngine, TraceNamesEveryMapperAndAttempt) {
   EXPECT_NE(json.find("\"greedy-spatial\""), std::string::npos);
 }
 
-// Records the MRRG the engine lends each call, then fails so that a
+// Records the fabric and MRRG each call maps on, then fails so that a
 // sequential sweep runs every entry.
 class MrrgProbe final : public Mapper {
  public:
@@ -235,20 +234,16 @@ class MrrgProbe final : public Mapper {
   std::string lineage() const override { return "test fixture"; }
 
   Result<Mapping> Map(const Dfg&, const Architecture& arch,
-                      const MapperOptions& options) const override {
-    const bool lent_on_arch = options.mrrg && &options.mrrg->arch() == &arch;
-    const Mrrg* acquired = AcquireMrrg(arch, options).get();
+                      const MapperOptions&) const override {
+    const Mrrg* mrrg = &arch.mrrg();
     std::lock_guard<std::mutex> lock(mu_);
-    seen.push_back({options.mrrg, &arch, acquired, lent_on_arch});
+    seen.push_back({&arch, mrrg});
     return Error::Unmappable("probe");
   }
 
-  // Pointers only: a graph the Run built is gone once Run returns.
   struct Seen {
-    const Mrrg* lent;
     const Architecture* arch;
-    const Mrrg* acquired;
-    bool lent_on_arch;
+    const Mrrg* mrrg;
   };
   mutable std::vector<Seen> seen;
 
@@ -264,38 +259,31 @@ std::uint64_t MrrgBuilds() {
 }
 
 TEST(MappingEngine, EveryEntryOfOneRunSeesOneMrrg) {
-  const Architecture arch = Rotating4x4();
   const Kernel k = MakeDotProduct(8, 7);
-  const Mrrg mrrg(arch);
   for (const bool race : {false, true}) {
-    for (const bool lend : {false, true}) {
+    const Architecture arch = Rotating4x4();
+    // The first Run builds the fabric's graph; a second builds none.
+    for (const int run : {0, 1}) {
       const MrrgProbe a("probe-a"), b("probe-b"), c("probe-c");
       EngineOptions opts;
       opts.race = race;
       opts.deadline = Deadline::AfterSeconds(30);
       const std::vector<const Mapper*> portfolio = {&a, &b, &c};
       const std::uint64_t before = MrrgBuilds();
-      const auto r = lend ? MappingEngine(opts).Run(k.dfg, mrrg, portfolio)
-                          : MappingEngine(opts).Run(k.dfg, arch, portfolio);
+      const auto r = MappingEngine(opts).Run(k.dfg, arch, portfolio);
       EXPECT_FALSE(r.ok());
-      EXPECT_EQ(MrrgBuilds() - before, lend ? 0u : 1u)
-          << "race=" << race << " lend=" << lend;
-      const Mrrg* one = a.seen.empty() ? nullptr : a.seen.front().lent;
-      ASSERT_NE(one, nullptr);
-      if (lend) {
-        EXPECT_EQ(one, &mrrg);
-      }
+      EXPECT_EQ(MrrgBuilds() - before, run == 0 ? 1u : 0u)
+          << "race=" << race << " run=" << run;
       for (const MrrgProbe* p : {&a, &b, &c}) {
         ASSERT_EQ(p->seen.size(), 1u) << p->name();
-        EXPECT_EQ(p->seen.front().lent, one) << p->name();
-        EXPECT_EQ(p->seen.front().acquired, one) << p->name();
         EXPECT_EQ(p->seen.front().arch, &arch) << p->name();
-        EXPECT_TRUE(p->seen.front().lent_on_arch) << p->name();
+        EXPECT_EQ(p->seen.front().mrrg, &arch.mrrg()) << p->name();
       }
     }
   }
 
   // Real mappers racing on one fabric build its MRRG once between them.
+  const Architecture arch = Rotating4x4();
   EngineOptions opts;
   opts.deadline = Deadline::AfterSeconds(30);
   const std::uint64_t before = MrrgBuilds();

@@ -190,8 +190,7 @@ TEST(Router, ReleaseRouteRestoresCapacity) {
 TEST(PlaceRoute, PlacesChainAndFinalizes) {
   Kernel k = MakeVecAdd(4, 1);
   const Architecture arch = Architecture::Adres4x4();
-  const Mrrg mrrg(arch);
-  PlaceRouteState state(k.dfg, arch, mrrg, /*ii=*/1);
+  PlaceRouteState state(k.dfg, arch, /*ii=*/1);
   // vecadd: a(in), b(in), sum, out. At II=1 every op needs its own
   // cell; sum sits between its producers so both holds are readable.
   ASSERT_EQ(state.MappableOps().size(), 4u);
@@ -208,8 +207,7 @@ TEST(PlaceRoute, PlacesChainAndFinalizes) {
 TEST(PlaceRoute, FuConflictRejected) {
   Kernel k = MakeVecAdd(4, 1);
   const Architecture arch = Architecture::Adres4x4();
-  const Mrrg mrrg(arch);
-  PlaceRouteState state(k.dfg, arch, mrrg, 2);
+  PlaceRouteState state(k.dfg, arch, 2);
   ASSERT_TRUE(state.TryPlace(0, 0, 0));
   EXPECT_FALSE(state.TryPlace(1, 0, 2)) << "same cell, same slot mod II";
   EXPECT_EQ(state.last_fail(), PlaceRouteState::FailReason::kFuBusy);
@@ -218,8 +216,7 @@ TEST(PlaceRoute, FuConflictRejected) {
 TEST(PlaceRoute, IncompatibleCellRejected) {
   Kernel k = MakeGemmMac(4, 1);  // has loads/stores
   const Architecture arch = Architecture::Hetero4x4();
-  const Mrrg mrrg(arch);
-  PlaceRouteState state(k.dfg, arch, mrrg, 2);
+  PlaceRouteState state(k.dfg, arch, 2);
   // Op 1 is a load; column 1 has no memory.
   EXPECT_FALSE(state.TryPlace(1, arch.CellAt(0, 1), 0));
   EXPECT_EQ(state.last_fail(), PlaceRouteState::FailReason::kIncompatibleCell);
@@ -228,8 +225,7 @@ TEST(PlaceRoute, IncompatibleCellRejected) {
 TEST(PlaceRoute, TimingViolationRejectedAndRolledBack) {
   Kernel k = MakeVecAdd(4, 1);
   const Architecture arch = Architecture::Adres4x4();
-  const Mrrg mrrg(arch);
-  PlaceRouteState state(k.dfg, arch, mrrg, 4);
+  PlaceRouteState state(k.dfg, arch, 4);
   ASSERT_TRUE(state.TryPlace(0, 0, 2));
   // Consumer (op 2, sum) before producer: must fail and roll back.
   EXPECT_FALSE(state.TryPlace(2, 1, 1));
@@ -258,15 +254,15 @@ TEST(PlaceRoute, FailedPlacementLeavesTrackerAsIfNeverTried) {
   // placement must leave the tracker exactly as a state that never
   // tried it.
   const Architecture arch = Architecture::Adres4x4();
-  const Mrrg mrrg(arch);
+  const Mrrg& mrrg = arch.mrrg();
   Dfg dfg;
   const OpId a = dfg.AddInput(0, "a");
   const OpId b = dfg.AddUnary(Opcode::kNeg, a, "b");
   const OpId c = dfg.AddUnary(Opcode::kNeg, a, "c");
   const OpId d = dfg.AddBinary(Opcode::kAdd, b, c, "d");
   const int ii = 4;
-  PlaceRouteState tried(dfg, arch, mrrg, ii);
-  PlaceRouteState untried(dfg, arch, mrrg, ii);
+  PlaceRouteState tried(dfg, arch, ii);
+  PlaceRouteState untried(dfg, arch, ii);
   for (PlaceRouteState* state : {&tried, &untried}) {
     ASSERT_TRUE(state->TryPlace(b, 5, 1));
     ASSERT_TRUE(state->TryPlace(c, 15, 1));
@@ -294,8 +290,7 @@ TEST(PlaceRoute, FailedPlacementLeavesTrackerAsIfNeverTried) {
 TEST(PlaceRoute, UnplaceRestoresEverything) {
   Kernel k = MakeDotProduct(4, 1);
   const Architecture arch = Architecture::Adres4x4();
-  const Mrrg mrrg(arch);
-  PlaceRouteState state(k.dfg, arch, mrrg, 1);
+  PlaceRouteState state(k.dfg, arch, 1);
   ASSERT_TRUE(state.TryPlace(0, arch.CellAt(0, 0), 0));
   ASSERT_TRUE(state.TryPlace(1, arch.CellAt(0, 2), 0));
   ASSERT_TRUE(state.TryPlace(2, arch.CellAt(0, 1), 1));  // mul reads both
@@ -326,7 +321,6 @@ TEST(PlaceRoute, ByAffinityMatchesEdgeScan) {
   Rng rng(0xAFF1);
   int checks = 0, placed_neighbours = 0;
   for (const Architecture* arch : {&adres, &big, &faulted}) {
-    const Mrrg mrrg(*arch);
     for (int trial = 0; trial < 12; ++trial) {
       RandomDfgOptions o;
       o.num_ops = 6 + trial;
@@ -334,7 +328,7 @@ TEST(PlaceRoute, ByAffinityMatchesEdgeScan) {
       const Kernel k = MakeRandomKernel(rng, o, 8);
       const Dfg& dfg = k.dfg;
       const std::vector<DfgEdge> edges = dfg.Edges(true);
-      PlaceRouteState state(dfg, *arch, mrrg, 2);
+      PlaceRouteState state(dfg, *arch, 2);
       std::vector<int> all(static_cast<size_t>(arch->num_cells()));
       for (int c = 0; c < arch->num_cells(); ++c) all[static_cast<size_t>(c)] = c;
       for (const OpId op : state.MappableOps()) {
@@ -381,8 +375,7 @@ TEST(PlaceRoute, BankPortsEnforced) {
   p.bank_ports = 1;
   p.mem_on_left_col = true;
   const Architecture arch{p};
-  const Mrrg mrrg(arch);
-  PlaceRouteState state(k.dfg, arch, mrrg, /*ii=*/1);
+  PlaceRouteState state(k.dfg, arch, /*ii=*/1);
   // Two memory ops in the same slot on bank 0: second must fail.
   ASSERT_TRUE(state.TryPlace(1, arch.CellAt(0, 0), 0));   // load A
   EXPECT_FALSE(state.TryPlace(2, arch.CellAt(1, 0), 0));  // load B same slot
@@ -392,8 +385,7 @@ TEST(PlaceRoute, BankPortsEnforced) {
 TEST(Validator, RejectsCorruptedMappings) {
   Kernel k = MakeVecAdd(4, 1);
   const Architecture arch = Architecture::Adres4x4();
-  const Mrrg mrrg(arch);
-  PlaceRouteState state(k.dfg, arch, mrrg, 1);
+  PlaceRouteState state(k.dfg, arch, 1);
   ASSERT_TRUE(state.TryPlace(0, arch.CellAt(0, 1), 0));
   ASSERT_TRUE(state.TryPlace(1, arch.CellAt(1, 0), 0));
   ASSERT_TRUE(state.TryPlace(2, arch.CellAt(1, 1), 1));
@@ -431,8 +423,7 @@ TEST(Validator, RejectsCorruptedMappings) {
 TEST(Validator, CatchesFuDoubleBooking) {
   Kernel k = MakeVecAdd(4, 1);
   const Architecture arch = Architecture::Adres4x4();
-  const Mrrg mrrg(arch);
-  PlaceRouteState state(k.dfg, arch, mrrg, 2);
+  PlaceRouteState state(k.dfg, arch, 2);
   ASSERT_TRUE(state.TryPlace(0, arch.CellAt(0, 1), 0));
   ASSERT_TRUE(state.TryPlace(1, arch.CellAt(1, 0), 0));
   ASSERT_TRUE(state.TryPlace(2, arch.CellAt(1, 1), 1));
@@ -655,8 +646,7 @@ TEST(Validator, GoldenDiagnostics) {
 TEST(Stats, ComputedFromMapping) {
   Kernel k = MakeVecAdd(4, 1);
   const Architecture arch = Architecture::Adres4x4();
-  const Mrrg mrrg(arch);
-  PlaceRouteState state(k.dfg, arch, mrrg, 1);
+  PlaceRouteState state(k.dfg, arch, 1);
   ASSERT_TRUE(state.TryPlace(0, arch.CellAt(0, 1), 0));
   ASSERT_TRUE(state.TryPlace(1, arch.CellAt(1, 0), 0));
   ASSERT_TRUE(state.TryPlace(2, arch.CellAt(1, 1), 1));

@@ -110,11 +110,11 @@ TEST(RouterProperty, RouteReleaseIsExactInverse) {
 TEST(PlaceRouteProperty, FailedPlacementsLeaveNoResidue) {
   Rng rng(0xBADF00D);
   const Architecture arch = RotatingMesh(3);
-  const Mrrg mrrg(arch);
+  const Mrrg& mrrg = arch.mrrg();
   for (int trial = 0; trial < 20; ++trial) {
     Kernel k = MakeRandomKernel(rng, RandomDfgOptions{}, 4);
-    PlaceRouteState a(k.dfg, arch, mrrg, 2);
-    PlaceRouteState b(k.dfg, arch, mrrg, 2);
+    PlaceRouteState a(k.dfg, arch, 2);
+    PlaceRouteState b(k.dfg, arch, 2);
     // a: attempt a storm of random placements, keeping successes.
     std::vector<std::tuple<OpId, int, int>> placed;
     for (int i = 0; i < 60; ++i) {
@@ -142,9 +142,8 @@ TEST(PlaceRouteProperty, FailedPlacementsLeaveNoResidue) {
 
 TEST(PlaceRouteProperty, PlaceUnplaceRoundTripRestoresCapacity) {
   const Architecture arch = RotatingMesh(4);
-  const Mrrg mrrg(arch);
   Kernel k = MakeMac2(8, 5);
-  PlaceRouteState state(k.dfg, arch, mrrg, 2);
+  PlaceRouteState state(k.dfg, arch, 2);
   // Fill (systematic scan in dependence order), then empty, then
   // refill identically.
   std::vector<std::tuple<OpId, int, int>> placements;

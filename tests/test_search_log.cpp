@@ -250,7 +250,6 @@ TEST(SearchCollection, FailedFanoutChargesOnlyTheFailingSink) {
   // fails on c: the log must match the sequential RouteEdge loop, not
   // charge every sink of the rolled-back batch.
   const Architecture arch = Adres4x4();
-  const Mrrg mrrg(arch);
   Dfg dfg;
   const OpId a = dfg.AddInput(0, "a");
   const OpId b = dfg.AddUnary(Opcode::kNeg, a, "b");
@@ -258,7 +257,7 @@ TEST(SearchCollection, FailedFanoutChargesOnlyTheFailingSink) {
   SearchLog log;
   {
     ScopedSearchLog scoped(&log);
-    PlaceRouteState state(dfg, arch, mrrg, /*ii=*/4);
+    PlaceRouteState state(dfg, arch, /*ii=*/4);
     ASSERT_TRUE(state.TryPlace(b, 5, 1));
     ASSERT_TRUE(state.TryPlace(c, 15, 1));
     EXPECT_FALSE(state.TryPlace(a, 1, 0));
@@ -277,7 +276,6 @@ TEST(SearchCollection, RolledBackIncomingRoutesAreNotFolded) {
   // The placement rolls back, so the step `a`'s route took is not a
   // committed step and must not reach the log.
   const Architecture arch = Adres4x4();
-  const Mrrg mrrg(arch);
   Dfg dfg;
   const OpId a = dfg.AddInput(0, "a");
   const OpId b = dfg.AddInput(1, "b");
@@ -285,7 +283,7 @@ TEST(SearchCollection, RolledBackIncomingRoutesAreNotFolded) {
   SearchLog log;
   {
     ScopedSearchLog scoped(&log);
-    PlaceRouteState state(dfg, arch, mrrg, /*ii=*/4);
+    PlaceRouteState state(dfg, arch, /*ii=*/4);
     ASSERT_TRUE(state.TryPlace(a, 1, 0));
     ASSERT_TRUE(state.TryPlace(b, 15, 0));
     EXPECT_FALSE(state.TryPlace(c, 5, 1));

@@ -33,9 +33,9 @@
 #include "arch/mrrg_cache.hpp"
 #include "cache/mapping_cache.hpp"
 #include "engine/engine.hpp"
-#include "mappers/common.hpp"
 #include "mappers/registry.hpp"
 #include "mapping/validator.hpp"
+#include "sim/compile.hpp"
 #include "support/http.hpp"
 #include "support/json.hpp"
 #include "support/stop_token.hpp"
@@ -602,8 +602,8 @@ TEST(FabricStore, OnePerPreset) {
   const std::uint64_t mrrgs = CounterValue("cgra_mrrg_builds_total");
   // 8 threads race the first use of every preset, each starting at a
   // different one.
-  std::vector<std::vector<const Fabric*>> seen(8, std::vector<const Fabric*>(
-                                                      names.size(), nullptr));
+  std::vector<std::vector<const Architecture*>> seen(
+      8, std::vector<const Architecture*>(names.size(), nullptr));
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < seen.size(); ++t) {
     threads.emplace_back([&, t] {
@@ -618,17 +618,18 @@ TEST(FabricStore, OnePerPreset) {
   EXPECT_EQ(CounterValue("cgra_mrrg_builds_total") - mrrgs, names.size());
 
   for (std::size_t n = 0; n < names.size(); ++n) {
-    const Fabric* f = seen[0][n];
+    const Architecture* f = seen[0][n];
     ASSERT_NE(f, nullptr) << names[n];
-    for (const std::vector<const Fabric*>& s : seen) EXPECT_EQ(s[n], f);
-    EXPECT_EQ(&f->mrrg.arch(), &f->arch);
-    EXPECT_FALSE(f->arch.HasFaults());
-    EXPECT_EQ(f->arch.Digest(), api::FabricByName(names[n])->Digest());
+    for (const std::vector<const Architecture*>& s : seen) EXPECT_EQ(s[n], f);
+    EXPECT_EQ(&f->mrrg().arch(), f);
+    EXPECT_FALSE(f->HasFaults());
+    EXPECT_EQ(f->Digest(), api::FabricByName(names[n])->Digest());
     EXPECT_EQ(store.Get(names[n]).get(), f) << "a later use is the same fabric";
     for (std::size_t m = 0; m < n; ++m) EXPECT_NE(seen[0][m], f);
   }
   EXPECT_EQ(store.Get("nope9x9"), nullptr);
   EXPECT_EQ(CounterValue("cgra_fabric_builds_total") - fabrics, names.size());
+  EXPECT_EQ(CounterValue("cgra_mrrg_builds_total") - mrrgs, names.size());
 }
 
 TEST(Serve, WarmHitBuildsNothing) {
@@ -664,15 +665,15 @@ TEST(Serve, FaultedRequestsGetPrivateFabrics) {
   r.fabric = "adres4x4";
   r.kernel = "dot_product";
   r.mappers = {"ims"};
-  const std::shared_ptr<const Fabric> preset =
+  const std::shared_ptr<const Architecture> preset =
       api::FabricStore::Global().Get("adres4x4");
-  const std::string preset_digest = preset->arch.Digest();
+  const std::string preset_digest = preset->Digest();
 
   // Kill two cells the healthy mapping uses.
   const Result<api::ResolvedRequest> job = api::ResolveMapRequest(r);
   ASSERT_TRUE(job.ok());
   const Result<EngineResult> healthy_map = MappingEngine(job->engine).Run(
-      job->kernel.dfg, job->fabric->mrrg, r.mappers);
+      job->kernel.dfg, *job->fabric, r.mappers);
   ASSERT_TRUE(healthy_map.ok());
   for (const Placement& p : healthy_map->mapping.place) {
     if (p.cell >= 0 && r.dead_cells.size() < 2) r.dead_cells.push_back(p.cell);
@@ -685,18 +686,25 @@ TEST(Serve, FaultedRequestsGetPrivateFabrics) {
   const Result<api::ResolvedRequest> b = api::ResolveMapRequest(r);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(CounterValue("cgra_fabric_builds_total") - fabrics, 2u);
-  EXPECT_EQ(CounterValue("cgra_mrrg_builds_total") - mrrgs, 2u);
+  EXPECT_EQ(CounterValue("cgra_mrrg_builds_total") - mrrgs, 0u)
+      << "a derated fabric builds its graph when first mapped";
   for (const api::ResolvedRequest* job : {&*a, &*b}) {
     EXPECT_NE(job->fabric, preset);
-    EXPECT_EQ(&job->fabric->mrrg.arch(), &job->fabric->arch);
-    EXPECT_FALSE(job->fabric->arch.CellAlive(dead0));
-    EXPECT_FALSE(job->fabric->arch.CellAlive(dead1));
-    EXPECT_EQ(job->fabric->mrrg.capacity(job->fabric->mrrg.FuNode(dead0)), 0);
+    EXPECT_FALSE(job->fabric->CellAlive(dead0));
+    EXPECT_FALSE(job->fabric->CellAlive(dead1));
+    const std::uint64_t before = CounterValue("cgra_mrrg_builds_total");
+    const Result<EngineResult> m = MappingEngine(job->engine).Run(
+        job->kernel.dfg, *job->fabric, r.mappers);
+    ASSERT_TRUE(m.ok()) << m.error().message;
+    EXPECT_EQ(CounterValue("cgra_mrrg_builds_total") - before, 1u);
+    const Mrrg& mrrg = job->fabric->mrrg();
+    EXPECT_EQ(&mrrg.arch(), job->fabric.get());
+    EXPECT_EQ(mrrg.capacity(mrrg.FuNode(dead0)), 0);
   }
   EXPECT_NE(a->fabric, b->fabric);
   // The stored preset is untouched.
-  EXPECT_FALSE(preset->arch.HasFaults());
-  EXPECT_EQ(preset->arch.Digest(), preset_digest);
+  EXPECT_FALSE(preset->HasFaults());
+  EXPECT_EQ(preset->Digest(), preset_digest);
   r.dead_cells.clear();
   EXPECT_EQ(api::ResolveMapRequest(r)->fabric, preset);
 
@@ -721,8 +729,7 @@ TEST(Serve, FaultedRequestsGetPrivateFabrics) {
 }
 
 // Delegates to a registered mapper and records, for each call, the
-// fabric, the MRRG the engine lent, and the dead cells each of them
-// shows.
+// fabric, its MRRG, and the dead cells each of them shows.
 class RecordingMapper final : public Mapper {
  public:
   explicit RecordingMapper(const char* inner)
@@ -734,14 +741,12 @@ class RecordingMapper final : public Mapper {
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    Call call{&arch, options.mrrg};
+    const Mrrg& mrrg = arch.mrrg();
+    Call call{&arch, &mrrg};
     for (int c = 0; c < arch.num_cells(); ++c) {
       if (!arch.CellAlive(c)) ++call.dead_cells;
-      if (options.mrrg && options.mrrg->capacity(options.mrrg->FuNode(c)) == 0) {
-        ++call.dead_fus;
-      }
+      if (mrrg.capacity(mrrg.FuNode(c)) == 0) ++call.dead_fus;
     }
-    call.mrrg_on_arch = options.mrrg && &options.mrrg->arch() == &arch;
     {
       std::lock_guard<std::mutex> lock(mu_);
       calls.push_back(call);
@@ -752,7 +757,6 @@ class RecordingMapper final : public Mapper {
   struct Call {
     const Architecture* arch;
     const Mrrg* mrrg;
-    bool mrrg_on_arch = false;
     int dead_cells = 0;
     int dead_fus = 0;
   };
@@ -764,17 +768,14 @@ class RecordingMapper final : public Mapper {
 };
 
 TEST(MappingEngine, RepairRoundsBuildTheirOwnMrrg) {
-  const std::shared_ptr<const Fabric> fabric =
+  // The stored preset, its graph built: a round that mapped on it would
+  // map a derated fabric on healthy resources.
+  const std::shared_ptr<const Architecture> fabric =
       api::FabricStore::Global().Get("adres4x4");
   const Kernel k = *api::KernelByName("dot_product", 16, 42);
-  // An address-keyed memo primed with the healthy fabric's graph: a
-  // round that took it would map a derated fabric on healthy resources.
-  MrrgCache memo;
-  memo.Get(fabric->arch);
   EngineOptions opts;
   opts.race = false;
   opts.deadline = Deadline::AfterSeconds(30);
-  opts.mrrg_cache = &memo;
   int victim = -1;
   RepairOptions repair;
   repair.verifier = [&victim](const Architecture&, const Mapping& m,
@@ -792,32 +793,26 @@ TEST(MappingEngine, RepairRoundsBuildTheirOwnMrrg) {
   const RecordingMapper ims("ims");
   const std::uint64_t mrrgs = CounterValue("cgra_mrrg_builds_total");
   const auto r = MappingEngine(opts).RunWithRepair(
-      k.dfg, fabric->arch, FaultModel{}, {&ims}, repair);
+      k.dfg, *fabric, FaultModel{}, {&ims}, repair);
   ASSERT_TRUE(r.ok()) << r.error().message;
   ASSERT_EQ(r->rounds, 2);
   ASSERT_EQ(ims.calls.size(), 2u);
-  EXPECT_GE(CounterValue("cgra_mrrg_builds_total") - mrrgs, 2u);
+  EXPECT_EQ(CounterValue("cgra_mrrg_builds_total") - mrrgs, 2u)
+      << "one graph per round; its validation reuses it";
   for (int round = 0; round < 2; ++round) {
     const RecordingMapper::Call& call = ims.calls[static_cast<size_t>(round)];
-    EXPECT_NE(call.arch, &fabric->arch) << "each round maps its own copy";
-    EXPECT_NE(call.mrrg, &fabric->mrrg);
-    EXPECT_TRUE(call.mrrg_on_arch) << "... on that copy's own graph";
+    EXPECT_NE(call.arch, fabric.get()) << "each round maps its own copy";
+    EXPECT_NE(call.mrrg, &fabric->mrrg());
     EXPECT_EQ(call.dead_cells, round);
     EXPECT_EQ(call.dead_fus, round) << "a graph of this round's fabric";
   }
-  EXPECT_TRUE(ValidateMapping(k.dfg, *r->arch, r->result.mapping).ok());
-  for (const Placement& p : r->result.mapping.place) EXPECT_NE(p.cell, victim);
-
-  // A graph lent for one fabric object is never used for another.
-  MapperOptions lent;
-  lent.mrrg = &fabric->mrrg;
-  const Architecture copy = fabric->arch;
-  EXPECT_EQ(AcquireMrrg(fabric->arch, lent).get(), &fabric->mrrg);
+  // The accepted round's fabric is handed out with the graph its
+  // mapper used, so the caller's validation builds none.
+  EXPECT_EQ(&r->arch->mrrg(), ims.calls[1].mrrg);
   const std::uint64_t before = CounterValue("cgra_mrrg_builds_total");
-  const std::shared_ptr<const Mrrg> own = AcquireMrrg(copy, lent);
-  EXPECT_NE(own.get(), &fabric->mrrg);
-  EXPECT_EQ(&own->arch(), &copy);
-  EXPECT_EQ(CounterValue("cgra_mrrg_builds_total") - before, 1u);
+  EXPECT_TRUE(ValidateMapping(k.dfg, *r->arch, r->result.mapping).ok());
+  EXPECT_EQ(CounterValue("cgra_mrrg_builds_total"), before);
+  for (const Placement& p : r->result.mapping.place) EXPECT_NE(p.cell, victim);
 }
 
 // Two fabrics at one address, one after the other: the second must map
@@ -830,9 +825,10 @@ TEST(FabricStore, SecondFabricAtARecycledAddressMapsFresh) {
   opts.deadline = Deadline::AfterSeconds(30);
   opts.cache = &cache;
   const Kernel k = *api::KernelByName("wide_dot_8", 16, 42);
-  const auto digest = [&](const Mrrg& mrrg) {
+  const auto digest = [&](const Architecture& arch) {
     const Result<EngineResult> r =
-        MappingEngine(opts).Run(k.dfg, mrrg, {"ims"});
+        MappingEngine(opts).Run(k.dfg, arch, {"ims"});
+    EXPECT_EQ(&arch.mrrg().arch(), &arch);
     return r.ok() ? MappingDigestHex(r->mapping) : r.error().message;
   };
   const auto fresh = [&](const Architecture& arch) {
@@ -842,23 +838,50 @@ TEST(FabricStore, SecondFabricAtARecycledAddressMapsFresh) {
     return r.ok() ? MappingDigestHex(r->mapping) : r.error().message;
   };
 
-  alignas(Fabric) unsigned char storage[sizeof(Fabric)];
-  Fabric* first = new (storage) Fabric(Architecture::Adres4x4());
-  const std::string first_digest = digest(first->mrrg);
-  first->~Fabric();
-  Fabric* second = new (storage) Fabric(Architecture::Big8x8());
+  alignas(Architecture) unsigned char storage[sizeof(Architecture)];
+  Architecture* first = new (storage) Architecture(Architecture::Adres4x4());
+  const std::string first_digest = digest(*first);
+  first->~Architecture();
+  Architecture* second = new (storage) Architecture(Architecture::Big8x8());
   ASSERT_EQ(static_cast<void*>(first), static_cast<void*>(second));
-  const std::string second_digest = digest(second->mrrg);
-  second->~Fabric();
-  Fabric* third = new (storage) Fabric(Architecture::Adres4x4());
-  const std::string third_digest = digest(third->mrrg);
-  third->~Fabric();
+  const std::string second_digest = digest(*second);
+  second->~Architecture();
+  Architecture* third = new (storage) Architecture(Architecture::Adres4x4());
+  const std::string third_digest = digest(*third);
+  third->~Architecture();
 
   EXPECT_EQ(first_digest, fresh(Architecture::Adres4x4()));
   EXPECT_EQ(second_digest, fresh(Architecture::Big8x8()));
   EXPECT_EQ(third_digest, first_digest);
   EXPECT_NE(first_digest, second_digest);
   EXPECT_EQ(cache.stats().mem_hits, 1u) << "only the third run hits";
+}
+
+// The benchmark runner's sequence for one job (fabric, MRRG, engine,
+// validation, code generation) builds the fabric's MRRG once.
+TEST(Mrrg, OneBuildPerMappedJob) {
+  const Kernel k = *api::KernelByName("fir4", 16, 42);
+  for (const char* name : {"adres4x4", "big8x8", "mega16x16"}) {
+    const std::uint64_t before = CounterValue("cgra_mrrg_builds_total");
+    const std::optional<Architecture> arch = api::FabricByName(name);
+    ASSERT_TRUE(arch.has_value()) << name;
+    MrrgCache mrrg_cache;
+    EXPECT_GT(mrrg_cache.Get(*arch)->num_nodes(), 0) << name;
+    EngineOptions eo;
+    eo.race = false;
+    eo.deadline = Deadline::AfterSeconds(30);
+    eo.mrrg_cache = &mrrg_cache;
+    const Result<EngineResult> r = MappingEngine(eo).Run(k.dfg, *arch, {"ims"});
+    ASSERT_TRUE(r.ok()) << name << ": " << r.error().message;
+    EXPECT_TRUE(ValidateMapping(k.dfg, *arch, r->mapping).ok()) << name;
+    // Code generation may find the mapping undeployable (kUnmappable);
+    // either way it reads the fabric's graph.
+    const Result<ConfigImage> image =
+        CompileToContexts(k.dfg, *arch, r->mapping);
+    EXPECT_TRUE(image.ok() || image.error().code == Error::Code::kUnmappable)
+        << name << ": " << image.error().message;
+    EXPECT_EQ(CounterValue("cgra_mrrg_builds_total") - before, 1u) << name;
+  }
 }
 
 }  // namespace

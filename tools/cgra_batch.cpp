@@ -97,8 +97,7 @@ api::MapResponse RunJob(const api::MapRequest& request, MappingCache* cache,
   eo.sandbox_limits = isolation.limits;
 
   const Result<EngineResult> r =
-      MappingEngine(eo).Run(job->kernel.dfg, job->fabric->mrrg,
-                            request.mappers);
+      MappingEngine(eo).Run(job->kernel.dfg, *job->fabric, request.mappers);
   api::MapResponse out = api::BuildMapResponse(request, r, timer.Seconds());
 
   {
