@@ -13,7 +13,6 @@
 #include <numeric>
 #include <optional>
 
-#include "graph/algos.hpp"
 #include "mappers/common.hpp"
 #include "mappers/mappers.hpp"
 #include "support/rng.hpp"
@@ -39,13 +38,10 @@ class BackwardBeamMapper final : public Mapper {
     constexpr int kBeamWidth = 6;
     constexpr int kExpansionsPerState = 10;
 
-    // Reverse topological order (outputs first).
-    const auto topo = TopologicalOrder(dfg.ToDigraph(/*include_carried=*/false));
-    if (!topo) return Error::InvalidArgument("DFG has a same-iteration cycle");
-    std::vector<OpId> order;
-    for (auto it = topo->rbegin(); it != topo->rend(); ++it) {
-      if (!arch.IsFolded(dfg.op(*it).opcode)) order.push_back(*it);
-    }
+    // Reverse dependence order (outputs first).
+    auto order = DependenceOrder(dfg, arch);
+    if (!order.ok()) return order.error();
+    std::reverse(order->begin(), order->end());
 
     return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
       const auto est = ModuloAsap(dfg, arch, ii);
@@ -75,7 +71,7 @@ class BackwardBeamMapper final : public Mapper {
       PlaceRouteState trial(dfg, arch, ii);
       std::vector<Child> next;
 
-      for (OpId op : order) {
+      for (OpId op : *order) {
         if (ShouldAbort(options)) {
           return Error::ResourceLimit("beam search deadline expired");
         }

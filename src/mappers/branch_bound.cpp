@@ -9,11 +9,12 @@
 // anytime method (kResourceLimit instead of kUnmappable).
 #include <algorithm>
 #include <cstddef>
-#include <functional>
+#include <limits>
+#include <vector>
 
-#include "graph/algos.hpp"
 #include "mappers/common.hpp"
 #include "mappers/mappers.hpp"
+#include "support/str.hpp"
 
 namespace cgra {
 namespace {
@@ -30,50 +31,34 @@ class BranchBoundMapper final : public Mapper {
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     const auto candidates = CandidateCellTable(dfg, arch);
-    const auto topo = TopologicalOrder(dfg.ToDigraph(/*include_carried=*/false));
-    if (!topo) return Error::InvalidArgument("DFG has a same-iteration cycle");
-    std::vector<OpId> order;
-    for (OpId op : *topo) {
-      if (!arch.IsFolded(dfg.op(op).opcode)) order.push_back(op);
-    }
+    const auto order = DependenceOrder(dfg, arch);
+    if (!order.ok()) return order.error();
 
     return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
-      const auto est = ModuloAsap(dfg, arch, ii);
-      if (est.empty()) {
-        return Error::Unmappable("recurrences infeasible at this II");
-      }
-      const int horizon = *std::max_element(est.begin(), est.end()) +
-                          std::min(options.extra_slack, ii + 2);
+      // Start times run from the op's earliest start to the horizon.
+      const auto space = PlacementSpace::AtIi(
+          dfg, arch, ii, std::min(options.extra_slack, ii + 2) + 1);
+      if (!space.ok()) return space.error();
       PlaceRouteState state(dfg, arch, ii);
-      bool timed_out = false;
-
-      // Depth-first with explicit recursion over `order`.
-      std::function<bool(size_t)> dfs = [&](size_t depth) -> bool {
-        if (depth == order.size()) return true;
-        if (ShouldAbort(options)) {
-          timed_out = true;
-          return false;
-        }
-        const OpId op = order[depth];
-        const int t0 = state.EarliestStart(op, est[static_cast<size_t>(op)]);
-        for (int t = t0; t <= horizon; ++t) {
-          for (int cell : candidates[static_cast<size_t>(op)]) {
-            if (state.TryPlace(op, cell, t)) {
-              if (dfs(depth + 1)) return true;
-              state.Unplace(op);
-              if (timed_out) return false;
+      const DepthFirstOutcome outcome = PlaceDepthFirst(
+          state, *order, std::numeric_limits<long long>::max(),
+          options.deadline, options.stop,
+          [&](OpId op, std::vector<Placement>& out) {
+            const int t0 =
+                state.EarliestStart(op, space->asap()[static_cast<size_t>(op)]);
+            for (int t = t0; t < space->horizon(); ++t) {
+              for (const int cell : candidates[static_cast<size_t>(op)]) {
+                out.push_back(Placement{cell, t});
+              }
             }
-          }
-        }
-        return false;
-      };
-
-      if (dfs(0)) return state.Finalize();
-      if (timed_out) {
+          });
+      if (outcome == DepthFirstOutcome::kPlaced) return state.Finalize();
+      if (outcome == DepthFirstOutcome::kStopped) {
         return Error::ResourceLimit("branch & bound hit the deadline");
       }
-      return Error::Unmappable(
-          "B&B proved: no mapping at this II within the schedule horizon");
+      return Error::Unmappable(StrFormat(
+          "B&B proved: no mapping at II=%d within a %d-cycle horizon", ii,
+          space->horizon()));
     });
   }
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <queue>
 
 #include "graph/algos.hpp"
@@ -153,6 +154,17 @@ std::vector<OpId> HeightPriorityOrder(const Dfg& dfg, const Architecture& arch) 
     }
     return a < b;
   });
+  return order;
+}
+
+Result<std::vector<OpId>> DependenceOrder(const Dfg& dfg,
+                                          const Architecture& arch) {
+  const auto topo = TopologicalOrder(dfg.ToDigraph(/*include_carried=*/false));
+  if (!topo) return Error::InvalidArgument("DFG has a same-iteration cycle");
+  std::vector<OpId> order;
+  for (const OpId op : *topo) {
+    if (!arch.IsFolded(dfg.op(op).opcode)) order.push_back(op);
+  }
   return order;
 }
 
@@ -338,48 +350,6 @@ Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
   return m;
 }
 
-Result<Mapping> BindAtFixedTimes(const Dfg& dfg, const Architecture& arch,
-                                 int ii, const std::vector<int>& times,
-                                 const Deadline& deadline,
-                                 const StopToken& stop) {
-  telemetry::Span phase_span("phase.bind");
-  PlaceRouteState state(dfg, arch, ii);
-  const std::vector<OpId> order = ScheduleOrder(state.MappableOps(), times);
-  const auto candidates = CandidateCellTable(dfg, arch);
-  int budget = 20000;  // search nodes
-  bool timed_out = false;
-
-  std::function<bool(size_t)> dfs = [&](size_t depth) -> bool {
-    if (depth == order.size()) return true;
-    if (--budget <= 0 || deadline.Expired() || stop.StopRequested()) {
-      timed_out = true;
-      return false;
-    }
-    const OpId op = order[depth];
-    // Affinity order: cells near already-placed neighbours first.
-    for (const int cell :
-         state.ByAffinity(op, candidates[static_cast<size_t>(op)])) {
-      if (state.TryPlace(op, cell, times[static_cast<size_t>(op)])) {
-        if (dfs(depth + 1)) return true;
-        state.Unplace(op);
-        if (timed_out) return false;
-      }
-    }
-    return false;
-  };
-
-  if (dfs(0)) return state.Finalize();
-  if (timed_out) {
-    return Error::ResourceLimit("fixed-time binding budget exhausted");
-  }
-  return Error::Unmappable("no binding exists for this schedule");
-}
-
-bool DirectlyReadable(const Architecture& arch, int producer, int consumer) {
-  const auto& r = arch.ReadableFrom(consumer);
-  return std::find(r.begin(), r.end(), producer) != r.end();
-}
-
 Result<Mapping> RealizePinned(const Dfg& dfg, const Architecture& arch,
                               int ii, const std::vector<Placement>& pins) {
   PlaceRouteState state(dfg, arch, ii);
@@ -394,6 +364,97 @@ Result<Mapping> RealizePinned(const Dfg& dfg, const Architecture& arch,
     }
   }
   return state.Finalize();
+}
+
+CellReads CellReadsOf(const Architecture& arch) {
+  CellReads reads(arch.num_cells());
+  for (int q = 0; q < arch.num_cells(); ++q) {
+    for (const int p : arch.ReadableFrom(q)) reads.Add(q, p);
+  }
+  return reads;
+}
+
+DepthFirstOutcome PlaceDepthFirst(PlaceRouteState& state,
+                                  const std::vector<OpId>& order,
+                                  long long node_budget, const Deadline& deadline,
+                                  const StopToken& stop, const PlaceChoices& choices) {
+  std::vector<std::vector<Placement>> tries(order.size());  // reused per depth
+  std::function<DepthFirstOutcome(std::size_t)> visit = [&](std::size_t depth) {
+    if (depth == order.size()) return DepthFirstOutcome::kPlaced;
+    if (--node_budget <= 0 || deadline.Expired() || stop.StopRequested()) {
+      return DepthFirstOutcome::kStopped;
+    }
+    const OpId op = order[depth];
+    tries[depth].clear();
+    choices(op, tries[depth]);
+    for (const Placement& p : tries[depth]) {
+      if (!state.TryPlace(op, p.cell, p.time)) continue;
+      const DepthFirstOutcome below = visit(depth + 1);
+      if (below == DepthFirstOutcome::kPlaced) return below;
+      state.Unplace(op);
+      if (below == DepthFirstOutcome::kStopped) return below;
+    }
+    return DepthFirstOutcome::kExhausted;
+  };
+  return visit(0);
+}
+
+PlacementSpace::PlacementSpace(const Dfg& dfg, const Architecture& arch,
+                               int ii, int horizon)
+    : ops_(MappableOps(dfg, arch)),
+      cells_(arch.num_cells()),
+      ii_(ii),
+      horizon_(horizon),
+      asap_(static_cast<std::size_t>(dfg.num_ops()), 0),
+      reads_(CellReadsOf(arch)) {
+  std::vector<std::size_t> dense(asap_.size());
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    dense[static_cast<std::size_t>(ops_[i])] = i;
+    for (int c = 0; c < cells_; ++c) {
+      capable_.push_back(arch.CanExecute(c, dfg.op(ops_[i])) ? 1 : 0);
+    }
+  }
+  for (const DfgEdge& e : dfg.Edges(/*include_pred=*/true)) {
+    if (arch.IsFolded(dfg.op(e.from).opcode)) continue;
+    deps_.push_back({dense[static_cast<std::size_t>(e.from)],
+                     dense[static_cast<std::size_t>(e.to)], e.distance,
+                     e.to_port == kOrderPort});
+  }
+}
+
+Result<PlacementSpace> PlacementSpace::AtIi(const Dfg& dfg,
+                                            const Architecture& arch, int ii,
+                                            int slack) {
+  std::vector<int> asap = ModuloAsap(dfg, arch, ii);
+  if (asap.empty()) return Error::Unmappable("recurrences infeasible at this II");
+  PlacementSpace space(dfg, arch, ii,
+                       *std::max_element(asap.begin(), asap.end()) + slack);
+  space.asap_ = std::move(asap);
+  return space;
+}
+
+std::vector<Placement> PlacementSpace::Pins(
+    const std::function<bool(std::size_t, int, int)>& chosen) const {
+  std::vector<Placement> pins(asap_.size());
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    Placement& pin = pins[static_cast<std::size_t>(ops_[i])];
+    for (int k = 0; k < cells_ * horizon_ && pin.cell < 0; ++k) {
+      if (chosen(i, k / horizon_, k % horizon_)) pin = {k / horizon_, k % horizon_};
+    }
+  }
+  return pins;
+}
+
+Error PlacementSpace::NoMapping(const char* method) const {
+  return Error::Unmappable(StrFormat(
+      "%s proved: no mapping at II=%d within a %d-cycle horizon under "
+      "restricted routing",
+      method, ii_, horizon_));
+}
+
+Error PlacementSpace::Reword(const char* method, const Error& solver_error) const {
+  if (solver_error.code != Error::Code::kUnmappable) return solver_error;
+  return Error::Unmappable(NoMapping(method).message + " (" + solver_error.message + ")");
 }
 
 Result<Mapping> EscalateIi(const Mapper& self, const Dfg& dfg,

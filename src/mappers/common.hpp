@@ -7,6 +7,7 @@
 
 #include "arch/arch.hpp"
 #include "arch/mrrg.hpp"
+#include "graph/embed.hpp"
 #include "ir/dfg.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/place_route.hpp"
@@ -38,6 +39,13 @@ std::vector<int> ModuloAsap(const Dfg& dfg, const Architecture& arch, int ii);
 /// (classic IMS ordering). Ties broken by op id for determinism.
 std::vector<OpId> HeightPriorityOrder(const Dfg& dfg, const Architecture& arch);
 
+/// The mappable ops in a topological order of the same-iteration edges
+/// (TopologicalOrder over Dfg::ToDigraph(false), folded ops dropped):
+/// the dependence-first order of the constructive and exact placers.
+/// kInvalidArgument "DFG has a same-iteration cycle" when none exists.
+Result<std::vector<OpId>> DependenceOrder(const Dfg& dfg,
+                                          const Architecture& arch);
+
 /// `ops` sorted by (times[op], op): the order the fixed-schedule
 /// binders place ops in, so producers tend to precede consumers.
 std::vector<OpId> ScheduleOrder(std::vector<OpId> ops,
@@ -67,19 +75,116 @@ Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
                               int ii, const std::vector<OpId>& order,
                               const ImsOptions& options);
 
-/// Binds ops to cells under an externally fixed schedule: depth-first
-/// search in time order over affinity-ordered candidate cells, with a
-/// budget of 20000 search nodes. Used by the decoupled schedulers (ILP
-/// scheduling, CP realizations) whose "binding is someone else's
-/// problem".
-Result<Mapping> BindAtFixedTimes(const Dfg& dfg, const Architecture& arch,
-                                 int ii, const std::vector<int>& times,
-                                 const Deadline& deadline,
-                                 const StopToken& stop = {});
+/// The fabric's "cell q reads cell p's register file over one direct
+/// link" relation (Architecture::ReadableFrom) as a table: epimap's
+/// embedding and PlacementSpace's restricted routing read it.
+CellReads CellReadsOf(const Architecture& arch);
 
-/// True when `consumer` can read `producer`'s register file over one
-/// direct link: the restricted-routing relation of the exact mappers.
-bool DirectlyReadable(const Architecture& arch, int producer, int consumer);
+/// How PlaceDepthFirst ended: every op placed (the state holds the
+/// mapping), every choice tried, or node budget / deadline / stop.
+enum class DepthFirstOutcome { kPlaced, kExhausted, kStopped };
+
+/// Fills `out` (empty on entry) with `op`'s (cell, time) choices in the
+/// order to try them. Called when the search reaches `op`, so it may
+/// read the placements made so far.
+using PlaceChoices = std::function<void(OpId op, std::vector<Placement>& out)>;
+
+/// The exact mappers' one backtracking placement search: at depth k it
+/// tries each of choices(order[k]) with TryPlace, descends on success
+/// and unplaces on the way back. Entering a node costs one unit of
+/// `node_budget` and checks `deadline` and `stop`; a stopped search
+/// unwinds at once. Unless placed, the state ends as it began.
+DepthFirstOutcome PlaceDepthFirst(PlaceRouteState& state,
+                                  const std::vector<OpId>& order,
+                                  long long node_budget, const Deadline& deadline,
+                                  const StopToken& stop, const PlaceChoices& choices);
+
+/// The exact mappers' restricted-routing placement space: the one
+/// statement of which op may sit on which cell at which cycle, up to a
+/// horizon, and which consumer placements can read a producer. Every
+/// ILP row, SAT clause and CP constraint of the exact column of Table I
+/// ([34][41][15][53], [43][17][44]) is stated against it, as SAT-MapIt
+/// (Tirelli et al.) and Walker & Anderson's connectivity ILP build
+/// their space once.
+///
+/// Restricted routing ([34]'s direct-connect mode, [44]'s restricted
+/// routing networks): a value waits in its producer's register file and
+/// is read by a cell with a direct link. A dependence with iteration
+/// distance d holds between its producer at (p, t) and its consumer at
+/// (q, t2) when t2 + II*d >= t + 1 and q reads p over one link (or the
+/// edge only orders the two ops). Longer routes are the heuristics'
+/// territory: the exact mappers prove optimality or infeasibility only
+/// within this relation and their horizon, which is the trade-off
+/// §III-A describes, and each "no mapping" names that horizon.
+class PlacementSpace {
+ public:
+  /// An edge whose producer is not folded, in Dfg::Edges(true) order,
+  /// with dense endpoints (u == v for a self-loop).
+  struct Dependence {
+    std::size_t u, v;
+    int distance;
+    bool order_only;  ///< an ordering edge: timing alone
+  };
+
+  /// The space over cells x [0, horizon) at `ii`, every ASAP time 0.
+  PlacementSpace(const Dfg& dfg, const Architecture& arch, int ii = 1,
+                 int horizon = 1);
+  /// The space at `ii` with ModuloAsap times and the horizon T = max
+  /// ASAP + `slack`; kUnmappable when the recurrences are infeasible.
+  static Result<PlacementSpace> AtIi(const Dfg& dfg, const Architecture& arch,
+                                     int ii, int slack);
+
+  /// MappableOps: op ops()[i] has dense index i.
+  const std::vector<OpId>& ops() const { return ops_; }
+  std::size_t size() const { return ops_.size(); }
+  int cells() const { return cells_; }
+  int horizon() const { return horizon_; }  ///< T: times run over [0, T)
+  const std::vector<int>& asap() const { return asap_; }  ///< per op id
+  int asap(std::size_t i) const { return asap_[static_cast<std::size_t>(ops_[i])]; }
+
+  bool Capable(std::size_t i, int c) const { return capable_[i * cells_ + c] != 0; }
+  /// Op i's domain: a capable cell, no earlier than its ASAP time.
+  bool Allowed(std::size_t i, int c, int t) const {
+    return Capable(i, c) && t >= asap(i);
+  }
+  /// (c, t) as one number, and (op i, c, t) as one dense index over
+  /// ops, then cells, then times.
+  int Pair(int c, int t) const { return c * horizon_ + t; }
+  int Var(std::size_t i, int c, int t = 0) const {
+    return static_cast<int>(i) * cells_ * horizon_ + Pair(c, t);
+  }
+
+  const std::vector<Dependence>& dependences() const { return deps_; }
+  /// Cell q reads cell p's register file over one direct link.
+  bool Reads(int p, int q) const {
+    return ((reads_.Producers(q)[p / 64] >> (p % 64)) & 1) != 0;
+  }
+  /// The relation: `d` holds with its producer at (p, t) and its
+  /// consumer at (q, t2).
+  bool Consumes(const Dependence& d, int p, int t, int q, int t2) const {
+    return t2 + ii_ * d.distance >= t + 1 && (d.order_only || Reads(p, q));
+  }
+
+  /// A solved model as RealizePinned's pins (by op id): op ops()[i] at
+  /// the first (c, t), cells then times, that chosen(i, c, t) holds.
+  std::vector<Placement> Pins(
+      const std::function<bool(std::size_t, int, int)>& chosen) const;
+
+  /// kUnmappable "<method> proved: no mapping at II=<ii> within a
+  /// <T>-cycle horizon under restricted routing".
+  Error NoMapping(const char* method) const;
+  /// A solver's kUnmappable as NoMapping(method) plus its own text;
+  /// any other error unchanged.
+  Error Reword(const char* method, const Error& solver_error) const;
+
+ private:
+  std::vector<OpId> ops_;
+  int cells_, ii_, horizon_;
+  std::vector<int> asap_;
+  std::vector<char> capable_;  ///< [i * cells + c]
+  CellReads reads_;
+  std::vector<Dependence> deps_;
+};
 
 /// Places every mappable op at the (cell, time) it is pinned to, in
 /// pin-time order (std::sort of the ops in id order on time alone),

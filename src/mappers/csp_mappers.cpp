@@ -1,8 +1,9 @@
 // Constraint-satisfaction mappers (the Table I "CSP" column): CP, SAT
 // and SMT formulations of temporal mapping, each on the corresponding
-// in-tree solver. All three use the restricted-routing relation (wait
-// in the producer's RF, then one direct link), like the exact ILP
-// mappers — see ilp_mappers.cpp's header comment.
+// in-tree solver. All three state their constraints against the exact
+// mappers' placement space and its restricted-routing relation (wait
+// in the producer's RF, then one direct link), described once at
+// PlacementSpace in mappers/common.hpp.
 #include <algorithm>
 #include <cstddef>
 
@@ -11,6 +12,7 @@
 #include "solver/cp.hpp"
 #include "solver/sat.hpp"
 #include "solver/smt.hpp"
+#include "support/str.hpp"
 
 namespace cgra {
 namespace {
@@ -30,75 +32,55 @@ class CpTemporalMapper final : public Mapper {
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
-      const auto est = ModuloAsap(dfg, arch, ii);
-      if (est.empty()) {
-        return Error::Unmappable("recurrences infeasible at this II");
-      }
-      const int T = *std::max_element(est.begin(), est.end()) + std::min(3, ii) + 1;
-      const int cells = arch.num_cells();
-      auto encode = [&](int cell, int t) { return cell * T + t; };
+      const auto space =
+          PlacementSpace::AtIi(dfg, arch, ii, std::min(3, ii) + 1);
+      if (!space.ok()) return space.error();
+      const PlacementSpace* sp = &*space;
+      const int T = space->horizon();
 
-      const std::vector<OpId> ops = MappableOps(dfg, arch);
       CpModel model;
-      std::vector<CpVar> var(static_cast<size_t>(dfg.num_ops()), -1);
-      for (OpId op : ops) {
+      std::vector<CpVar> var;  // per dense op index
+      for (size_t i = 0; i < space->size(); ++i) {
         std::vector<int> domain;
-        for (int c = 0; c < cells; ++c) {
-          if (!arch.CanExecute(c, dfg.op(op))) continue;
-          for (int t = est[static_cast<size_t>(op)]; t < T; ++t) {
-            domain.push_back(encode(c, t));
+        for (int c = 0; c < space->cells(); ++c) {
+          for (int t = 0; t < T; ++t) {
+            if (space->Allowed(i, c, t)) domain.push_back(space->Pair(c, t));
           }
         }
         if (domain.empty()) {
           return Error::Unmappable("an op has an empty placement domain");
         }
-        var[static_cast<size_t>(op)] = model.AddVarWithDomain(std::move(domain));
+        var.push_back(model.AddVarWithDomain(std::move(domain)));
       }
       // FU exclusivity: pairwise (cell, slot) difference.
-      for (size_t i = 0; i < ops.size(); ++i) {
-        for (size_t j = i + 1; j < ops.size(); ++j) {
-          model.AddBinary(var[static_cast<size_t>(ops[i])], var[static_cast<size_t>(ops[j])],
-                          [T, ii](int a, int b) {
-                            const int ca = a / T, ta = a % T;
-                            const int cb = b / T, tb = b % T;
-                            return ca != cb || (ta % ii) != (tb % ii);
-                          });
+      for (size_t i = 0; i < var.size(); ++i) {
+        for (size_t j = i + 1; j < var.size(); ++j) {
+          model.AddBinary(var[i], var[j], [T, ii](int a, int b) {
+            return a / T != b / T || (a % T) % ii != (b % T) % ii;
+          });
         }
       }
-      // Dependence + restricted routing.
-      for (const DfgEdge& e : dfg.Edges(true)) {
-        if (arch.IsFolded(dfg.op(e.from).opcode)) continue;
-        if (e.from == e.to) {
+      // Dependences under restricted routing.
+      for (const PlacementSpace::Dependence& d : space->dependences()) {
+        if (d.u == d.v) {
           // Self loop: only timing (own RF is always readable).
-          if (ii * e.distance < 1) {
+          if (ii * d.distance < 1) {
             return Error::Unmappable("self dependence unsatisfiable");
           }
           continue;
         }
-        const bool order_only = e.to_port == kOrderPort;
-        const int dist = e.distance;
-        const Architecture* ap = &arch;
-        model.AddBinary(var[static_cast<size_t>(e.from)], var[static_cast<size_t>(e.to)],
-                        [T, ii, dist, order_only, ap](int a, int b) {
-                          const int ca = a / T, ta = a % T;
-                          const int cb = b / T, tb = b % T;
-                          if (tb + ii * dist < ta + 1) return false;
-                          if (order_only) return true;
-                          return DirectlyReadable(*ap, ca, cb);
-                        });
+        model.AddBinary(var[d.u], var[d.v], [T, sp, d](int a, int b) {
+          return sp->Consumes(d, a / T, a % T, b / T, b % T);
+        });
       }
 
       CpModel::SolveStats stats;
       auto sol = model.Solve(options.deadline, &stats, options.stop);
       CountSolverRun(stats.nodes);
-      if (!sol.ok()) return sol.error();
-
-      std::vector<Placement> pins(static_cast<size_t>(dfg.num_ops()));
-      for (OpId op : ops) {
-        const int v = (*sol)[static_cast<size_t>(var[static_cast<size_t>(op)])];
-        pins[static_cast<size_t>(op)] = Placement{v / T, v % T};
-      }
-      return RealizePinned(dfg, arch, ii, pins);
+      if (!sol.ok()) return space->Reword("CP", sol.error());
+      return RealizePinned(dfg, arch, ii, space->Pins([&](size_t i, int c, int t) {
+        return (*sol)[static_cast<size_t>(var[i])] == space->Pair(c, t);
+      }));
     });
   }
 };
@@ -118,29 +100,23 @@ class SatTemporalMapper final : public Mapper {
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
-      const auto est = ModuloAsap(dfg, arch, ii);
-      if (est.empty()) {
-        return Error::Unmappable("recurrences infeasible at this II");
-      }
-      const int T = *std::max_element(est.begin(), est.end()) + std::min(3, ii) + 1;
-      const int cells = arch.num_cells();
-      const std::vector<OpId> ops = MappableOps(dfg, arch);
+      const auto space =
+          PlacementSpace::AtIi(dfg, arch, ii, std::min(3, ii) + 1);
+      if (!space.ok()) return space.error();
+      const int cells = space->cells();
+      const int T = space->horizon();
 
       SatSolver solver;
-      const int base = solver.NewVars(static_cast<int>(ops.size()) * cells * T);
+      const int base = solver.NewVars(space->Var(space->size(), 0));
       auto x = [&](size_t i, int c, int t) {
-        return PosLit(base + static_cast<int>((i * static_cast<size_t>(cells) +
-                                               static_cast<size_t>(c)) *
-                                                  static_cast<size_t>(T) +
-                                              static_cast<size_t>(t)));
+        return PosLit(base + space->Var(i, c, t));
       };
 
-      for (size_t i = 0; i < ops.size(); ++i) {
+      for (size_t i = 0; i < space->size(); ++i) {
         std::vector<Lit> one;
         for (int c = 0; c < cells; ++c) {
-          const bool capable = arch.CanExecute(c, dfg.op(ops[i]));
           for (int t = 0; t < T; ++t) {
-            if (capable && t >= est[static_cast<size_t>(ops[i])]) {
+            if (space->Allowed(i, c, t)) {
               one.push_back(x(i, c, t));
             } else {
               solver.AddUnit(Negate(x(i, c, t)));
@@ -154,29 +130,21 @@ class SatTemporalMapper final : public Mapper {
       for (int c = 0; c < cells; ++c) {
         for (int slot = 0; slot < ii; ++slot) {
           std::vector<Lit> group;
-          for (size_t i = 0; i < ops.size(); ++i) {
+          for (size_t i = 0; i < space->size(); ++i) {
             for (int t = slot; t < T; t += ii) group.push_back(x(i, c, t));
           }
           solver.AtMostOneSequential(group);
         }
       }
-      // Dependences: x[u][p][t] -> OR of allowed consumer placements.
-      std::vector<int> compact(static_cast<size_t>(dfg.num_ops()), -1);
-      for (size_t i = 0; i < ops.size(); ++i) compact[static_cast<size_t>(ops[i])] = static_cast<int>(i);
-      for (const DfgEdge& e : dfg.Edges(true)) {
-        if (arch.IsFolded(dfg.op(e.from).opcode)) continue;
-        if (e.from == e.to) continue;  // timing trivially ok (dist >= 1)
-        const size_t u = static_cast<size_t>(compact[static_cast<size_t>(e.from)]);
-        const size_t v = static_cast<size_t>(compact[static_cast<size_t>(e.to)]);
+      // Dependences: x[u][p][t] -> OR of the consumer placements it allows.
+      for (const PlacementSpace::Dependence& d : space->dependences()) {
+        if (d.u == d.v) continue;  // timing trivially ok (dist >= 1)
         for (int p = 0; p < cells; ++p) {
           for (int t = 0; t < T; ++t) {
-            std::vector<Lit> clause{Negate(x(u, p, t))};
+            std::vector<Lit> clause{Negate(x(d.u, p, t))};
             for (int q = 0; q < cells; ++q) {
-              if (e.to_port != kOrderPort && !DirectlyReadable(arch, p, q)) {
-                continue;
-              }
               for (int t2 = 0; t2 < T; ++t2) {
-                if (t2 + ii * e.distance >= t + 1) clause.push_back(x(v, q, t2));
+                if (space->Consumes(d, p, t, q, t2)) clause.push_back(x(d.v, q, t2));
               }
             }
             solver.AddClause(std::move(clause));
@@ -189,21 +157,10 @@ class SatTemporalMapper final : public Mapper {
       if (r == SatResult::kUnknown) {
         return Error::ResourceLimit("SAT mapper hit the deadline");
       }
-      if (r == SatResult::kUnsat) {
-        return Error::Unmappable(
-            "SAT proved: no mapping at this II under restricted routing");
-      }
-      std::vector<Placement> pins(static_cast<size_t>(dfg.num_ops()));
-      for (size_t i = 0; i < ops.size(); ++i) {
-        for (int c = 0; c < cells; ++c) {
-          for (int t = 0; t < T; ++t) {
-            if (solver.Value(VarOf(x(i, c, t)))) {
-              pins[static_cast<size_t>(ops[i])] = Placement{c, t};
-            }
-          }
-        }
-      }
-      return RealizePinned(dfg, arch, ii, pins);
+      if (r == SatResult::kUnsat) return space->NoMapping("SAT");
+      return RealizePinned(dfg, arch, ii, space->Pins([&](size_t i, int c, int t) {
+        return solver.Value(VarOf(x(i, c, t)));
+      }));
     });
   }
 };
@@ -254,23 +211,23 @@ class SmtTemporalMapper final : public Mapper {
  private:
   Result<Mapping> TryLength(const Dfg& dfg, const Architecture& arch,
                             int len, const MapperOptions& options) const {
-    const int cells = arch.num_cells();
-    const std::vector<OpId> ops = MappableOps(dfg, arch);
+    // Times run over one non-pipelined schedule: [0, len) at II = len.
+    const PlacementSpace space(dfg, arch, /*ii=*/len, /*horizon=*/len);
+    const int cells = space.cells();
 
     SmtSolver smt;
     const int zero = smt.NewTerm();  // reference point (time 0)
-    std::vector<int> t_term(static_cast<size_t>(dfg.num_ops()), -1);
-    std::vector<std::vector<int>> b(ops.size());
-    for (size_t i = 0; i < ops.size(); ++i) {
-      const OpId op = ops[i];
-      t_term[static_cast<size_t>(op)] = smt.NewTerm();
+    std::vector<int> t_term(space.size(), -1);
+    std::vector<std::vector<int>> b(space.size());
+    for (size_t i = 0; i < space.size(); ++i) {
+      t_term[i] = smt.NewTerm();
       // 0 <= t < len  (relative to `zero`).
-      smt.AssertLe(zero, t_term[static_cast<size_t>(op)], 0);
-      smt.AssertLe(t_term[static_cast<size_t>(op)], zero, len - 1);
+      smt.AssertLe(zero, t_term[i], 0);
+      smt.AssertLe(t_term[i], zero, len - 1);
       std::vector<Lit> one;
       for (int c = 0; c < cells; ++c) {
         b[i].push_back(smt.NewBool());
-        if (!arch.CanExecute(c, dfg.op(op))) {
+        if (!space.Capable(i, c)) {
           smt.AddClause({NegLit(b[i][static_cast<size_t>(c)])});
         } else {
           one.push_back(PosLit(b[i][static_cast<size_t>(c)]));
@@ -284,12 +241,10 @@ class SmtTemporalMapper final : public Mapper {
       }());
     }
     // FU exclusivity (non-pipelined: same cell => different times).
-    for (size_t i = 0; i < ops.size(); ++i) {
-      for (size_t j = i + 1; j < ops.size(); ++j) {
-        const Lit ne1 = smt.AtomLe(t_term[static_cast<size_t>(ops[i])],
-                                   t_term[static_cast<size_t>(ops[j])], -1);
-        const Lit ne2 = smt.AtomLe(t_term[static_cast<size_t>(ops[j])],
-                                   t_term[static_cast<size_t>(ops[i])], -1);
+    for (size_t i = 0; i < space.size(); ++i) {
+      for (size_t j = i + 1; j < space.size(); ++j) {
+        const Lit ne1 = smt.AtomLe(t_term[i], t_term[j], -1);
+        const Lit ne2 = smt.AtomLe(t_term[j], t_term[i], -1);
         for (int c = 0; c < cells; ++c) {
           smt.AddClause({NegLit(b[i][static_cast<size_t>(c)]),
                          NegLit(b[j][static_cast<size_t>(c)]), ne1, ne2});
@@ -297,22 +252,15 @@ class SmtTemporalMapper final : public Mapper {
       }
     }
     // Dependences: timing in the theory, adjacency in the booleans.
-    std::vector<int> compact(static_cast<size_t>(dfg.num_ops()), -1);
-    for (size_t i = 0; i < ops.size(); ++i) compact[static_cast<size_t>(ops[i])] = static_cast<int>(i);
-    for (const DfgEdge& e : dfg.Edges(true)) {
-      if (arch.IsFolded(dfg.op(e.from).opcode)) continue;
-      const int tu = t_term[static_cast<size_t>(e.from)];
-      const int tv = t_term[static_cast<size_t>(e.to)];
+    for (const PlacementSpace::Dependence& d : space.dependences()) {
       // t_u - t_v <= len*distance - 1.
-      smt.AssertLe(tu, tv, len * e.distance - 1);
-      if (e.to_port == kOrderPort || e.from == e.to) continue;
-      const size_t u = static_cast<size_t>(compact[static_cast<size_t>(e.from)]);
-      const size_t v = static_cast<size_t>(compact[static_cast<size_t>(e.to)]);
+      smt.AssertLe(t_term[d.u], t_term[d.v], len * d.distance - 1);
+      if (d.order_only || d.u == d.v) continue;
       for (int p = 0; p < cells; ++p) {
         for (int q = 0; q < cells; ++q) {
-          if (!DirectlyReadable(arch, p, q)) {
-            smt.AddClause({NegLit(b[u][static_cast<size_t>(p)]),
-                           NegLit(b[v][static_cast<size_t>(q)])});
+          if (!space.Reads(p, q)) {
+            smt.AddClause({NegLit(b[d.u][static_cast<size_t>(p)]),
+                           NegLit(b[d.v][static_cast<size_t>(q)])});
           }
         }
       }
@@ -324,23 +272,16 @@ class SmtTemporalMapper final : public Mapper {
       return Error::ResourceLimit("SMT mapper hit the deadline");
     }
     if (r == SmtSolver::Outcome::kUnsat) {
-      return Error::Unmappable(
-          "SMT proved: no non-pipelined mapping at this length");
+      return Error::Unmappable(StrFormat(
+          "SMT proved: no non-pipelined mapping within a %d-cycle schedule "
+          "under restricted routing",
+          len));
     }
-    const int t0 = smt.TermValue(0);
-    std::vector<Placement> pins(static_cast<size_t>(dfg.num_ops()));
-    for (size_t i = 0; i < ops.size(); ++i) {
-      int cell = -1;
-      for (int c = 0; c < cells; ++c) {
-        if (smt.BoolValue(b[i][static_cast<size_t>(c)])) {
-          cell = c;
-          break;
-        }
-      }
-      pins[static_cast<size_t>(ops[i])] =
-          Placement{cell, smt.TermValue(t_term[static_cast<size_t>(ops[i])]) - t0};
-    }
-    return RealizePinned(dfg, arch, len, pins);
+    const int t0 = smt.TermValue(zero);
+    return RealizePinned(dfg, arch, len, space.Pins([&](size_t i, int c, int t) {
+      return smt.BoolValue(b[i][static_cast<size_t>(c)]) &&
+             t == smt.TermValue(t_term[i]) - t0;
+    }));
   }
 };
 

@@ -36,10 +36,7 @@ class EpimapStyleMapper final : public Mapper {
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     // A dependence p -> q binds when q reads p's cell directly.
-    CellReads reads(arch.num_cells());
-    for (int q = 0; q < arch.num_cells(); ++q) {
-      for (const int p : arch.ReadableFrom(q)) reads.Add(q, p);
-    }
+    const CellReads reads = CellReadsOf(arch);
     return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
       Dfg work = dfg;  // transformed copy (route insertions)
       for (int transform_round = 0; transform_round < 4; ++transform_round) {

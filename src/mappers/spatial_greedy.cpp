@@ -8,7 +8,6 @@
 // streaming workloads (ChordMap [31]).
 #include <cstddef>
 
-#include "graph/algos.hpp"
 #include "mappers/common.hpp"
 #include "mappers/mappers.hpp"
 
@@ -29,20 +28,16 @@ class SpatialGreedyMapper final : public Mapper {
     if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
     // Spatial mapping is modulo scheduling at II = 1: each cell hosts
     // exactly one op and is busy every cycle.
-    // Dependence-first order (topological over same-iteration edges),
-    // so affinity information exists when each op is placed.
-    const auto topo = TopologicalOrder(dfg.ToDigraph(/*include_carried=*/false));
-    if (!topo) return Error::InvalidArgument("DFG has a same-iteration cycle");
-    std::vector<OpId> order;
-    for (OpId op : *topo) {
-      if (!arch.IsFolded(dfg.op(op).opcode)) order.push_back(op);
-    }
+    // Dependence-first order, so affinity information exists when each
+    // op is placed.
+    const auto order = DependenceOrder(dfg, arch);
+    if (!order.ok()) return order.error();
     ImsOptions ims;
     ims.deadline = options.deadline;
     ims.stop = options.stop;
     ims.extra_slack = options.extra_slack;
     return ObservedAttempt(*this, options, /*ii=*/1, [&]() {
-      return ImsPlaceRoute(dfg, arch, /*ii=*/1, order, ims);
+      return ImsPlaceRoute(dfg, arch, /*ii=*/1, *order, ims);
     });
   }
 };

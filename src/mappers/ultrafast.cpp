@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstddef>
 
-#include "graph/algos.hpp"
 #include "mappers/common.hpp"
 #include "mappers/mappers.hpp"
 
@@ -30,8 +29,8 @@ class UltraFastScheduler final : public Mapper {
                       const MapperOptions& options) const override {
     const auto candidates = CandidateCellTable(dfg, arch);
     // Dependence order (not height priority: cheapest possible order).
-    const auto topo = TopologicalOrder(dfg.ToDigraph(/*include_carried=*/false));
-    if (!topo) return Error::InvalidArgument("DFG has a same-iteration cycle");
+    const auto order = DependenceOrder(dfg, arch);
+    if (!order.ok()) return order.error();
 
     return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
       const auto est = ModuloAsap(dfg, arch, ii);
@@ -39,8 +38,7 @@ class UltraFastScheduler final : public Mapper {
         return Error::Unmappable("recurrences infeasible at this II");
       }
       PlaceRouteState state(dfg, arch, ii);
-      for (OpId op : *topo) {
-        if (arch.IsFolded(dfg.op(op).opcode)) continue;
+      for (const OpId op : *order) {
         const int t = state.EarliestStart(op, est[static_cast<size_t>(op)]);
         // Carried self-dependences cap how far the op may slide.
         bool can_slide = true;

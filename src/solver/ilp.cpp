@@ -20,6 +20,14 @@ void IlpModel::AddConstraint(std::vector<LinearTerm> terms, Rel rel, double rhs)
   rows_.push_back(LinearConstraint{std::move(terms), rel, rhs});
 }
 
+Status IlpModel::CheckSize() const {
+  if (num_vars() > 4000 || num_rows() > 6000) {
+    return Error::ResourceLimit(
+        "instance too large for the built-in exact solver");
+  }
+  return Status::Ok();
+}
+
 void IlpModel::SetObjective(std::vector<double> coeffs, bool maximize) {
   objective_ = std::move(coeffs);
   maximize_ = maximize;

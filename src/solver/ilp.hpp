@@ -32,6 +32,12 @@ class IlpModel {
   void SetObjective(std::vector<double> coeffs, bool maximize);
 
   int num_vars() const { return static_cast<int>(lo_.size()); }
+  int num_rows() const { return static_cast<int>(rows_.size()); }
+
+  /// kResourceLimit when the model has more than 4000 variables or 6000
+  /// rows: the dense simplex underneath cannot take more. Mappers check
+  /// before solving, and while building a model that may grow past it.
+  Status CheckSize() const;
 
   struct SolveOptions {
     Deadline deadline;

@@ -544,5 +544,30 @@ TEST(RecMii, InfeasibleCycleReturnsAboveMax) {
   EXPECT_EQ(ComputeMii(d, arch, 5).rec_mii, 5);
 }
 
+// An exact mapper's "no mapping" holds only inside the horizon its model
+// spans. sat proves vecadd unmappable at II = 1 on adres4x4; the attempt
+// must say within how many cycles: max ASAP + min(3, II) + 1.
+TEST(ExactMappers, SatInfeasibilityNamesItsHorizon) {
+  const Kernel k = MakeVecAdd(16, 0x5EED);
+  const Architecture arch = Architecture::Adres4x4();
+  const std::vector<int> asap = ModuloAsap(k.dfg, arch, 1);
+  ASSERT_FALSE(asap.empty());
+  const int horizon = *std::max_element(asap.begin(), asap.end()) + 2;
+  MapTrace trace;
+  MapperOptions opts;
+  opts.observer = &trace;
+  const auto m = MapperRegistry::Global().Find("sat")->Map(k.dfg, arch, opts);
+  ASSERT_TRUE(m.ok()) << m.error().message;
+  const std::vector<MapTrace::Attempt> attempts = trace.Attempts();
+  ASSERT_GE(attempts.size(), 2u);
+  EXPECT_EQ(attempts[0].ii, 1);
+  EXPECT_FALSE(attempts[0].ok);
+  EXPECT_EQ(attempts[0].error_code, "unmappable");
+  const std::string bound =
+      "no mapping at II=1 within a " + std::to_string(horizon) + "-cycle horizon";
+  EXPECT_NE(attempts[0].message.find(bound), std::string::npos)
+      << attempts[0].message;
+}
+
 }  // namespace
 }  // namespace cgra

@@ -267,10 +267,12 @@ TEST(RouterGolden, DeterministicMappersHetero4x4) {
 }
 
 // ---- golden exact-mapper digests --------------------------------------------
-// The ILP, SAT, SMT and CP mappers on small (kernel, fabric) pairs where
-// each search finishes in milliseconds without a deadline, so the
+// The ILP, SAT, SMT, CP and B&B mappers on small (kernel, fabric) pairs
+// where each search finishes in milliseconds without a deadline, so the
 // digests depend only on the solvers' pivot and branching order. Captured
-// from the dense-elimination simplex and linear-scan SAT branching.
+// from the dense-elimination simplex and linear-scan SAT branching; the
+// bnb rows were captured before the exact mappers shared one depth-first
+// realizer (bnb backtracks on complex_mul: 199 evictions on adres4x4).
 
 struct ExactGolden {
   const char* mapper;
@@ -295,6 +297,9 @@ TEST(RouterGolden, DeterministicExactMappers) {
       {"smt", "fir4", "adres4x4", 0x6b7f7bf12f57cbdeull},
       {"cp", "vecadd", "adres4x4", 0xe40151329706bbdfull},
       {"cp", "fir4", "adres4x4", 0x710987b2c7c6e828ull},
+      {"bnb", "fir4", "adres4x4", 0xae00114e3dc92b2aull},
+      {"bnb", "complex_mul", "adres4x4", 0x7a1544e69a2817d7ull},
+      {"bnb", "histogram8", "small2x2", 0xb2a8f3d8f5ac94a3ull},
   };
   for (const ExactGolden& g : goldens) {
     const Mapper* mapper = MapperRegistry::Global().Find(g.mapper);
@@ -309,8 +314,134 @@ TEST(RouterGolden, DeterministicExactMappers) {
     ASSERT_TRUE(m.ok()) << g.mapper << "/" << g.kernel << "/" << g.fabric
                         << ": " << m.error().message;
     EXPECT_EQ(MappingDigest(*m), g.digest)
-        << g.mapper << "/" << g.kernel << "/" << g.fabric;
+        << g.mapper << "/" << g.kernel << "/" << g.fabric << ": digest 0x"
+        << std::hex << MappingDigest(*m);
   }
+}
+
+// ---- golden exact search effort ---------------------------------------------
+// One hash per exact mapper over every II attempt of three (kernel,
+// fabric) cases: the attempt's II, verdict and error code, every
+// PerfCounters field and its SearchLog JSON, then the mapping digest (0
+// when none). A search that tries its choices in another order, or a
+// model whose variables are numbered in another order, moves the solver
+// steps, the router and tracker counters or the search log even where
+// the mapping stays the same; rows or clauses added in another order
+// move nothing this short (see SatEffortOnALongProof). Every case
+// finishes far inside its budget with no deadline set, and no wall time
+// or message is hashed. Each mapper fails at least one II attempt where
+// a small case shows one (bnb backtracks instead: it fails none here).
+// Captured before the exact mappers shared one placement space and one
+// depth-first realizer.
+
+std::uint64_t HashString(std::uint64_t h, const std::string& s) {
+  for (const char c : s) h = HashU64(h, static_cast<unsigned char>(c));
+  return HashU64(h, s.size());
+}
+
+// Folds one Map call's attempts and mapping digest into `h`, adding the
+// attempts' placement evictions to `evictions`.
+std::uint64_t HashSearchEffort(std::uint64_t h, const Mapper& mapper,
+                               const char* kernel_name, const char* fabric,
+                               std::uint64_t& evictions) {
+  const std::optional<Architecture> arch = api::FabricByName(fabric);
+  const std::optional<Kernel> kernel = api::KernelByName(kernel_name, 16, 0x5EED);
+  EXPECT_TRUE(arch.has_value() && kernel.has_value()) << kernel_name << "/" << fabric;
+  if (!arch || !kernel) return h;
+  const telemetry::SearchDetail detail = telemetry::GetSearchDetail();
+  telemetry::SetSearchDetail(telemetry::SearchDetail::kCounters);
+  // The arena counters count from a fresh router arena.
+  router_internal::ResetScratchForTest();
+  MapTrace trace;
+  MapperOptions opts;
+  opts.seed = 42;
+  opts.observer = &trace;
+  const auto m = mapper.Map(kernel->dfg, *arch, opts);
+  telemetry::SetSearchDetail(detail);
+  for (const MapTrace::Attempt& a : trace.Attempts()) {
+    h = HashU64(h, static_cast<std::uint64_t>(a.ii));
+    h = HashU64(h, a.ok ? 1 : 0);
+    h = HashString(h, a.error_code);
+    for (const PerfCounterField& f : kPerfCounterFields) {
+      h = HashU64(h, a.perf.*f.member);
+    }
+    h = HashString(h, a.search != nullptr ? a.search->ToJson() : "");
+    if (a.search != nullptr) evictions += a.search->place_evictions;
+  }
+  return HashU64(h, m.ok() ? MappingDigest(*m) : 0);
+}
+
+TEST(MapperGolden, ExactSearchEffort) {
+  struct Case {
+    const char* kernel;
+    const char* fabric;
+  };
+  struct EffortGolden {
+    const char* mapper;
+    std::vector<Case> cases;
+    std::uint64_t hash;
+  };
+  const EffortGolden goldens[] = {
+      // ILP infeasible on small2x2; the realization backtracks on butterfly.
+      {"ilp-spatial",
+       {{"saxpy", "small2x2"}, {"dot_product", "adres4x4"},
+        {"butterfly", "adres4x4"}},
+       0x25b27099eb546af4ull},
+      {"ilp-temporal",
+       {{"vecadd", "small2x2"}, {"saxpy", "small2x2"}, {"iir1", "small2x2"}},
+       0x5971f1ae25e7c5c9ull},
+      {"ilp-bind",
+       {{"vecadd", "small2x2"}, {"fir4", "small2x2"}, {"saxpy", "adres4x4"}},
+       0x93912c784b957ddfull},
+      // The fixed-time binder exhausts vecadd's II = 1 and spends its
+      // node budget on complex_mul's II = 2 and 3.
+      {"ilp-sched",
+       {{"vecadd", "adres4x4"}, {"butterfly", "adres4x4"},
+        {"complex_mul", "adres4x4"}},
+       0x471fe1082a1d9e08ull},
+      {"bnb",
+       {{"complex_mul", "adres4x4"}, {"histogram8", "small2x2"},
+        {"fir4", "adres4x4"}},
+       0x872ce3f02c0d70c7ull},
+      // SAT proves II = 1 infeasible for vecadd and fir4 on adres4x4.
+      {"sat",
+       {{"vecadd", "adres4x4"}, {"fir4", "adres4x4"}, {"dot_product", "small2x2"}},
+       0xaa7680deab42e2f6ull},
+      {"cp",
+       {{"vecadd", "adres4x4"}, {"fir4", "adres4x4"}, {"saxpy", "small2x2"}},
+       0x0ac243a320d8f393ull},
+      {"smt",
+       {{"complex_mul", "hetero4x4"}, {"dot_product", "adres4x4"},
+        {"fir4", "adres4x4"}},
+       0xcb1f819c3a9be1b9ull},
+  };
+  for (const EffortGolden& g : goldens) {
+    const Mapper* mapper = MapperRegistry::Global().Find(g.mapper);
+    ASSERT_NE(mapper, nullptr) << g.mapper;
+    std::uint64_t h = 1469598103934665603ull;
+    std::uint64_t evictions = 0;
+    for (const Case& c : g.cases) {
+      h = HashSearchEffort(h, *mapper, c.kernel, c.fabric, evictions);
+    }
+    EXPECT_EQ(h, g.hash) << g.mapper << ": effort 0x" << std::hex << h;
+    if (std::string(g.mapper) == "bnb") {
+      EXPECT_GT(evictions, 0u) << "bnb must backtrack in one of its cases";
+    }
+  }
+}
+
+// The CDCL search above is short: no small case's conflicts move when
+// the dependence clauses are added in another order. sat on complex_mul
+// and hetero4x4 proves II = 1 and II = 2 infeasible (6990 conflicts at
+// II = 2) before it maps at II = 3; that proof does move. Captured
+// before the exact mappers shared one placement space.
+TEST(MapperGolden, SatEffortOnALongProof) {
+  const Mapper* sat = MapperRegistry::Global().Find("sat");
+  ASSERT_NE(sat, nullptr);
+  std::uint64_t evictions = 0;
+  const std::uint64_t h = HashSearchEffort(1469598103934665603ull, *sat,
+                                           "complex_mul", "hetero4x4", evictions);
+  EXPECT_EQ(h, 0x4e0f3243f663eb18ull) << "effort 0x" << std::hex << h;
 }
 
 // ---- golden big8x8 digests --------------------------------------------------
