@@ -37,13 +37,18 @@ int main() {
         WallTimer timer;
         for (const Kernel& k : suite) {
           const auto order = HeightPriorityOrder(k.dfg, arch);
+          const auto candidates = CandidateCellTable(k.dfg, arch);
           const MiiBounds mii = ComputeMii(k.dfg, arch, 16);
+          MapperOptions options;
+          options.extra_slack = slack;
+          ImsOptions ims;
+          ims.eviction_budget_factor = budget;
           bool ok = false;
           for (int ii = mii.mii(); ii <= 8 && !ok; ++ii) {
-            ImsOptions opts;
-            opts.eviction_budget_factor = budget;
-            opts.extra_slack = slack;
-            const auto r = ImsPlaceRoute(k.dfg, arch, ii, order, opts);
+            const std::vector<int> asap = ModuloAsap(k.dfg, arch, ii);
+            if (asap.empty()) continue;
+            const auto r = ImsPlaceRoute(k.dfg, arch, ii, asap, order, candidates,
+                                         options, ims);
             if (r.ok()) {
               ok = true;
               ++mapped;

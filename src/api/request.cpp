@@ -70,6 +70,38 @@ telemetry::Counter& FabricBuilds() {
   return builds;
 }
 
+// The kernel catalog: one entry per fixed kernel, in KnownKernelNames
+// order, followed by the wide_dot_<lanes> family.
+struct KernelEntry {
+  const char* name;
+  Kernel (*make)(int iterations, std::uint64_t seed);
+};
+constexpr KernelEntry kKernels[] = {
+    {"dot_product", &MakeDotProduct},  {"vecadd", &MakeVecAdd},
+    {"saxpy", &MakeSaxpy},             {"fir4", &MakeFir4},
+    {"iir1", &MakeIir1},               {"mavg3", &MakeMovingAvg3},
+    {"sobel_gx", &MakeSobelRow},       {"sad", &MakeSad},
+    {"butterfly", &MakeButterfly},     {"matvec_row", &MakeMatVecRow},
+    {"gemm_mac", &MakeGemmMac},        {"histogram8", &MakeHistogram8},
+    {"relu_scale", &MakeReluScale},    {"maxpool_run", &MakeRunningMaxPool},
+    {"mac2", &MakeMac2},               {"complex_mul", &MakeComplexMul},
+    {"alpha_blend", &MakeAlphaBlend},  {"dct4", &MakeDct4Stage},
+};
+
+const KernelEntry* FindKernelEntry(const std::string& name) {
+  for (const KernelEntry& entry : kKernels) {
+    if (name == entry.name) return &entry;
+  }
+  return nullptr;
+}
+
+// The lane count of a "wide_dot_<lanes>" name; 0 for any other name.
+int WideDotLanes(const std::string& name) {
+  if (name.rfind("wide_dot_", 0) != 0) return 0;
+  const int lanes = std::atoi(name.c_str() + 9);
+  return lanes > 0 ? lanes : 0;
+}
+
 }  // namespace
 
 std::optional<Architecture> FabricByName(const std::string& name) {
@@ -106,37 +138,17 @@ bool IsKnownFabric(const std::string& name) {
 
 std::optional<Kernel> KernelByName(const std::string& name, int iterations,
                                    std::uint64_t seed) {
-  if (name == "dot_product") return MakeDotProduct(iterations, seed);
-  if (name == "vecadd") return MakeVecAdd(iterations, seed);
-  if (name == "saxpy") return MakeSaxpy(iterations, seed);
-  if (name == "fir4") return MakeFir4(iterations, seed);
-  if (name == "iir1") return MakeIir1(iterations, seed);
-  if (name == "mavg3") return MakeMovingAvg3(iterations, seed);
-  if (name == "sobel_gx") return MakeSobelRow(iterations, seed);
-  if (name == "sad") return MakeSad(iterations, seed);
-  if (name == "butterfly") return MakeButterfly(iterations, seed);
-  if (name == "matvec_row") return MakeMatVecRow(iterations, seed);
-  if (name == "gemm_mac") return MakeGemmMac(iterations, seed);
-  if (name == "histogram8") return MakeHistogram8(iterations, seed);
-  if (name == "relu_scale") return MakeReluScale(iterations, seed);
-  if (name == "maxpool_run") return MakeRunningMaxPool(iterations, seed);
-  if (name == "mac2") return MakeMac2(iterations, seed);
-  if (name == "complex_mul") return MakeComplexMul(iterations, seed);
-  if (name == "alpha_blend") return MakeAlphaBlend(iterations, seed);
-  if (name == "dct4") return MakeDct4Stage(iterations, seed);
-  if (name.rfind("wide_dot_", 0) == 0) {
-    const int lanes = std::atoi(name.c_str() + 9);
-    if (lanes > 0) return MakeWideDotProduct(lanes, iterations, seed);
+  if (const KernelEntry* entry = FindKernelEntry(name)) {
+    return entry->make(iterations, seed);
+  }
+  if (const int lanes = WideDotLanes(name); lanes > 0) {
+    return MakeWideDotProduct(lanes, iterations, seed);
   }
   return std::nullopt;
 }
 
 bool IsKnownKernel(const std::string& name) {
-  if (name.rfind("wide_dot_", 0) == 0) return std::atoi(name.c_str() + 9) > 0;
-  for (const std::string& k : KnownKernelNames()) {
-    if (k == name) return true;
-  }
-  return false;
+  return FindKernelEntry(name) != nullptr || WideDotLanes(name) > 0;
 }
 
 const std::vector<std::string>& KnownFabricNames() {
@@ -149,12 +161,12 @@ const std::vector<std::string>& KnownFabricNames() {
 }
 
 const std::vector<std::string>& KnownKernelNames() {
-  static const std::vector<std::string> names = {
-      "dot_product", "vecadd",      "saxpy",      "fir4",
-      "iir1",        "mavg3",       "sobel_gx",   "sad",
-      "butterfly",   "matvec_row",  "gemm_mac",   "histogram8",
-      "relu_scale",  "maxpool_run", "mac2",       "complex_mul",
-      "alpha_blend", "dct4",        "wide_dot_<lanes>"};
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const KernelEntry& entry : kKernels) out.push_back(entry.name);
+    out.push_back("wide_dot_<lanes>");
+    return out;
+  }();
   return names;
 }
 

@@ -134,7 +134,8 @@ std::string FaultModel::ToString() const {
   if (!dead_cells_.empty()) {
     out += StrFormat("%zu dead cell(s) {", dead_cells_.size());
     for (size_t i = 0; i < dead_cells_.size(); ++i) {
-      out += (i ? "," : "") + std::to_string(dead_cells_[i]);
+      if (i) out += ',';
+      out += std::to_string(dead_cells_[i]);
     }
     out += "}";
   }

@@ -40,10 +40,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arch/arch.hpp"
-#include "support/span.hpp"
 
 namespace cgra {
 
@@ -73,9 +73,7 @@ class Mrrg {
   /// Simultaneous values per time slot.
   int capacity(int n) const { return capacity_[static_cast<size_t>(n)]; }
   /// The full capacity column (tracker bitset initialisation).
-  Span<std::int32_t> capacities() const {
-    return Span<std::int32_t>(capacity_.data(), capacity_.size());
-  }
+  std::span<const std::int32_t> capacities() const { return capacity_; }
 
   /// Largest per-slot capacity of any node (>= 1 even on an all-dead
   /// fabric). Bounds how long a route may consecutively wait in one
@@ -102,19 +100,19 @@ class Mrrg {
   /// Outgoing routing links of a node (HOLD/RT only; FU->HOLD is
   /// modelled separately because it starts a net rather than routes
   /// it). CSR view: contiguous, ordered as constructed.
-  Span<Link> OutLinks(int n) const {
+  std::span<const Link> OutLinks(int n) const {
     const std::uint32_t b = out_offset_[static_cast<size_t>(n)];
     const std::uint32_t e = out_offset_[static_cast<size_t>(n) + 1];
-    return Span<Link>(out_links_.data() + b, e - b);
+    return {out_links_.data() + b, e - b};
   }
   /// Total link count across all nodes (CSR tail offset).
   int num_links() const { return static_cast<int>(out_links_.size()); }
 
   /// Hold nodes whose values `cell`'s FU can read combinationally.
-  Span<std::int32_t> ReadableHolds(int cell) const {
+  std::span<const std::int32_t> ReadableHolds(int cell) const {
     const std::uint32_t b = readable_offset_[static_cast<size_t>(cell)];
     const std::uint32_t e = readable_offset_[static_cast<size_t>(cell) + 1];
-    return Span<std::int32_t>(readable_holds_.data() + b, e - b);
+    return {readable_holds_.data() + b, e - b};
   }
 
   /// False when `node` cannot be configured in modulo slot `slot`

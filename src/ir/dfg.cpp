@@ -100,7 +100,7 @@ OpId Dfg::AddStore(int array, OpId addr, OpId value, std::string name) {
   return AddOp(std::move(op));
 }
 
-std::vector<DfgEdge> Dfg::Edges(bool include_pred) const {
+std::vector<DfgEdge> Dfg::Edges() const {
   std::vector<DfgEdge> edges;
   for (OpId id = 0; id < num_ops(); ++id) {
     const Op& op = ops_[static_cast<size_t>(id)];
@@ -108,7 +108,7 @@ std::vector<DfgEdge> Dfg::Edges(bool include_pred) const {
       const Operand& o = op.operands[port];
       edges.push_back(DfgEdge{o.producer, id, static_cast<int>(port), o.distance});
     }
-    if (include_pred && op.pred != kNoOp) {
+    if (op.pred != kNoOp) {
       // Predicate travels like a same-iteration data operand.
       edges.push_back(DfgEdge{op.pred, id, kPredPort, 0});
     }
@@ -124,9 +124,9 @@ std::vector<DfgEdge> Dfg::Edges(bool include_pred) const {
   return edges;
 }
 
-Digraph Dfg::ToDigraph(bool include_carried, bool include_pred) const {
+Digraph Dfg::ToDigraph(bool include_carried) const {
   Digraph g(num_ops());
-  for (const DfgEdge& e : Edges(include_pred)) {
+  for (const DfgEdge& e : Edges()) {
     if (!include_carried && e.distance > 0) continue;
     g.AddEdge(e.from, e.to);
   }

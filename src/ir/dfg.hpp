@@ -92,14 +92,14 @@ class Dfg {
   Op& mutable_op(OpId id) { return ops_[static_cast<size_t>(id)]; }
   const std::vector<Op>& ops() const { return ops_; }
 
-  /// All dependence edges, including predicate edges when
-  /// `include_pred` (predicates are data the consumer must receive).
-  std::vector<DfgEdge> Edges(bool include_pred = true) const;
+  /// All dependence edges, predicate edges included (predicates are
+  /// data the consumer must receive).
+  std::vector<DfgEdge> Edges() const;
 
   /// Digraph view over op ids. When `include_carried` is false,
   /// loop-carried (distance >= 1) edges are dropped, which makes the
   /// graph acyclic for a well-formed loop body.
-  Digraph ToDigraph(bool include_carried = true, bool include_pred = true) const;
+  Digraph ToDigraph(bool include_carried = true) const;
 
   /// Number of consumers of each op's value (same-iteration + carried).
   std::vector<int> FanOut() const;

@@ -127,7 +127,8 @@ class BlindRouteMemo {
 class Annealer {
  public:
   Annealer(const Dfg& dfg, const Architecture& arch, int ii,
-           const std::vector<int>& est, Rng& rng)
+           const std::vector<int>& est,
+           const std::vector<std::vector<int>>& candidates, Rng& rng)
       : dfg_(dfg),
         arch_(arch),
         mrrg_(arch.mrrg()),
@@ -135,7 +136,7 @@ class Annealer {
         est_(est),
         rng_(rng),
         memo_(mrrg_, ii),
-        candidates_(CandidateCellTable(dfg, arch)),
+        candidates_(candidates),
         place_(static_cast<size_t>(dfg.num_ops())),
         edges_of_(static_cast<size_t>(dfg.num_ops())),
         fu_use_(static_cast<size_t>(arch.num_cells()) * static_cast<size_t>(ii)),
@@ -144,7 +145,7 @@ class Annealer {
         route_use_(static_cast<size_t>(mrrg_.num_nodes()) *
                    static_cast<size_t>(ii)),
         occupants_(static_cast<size_t>(dfg.num_ops())) {
-    edges_ = dfg_.Edges(true);
+    edges_ = dfg_.Edges();
     for (size_t e = 0; e < edges_.size(); ++e) {
       edges_of_[static_cast<size_t>(edges_[e].from)].push_back(static_cast<int>(e));
       if (edges_[e].to != edges_[e].from) {
@@ -398,10 +399,10 @@ class Annealer {
   const Architecture& arch_;
   const Mrrg& mrrg_;
   int ii_;
-  std::vector<int> est_;
+  const std::vector<int>& est_;
   Rng& rng_;
   BlindRouteMemo memo_;
-  std::vector<std::vector<int>> candidates_;
+  const std::vector<std::vector<int>>& candidates_;
   std::vector<Placement> place_;
   std::vector<DfgEdge> edges_;
   std::vector<std::vector<int>> edges_of_;
@@ -417,19 +418,18 @@ class Annealer {
   std::vector<std::vector<Occupant>> occupants_;  ///< per value
 };
 
-// Anneals at `ii`. With `fixed_times` the schedule is given and only
-// binding moves (spr-sa); without it slots move too (DRESC, sa-spatial).
+// Anneals at `ii` from the attempt's ModuloAsap schedule `est`. With
+// `move_time` slots move too (DRESC, sa-spatial); without it the
+// schedule stays fixed at `est` and only binding moves (spr-sa, the
+// decoupled "scheduling then binding" split of Table I's Binding row).
 Result<Mapping> AnnealAtIi(const Dfg& dfg, const Architecture& arch, int ii,
+                           const std::vector<int>& est,
+                           const std::vector<std::vector<int>>& candidates,
                            const MapperOptions& options, Rng& rng,
-                           const std::vector<int>* fixed_times) {
-  const auto est = ModuloAsap(dfg, arch, ii);
-  if (est.empty()) {
-    return Error::Unmappable("recurrences infeasible at this II");
-  }
-  const bool move_time = fixed_times == nullptr;
-  Annealer annealer(dfg, arch, ii, est, rng);
+                           bool move_time) {
+  Annealer annealer(dfg, arch, ii, est, candidates, rng);
   annealer.RandomInit(/*jitter_time=*/move_time);
-  if (fixed_times) annealer.SetTimesFixed(*fixed_times);
+  if (!move_time) annealer.SetTimesFixed(est);
 
   double cost = annealer.Cost();
   double temperature = std::max(1.0, cost * kT0Scale);
@@ -465,71 +465,58 @@ Result<Mapping> AnnealAtIi(const Dfg& dfg, const Architecture& arch, int ii,
 
 class DrescAnnealingMapper final : public Mapper {
  public:
-  std::string name() const override { return "dresc-sa"; }
-  TechniqueClass technique() const override {
-    return TechniqueClass::kMetaLocalSearch;
-  }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override {
-    return "simulated annealing over the MRRG with congestion negotiation "
-           "(DRESC, Mei et al. [22])";
-  }
+  DrescAnnealingMapper()
+      : Mapper({"dresc-sa", TechniqueClass::kMetaLocalSearch, MappingKind::kTemporal,
+                "simulated annealing over the MRRG with congestion negotiation "
+                "(DRESC, Mei et al. [22])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     Rng rng(options.seed);
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) {
-      return AnnealAtIi(dfg, arch, ii, options, rng, nullptr);
-    });
+    const auto candidates = CandidateCellTable(dfg, arch);
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& est) {
+                        return AnnealAtIi(dfg, arch, ii, est, candidates, options,
+                                          rng, /*move_time=*/true);
+                      });
   }
 };
 
 class AnnealingBinder final : public Mapper {
  public:
-  std::string name() const override { return "spr-sa"; }
-  TechniqueClass technique() const override {
-    return TechniqueClass::kMetaLocalSearch;
-  }
-  MappingKind kind() const override { return MappingKind::kBinding; }
-  std::string lineage() const override {
-    return "annealed binding under a fixed modulo schedule (SPR [49], "
-           "Hatanaka & Bagherzadeh [30])";
-  }
+  AnnealingBinder()
+      : Mapper({"spr-sa", TechniqueClass::kMetaLocalSearch, MappingKind::kBinding,
+                "annealed binding under a fixed modulo schedule (SPR [49], "
+                "Hatanaka & Bagherzadeh [30])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     Rng rng(options.seed);
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
-      // Fixed schedule: modulo-ASAP times (the decoupled "scheduling
-      // then binding" split of Table I's Binding row).
-      const auto times = ModuloAsap(dfg, arch, ii);
-      if (times.empty()) {
-        return Error::Unmappable("recurrences infeasible at this II");
-      }
-      return AnnealAtIi(dfg, arch, ii, options, rng, &times);
-    });
+    const auto candidates = CandidateCellTable(dfg, arch);
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& est) {
+                        return AnnealAtIi(dfg, arch, ii, est, candidates, options,
+                                          rng, /*move_time=*/false);
+                      });
   }
 };
 
 class AnnealingSpatialMapper final : public Mapper {
  public:
-  std::string name() const override { return "sa-spatial"; }
-  TechniqueClass technique() const override {
-    return TechniqueClass::kMetaLocalSearch;
-  }
-  MappingKind kind() const override { return MappingKind::kSpatial; }
-  std::string lineage() const override {
-    return "annealed spatial placement (SNAFU [33], DSAGEN [32])";
-  }
+  AnnealingSpatialMapper()
+      : Mapper({"sa-spatial", TechniqueClass::kMetaLocalSearch, MappingKind::kSpatial,
+                "annealed spatial placement (SNAFU [33], DSAGEN [32])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     Rng rng(options.seed);
-    if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
+    const auto candidates = CandidateCellTable(dfg, arch);
     // Pipeline stages may still slide in time (no fixed schedule).
-    return ObservedAttempt(*this, options, /*ii=*/1, [&]() {
-      return AnnealAtIi(dfg, arch, /*ii=*/1, options, rng, nullptr);
-    });
+    return SpatialAttempt(*this, dfg, arch, options,
+                          [&](int ii, const std::vector<int>& est) {
+                            return AnnealAtIi(dfg, arch, ii, est, candidates,
+                                              options, rng, /*move_time=*/true);
+                          });
   }
 };
 
@@ -542,9 +529,10 @@ CostCheck CheckIncrementalCost(const Dfg& dfg, const Architecture& arch, int ii,
   CostCheck check;
   const auto est = ModuloAsap(dfg, arch, ii);
   if (est.empty()) return check;
+  const auto candidates = CandidateCellTable(dfg, arch);
   Rng rng(seed);
   Rng coin(seed + 1);
-  Annealer annealer(dfg, arch, ii, est, rng);
+  Annealer annealer(dfg, arch, ii, est, candidates, rng);
   annealer.RandomInit(/*jitter_time=*/!fixed_times);
   if (fixed_times) annealer.SetTimesFixed(est);
   ResourceTracker blind(arch.mrrg(), ii);

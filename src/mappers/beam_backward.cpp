@@ -23,13 +23,10 @@ namespace {
 
 class BackwardBeamMapper final : public Mapper {
  public:
-  std::string name() const override { return "bwd-beam"; }
-  TechniqueClass technique() const override { return TechniqueClass::kHeuristic; }
-  MappingKind kind() const override { return MappingKind::kBinding; }
-  std::string lineage() const override {
-    return "backward simultaneous scheduling/binding with stochastic "
-           "pruning (Peyret et al. [47], Das et al. [24])";
-  }
+  BackwardBeamMapper()
+      : Mapper({"bwd-beam", TechniqueClass::kHeuristic, MappingKind::kBinding,
+                "backward simultaneous scheduling/binding with stochastic "
+                "pruning (Peyret et al. [47], Das et al. [24])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
@@ -43,11 +40,8 @@ class BackwardBeamMapper final : public Mapper {
     if (!order.ok()) return order.error();
     std::reverse(order->begin(), order->end());
 
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
-      const auto est = ModuloAsap(dfg, arch, ii);
-      if (est.empty()) {
-        return Error::Unmappable("recurrences infeasible at this II");
-      }
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& est) -> Result<Mapping> {
       // Going backward we anchor times at ALAP-style targets: critical
       // path length plus slack gives the output row.
       const int horizon =

@@ -21,12 +21,9 @@ namespace {
 
 class BranchBoundMapper final : public Mapper {
  public:
-  std::string name() const override { return "bnb"; }
-  TechniqueClass technique() const override { return TechniqueClass::kExactIlp; }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override {
-    return "branch & bound over placements (DNestMap, Karunaratne et al. [42])";
-  }
+  BranchBoundMapper()
+      : Mapper({"bnb", TechniqueClass::kExactIlp, MappingKind::kTemporal,
+                "branch & bound over placements (DNestMap, Karunaratne et al. [42])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
@@ -34,19 +31,19 @@ class BranchBoundMapper final : public Mapper {
     const auto order = DependenceOrder(dfg, arch);
     if (!order.ok()) return order.error();
 
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& asap) -> Result<Mapping> {
       // Start times run from the op's earliest start to the horizon.
-      const auto space = PlacementSpace::AtIi(
-          dfg, arch, ii, std::min(options.extra_slack, ii + 2) + 1);
-      if (!space.ok()) return space.error();
+      const PlacementSpace space = PlacementSpace::AtIi(
+          dfg, arch, ii, asap, std::min(options.extra_slack, ii + 2) + 1);
       PlaceRouteState state(dfg, arch, ii);
       const DepthFirstOutcome outcome = PlaceDepthFirst(
           state, *order, std::numeric_limits<long long>::max(),
           options.deadline, options.stop,
           [&](OpId op, std::vector<Placement>& out) {
             const int t0 =
-                state.EarliestStart(op, space->asap()[static_cast<size_t>(op)]);
-            for (int t = t0; t < space->horizon(); ++t) {
+                state.EarliestStart(op, asap[static_cast<size_t>(op)]);
+            for (int t = t0; t < space.horizon(); ++t) {
               for (const int cell : candidates[static_cast<size_t>(op)]) {
                 out.push_back(Placement{cell, t});
               }
@@ -58,7 +55,7 @@ class BranchBoundMapper final : public Mapper {
       }
       return Error::Unmappable(StrFormat(
           "B&B proved: no mapping at II=%d within a %d-cycle horizon", ii,
-          space->horizon()));
+          space.horizon()));
     });
   }
 };

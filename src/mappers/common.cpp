@@ -116,7 +116,7 @@ MiiBounds ComputeMii(const Dfg& dfg, const Architecture& arch, int max_ii) {
 std::vector<int> ModuloAsap(const Dfg& dfg, const Architecture& arch, int ii) {
   // Dependence edges that constrain timing (edges from folded producers
   // do not: immediates are available at every cycle).
-  std::vector<DfgEdge> edges = dfg.Edges(/*include_pred=*/true);
+  std::vector<DfgEdge> edges = dfg.Edges();
   std::erase_if(edges, [&](const DfgEdge& e) {
     return arch.IsFolded(dfg.op(e.from).opcode);
   });
@@ -140,7 +140,7 @@ std::vector<OpId> HeightPriorityOrder(const Dfg& dfg, const Architecture& arch) 
   // Height = longest same-iteration path to any sink (timing edges).
   Digraph g(dfg.num_ops());
   std::vector<std::int64_t> w;
-  for (const DfgEdge& e : dfg.Edges(true)) {
+  for (const DfgEdge& e : dfg.Edges()) {
     if (e.distance > 0) continue;
     if (arch.IsFolded(dfg.op(e.from).opcode)) continue;
     g.AddEdge(e.from, e.to);
@@ -179,24 +179,32 @@ std::vector<OpId> ScheduleOrder(std::vector<OpId> ops,
 }
 
 std::vector<std::vector<int>> CandidateCellTable(const Dfg& dfg,
-                                                 const Architecture& arch,
-                                                 const std::vector<int>* region) {
+                                                 const Architecture& arch) {
   std::vector<std::vector<int>> table(static_cast<size_t>(dfg.num_ops()));
   for (OpId op = 0; op < dfg.num_ops(); ++op) {
     if (arch.IsFolded(dfg.op(op).opcode)) continue;
-    const auto& pool = region ? *region : [&] {
-      static thread_local std::vector<int> all;
-      all.clear();
-      for (int c = 0; c < arch.num_cells(); ++c) all.push_back(c);
-      return all;
-    }();
-    for (int c : pool) {
+    for (int c = 0; c < arch.num_cells(); ++c) {
       if (arch.CanExecute(c, dfg.op(op))) {
         table[static_cast<size_t>(op)].push_back(c);
       }
     }
   }
   return table;
+}
+
+OpId InsertRouteNode(Dfg& dfg, OpId producer, OpId consumers_end) {
+  const OpId route =
+      dfg.AddUnary(Opcode::kRoute, producer, dfg.op(producer).name + "_rt");
+  int toggle = 0;
+  for (OpId consumer = 0; consumer < consumers_end; ++consumer) {
+    for (Operand& operand : dfg.mutable_op(consumer).operands) {
+      if (operand.producer == producer && operand.distance == 0 &&
+          toggle++ % 2 == 1) {
+        operand.producer = route;
+      }
+    }
+  }
+  return route;
 }
 
 Status CheckMappable(const Dfg& dfg, const Architecture& arch) {
@@ -225,21 +233,14 @@ Status CheckMappable(const Dfg& dfg, const Architecture& arch) {
   return Status::Ok();
 }
 
-Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
-                              int ii, const std::vector<OpId>& order,
-                              const ImsOptions& options) {
+Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch, int ii,
+                              const std::vector<int>& asap,
+                              const std::vector<OpId>& order,
+                              const std::vector<std::vector<int>>& candidates,
+                              const MapperOptions& options,
+                              const ImsOptions& ims) {
   telemetry::Span phase_span("phase.place_route");
-  const std::vector<int> est = [&] {
-    telemetry::Span schedule_span("phase.schedule");
-    return ModuloAsap(dfg, arch, ii);
-  }();
-  if (est.empty()) {
-    return Error::Unmappable(StrFormat("recurrences infeasible at II=%d", ii));
-  }
   PlaceRouteState state(dfg, arch, ii);
-  const auto candidates = options.candidate_cells
-                              ? *options.candidate_cells
-                              : CandidateCellTable(dfg, arch);
 
   // Rank = position in `order` (requeued ops keep their rank).
   std::vector<int> rank(static_cast<size_t>(dfg.num_ops()), 1 << 30);
@@ -256,9 +257,9 @@ Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
   };
   for (OpId op : order) enqueue(op);
 
-  int budget = options.eviction_budget_factor * static_cast<int>(order.size()) + 16;
+  int budget = ims.eviction_budget_factor * static_cast<int>(order.size()) + 16;
   // Per-op "schedule no earlier than" floor, advanced on repeated failure.
-  std::vector<int> floor_time(est.begin(), est.end());
+  std::vector<int> floor_time(asap.begin(), asap.end());
 
   while (!queue.empty()) {
     if (options.stop.StopRequested()) {
@@ -292,7 +293,7 @@ Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
     if (t0 <= ub) {
       // Affinity-ordered candidate cells.
       std::vector<int> cells = candidates[static_cast<size_t>(op)];
-      if (options.rng) options.rng->Shuffle(cells);
+      if (ims.rng) ims.rng->Shuffle(cells);
       cells = state.ByAffinity(op, std::move(cells));
 
       // Window: the classic II slots plus slack start cycles — routing
@@ -330,7 +331,7 @@ Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
         // No neighbours to blame: the window itself is congested.
         floor_time[static_cast<size_t>(op)] += 1;
         const int max_start =
-            *std::max_element(est.begin(), est.end()) + ii + options.extra_slack;
+            *std::max_element(asap.begin(), asap.end()) + ii + options.extra_slack;
         if (floor_time[static_cast<size_t>(op)] > max_start) {
           return Error::Unmappable(
               StrFormat("op %s cannot be scheduled at II=%d",
@@ -414,7 +415,7 @@ PlacementSpace::PlacementSpace(const Dfg& dfg, const Architecture& arch,
       capable_.push_back(arch.CanExecute(c, dfg.op(ops_[i])) ? 1 : 0);
     }
   }
-  for (const DfgEdge& e : dfg.Edges(/*include_pred=*/true)) {
+  for (const DfgEdge& e : dfg.Edges()) {
     if (arch.IsFolded(dfg.op(e.from).opcode)) continue;
     deps_.push_back({dense[static_cast<std::size_t>(e.from)],
                      dense[static_cast<std::size_t>(e.to)], e.distance,
@@ -422,14 +423,12 @@ PlacementSpace::PlacementSpace(const Dfg& dfg, const Architecture& arch,
   }
 }
 
-Result<PlacementSpace> PlacementSpace::AtIi(const Dfg& dfg,
-                                            const Architecture& arch, int ii,
-                                            int slack) {
-  std::vector<int> asap = ModuloAsap(dfg, arch, ii);
-  if (asap.empty()) return Error::Unmappable("recurrences infeasible at this II");
+PlacementSpace PlacementSpace::AtIi(const Dfg& dfg, const Architecture& arch,
+                                    int ii, const std::vector<int>& asap,
+                                    int slack) {
   PlacementSpace space(dfg, arch, ii,
                        *std::max_element(asap.begin(), asap.end()) + slack);
-  space.asap_ = std::move(asap);
+  space.asap_ = asap;
   return space;
 }
 
@@ -457,10 +456,40 @@ Error PlacementSpace::Reword(const char* method, const Error& solver_error) cons
   return Error::Unmappable(NoMapping(method).message + " (" + solver_error.message + ")");
 }
 
+namespace {
+
+// The attempt bracket: ObservedAttempt around the II's one modulo
+// schedule and the attempt's search.
+Result<Mapping> ScheduledAttempt(const Mapper& self, const Dfg& dfg,
+                                 const Architecture& arch,
+                                 const MapperOptions& options, int ii,
+                                 const IiAttempt& attempt) {
+  return ObservedAttempt(self, options, ii, [&]() -> Result<Mapping> {
+    const std::vector<int> asap = [&] {
+      telemetry::Span span("phase.schedule");
+      return ModuloAsap(dfg, arch, ii);
+    }();
+    if (asap.empty()) {
+      return Error::Unmappable(StrFormat("recurrences infeasible at II=%d", ii));
+    }
+    return attempt(ii, asap);
+  });
+}
+
+}  // namespace
+
+Result<Mapping> SpatialAttempt(const Mapper& self, const Dfg& dfg,
+                               const Architecture& arch,
+                               const MapperOptions& options,
+                               const IiAttempt& attempt) {
+  if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
+  return ScheduledAttempt(self, dfg, arch, options, /*ii=*/1, attempt);
+}
+
 Result<Mapping> EscalateIi(const Mapper& self, const Dfg& dfg,
                            const Architecture& arch,
                            const MapperOptions& options,
-                           const std::function<Result<Mapping>(int)>& attempt) {
+                           const IiAttempt& attempt) {
   if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
   const int hi = std::min(options.max_ii, arch.MaxIi());
   const MiiBounds bounds = ComputeMii(dfg, arch, hi);
@@ -473,8 +502,7 @@ Result<Mapping> EscalateIi(const Mapper& self, const Dfg& dfg,
     if (options.deadline.Expired()) {
       return Error::ResourceLimit("mapper deadline expired during II escalation");
     }
-    Result<Mapping> r =
-        ObservedAttempt(self, options, ii, [&] { return attempt(ii); });
+    Result<Mapping> r = ScheduledAttempt(self, dfg, arch, options, ii, attempt);
     if (r.ok()) return r;
     last = r.error();
   }

@@ -51,29 +51,36 @@ Result<std::vector<OpId>> DependenceOrder(const Dfg& dfg,
 std::vector<OpId> ScheduleOrder(std::vector<OpId> ops,
                                 const std::vector<int>& times);
 
-/// Cells allowed for each op (capability filter), optionally
-/// restricted to `region` (HiMap-style sub-arrays).
-std::vector<std::vector<int>> CandidateCellTable(
-    const Dfg& dfg, const Architecture& arch,
-    const std::vector<int>* region = nullptr);
+/// The cells that can execute each op (capability filter), in cell
+/// order and indexed by op id; empty for folded ops.
+std::vector<std::vector<int>> CandidateCellTable(const Dfg& dfg,
+                                                 const Architecture& arch);
 
 /// The workhorse: iterative modulo place-and-route at a fixed II.
-/// Schedules ops in `order`, placing each at the earliest feasible
-/// (cell, time); on failure within the time window it evicts the
-/// blocking ops (IMS-style "force and re-schedule") up to `budget`
-/// evictions. Randomisation (`rng` non-null) turns it into CRIMSON-
-/// style randomized IMS.
+/// Schedules ops in `order`, placing each on one of its `candidates`
+/// cells at the earliest feasible time no earlier than its `asap`
+/// time; on failure within the time window it evicts the blocking ops
+/// (IMS-style "force and re-schedule") up to `budget` evictions. The
+/// window runs options.extra_slack cycles beyond the II slots, and
+/// options.deadline and options.stop end the search. Randomisation
+/// (`rng` non-null) turns it into CRIMSON-style randomized IMS.
 struct ImsOptions {
   int eviction_budget_factor = 8;  ///< budget = factor * num_ops
   Rng* rng = nullptr;              ///< shuffle cell order / time choice
-  const std::vector<std::vector<int>>* candidate_cells = nullptr;
-  int extra_slack = 8;             ///< window beyond ASAP for start times
-  Deadline deadline;
-  StopToken stop;                  ///< cooperative cancellation
 };
-Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch,
-                              int ii, const std::vector<OpId>& order,
-                              const ImsOptions& options);
+Result<Mapping> ImsPlaceRoute(const Dfg& dfg, const Architecture& arch, int ii,
+                              const std::vector<int>& asap,
+                              const std::vector<OpId>& order,
+                              const std::vector<std::vector<int>>& candidates,
+                              const MapperOptions& options,
+                              const ImsOptions& ims = {});
+
+/// Adds route = kRoute(producer), named "<producer>_rt", and moves every
+/// second same-iteration operand of `producer` among ops
+/// [0, consumers_end) onto it, in op then operand order: the routing
+/// node EPIMap inserts and RAMP's remedy for a congested net. Returns
+/// the route op.
+OpId InsertRouteNode(Dfg& dfg, OpId producer, OpId consumers_end);
 
 /// The fabric's "cell q reads cell p's register file over one direct
 /// link" relation (Architecture::ReadableFrom) as a table: epimap's
@@ -118,7 +125,7 @@ DepthFirstOutcome PlaceDepthFirst(PlaceRouteState& state,
 /// §III-A describes, and each "no mapping" names that horizon.
 class PlacementSpace {
  public:
-  /// An edge whose producer is not folded, in Dfg::Edges(true) order,
+  /// An edge whose producer is not folded, in Dfg::Edges() order,
   /// with dense endpoints (u == v for a self-loop).
   struct Dependence {
     std::size_t u, v;
@@ -129,10 +136,10 @@ class PlacementSpace {
   /// The space over cells x [0, horizon) at `ii`, every ASAP time 0.
   PlacementSpace(const Dfg& dfg, const Architecture& arch, int ii = 1,
                  int horizon = 1);
-  /// The space at `ii` with ModuloAsap times and the horizon T = max
-  /// ASAP + `slack`; kUnmappable when the recurrences are infeasible.
-  static Result<PlacementSpace> AtIi(const Dfg& dfg, const Architecture& arch,
-                                     int ii, int slack);
+  /// The space at `ii` with the attempt's ModuloAsap times `asap` and
+  /// the horizon T = max ASAP + `slack`.
+  static PlacementSpace AtIi(const Dfg& dfg, const Architecture& arch, int ii,
+                             const std::vector<int>& asap, int slack);
 
   /// MappableOps: op ops()[i] has dense index i.
   const std::vector<OpId>& ops() const { return ops_; }
@@ -196,23 +203,39 @@ class PlacementSpace {
 Result<Mapping> RealizePinned(const Dfg& dfg, const Architecture& arch,
                               int ii, const std::vector<Placement>& pins);
 
-/// Runs ObservedAttempt(ii) for ii from max(mii, 1) to min(max_ii,
-/// arch max), returning the first success. Checks options.stop /
-/// options.deadline before every attempt (this is how every escalating
-/// mapper meets the MapperOptions cancellation contract).
+/// One II attempt's search: the II and its ModuloAsap schedule (each
+/// op's earliest start at that II), which the attempt bracket computes.
+using IiAttempt =
+    std::function<Result<Mapping>(int ii, const std::vector<int>& asap)>;
+
+/// Runs `attempt` in the attempt bracket for ii from max(mii, min_ii)
+/// to min(max_ii, arch max), returning the first success. The bracket
+/// computes the II's ModuloAsap schedule under a `phase.schedule` span
+/// inside ObservedAttempt, and fails the attempt with "recurrences
+/// infeasible at II=<ii>" when there is none. Runs CheckMappable first
+/// and checks options.stop / options.deadline before every attempt
+/// (this is how every escalating mapper meets the MapperOptions
+/// cancellation contract).
 Result<Mapping> EscalateIi(const Mapper& self, const Dfg& dfg,
                            const Architecture& arch,
                            const MapperOptions& options,
-                           const std::function<Result<Mapping>(int)>& attempt);
+                           const IiAttempt& attempt);
 
-/// The attempt bracket: every II attempt of every mapper runs inside
-/// one. Checks stop/deadline, then runs `attempt()` under an `attempt`
-/// span and the gated per-attempt SearchLog collector, and reports it
-/// to options.observer as a kAttemptStart / kAttemptDone pair under
-/// `self`'s name; the done event carries the attempt's AttemptRecord
-/// (mapping/observer.hpp). Mappers that try exactly one II (the
-/// spatial ones, pinned to II = 1) call it directly; EscalateIi and
-/// the SMT mapper's schedule-length loop call it once per step.
+/// A spatial mapper's one attempt: CheckMappable, then the same
+/// bracket as EscalateIi's at II = 1 alone.
+Result<Mapping> SpatialAttempt(const Mapper& self, const Dfg& dfg,
+                               const Architecture& arch,
+                               const MapperOptions& options,
+                               const IiAttempt& attempt);
+
+/// The observed half of the attempt bracket: every II attempt of every
+/// mapper runs inside one. Checks stop/deadline, then runs `attempt()`
+/// under an `attempt` span and the gated per-attempt SearchLog
+/// collector, and reports it to options.observer as a kAttemptStart /
+/// kAttemptDone pair under `self`'s name; the done event carries the
+/// attempt's AttemptRecord (mapping/observer.hpp). EscalateIi and
+/// SpatialAttempt call it once per II, the SMT mapper's schedule-length
+/// loop once per length.
 Result<Mapping> ObservedAttempt(const Mapper& self,
                                 const MapperOptions& options, int ii,
                                 const std::function<Result<Mapping>()>& attempt);

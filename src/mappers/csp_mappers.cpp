@@ -22,29 +22,26 @@ namespace {
 // ---------------------------------------------------------------------------
 class CpTemporalMapper final : public Mapper {
  public:
-  std::string name() const override { return "cp"; }
-  TechniqueClass technique() const override { return TechniqueClass::kExactCsp; }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override {
-    return "constraint programming over placements (Raffin et al. [43])";
-  }
+  CpTemporalMapper()
+      : Mapper({"cp", TechniqueClass::kExactCsp, MappingKind::kTemporal,
+                "constraint programming over placements (Raffin et al. [43])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
-      const auto space =
-          PlacementSpace::AtIi(dfg, arch, ii, std::min(3, ii) + 1);
-      if (!space.ok()) return space.error();
-      const PlacementSpace* sp = &*space;
-      const int T = space->horizon();
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& asap) -> Result<Mapping> {
+      const PlacementSpace space =
+          PlacementSpace::AtIi(dfg, arch, ii, asap, std::min(3, ii) + 1);
+      const PlacementSpace* sp = &space;
+      const int T = space.horizon();
 
       CpModel model;
       std::vector<CpVar> var;  // per dense op index
-      for (size_t i = 0; i < space->size(); ++i) {
+      for (size_t i = 0; i < space.size(); ++i) {
         std::vector<int> domain;
-        for (int c = 0; c < space->cells(); ++c) {
+        for (int c = 0; c < space.cells(); ++c) {
           for (int t = 0; t < T; ++t) {
-            if (space->Allowed(i, c, t)) domain.push_back(space->Pair(c, t));
+            if (space.Allowed(i, c, t)) domain.push_back(space.Pair(c, t));
           }
         }
         if (domain.empty()) {
@@ -61,7 +58,7 @@ class CpTemporalMapper final : public Mapper {
         }
       }
       // Dependences under restricted routing.
-      for (const PlacementSpace::Dependence& d : space->dependences()) {
+      for (const PlacementSpace::Dependence& d : space.dependences()) {
         if (d.u == d.v) {
           // Self loop: only timing (own RF is always readable).
           if (ii * d.distance < 1) {
@@ -77,9 +74,9 @@ class CpTemporalMapper final : public Mapper {
       CpModel::SolveStats stats;
       auto sol = model.Solve(options.deadline, &stats, options.stop);
       CountSolverRun(stats.nodes);
-      if (!sol.ok()) return space->Reword("CP", sol.error());
-      return RealizePinned(dfg, arch, ii, space->Pins([&](size_t i, int c, int t) {
-        return (*sol)[static_cast<size_t>(var[i])] == space->Pair(c, t);
+      if (!sol.ok()) return space.Reword("CP", sol.error());
+      return RealizePinned(dfg, arch, ii, space.Pins([&](size_t i, int c, int t) {
+        return (*sol)[static_cast<size_t>(var[i])] == space.Pair(c, t);
       }));
     });
   }
@@ -90,33 +87,30 @@ class CpTemporalMapper final : public Mapper {
 // ---------------------------------------------------------------------------
 class SatTemporalMapper final : public Mapper {
  public:
-  std::string name() const override { return "sat"; }
-  TechniqueClass technique() const override { return TechniqueClass::kExactCsp; }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override {
-    return "SAT-based DFG mapping (Miyasaka et al. [17])";
-  }
+  SatTemporalMapper()
+      : Mapper({"sat", TechniqueClass::kExactCsp, MappingKind::kTemporal,
+                "SAT-based DFG mapping (Miyasaka et al. [17])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
-      const auto space =
-          PlacementSpace::AtIi(dfg, arch, ii, std::min(3, ii) + 1);
-      if (!space.ok()) return space.error();
-      const int cells = space->cells();
-      const int T = space->horizon();
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& asap) -> Result<Mapping> {
+      const PlacementSpace space =
+          PlacementSpace::AtIi(dfg, arch, ii, asap, std::min(3, ii) + 1);
+      const int cells = space.cells();
+      const int T = space.horizon();
 
       SatSolver solver;
-      const int base = solver.NewVars(space->Var(space->size(), 0));
+      const int base = solver.NewVars(space.Var(space.size(), 0));
       auto x = [&](size_t i, int c, int t) {
-        return PosLit(base + space->Var(i, c, t));
+        return PosLit(base + space.Var(i, c, t));
       };
 
-      for (size_t i = 0; i < space->size(); ++i) {
+      for (size_t i = 0; i < space.size(); ++i) {
         std::vector<Lit> one;
         for (int c = 0; c < cells; ++c) {
           for (int t = 0; t < T; ++t) {
-            if (space->Allowed(i, c, t)) {
+            if (space.Allowed(i, c, t)) {
               one.push_back(x(i, c, t));
             } else {
               solver.AddUnit(Negate(x(i, c, t)));
@@ -130,21 +124,21 @@ class SatTemporalMapper final : public Mapper {
       for (int c = 0; c < cells; ++c) {
         for (int slot = 0; slot < ii; ++slot) {
           std::vector<Lit> group;
-          for (size_t i = 0; i < space->size(); ++i) {
+          for (size_t i = 0; i < space.size(); ++i) {
             for (int t = slot; t < T; t += ii) group.push_back(x(i, c, t));
           }
           solver.AtMostOneSequential(group);
         }
       }
       // Dependences: x[u][p][t] -> OR of the consumer placements it allows.
-      for (const PlacementSpace::Dependence& d : space->dependences()) {
+      for (const PlacementSpace::Dependence& d : space.dependences()) {
         if (d.u == d.v) continue;  // timing trivially ok (dist >= 1)
         for (int p = 0; p < cells; ++p) {
           for (int t = 0; t < T; ++t) {
             std::vector<Lit> clause{Negate(x(d.u, p, t))};
             for (int q = 0; q < cells; ++q) {
               for (int t2 = 0; t2 < T; ++t2) {
-                if (space->Consumes(d, p, t, q, t2)) clause.push_back(x(d.v, q, t2));
+                if (space.Consumes(d, p, t, q, t2)) clause.push_back(x(d.v, q, t2));
               }
             }
             solver.AddClause(std::move(clause));
@@ -157,8 +151,8 @@ class SatTemporalMapper final : public Mapper {
       if (r == SatResult::kUnknown) {
         return Error::ResourceLimit("SAT mapper hit the deadline");
       }
-      if (r == SatResult::kUnsat) return space->NoMapping("SAT");
-      return RealizePinned(dfg, arch, ii, space->Pins([&](size_t i, int c, int t) {
+      if (r == SatResult::kUnsat) return space.NoMapping("SAT");
+      return RealizePinned(dfg, arch, ii, space.Pins([&](size_t i, int c, int t) {
         return solver.Value(VarOf(x(i, c, t)));
       }));
     });
@@ -173,12 +167,9 @@ class SatTemporalMapper final : public Mapper {
 // ---------------------------------------------------------------------------
 class SmtTemporalMapper final : public Mapper {
  public:
-  std::string name() const override { return "smt"; }
-  TechniqueClass technique() const override { return TechniqueClass::kExactCsp; }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override {
-    return "SMT (difference logic) mapping (Donovick et al. [44])";
-  }
+  SmtTemporalMapper()
+      : Mapper({"smt", TechniqueClass::kExactCsp, MappingKind::kTemporal,
+                "SMT (difference logic) mapping (Donovick et al. [44])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {

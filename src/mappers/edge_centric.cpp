@@ -5,8 +5,7 @@
 // evaluate ALL feasible (cell, time) pairs in its window and commit to
 // the one whose incident edges route most cheaply — placement falls
 // out of the routing search rather than preceding it. Ops are visited
-// in decreasing edge criticality (height, then fan-out).
-#include <algorithm>
+// in decreasing edge criticality (height, then id).
 #include <cstddef>
 #include <limits>
 
@@ -18,39 +17,18 @@ namespace {
 
 class EdgeCentricMapper final : public Mapper {
  public:
-  std::string name() const override { return "ems"; }
-  TechniqueClass technique() const override { return TechniqueClass::kHeuristic; }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override {
-    return "edge-centric modulo scheduling (Park et al. [37])";
-  }
+  EdgeCentricMapper()
+      : Mapper({"ems", TechniqueClass::kHeuristic, MappingKind::kTemporal,
+                "edge-centric modulo scheduling (Park et al. [37])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     const auto candidates = CandidateCellTable(dfg, arch);
-    // Criticality order: height first, fan-out as tie-break (edges of
-    // high-fan-out ops are the hardest nets to route).
-    std::vector<OpId> order = HeightPriorityOrder(dfg, arch);
-    const auto fan = dfg.FanOut();
-    std::stable_sort(order.begin(), order.end(), [&](OpId a, OpId b) {
-      return fan[static_cast<size_t>(a)] > fan[static_cast<size_t>(b)];
-    });
-    // Re-apply height as the primary key (stable sort keeps fan order
-    // within equal heights).
-    {
-      std::vector<OpId> by_height = HeightPriorityOrder(dfg, arch);
-      std::vector<int> hrank(static_cast<size_t>(dfg.num_ops()), 0);
-      for (size_t i = 0; i < by_height.size(); ++i) hrank[static_cast<size_t>(by_height[i])] = static_cast<int>(i);
-      std::stable_sort(order.begin(), order.end(), [&](OpId a, OpId b) {
-        return hrank[static_cast<size_t>(a)] < hrank[static_cast<size_t>(b)];
-      });
-    }
+    // Criticality order: height, then id.
+    const std::vector<OpId> order = HeightPriorityOrder(dfg, arch);
 
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
-      const auto est = ModuloAsap(dfg, arch, ii);
-      if (est.empty()) {
-        return Error::Unmappable("recurrences infeasible at this II");
-      }
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& est) -> Result<Mapping> {
       PlaceRouteState state(dfg, arch, ii);
       for (OpId op : order) {
         if (ShouldAbort(options)) {

@@ -24,26 +24,29 @@ namespace {
 
 class EpimapStyleMapper final : public Mapper {
  public:
-  std::string name() const override { return "epimap"; }
-  TechniqueClass technique() const override { return TechniqueClass::kHeuristic; }
-  MappingKind kind() const override { return MappingKind::kBinding; }
-  std::string lineage() const override {
-    return "first full embedding (monomorphism) after the schedule fixes "
-           "time, with recompute/route transforms (EPIMap [28]; cf. "
-           "Peyret et al. [47], Tirelli et al.)";
-  }
+  EpimapStyleMapper()
+      : Mapper({"epimap", TechniqueClass::kHeuristic, MappingKind::kBinding,
+                "first full embedding (monomorphism) after the schedule fixes "
+                "time, with recompute/route transforms (EPIMap [28]; cf. "
+                "Peyret et al. [47], Tirelli et al.)"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     // A dependence p -> q binds when q reads p's cell directly.
     const CellReads reads = CellReadsOf(arch);
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& asap) -> Result<Mapping> {
       Dfg work = dfg;  // transformed copy (route insertions)
       for (int transform_round = 0; transform_round < 4; ++transform_round) {
         if (ShouldAbort(options)) {
           return Error::ResourceLimit("EPIMap deadline expired");
         }
-        Result<Mapping> r = TryBind(work, dfg, arch, reads, ii, options);
+        // The first round binds the attempt's DFG on its schedule; each
+        // later one the transformed DFG on its own.
+        Result<Mapping> r =
+            TryBind(work, dfg, arch, reads, ii,
+                    transform_round == 0 ? asap : ModuloAsap(work, arch, ii),
+                    options);
         if (r.ok()) return r;
         // Transform: stretch the longest same-iteration edge of the
         // highest-fanout op with a route node, then retry.
@@ -58,17 +61,7 @@ class EpimapStyleMapper final : public Mapper {
           }
         }
         if (worst == kNoOp) return r;
-        const OpId route =
-            work.AddUnary(Opcode::kRoute, worst, work.op(worst).name + "_rt");
-        int toggle = 0;
-        for (OpId consumer = 0; consumer < work.num_ops(); ++consumer) {
-          if (consumer == route) continue;
-          for (Operand& o : work.mutable_op(consumer).operands) {
-            if (o.producer == worst && o.distance == 0 && toggle++ % 2 == 1) {
-              o.producer = route;
-            }
-          }
-        }
+        InsertRouteNode(work, worst, work.num_ops());
       }
       return Error::Unmappable("EPIMap transforms exhausted at this II");
     });
@@ -81,10 +74,11 @@ class EpimapStyleMapper final : public Mapper {
   // a prefix, re-pinned and routed on their own.
   Result<Mapping> TryBind(const Dfg& work, const Dfg& original,
                           const Architecture& arch, const CellReads& reads,
-                          int ii, const MapperOptions& options) const {
-    const auto times = ModuloAsap(work, arch, ii);
+                          int ii, const std::vector<int>& times,
+                          const MapperOptions& options) const {
     if (times.empty()) {
-      return Error::Unmappable("recurrences infeasible at this II");
+      return Error::Unmappable(
+          "recurrences infeasible at this II after route insertion");
     }
 
     // Pattern: mappable scheduled ops with their dependence edges, each
@@ -102,7 +96,7 @@ class EpimapStyleMapper final : public Mapper {
       }
     }
     Digraph a(static_cast<int>(mappable.size()));
-    for (const DfgEdge& e : work.Edges(true)) {
+    for (const DfgEdge& e : work.Edges()) {
       if (e.to_port == kOrderPort) continue;
       if (arch.IsFolded(work.op(e.from).opcode)) continue;
       a.AddEdge(compact[static_cast<size_t>(e.from)],

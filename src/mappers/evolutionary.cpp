@@ -144,23 +144,15 @@ class GenomeScorer {
 
 class GeneticSpatialMapper final : public Mapper {
  public:
-  std::string name() const override { return "ga-spatial"; }
-  TechniqueClass technique() const override {
-    return TechniqueClass::kMetaPopulation;
-  }
-  MappingKind kind() const override { return MappingKind::kSpatial; }
-  std::string lineage() const override {
-    return "genetic algorithm for spatial mapping (GenMap, Kojima et al. [19])";
-  }
+  GeneticSpatialMapper()
+      : Mapper({"ga-spatial", TechniqueClass::kMetaPopulation, MappingKind::kSpatial,
+                "genetic algorithm for spatial mapping (GenMap, Kojima et al. [19])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
-    return ObservedAttempt(*this, options, /*ii=*/1, [&]() -> Result<Mapping> {
+    return SpatialAttempt(*this, dfg, arch, options,
+                          [&](int ii, const std::vector<int>& times) -> Result<Mapping> {
       Rng rng(options.seed);
-      const int ii = 1;
-      const auto times = ModuloAsap(dfg, arch, ii);
-      if (times.empty()) return Error::Unmappable("recurrences infeasible at II=1");
       const auto candidates = CandidateCellTable(dfg, arch);
       const int n = dfg.num_ops();
       GenomeScorer scorer(dfg, arch, ii, times, options.extra_slack);
@@ -233,14 +225,9 @@ class GeneticSpatialMapper final : public Mapper {
 
 class QeaBinder final : public Mapper {
  public:
-  std::string name() const override { return "qea-bind"; }
-  TechniqueClass technique() const override {
-    return TechniqueClass::kMetaPopulation;
-  }
-  MappingKind kind() const override { return MappingKind::kBinding; }
-  std::string lineage() const override {
-    return "quantum-inspired evolutionary binding (Lee, Choi & Dutt [48])";
-  }
+  QeaBinder()
+      : Mapper({"qea-bind", TechniqueClass::kMetaPopulation, MappingKind::kBinding,
+                "quantum-inspired evolutionary binding (Lee, Choi & Dutt [48])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
@@ -251,11 +238,8 @@ class QeaBinder final : public Mapper {
     constexpr int kGenerations = 50;
     constexpr double kRotate = 0.25;  // probability mass shifted per gen
 
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
-      const auto times = ModuloAsap(dfg, arch, ii);
-      if (times.empty()) {
-        return Error::Unmappable("recurrences infeasible at this II");
-      }
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& times) -> Result<Mapping> {
       // Quantum registers: probability per (op, candidate cell index).
       std::vector<std::vector<double>> q(static_cast<size_t>(n));
       for (OpId op = 0; op < n; ++op) {

@@ -27,14 +27,9 @@ namespace {
 // rest of the race proceed.
 class ThrowingMapper final : public Mapper {
  public:
-  std::string name() const override { return "throwing"; }
-  TechniqueClass technique() const override {
-    return TechniqueClass::kHeuristic;
-  }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override {
-    return "test fixture: the mapper that throws";
-  }
+  ThrowingMapper()
+      : Mapper({"throwing", TechniqueClass::kHeuristic, MappingKind::kTemporal,
+                "test fixture: the mapper that throws"}) {}
 
   Result<Mapping> Map(const Dfg&, const Architecture&,
                       const MapperOptions&) const override {
@@ -46,14 +41,9 @@ class ThrowingMapper final : public Mapper {
 // the process boundary survives this one.
 class SegvMapper final : public Mapper {
  public:
-  std::string name() const override { return "segv"; }
-  TechniqueClass technique() const override {
-    return TechniqueClass::kHeuristic;
-  }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override {
-    return "test fixture: the mapper that segfaults";
-  }
+  SegvMapper()
+      : Mapper({"segv", TechniqueClass::kHeuristic, MappingKind::kTemporal,
+                "test fixture: the mapper that segfaults"}) {}
 
   Result<Mapping> Map(const Dfg&, const Architecture&,
                       const MapperOptions&) const override {
@@ -71,14 +61,9 @@ class SegvMapper final : public Mapper {
 // cannot collapse it.
 class SpinMapper final : public Mapper {
  public:
-  std::string name() const override { return "spin"; }
-  TechniqueClass technique() const override {
-    return TechniqueClass::kHeuristic;
-  }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override {
-    return "test fixture: the mapper that never returns";
-  }
+  SpinMapper()
+      : Mapper({"spin", TechniqueClass::kHeuristic, MappingKind::kTemporal,
+                "test fixture: the mapper that never returns"}) {}
 
   Result<Mapping> Map(const Dfg&, const Architecture&,
                       const MapperOptions&) const override {
@@ -94,14 +79,9 @@ class SpinMapper final : public Mapper {
 // the memory is actually resident, not just reserved.
 class AllocBombMapper final : public Mapper {
  public:
-  std::string name() const override { return "allocbomb"; }
-  TechniqueClass technique() const override {
-    return TechniqueClass::kHeuristic;
-  }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override {
-    return "test fixture: the mapper that eats all memory";
-  }
+  AllocBombMapper()
+      : Mapper({"allocbomb", TechniqueClass::kHeuristic, MappingKind::kTemporal,
+                "test fixture: the mapper that eats all memory"}) {}
 
   Result<Mapping> Map(const Dfg&, const Architecture&,
                       const MapperOptions&) const override {

@@ -20,16 +20,12 @@ namespace {
 
 class GraphDrawingMapper final : public Mapper {
  public:
-  std::string name() const override { return "graph-drawing"; }
-  TechniqueClass technique() const override { return TechniqueClass::kHeuristic; }
-  MappingKind kind() const override { return MappingKind::kSpatial; }
-  std::string lineage() const override {
-    return "graph drawing based spatial mapping (Yoon et al. [23])";
-  }
+  GraphDrawingMapper()
+      : Mapper({"graph-drawing", TechniqueClass::kHeuristic, MappingKind::kSpatial,
+                "graph drawing based spatial mapping (Yoon et al. [23])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
     Rng rng(options.seed);
 
     const std::vector<OpId> mappable = MappableOps(dfg, arch);
@@ -41,19 +37,17 @@ class GraphDrawingMapper final : public Mapper {
     Digraph g(static_cast<int>(mappable.size()));
     std::vector<int> compact(static_cast<size_t>(dfg.num_ops()), -1);
     for (size_t i = 0; i < mappable.size(); ++i) compact[static_cast<size_t>(mappable[i])] = static_cast<int>(i);
-    for (const DfgEdge& e : dfg.Edges(true)) {
+    for (const DfgEdge& e : dfg.Edges()) {
       if (compact[static_cast<size_t>(e.from)] >= 0 && compact[static_cast<size_t>(e.to)] >= 0) {
         g.AddEdge(compact[static_cast<size_t>(e.from)], compact[static_cast<size_t>(e.to)]);
       }
     }
 
-    const auto est = ModuloAsap(dfg, arch, /*ii=*/1);
-    if (est.empty()) return Error::Unmappable("recurrences infeasible at II=1");
-    const std::vector<OpId> order = ScheduleOrder(mappable, est);
-
     // All layout restarts are one II=1 attempt from the trace's point
     // of view.
-    return ObservedAttempt(*this, options, /*ii=*/1, [&]() -> Result<Mapping> {
+    return SpatialAttempt(*this, dfg, arch, options,
+                          [&](int ii, const std::vector<int>& est) -> Result<Mapping> {
+    const std::vector<OpId> order = ScheduleOrder(mappable, est);
     Error last = Error::Unmappable("no layout attempt succeeded");
     for (int attempt = 0; attempt < 8; ++attempt) {
       if (ShouldAbort(options)) {
@@ -88,7 +82,7 @@ class GraphDrawingMapper final : public Mapper {
       }
 
       // Place in ASAP order on the assigned cells and route for real.
-      PlaceRouteState state(dfg, arch, /*ii=*/1);
+      PlaceRouteState state(dfg, arch, ii);
       bool ok = true;
       for (OpId op : order) {
         const int cell = assign[static_cast<size_t>(compact[static_cast<size_t>(op)])];

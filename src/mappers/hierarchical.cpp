@@ -10,6 +10,7 @@
 // against flat IMS on 4x4 -> 16x16 fabrics.
 #include <algorithm>
 #include <cstddef>
+#include <utility>
 
 #include "graph/partition.hpp"
 #include "mappers/common.hpp"
@@ -21,16 +22,14 @@ namespace {
 
 class HierarchicalMapper final : public Mapper {
  public:
-  std::string name() const override { return "himap"; }
-  TechniqueClass technique() const override { return TechniqueClass::kHeuristic; }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override {
-    return "hierarchical clustering + per-region mapping (HiMap [26])";
-  }
+  HierarchicalMapper()
+      : Mapper({"himap", TechniqueClass::kHeuristic, MappingKind::kTemporal,
+                "hierarchical clustering + per-region mapping (HiMap [26])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     const auto order = HeightPriorityOrder(dfg, arch);
+    const auto candidates = CandidateCellTable(dfg, arch);
     Rng rng(options.seed);
 
     // Small fabrics gain nothing from hierarchy: delegate to flat IMS.
@@ -39,49 +38,36 @@ class HierarchicalMapper final : public Mapper {
     std::vector<std::vector<int>> restricted;
     if (split) {
       // Quadrant regions.
-      std::vector<std::vector<int>> region(4);
-      for (int c = 0; c < arch.num_cells(); ++c) {
+      auto quadrant = [&](int c) {
         const int qr = arch.RowOf(c) < arch.rows() / 2 ? 0 : 1;
         const int qc = arch.ColOf(c) < arch.cols() / 2 ? 0 : 1;
-        region[static_cast<size_t>(qr * 2 + qc)].push_back(c);
-      }
+        return qr * 2 + qc;
+      };
       // DFG clusters (4-way).
-      const Digraph g = dfg.ToDigraph(true);
+      const Digraph g = dfg.ToDigraph();
       const std::vector<int> cluster = RecursiveBisection(g, 4, rng);
       // Per-op candidate cells: capability within the cluster's region,
       // falling back to the whole fabric when the region lacks the
       // needed capability (e.g. memory column in one quadrant only).
-      restricted.resize(static_cast<size_t>(dfg.num_ops()));
+      restricted = candidates;
       for (OpId op = 0; op < dfg.num_ops(); ++op) {
-        if (arch.IsFolded(dfg.op(op).opcode)) continue;
-        for (int c : region[static_cast<size_t>(cluster[static_cast<size_t>(op)])]) {
-          if (arch.CanExecute(c, dfg.op(op))) {
-            restricted[static_cast<size_t>(op)].push_back(c);
-          }
+        std::vector<int> in_region;
+        for (const int c : candidates[static_cast<size_t>(op)]) {
+          if (quadrant(c) == cluster[static_cast<size_t>(op)]) in_region.push_back(c);
         }
-        if (restricted[static_cast<size_t>(op)].empty()) {
-          for (int c = 0; c < arch.num_cells(); ++c) {
-            if (arch.CanExecute(c, dfg.op(op))) {
-              restricted[static_cast<size_t>(op)].push_back(c);
-            }
-          }
-        }
+        if (!in_region.empty()) restricted[static_cast<size_t>(op)] = std::move(in_region);
       }
     }
 
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
-      ImsOptions ims;
-      ims.deadline = options.deadline;
-      ims.stop = options.stop;
-      ims.extra_slack = options.extra_slack;
-      if (split) ims.candidate_cells = &restricted;
-      Result<Mapping> r = ImsPlaceRoute(dfg, arch, ii, order, ims);
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& asap) -> Result<Mapping> {
+      Result<Mapping> r = ImsPlaceRoute(dfg, arch, ii, asap, order,
+                                        split ? restricted : candidates, options);
       if (r.ok() || !split) return r;
       // HiMap "terminates when a valid mapping is found": if the
       // hierarchical restriction was too tight at this II, retry flat
       // before escalating.
-      ims.candidate_cells = nullptr;
-      return ImsPlaceRoute(dfg, arch, ii, order, ims);
+      return ImsPlaceRoute(dfg, arch, ii, asap, order, candidates, options);
     });
   }
 };

@@ -39,21 +39,14 @@ Result<IlpModel::Solution> SolveCounted(const IlpModel& model,
 
 class IlpSpatialMapper final : public Mapper {
  public:
-  std::string name() const override { return "ilp-spatial"; }
-  TechniqueClass technique() const override { return TechniqueClass::kExactIlp; }
-  MappingKind kind() const override { return MappingKind::kSpatial; }
-  std::string lineage() const override {
-    return "architecture-agnostic ILP placement (Chin & Anderson [34])";
-  }
+  IlpSpatialMapper()
+      : Mapper({"ilp-spatial", TechniqueClass::kExactIlp, MappingKind::kSpatial,
+                "architecture-agnostic ILP placement (Chin & Anderson [34])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
-    return ObservedAttempt(*this, options, /*ii=*/1, [&]() -> Result<Mapping> {
-      const int ii = 1;
-      const auto est = ModuloAsap(dfg, arch, ii);
-      if (est.empty()) return Error::Unmappable("recurrences infeasible at II=1");
-
+    return SpatialAttempt(*this, dfg, arch, options,
+                          [&](int ii, const std::vector<int>& est) -> Result<Mapping> {
       const PlacementSpace space(dfg, arch);
       const int cells = space.cells();
 
@@ -106,7 +99,7 @@ class IlpSpatialMapper final : public Mapper {
       const auto order = DependenceOrder(dfg, arch);
       if (!order.ok()) return order.error();
       PlaceRouteState state(dfg, arch, ii);
-      const DepthFirstOutcome outcome = PlaceDepthFirst(
+      switch (PlaceDepthFirst(
           state, *order, /*node_budget=*/20000, options.deadline, options.stop,
           [&](OpId op, std::vector<Placement>& out) {
             const int cell = solved[static_cast<size_t>(op)].cell;
@@ -125,49 +118,51 @@ class IlpSpatialMapper final : public Mapper {
             for (int dt = 0; dt <= options.extra_slack; ++dt) {
               out.push_back(Placement{cell, t + dt});
             }
-          });
-      if (outcome != DepthFirstOutcome::kPlaced) {
-        return Error::Unmappable("ILP spatial placement not routable");
+          })) {
+        case DepthFirstOutcome::kPlaced:
+          return state.Finalize();
+        case DepthFirstOutcome::kStopped:
+          return Error::ResourceLimit(
+              "ILP spatial realization stopped (node budget, deadline or stop)");
+        case DepthFirstOutcome::kExhausted:
+          break;
       }
-      return state.Finalize();
+      return Error::Unmappable("ILP spatial placement not routable");
     });
   }
 };
 
 class IlpTemporalMapper final : public Mapper {
  public:
-  std::string name() const override { return "ilp-temporal"; }
-  TechniqueClass technique() const override { return TechniqueClass::kExactIlp; }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override {
-    return "simultaneous scheduling+binding MILP (Brenner et al. [41])";
-  }
+  IlpTemporalMapper()
+      : Mapper({"ilp-temporal", TechniqueClass::kExactIlp, MappingKind::kTemporal,
+                "simultaneous scheduling+binding MILP (Brenner et al. [41])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
-      const auto space =
-          PlacementSpace::AtIi(dfg, arch, ii, std::min(3, ii) + 2);
-      if (!space.ok()) return space.error();
-      const int cells = space->cells();
-      const int T = space->horizon();
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& asap) -> Result<Mapping> {
+      const PlacementSpace space =
+          PlacementSpace::AtIi(dfg, arch, ii, asap, std::min(3, ii) + 2);
+      const int cells = space.cells();
+      const int T = space.horizon();
 
       IlpModel model;
-      // x[i][c][t] is variable space->Var(i, c, t); the model always
+      // x[i][c][t] is variable space.Var(i, c, t); the model always
       // has at least one.
       do {
         model.AddBinary();
-      } while (model.num_vars() < space->Var(space->size(), 0));
+      } while (model.num_vars() < space.Var(space.size(), 0));
       if (Status s = model.CheckSize(); !s.ok()) return s.error();
 
-      for (size_t i = 0; i < space->size(); ++i) {
+      for (size_t i = 0; i < space.size(); ++i) {
         std::vector<LinearTerm> one;
         for (int c = 0; c < cells; ++c) {
           for (int t = 0; t < T; ++t) {
-            if (space->Allowed(i, c, t)) {
-              one.push_back({space->Var(i, c, t), 1.0});
+            if (space.Allowed(i, c, t)) {
+              one.push_back({space.Var(i, c, t), 1.0});
             } else {
-              model.AddConstraint({{space->Var(i, c, t), 1.0}}, Rel::kEq, 0);
+              model.AddConstraint({{space.Var(i, c, t), 1.0}}, Rel::kEq, 0);
             }
           }
         }
@@ -177,30 +172,30 @@ class IlpTemporalMapper final : public Mapper {
       for (int c = 0; c < cells; ++c) {
         for (int slot = 0; slot < ii; ++slot) {
           std::vector<LinearTerm> cap;
-          for (size_t i = 0; i < space->size(); ++i) {
-            for (int t = slot; t < T; t += ii) cap.push_back({space->Var(i, c, t), 1.0});
+          for (size_t i = 0; i < space.size(); ++i) {
+            for (int t = slot; t < T; t += ii) cap.push_back({space.Var(i, c, t), 1.0});
           }
           model.AddConstraint(std::move(cap), Rel::kLe, 1);
         }
       }
       // Dependence implications.
-      for (const PlacementSpace::Dependence& d : space->dependences()) {
+      for (const PlacementSpace::Dependence& d : space.dependences()) {
         const bool self = d.u == d.v;
         for (int p = 0; p < cells; ++p) {
           for (int t = 0; t < T; ++t) {
-            std::vector<LinearTerm> row{{space->Var(d.u, p, t), -1.0}};
+            std::vector<LinearTerm> row{{space.Var(d.u, p, t), -1.0}};
             for (int q = 0; q < cells; ++q) {
               for (int t2 = 0; t2 < T; ++t2) {
                 // A self-loop is satisfied by its own placement alone.
-                if (space->Consumes(d, p, t, q, t2) &&
+                if (space.Consumes(d, p, t, q, t2) &&
                     (!self || (q == p && t2 == t))) {
-                  row.push_back({space->Var(d.v, q, t2), 1.0});
+                  row.push_back({space.Var(d.v, q, t2), 1.0});
                 }
               }
             }
             if (self && row.size() == 1) {
               // Self edge impossible from (p, t): forbid it.
-              model.AddConstraint({{space->Var(d.u, p, t), 1.0}}, Rel::kEq, 0);
+              model.AddConstraint({{space.Var(d.u, p, t), 1.0}}, Rel::kEq, 0);
             } else {
               model.AddConstraint(std::move(row), Rel::kGe, 0);
             }
@@ -210,9 +205,9 @@ class IlpTemporalMapper final : public Mapper {
       }
 
       auto sol = SolveCounted(model, options);
-      if (!sol.ok()) return space->Reword("ILP", sol.error());
-      return RealizePinned(dfg, arch, ii, space->Pins([&](size_t i, int c, int t) {
-        return sol->Int(space->Var(i, c, t)) == 1;
+      if (!sol.ok()) return space.Reword("ILP", sol.error());
+      return RealizePinned(dfg, arch, ii, space.Pins([&](size_t i, int c, int t) {
+        return sol->Int(space.Var(i, c, t)) == 1;
       }));
     });
   }
@@ -220,29 +215,27 @@ class IlpTemporalMapper final : public Mapper {
 
 class IlpBinder final : public Mapper {
  public:
-  std::string name() const override { return "ilp-bind"; }
-  TechniqueClass technique() const override { return TechniqueClass::kExactIlp; }
-  MappingKind kind() const override { return MappingKind::kBinding; }
-  std::string lineage() const override {
-    return "ILP binding with data-arrival feasibility (Guo et al. [15])";
-  }
+  IlpBinder()
+      : Mapper({"ilp-bind", TechniqueClass::kExactIlp, MappingKind::kBinding,
+                "ILP binding with data-arrival feasibility (Guo et al. [15])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& asap) -> Result<Mapping> {
       // The schedule is fixed at the space's ASAP times; its horizon
       // only bounds the readback.
-      const auto space = PlacementSpace::AtIi(dfg, arch, ii, /*slack=*/1);
-      if (!space.ok()) return space.error();
-      const int cells = space->cells();
+      const PlacementSpace space =
+          PlacementSpace::AtIi(dfg, arch, ii, asap, /*slack=*/1);
+      const int cells = space.cells();
       auto y = [cells](size_t i, int c) { return static_cast<int>(i) * cells + c; };
 
       IlpModel model;
-      for (int k = 0; k < y(space->size(), 0); ++k) model.AddBinary();
-      for (size_t i = 0; i < space->size(); ++i) {
+      for (int k = 0; k < y(space.size(), 0); ++k) model.AddBinary();
+      for (size_t i = 0; i < space.size(); ++i) {
         std::vector<LinearTerm> one;
         for (int c = 0; c < cells; ++c) {
-          if (space->Capable(i, c)) {
+          if (space.Capable(i, c)) {
             one.push_back({y(i, c), 1.0});
           } else {
             model.AddConstraint({{y(i, c), 1.0}}, Rel::kEq, 0);
@@ -254,19 +247,19 @@ class IlpBinder final : public Mapper {
       for (int c = 0; c < cells; ++c) {
         for (int slot = 0; slot < ii; ++slot) {
           std::vector<LinearTerm> cap;
-          for (size_t i = 0; i < space->size(); ++i) {
-            if (((space->asap(i) % ii) + ii) % ii == slot) cap.push_back({y(i, c), 1.0});
+          for (size_t i = 0; i < space.size(); ++i) {
+            if (((space.asap(i) % ii) + ii) % ii == slot) cap.push_back({y(i, c), 1.0});
           }
           if (cap.size() > 1) model.AddConstraint(std::move(cap), Rel::kLe, 1);
         }
       }
       // Data arrival: the consumer must read the producer.
-      for (const PlacementSpace::Dependence& d : space->dependences()) {
+      for (const PlacementSpace::Dependence& d : space.dependences()) {
         if (d.order_only || d.u == d.v) continue;
         for (int p = 0; p < cells; ++p) {
           std::vector<LinearTerm> row{{y(d.u, p), -1.0}};
           for (int q = 0; q < cells; ++q) {
-            if (space->Reads(p, q)) row.push_back({y(d.v, q), 1.0});
+            if (space.Reads(p, q)) row.push_back({y(d.v, q), 1.0});
           }
           model.AddConstraint(std::move(row), Rel::kGe, 0);
         }
@@ -275,8 +268,8 @@ class IlpBinder final : public Mapper {
 
       auto sol = SolveCounted(model, options);
       if (!sol.ok()) return sol.error();
-      return RealizePinned(dfg, arch, ii, space->Pins([&](size_t i, int c, int t) {
-        return t == space->asap(i) && sol->Int(y(i, c)) == 1;
+      return RealizePinned(dfg, arch, ii, space.Pins([&](size_t i, int c, int t) {
+        return t == space.asap(i) && sol->Int(y(i, c)) == 1;
       }));
     });
   }
@@ -284,20 +277,18 @@ class IlpBinder final : public Mapper {
 
 class IlpScheduler final : public Mapper {
  public:
-  std::string name() const override { return "ilp-sched"; }
-  TechniqueClass technique() const override { return TechniqueClass::kExactIlp; }
-  MappingKind kind() const override { return MappingKind::kScheduling; }
-  std::string lineage() const override {
-    return "routability-enhanced time-indexed ILP scheduling (Mu et al. [53])";
-  }
+  IlpScheduler()
+      : Mapper({"ilp-sched", TechniqueClass::kExactIlp, MappingKind::kScheduling,
+                "routability-enhanced time-indexed ILP scheduling (Mu et al. [53])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
-      const auto space = PlacementSpace::AtIi(dfg, arch, ii, ii + 1);
-      if (!space.ok()) return space.error();
-      const int T = space->horizon();
-      const std::vector<OpId>& ops = space->ops();
+    const auto candidates = CandidateCellTable(dfg, arch);
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& asap) -> Result<Mapping> {
+      const PlacementSpace space = PlacementSpace::AtIi(dfg, arch, ii, asap, ii + 1);
+      const int T = space.horizon();
+      const std::vector<OpId>& ops = space.ops();
 
       IlpModel model;
       std::vector<std::vector<int>> z(ops.size());
@@ -306,7 +297,7 @@ class IlpScheduler final : public Mapper {
         std::vector<LinearTerm> one;
         for (int t = 0; t < T; ++t) one.push_back({z[i][static_cast<size_t>(t)], 1.0});
         model.AddConstraint(std::move(one), Rel::kEq, 1);
-        for (int t = 0; t < space->asap(i); ++t) {
+        for (int t = 0; t < space.asap(i); ++t) {
           model.AddConstraint({{z[i][static_cast<size_t>(t)], 1.0}}, Rel::kEq, 0);
         }
       }
@@ -340,7 +331,7 @@ class IlpScheduler final : public Mapper {
       // registers — the routability-enhancing objective in the spirit
       // of [53] (slack where it helps, no gratuitous register pressure).
       std::vector<double> objective(static_cast<size_t>(model.num_vars()), 0.0);
-      for (const PlacementSpace::Dependence& d : space->dependences()) {
+      for (const PlacementSpace::Dependence& d : space.dependences()) {
         if (d.u == d.v) continue;
         std::vector<LinearTerm> row;
         for (int t = 0; t < T; ++t) {
@@ -359,7 +350,7 @@ class IlpScheduler final : public Mapper {
       auto sol = SolveCounted(model, options);
       if (!sol.ok()) return sol.error();
       std::vector<int> times;
-      for (const Placement& p : space->Pins([&](size_t i, int, int t) {
+      for (const Placement& p : space.Pins([&](size_t i, int, int t) {
              return sol->Int(z[i][static_cast<size_t>(t)]) == 1;
            })) {
         times.push_back(p.time);
@@ -370,7 +361,6 @@ class IlpScheduler final : public Mapper {
       // the binding [53] leaves to someone else.
       telemetry::Span phase_span("phase.bind");
       PlaceRouteState state(dfg, arch, ii);
-      const auto candidates = CandidateCellTable(dfg, arch);
       switch (PlaceDepthFirst(
           state, ScheduleOrder(state.MappableOps(), times),
           /*node_budget=*/20000, options.deadline, options.stop,

@@ -22,42 +22,37 @@ namespace {
 
 class IterativeModuloScheduler final : public Mapper {
  public:
-  std::string name() const override { return "ims"; }
-  TechniqueClass technique() const override { return TechniqueClass::kHeuristic; }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override {
-    return "iterative modulo scheduling (Rau; Mei et al. [61], DRESC flow)";
-  }
+  IterativeModuloScheduler()
+      : Mapper({"ims", TechniqueClass::kHeuristic, MappingKind::kTemporal,
+                "iterative modulo scheduling (Rau; Mei et al. [61], DRESC flow)"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     const auto order = HeightPriorityOrder(dfg, arch);
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) {
-      ImsOptions ims;
-      ims.deadline = options.deadline;
-      ims.stop = options.stop;
-      ims.extra_slack = options.extra_slack;
-      return ImsPlaceRoute(dfg, arch, ii, order, ims);
-    });
+    const auto candidates = CandidateCellTable(dfg, arch);
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& asap) {
+                        return ImsPlaceRoute(dfg, arch, ii, asap, order,
+                                             candidates, options);
+                      });
   }
 };
 
 class CrimsonScheduler final : public Mapper {
  public:
-  std::string name() const override { return "crimson"; }
-  TechniqueClass technique() const override { return TechniqueClass::kHeuristic; }
-  MappingKind kind() const override { return MappingKind::kScheduling; }
-  std::string lineage() const override {
-    return "randomized iterative modulo scheduling (CRIMSON [52])";
-  }
+  CrimsonScheduler()
+      : Mapper({"crimson", TechniqueClass::kHeuristic, MappingKind::kScheduling,
+                "randomized iterative modulo scheduling (CRIMSON [52])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     Rng rng(options.seed);
     const auto base_order = HeightPriorityOrder(dfg, arch);
+    const auto candidates = CandidateCellTable(dfg, arch);
     constexpr int kRestartsPerIi = 6;
 
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& asap) -> Result<Mapping> {
       Error last = Error::Unmappable("no randomized restart succeeded");
       for (int restart = 0; restart < kRestartsPerIi; ++restart) {
         if (ShouldAbort(options)) {
@@ -72,11 +67,9 @@ class CrimsonScheduler final : public Mapper {
         }
         Rng attempt_rng = rng.Split();
         ImsOptions ims;
-        ims.deadline = options.deadline;
-        ims.stop = options.stop;
-        ims.extra_slack = options.extra_slack;
         ims.rng = &attempt_rng;
-        Result<Mapping> r = ImsPlaceRoute(dfg, arch, ii, order, ims);
+        Result<Mapping> r =
+            ImsPlaceRoute(dfg, arch, ii, asap, order, candidates, options, ims);
         if (r.ok()) return r;
         last = r.error();
       }

@@ -19,90 +19,59 @@ namespace cgra {
 namespace {
 
 // Inserts a kRoute op after every value with fan-out above `threshold`,
-// rewiring half of the consumers to read the route op instead. Returns
-// the transformed DFG plus a map from new ops back to kNoOp (they are
-// synthetic) so the final Mapping can be translated back.
-struct RouteInsertion {
-  Dfg dfg;
-  int synthetic_from = 0;  ///< ops >= this index are synthetic routes
-};
-
-RouteInsertion InsertRouteNodes(const Dfg& dfg, int threshold) {
-  RouteInsertion out;
-  out.dfg = dfg;
-  out.synthetic_from = dfg.num_ops();
+// rewiring half of the consumers to read the route op instead. The
+// route ops are appended after the original ops.
+Dfg InsertRouteNodes(const Dfg& dfg, int threshold) {
+  Dfg out = dfg;
   const auto fan = dfg.FanOut();
   for (OpId op = 0; op < dfg.num_ops(); ++op) {
     if (fan[static_cast<size_t>(op)] <= threshold) continue;
     if (dfg.op(op).opcode == Opcode::kConst) continue;
-    // Add route = kRoute(op); rewire every second same-iteration
-    // consumer port from `op` to the route op.
-    const OpId route = out.dfg.AddUnary(Opcode::kRoute, op,
-                                        dfg.op(op).name + "_rt");
-    int toggle = 0;
-    for (OpId consumer = 0; consumer < out.synthetic_from; ++consumer) {
-      if (consumer == route) continue;
-      Op& c = out.dfg.mutable_op(consumer);
-      for (Operand& operand : c.operands) {
-        if (operand.producer == op && operand.distance == 0 &&
-            consumer != route) {
-          if (toggle++ % 2 == 1) operand.producer = route;
-        }
-      }
-    }
+    InsertRouteNode(out, op, dfg.num_ops());
   }
   return out;
 }
 
-// Shrinks a mapping over the transformed DFG back to the original op
-// set. Synthetic route ops keep their placements invisible: their FU
-// slots were genuinely consumed, so the mapping stays valid only in
-// the transformed DFG — we therefore return the TRANSFORMED pair.
-// The caller exposes the transformed DFG alongside the mapping.
-
 class RampMapper final : public Mapper {
  public:
-  std::string name() const override { return "ramp"; }
-  TechniqueClass technique() const override { return TechniqueClass::kHeuristic; }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override {
-    return "failure-driven strategy escalation (RAMP, Dave et al. [38])";
-  }
+  RampMapper()
+      : Mapper({"ramp", TechniqueClass::kHeuristic, MappingKind::kTemporal,
+                "failure-driven strategy escalation (RAMP, Dave et al. [38])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
     const auto order = HeightPriorityOrder(dfg, arch);
+    const auto candidates = CandidateCellTable(dfg, arch);
 
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& asap) -> Result<Mapping> {
       // Strategy 1: plain IMS with a tight eviction budget (cheap).
       ImsOptions tight;
-      tight.deadline = options.deadline;
-      tight.stop = options.stop;
       tight.eviction_budget_factor = 2;
-      tight.extra_slack = options.extra_slack;
-      Result<Mapping> r = ImsPlaceRoute(dfg, arch, ii, order, tight);
+      Result<Mapping> r =
+          ImsPlaceRoute(dfg, arch, ii, asap, order, candidates, options, tight);
       if (r.ok()) return r;
 
       // Strategy 2: full-budget IMS with extra schedule slack (helps
       // when failures were timing-shaped).
+      MapperOptions wide_options = options;
+      wide_options.extra_slack += ii;
       ImsOptions wide;
-      wide.deadline = options.deadline;
-      wide.stop = options.stop;
       wide.eviction_budget_factor = 12;
-      wide.extra_slack = options.extra_slack + ii;
-      r = ImsPlaceRoute(dfg, arch, ii, order, wide);
+      r = ImsPlaceRoute(dfg, arch, ii, asap, order, candidates, wide_options, wide);
       if (r.ok()) return r;
 
       // Strategy 3: insert routing nodes on congested (high-fanout)
-      // values and retry. Note the returned mapping is for the
-      // transformed DFG — callers must remap through the same
-      // transformation; to keep the public contract simple we only
-      // accept it if it also validates against a re-derived transform.
-      const RouteInsertion transformed = InsertRouteNodes(dfg, /*threshold=*/2);
-      if (transformed.dfg.num_ops() > transformed.synthetic_from) {
-        const auto t_order = HeightPriorityOrder(transformed.dfg, arch);
-        Result<Mapping> tr =
-            ImsPlaceRoute(transformed.dfg, arch, ii, t_order, wide);
+      // values and retry. The mapping found is for the transformed
+      // DFG, which has its own schedule, order and cells.
+      const Dfg transformed = InsertRouteNodes(dfg, /*threshold=*/2);
+      const std::vector<int> t_asap = transformed.num_ops() > dfg.num_ops()
+                                          ? ModuloAsap(transformed, arch, ii)
+                                          : std::vector<int>{};
+      if (!t_asap.empty()) {
+        Result<Mapping> tr = ImsPlaceRoute(
+            transformed, arch, ii, t_asap, HeightPriorityOrder(transformed, arch),
+            CandidateCellTable(transformed, arch), wide_options, wide);
         if (tr.ok()) {
           // Project back: keep original ops' placements; the synthetic
           // route ops' cells/cycles become part of the edge routes. We

@@ -16,29 +16,24 @@ namespace {
 
 class SpatialGreedyMapper final : public Mapper {
  public:
-  std::string name() const override { return "greedy-spatial"; }
-  TechniqueClass technique() const override { return TechniqueClass::kHeuristic; }
-  MappingKind kind() const override { return MappingKind::kSpatial; }
-  std::string lineage() const override {
-    return "constructive spatial placement (cf. ChordMap [31], SPKM [23])";
-  }
+  SpatialGreedyMapper()
+      : Mapper({"greedy-spatial", TechniqueClass::kHeuristic, MappingKind::kSpatial,
+                "constructive spatial placement (cf. ChordMap [31], SPKM [23])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
-    if (Status s = CheckMappable(dfg, arch); !s.ok()) return s.error();
     // Spatial mapping is modulo scheduling at II = 1: each cell hosts
     // exactly one op and is busy every cycle.
     // Dependence-first order, so affinity information exists when each
     // op is placed.
     const auto order = DependenceOrder(dfg, arch);
     if (!order.ok()) return order.error();
-    ImsOptions ims;
-    ims.deadline = options.deadline;
-    ims.stop = options.stop;
-    ims.extra_slack = options.extra_slack;
-    return ObservedAttempt(*this, options, /*ii=*/1, [&]() {
-      return ImsPlaceRoute(dfg, arch, /*ii=*/1, *order, ims);
-    });
+    const auto candidates = CandidateCellTable(dfg, arch);
+    return SpatialAttempt(*this, dfg, arch, options,
+                          [&](int ii, const std::vector<int>& asap) {
+                            return ImsPlaceRoute(dfg, arch, ii, asap, *order,
+                                                 candidates, options);
+                          });
   }
 };
 

@@ -18,12 +18,9 @@ namespace {
 
 class UltraFastScheduler final : public Mapper {
  public:
-  std::string name() const override { return "ultrafast"; }
-  TechniqueClass technique() const override { return TechniqueClass::kHeuristic; }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override {
-    return "ultra-fast single-pass scheduling (Lee & Carlson [16])";
-  }
+  UltraFastScheduler()
+      : Mapper({"ultrafast", TechniqueClass::kHeuristic, MappingKind::kTemporal,
+                "ultra-fast single-pass scheduling (Lee & Carlson [16])"}) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
@@ -32,11 +29,8 @@ class UltraFastScheduler final : public Mapper {
     const auto order = DependenceOrder(dfg, arch);
     if (!order.ok()) return order.error();
 
-    return EscalateIi(*this, dfg, arch, options, [&](int ii) -> Result<Mapping> {
-      const auto est = ModuloAsap(dfg, arch, ii);
-      if (est.empty()) {
-        return Error::Unmappable("recurrences infeasible at this II");
-      }
+    return EscalateIi(*this, dfg, arch, options,
+                      [&](int ii, const std::vector<int>& est) -> Result<Mapping> {
       PlaceRouteState state(dfg, arch, ii);
       for (const OpId op : *order) {
         const int t = state.EarliestStart(op, est[static_cast<size_t>(op)]);

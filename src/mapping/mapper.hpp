@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/arch.hpp"
@@ -80,21 +81,34 @@ struct MapperOptions {
   std::string Digest() const;
 };
 
+/// A mapper's identity: its registry name, its Table-I cell and the
+/// surveyed work it is modelled after. Each subclass states it once, in
+/// its constructor's call to the base.
+struct MapperInfo {
+  std::string name;
+  TechniqueClass technique;
+  MappingKind kind;
+  std::string lineage;  ///< citation tag
+};
+
 class Mapper {
  public:
+  explicit Mapper(MapperInfo info) : info_(std::move(info)) {}
   virtual ~Mapper() = default;
 
-  virtual std::string name() const = 0;
-  virtual TechniqueClass technique() const = 0;
-  virtual MappingKind kind() const = 0;
-  /// Which surveyed work this mapper is modelled after (citation tag).
-  virtual std::string lineage() const = 0;
+  const std::string& name() const { return info_.name; }
+  TechniqueClass technique() const { return info_.technique; }
+  MappingKind kind() const { return info_.kind; }
+  const std::string& lineage() const { return info_.lineage; }
 
   /// Maps `dfg` onto `arch`. The result, when ok, is guaranteed by the
   /// implementations to pass ValidateMapping (and the test suite
   /// re-checks it).
   virtual Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                               const MapperOptions& options) const = 0;
+
+ private:
+  MapperInfo info_;
 };
 
 }  // namespace cgra

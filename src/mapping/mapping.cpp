@@ -26,7 +26,7 @@ MappingStats ComputeStats(const Dfg& dfg, const Architecture& arch,
   }
   s.cells_used = static_cast<int>(cells.size());
   std::set<std::tuple<OpId, int, int>> occ;
-  const auto edges = dfg.Edges(true);
+  const auto edges = dfg.Edges();
   for (size_t e = 0; e < m.routes.size() && e < edges.size(); ++e) {
     for (const RouteStep& step : m.routes[e].steps) {
       occ.insert({edges[e].from, step.node, step.time});

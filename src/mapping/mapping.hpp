@@ -48,7 +48,7 @@ struct Mapping {
   int ii = 1;
   int length = 1;
   std::vector<Placement> place;  ///< indexed by OpId
-  /// Routes aligned with Dfg::Edges(/*include_pred=*/true) order;
+  /// Routes aligned with Dfg::Edges() order;
   /// ordering-only edges keep empty routes.
   std::vector<Route> routes;
 

@@ -36,7 +36,7 @@ PlaceRouteState::PlaceRouteState(const Dfg& dfg, const Architecture& arch,
       ii_(ii),
       tracker_(arch.mrrg(), ii),
       place_(static_cast<size_t>(dfg.num_ops())),
-      edges_(dfg.Edges(/*include_pred=*/true)),
+      edges_(dfg.Edges()),
       routes_(edges_.size()),
       edges_of_(static_cast<size_t>(dfg.num_ops())),
       bank_load_(static_cast<size_t>(std::max(1, arch.params().num_banks)),

@@ -47,10 +47,10 @@ class PlaceRouteState {
   /// Ops that must be placed: MappableOps(dfg, arch).
   const std::vector<OpId>& MappableOps() const { return mappable_; }
 
-  /// Edge `e` of the DFG, indexed in Dfg::Edges(true) order.
+  /// Edge `e` of the DFG, indexed in Dfg::Edges() order.
   const DfgEdge& edge(int e) const { return edges_[static_cast<size_t>(e)]; }
 
-  /// Indices of the edges incident to `op`, in Dfg::Edges(true) order;
+  /// Indices of the edges incident to `op`, in Dfg::Edges() order;
   /// a self-loop is listed once.
   const std::vector<int>& IncidentEdges(OpId op) const {
     return edges_of_[static_cast<size_t>(op)];
@@ -117,7 +117,7 @@ class PlaceRouteState {
   int ii_;
   ResourceTracker tracker_;
   std::vector<Placement> place_;
-  std::vector<DfgEdge> edges_;             ///< Dfg::Edges(true) order
+  std::vector<DfgEdge> edges_;             ///< Dfg::Edges() order
   std::vector<std::optional<Route>> routes_;
   std::vector<std::vector<int>> edges_of_; ///< op -> incident edge indices
   std::vector<std::vector<int>> bank_load_;///< bank -> per-slot access count

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <climits>
 #include <queue>
+#include <span>
 
 #include "mapping/perf.hpp"
 
@@ -65,8 +66,6 @@ struct Scratch {
   std::vector<std::int32_t> hop_lb;      ///< per-node cached hops-to-goal bound
   std::vector<State> heap_storage;
   std::uint32_t epoch = 0;
-  std::uint64_t reuses = 0;
-  std::uint64_t grows = 0;
 
   /// Starts a query: bumps the epoch (clearing every stamp on the rare
   /// uint32 wrap) and guarantees capacity for `states` packed states
@@ -84,10 +83,7 @@ struct Scratch {
       best.resize(states);
       parent.resize(states);
       stamp.resize(states, 0u);  // new stamps start invalid
-      ++grows;
       grew = true;
-    } else {
-      ++reuses;
     }
     if (nodes > goal_stamp.size()) {
       goal_stamp.resize(nodes, 0u);
@@ -114,7 +110,7 @@ int SlotOf(int time, int ii) { return ((time % ii) + ii) % ii; }
 // Shared-RF holds (cell < 0) give no bound, so they are always
 // "within reach".
 bool GoalWithinHops(const Mrrg& mrrg, int start_node,
-                    Span<std::int32_t> goals, int cycles) {
+                    std::span<const std::int32_t> goals, int cycles) {
   const int from = mrrg.cell(start_node);
   if (from < 0) return true;
   const Architecture& arch = mrrg.arch();
@@ -371,8 +367,6 @@ ScratchStats CurrentScratchStats() {
   ScratchStats stats;
   stats.epoch = scratch.epoch;
   stats.capacity = scratch.best.size();
-  stats.reuses = scratch.reuses;
-  stats.grows = scratch.grows;
   return stats;
 }
 

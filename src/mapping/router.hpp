@@ -89,8 +89,6 @@ namespace router_internal {
 struct ScratchStats {
   std::uint32_t epoch = 0;     ///< current query stamp
   std::size_t capacity = 0;    ///< allocated (node, time, stay) states
-  std::uint64_t reuses = 0;    ///< queries that reused a warm arena
-  std::uint64_t grows = 0;     ///< queries that (re)allocated
 };
 
 /// Stats of the calling thread's arena.

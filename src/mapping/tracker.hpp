@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arch/mrrg.hpp"
@@ -177,7 +178,7 @@ class ResourceTracker {
   const Mrrg* mrrg_;
   int ii_;
   int words_per_slot_;
-  Span<std::int32_t> capacity_;  ///< Mrrg's SoA capacity column
+  std::span<const std::int32_t> capacity_;  ///< Mrrg's SoA capacity column
   /// kInlineOccupants entries per (node, slot), contiguous.
   std::vector<Entry> inline_;
   /// Occupant count per (node, slot) — inline entries + spilled ones.

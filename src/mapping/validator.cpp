@@ -93,7 +93,7 @@ Status CheckAgainst(const Dfg& dfg, const Mrrg& mrrg, const Mapping& m) {
   }
 
   // (4): edges and routes.
-  const std::vector<DfgEdge> edges = dfg.Edges(/*include_pred=*/true);
+  const std::vector<DfgEdge> edges = dfg.Edges();
   if (m.routes.size() != edges.size()) {
     return Error::InvalidArgument(
         StrFormat("route vector has %zu entries for %zu edges", m.routes.size(),

@@ -98,7 +98,7 @@ Result<RegAlloc> AllocateRegisters(const Mapping& m, const Dfg& dfg,
 
   // Gather hold occupancies per (hold, value).
   std::map<std::pair<int, ValueId>, std::set<int>> stays;
-  const auto edges = dfg.Edges(true);
+  const auto edges = dfg.Edges();
   for (size_t e = 0; e < m.routes.size() && e < edges.size(); ++e) {
     for (const RouteStep& s : m.routes[e].steps) {
       if (mrrg.kind(s.node) == Mrrg::Kind::kHold) {
@@ -236,7 +236,7 @@ Result<ConfigImage> CompileToContexts(const Dfg& dfg, const Architecture& arch,
   }
   auto slot_of = [&](int t) { return ((t % m.ii) + m.ii) % m.ii; };
 
-  const auto edges = dfg.Edges(true);
+  const auto edges = dfg.Edges();
 
   // Resolve an operand read: the route of edge `e` arriving at
   // `arrive`, read by the op on `reader_cell`.

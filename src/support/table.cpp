@@ -54,7 +54,9 @@ std::string TextTable::Render() const {
   auto emit = [&](const std::vector<std::string>& cells) {
     std::string line = "|";
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      line += " " + Pad(cells[c], width[c], LooksNumeric(cells[c])) + " |";
+      line += ' ';
+      line += Pad(cells[c], width[c], LooksNumeric(cells[c]));
+      line += " |";
     }
     return line + "\n";
   };

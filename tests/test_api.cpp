@@ -186,6 +186,29 @@ TEST(ApiCatalog, FabricNameListAndPresetsAgree) {
   }
 }
 
+TEST(ApiCatalog, KernelNamesAndBuildersAgree) {
+  // Listed => known and builds a kernel of that name. The last entry
+  // names the wide_dot_<lanes> family, which builds per lane count.
+  const std::vector<std::string>& names = api::KnownKernelNames();
+  ASSERT_FALSE(names.empty());
+  EXPECT_EQ(names.back(), "wide_dot_<lanes>");
+  for (std::size_t i = 0; i + 1 < names.size(); ++i) {
+    EXPECT_TRUE(api::IsKnownKernel(names[i])) << names[i];
+    const std::optional<Kernel> k = api::KernelByName(names[i], 8, 1);
+    ASSERT_TRUE(k.has_value()) << names[i];
+    EXPECT_EQ(k->name, names[i]);
+  }
+  EXPECT_TRUE(api::IsKnownKernel("wide_dot_4"));
+  const std::optional<Kernel> wide = api::KernelByName("wide_dot_4", 8, 1);
+  ASSERT_TRUE(wide.has_value());
+  EXPECT_EQ(wide->name, "wide_dot_4");
+  for (const char* name :
+       {"unlisted", "", "FIR4", "wide_dot_", "wide_dot_0", "wide_dot_<lanes>"}) {
+    EXPECT_FALSE(api::IsKnownKernel(name)) << name;
+    EXPECT_FALSE(api::KernelByName(name, 8, 1).has_value()) << name;
+  }
+}
+
 TEST(ApiValidate, UnknownFabricErrorText) {
   api::MapRequest r = ValidRequest();
   r.fabric = "nope9x9";

@@ -41,10 +41,9 @@ Architecture Rotating4x4() {
 // loop honest.
 class StuckMapper final : public Mapper {
  public:
-  std::string name() const override { return "stuck"; }
-  TechniqueClass technique() const override { return TechniqueClass::kExactCsp; }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override { return "test fixture"; }
+  StuckMapper()
+      : Mapper({"stuck", TechniqueClass::kExactCsp, MappingKind::kTemporal,
+                "test fixture"}) {}
 
   Result<Mapping> Map(const Dfg&, const Architecture&,
                       const MapperOptions& options) const override {
@@ -227,11 +226,9 @@ TEST(MappingEngine, TraceNamesEveryMapperAndAttempt) {
 // sequential sweep runs every entry.
 class MrrgProbe final : public Mapper {
  public:
-  explicit MrrgProbe(std::string name) : name_(std::move(name)) {}
-  std::string name() const override { return name_; }
-  TechniqueClass technique() const override { return TechniqueClass::kHeuristic; }
-  MappingKind kind() const override { return MappingKind::kTemporal; }
-  std::string lineage() const override { return "test fixture"; }
+  explicit MrrgProbe(std::string name)
+      : Mapper({std::move(name), TechniqueClass::kHeuristic, MappingKind::kTemporal,
+                "test fixture"}) {}
 
   Result<Mapping> Map(const Dfg&, const Architecture& arch,
                       const MapperOptions&) const override {
@@ -248,7 +245,6 @@ class MrrgProbe final : public Mapper {
   mutable std::vector<Seen> seen;
 
  private:
-  std::string name_;
   mutable std::mutex mu_;
 };
 

@@ -109,7 +109,7 @@ TEST(Dfg, EdgesIncludePredAndOrder) {
   guarded.pred = c;
   const OpId g = d.AddOp(std::move(guarded));
   d.mutable_op(g).order_deps.push_back(Operand{c, 1, 0});
-  const auto edges = d.Edges(true);
+  const auto edges = d.Edges();
   int pred = 0, order = 0;
   for (const auto& e : edges) {
     if (e.to_port == kPredPort) ++pred;

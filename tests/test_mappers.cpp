@@ -544,6 +544,30 @@ TEST(RecMii, InfeasibleCycleReturnsAboveMax) {
   EXPECT_EQ(ComputeMii(d, arch, 5).rec_mii, 5);
 }
 
+// A mapper attempts an II below the recurrence bound only when max_ii
+// forces it (a spatial mapper always tries II = 1). The attempt bracket
+// then fails that attempt with one message, whichever mapper's search
+// it wraps; smt escalates schedule length instead and is left out.
+TEST(AttemptBracket, OneRecurrenceErrorForEveryMapper) {
+  const Kernel k = MakeIir1(16, 0x5EED);
+  const Architecture arch = Architecture::Adres4x4();
+  ASSERT_GT(ComputeMii(k.dfg, arch, 16).rec_mii, 1);
+  for (const Mapper& mapper : MapperRegistry::Global()) {
+    if (mapper.name() == "smt") continue;
+    MapTrace trace;
+    MapperOptions opts;
+    opts.max_ii = 1;
+    opts.observer = &trace;
+    EXPECT_FALSE(mapper.Map(k.dfg, arch, opts).ok()) << mapper.name();
+    const std::vector<MapTrace::Attempt> attempts = trace.Attempts();
+    ASSERT_EQ(attempts.size(), 1u) << mapper.name();
+    EXPECT_EQ(attempts[0].ii, 1) << mapper.name();
+    EXPECT_EQ(attempts[0].error_code, "unmappable") << mapper.name();
+    EXPECT_EQ(attempts[0].message, "recurrences infeasible at II=1")
+        << mapper.name();
+  }
+}
+
 // An exact mapper's "no mapping" holds only inside the horizon its model
 // spans. sat proves vecadd unmappable at II = 1 on adres4x4; the attempt
 // must say within how many cycles: max ASAP + min(3, II) + 1.
@@ -567,6 +591,20 @@ TEST(ExactMappers, SatInfeasibilityNamesItsHorizon) {
       "no mapping at II=1 within a " + std::to_string(horizon) + "-cycle horizon";
   EXPECT_NE(attempts[0].message.find(bound), std::string::npos)
       << attempts[0].message;
+}
+
+// A deadline that stops ilp-spatial is a budget stop, whether it lands
+// in the ILP solve or in the realization of the solved cells: fir4 on
+// hetero4x4 solves its ILP in a few branch-and-bound nodes and then
+// realizes until the deadline.
+TEST(ExactMappers, IlpSpatialReportsADeadlineStopAsResourceLimit) {
+  const Kernel k = MakeFir4(16, 0x5EED);
+  const Architecture arch = Architecture::Hetero4x4();
+  MapperOptions opts;
+  opts.deadline = Deadline::AfterSeconds(0.3);
+  const auto m = MapperRegistry::Global().Find("ilp-spatial")->Map(k.dfg, arch, opts);
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.error().code, Error::Code::kResourceLimit) << m.error().message;
 }
 
 }  // namespace

@@ -327,7 +327,7 @@ TEST(PlaceRoute, ByAffinityMatchesEdgeScan) {
       o.carried_fraction = 0.3;
       const Kernel k = MakeRandomKernel(rng, o, 8);
       const Dfg& dfg = k.dfg;
-      const std::vector<DfgEdge> edges = dfg.Edges(true);
+      const std::vector<DfgEdge> edges = dfg.Edges();
       PlaceRouteState state(dfg, *arch, 2);
       std::vector<int> all(static_cast<size_t>(arch->num_cells()));
       for (int c = 0; c < arch->num_cells(); ++c) all[static_cast<size_t>(c)] = c;

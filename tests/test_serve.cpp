@@ -733,11 +733,10 @@ TEST(Serve, FaultedRequestsGetPrivateFabrics) {
 class RecordingMapper final : public Mapper {
  public:
   explicit RecordingMapper(const char* inner)
-      : inner_(*MapperRegistry::Global().Find(inner)) {}
-  std::string name() const override { return inner_.name(); }
-  TechniqueClass technique() const override { return inner_.technique(); }
-  MappingKind kind() const override { return inner_.kind(); }
-  std::string lineage() const override { return inner_.lineage(); }
+      : RecordingMapper(*MapperRegistry::Global().Find(inner)) {}
+  explicit RecordingMapper(const Mapper& inner)
+      : Mapper({inner.name(), inner.technique(), inner.kind(), inner.lineage()}),
+        inner_(inner) {}
 
   Result<Mapping> Map(const Dfg& dfg, const Architecture& arch,
                       const MapperOptions& options) const override {
